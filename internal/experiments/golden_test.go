@@ -1,0 +1,85 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"io"
+	"os"
+	"testing"
+
+	"repro/internal/probe"
+	"repro/internal/timeline"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current code")
+
+// goldenPath holds the digests TestGoldenDigests pins across commits.
+const goldenPath = "testdata/golden.json"
+
+// goldenDigests are SHA-256 digests of one tinyScale Figure 7(b) grid's
+// exports: the cells CSV, the telemetry CSV, and the Perfetto trace.
+type goldenDigests struct {
+	CellsCSV     string `json:"fig7b_cells_csv"`
+	TelemetryCSV string `json:"fig7b_telemetry_csv"`
+	Trace        string `json:"fig7b_trace"`
+}
+
+// sha256Of digests whatever write emits.
+func sha256Of(t *testing.T, write func(io.Writer) error) string {
+	t.Helper()
+	h := sha256.New()
+	if err := write(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenDigests pins the simulated output byte for byte against digests
+// committed with the code, so a refactor that changes any cell, gauge
+// sample, or trace event fails here even when same-commit determinism still
+// holds. After an intended output change, regenerate the digests with
+// `go test ./internal/experiments -run TestGoldenDigests -update`.
+func TestGoldenDigests(t *testing.T) {
+	s := tinyScale()
+	s.Requests = 6000
+	s.Parallel = 2
+	s.Telemetry = &probe.Collector{}
+	// Flight-recorder mode with a small event cap keeps the trace (and this
+	// test's memory) bounded while still covering the detection pin.
+	s.Timeline = &timeline.Grid{Config: timeline.Config{Windows: 4, MaxEvents: 20000}}
+	cells, err := Figure7b(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := goldenDigests{
+		CellsCSV:     sha256Of(t, func(w io.Writer) error { return WriteCellsCSV(w, cells) }),
+		TelemetryCSV: sha256Of(t, s.Telemetry.WriteCSV),
+		Trace:        sha256Of(t, s.Timeline.WriteTrace),
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (generate it with -update)", err)
+	}
+	var want goldenDigests
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("Figure 7(b) export digests changed:\n  got  %+v\n  want %+v", got, want)
+	}
+}
