@@ -50,20 +50,9 @@ type gridBench struct {
 	Speedup     float64 `json:"speedup"`
 }
 
-type chanLeg struct {
-	Channels       int     `json:"channels"`
-	ChannelWorkers int     `json:"channel_workers"`
-	NsPerRequest   float64 `json:"ns_per_request"`
-	Speedup        float64 `json:"speedup_vs_serial"`
-	GOMAXPROCS     int     `json:"gomaxprocs"` // absent in pre-PR9 files: 0
-	Degenerate     bool    `json:"degenerate"`
-	// Pool-vs-spawn engine comparison; absent (0) in pre-PR10 files and on
-	// workers <= 1 legs, where the engines are identical.
-	PoolOverSpawn float64 `json:"pool_over_spawn_ns"`
-}
-
 // benchFile is a tolerant superset of every perfbench output version:
-// unknown fields are ignored, missing sections stay nil.
+// unknown fields (such as older files' channel_scaling legs) are ignored,
+// missing sections stay nil.
 type benchFile struct {
 	GOMAXPROCS         int        `json:"gomaxprocs"`
 	SimRunS3           *runBench  `json:"sim_run_s3"`
@@ -73,7 +62,6 @@ type benchFile struct {
 	ProbedOverDetached float64    `json:"probed_over_detached_ns"`
 	SchedulerStep      []schedRow `json:"scheduler_step"`
 	Figure7bGrid       *gridBench `json:"figure7b_grid"`
-	ChannelScaling     []chanLeg  `json:"channel_scaling"`
 }
 
 // metric is one table row: a value (or absence) per input file.
@@ -225,58 +213,6 @@ func collect(files []benchFile) []metric {
 		}
 		return 0, false
 	})
-
-	// Channel-scaling legs are keyed by (channels, workers). Degenerate legs
-	// (gomaxprocs < channels) are still shown — the flag explains why their
-	// speedup is flat.
-	type legKey struct{ ch, w int }
-	var keys []legKey
-	seen := map[legKey]bool{}
-	for _, f := range files {
-		for _, l := range f.ChannelScaling {
-			k := legKey{l.Channels, l.ChannelWorkers}
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-	}
-	for _, k := range keys {
-		k := k
-		find := func(f benchFile) *chanLeg {
-			for i := range f.ChannelScaling {
-				l := &f.ChannelScaling[i]
-				if l.Channels == k.ch && l.ChannelWorkers == k.w {
-					return l
-				}
-			}
-			return nil
-		}
-		suffix := ""
-		for _, f := range files {
-			if l := find(f); l != nil && l.Degenerate {
-				suffix = " (degenerate)"
-			}
-		}
-		add(fmt.Sprintf("chan %dch/%dw ns/request%s", k.ch, k.w, suffix), false, func(f benchFile) (float64, bool) {
-			if l := find(f); l != nil {
-				return l.NsPerRequest, true
-			}
-			return 0, false
-		})
-		add(fmt.Sprintf("chan %dch/%dw speedup%s", k.ch, k.w, suffix), true, func(f benchFile) (float64, bool) {
-			if l := find(f); l != nil {
-				return l.Speedup, true
-			}
-			return 0, false
-		})
-		add(fmt.Sprintf("chan %dch/%dw pool/spawn ns%s", k.ch, k.w, suffix), false, func(f benchFile) (float64, bool) {
-			if l := find(f); l != nil && l.PoolOverSpawn > 0 {
-				return l.PoolOverSpawn, true
-			}
-			return 0, false
-		})
-	}
 	return rows
 }
 

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/probe"
-	"repro/internal/sim"
 	"repro/internal/timeline"
 )
 
@@ -45,8 +44,6 @@ func main() {
 	requests := flag.Int64("requests", 0, "override demand requests per cell")
 	csvDir := flag.String("csv", "", "directory to also write fig7a.csv / fig7b.csv into")
 	par := flag.Int("parallel", 0, "worker goroutines per experiment grid (0 = all CPUs, 1 = serial)")
-	chanWorkers := flag.Int("channel-workers", 0, "goroutines across each cell machine's DRAM channels (0/1 = serial; byte-identical results, capped so cells×workers ≤ CPUs)")
-	chanEpoch := flag.String("channel-epoch", "0s", "event-loop lookahead window per cell, e.g. 7.8us, or \"auto\" to calibrate one (0 = classic loop; changes arrival quantization deterministically)")
 	progressFlag := flag.Bool("progress", false, "report completed/total grid cells and ETA on stderr")
 	telemetryDir := flag.String("telemetry", "", "directory to write per-experiment telemetry CSV/JSONL into")
 	timelineDir := flag.String("timeline", "", "directory to write per-experiment Chrome trace-event timelines into")
@@ -70,24 +67,6 @@ func main() {
 		s.Requests = *requests
 	}
 	s.Parallel = *par
-	s.ChannelWorkers = *chanWorkers
-	epoch, epochAuto, err := sim.ParseChannelEpoch(*chanEpoch)
-	if err != nil {
-		fail(err)
-	}
-	s.ChannelEpoch = epoch
-	if epochAuto {
-		// Closed-loop calibration: a short throwaway window picks the epoch,
-		// every grid cell runs under it, and the telemetry meta records the
-		// applied value so a `-channel-epoch <applied>` rerun is
-		// byte-identical.
-		e, err := s.CalibrateChannelEpoch()
-		if err != nil {
-			fail(err)
-		}
-		s.ChannelEpoch = e
-		fmt.Fprintf(os.Stderr, "paperrepro: calibrated -channel-epoch %v (applied to every cell)\n", e)
-	}
 
 	var cellsDone, cellsTotal expvar.Int
 	if *debugAddr != "" {
@@ -102,11 +81,6 @@ func main() {
 	var col *probe.Collector
 	if *telemetryDir != "" {
 		col = &probe.Collector{}
-		col.Meta = &probe.RunMeta{
-			ChannelEpoch:   s.ChannelEpoch,
-			ChannelWorkers: s.ChannelWorkers,
-			GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		}
 		s.Telemetry = col
 	}
 	var grid *timeline.Grid

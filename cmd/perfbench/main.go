@@ -25,23 +25,7 @@
 //     (Parallel = 1) and on the worker pool, with the speedup and the real
 //     GOMAXPROCS/worker count recorded so a degenerate single-CPU
 //     measurement (BENCH_2's speedup of 1.016 at gomaxprocs 1) is visible
-//     as such instead of reading like an engine defect;
-//   - channel scaling: ns/request for a uniform-random (S1) run on 1-, 2-,
-//     and 4-channel machines with ChannelWorkers 1, 2, and 4 under a
-//     one-tREFI epoch barrier, against the ChannelWorkers = 0 serial loop
-//     at the same epoch — the intra-machine parallelism leg. The serial
-//     and worker runs are byte-identical by construction (pinned by
-//     TestChannelParallelEquivalence), so only timing is recorded. Every
-//     workers > 1 point is measured twice — once on the persistent worker
-//     pool (the default engine) and once with a goroutine spawned per
-//     barrier (the pre-pool engine, kept behind SetSpawnPerBarrier for
-//     exactly this comparison) — and the pool/spawn ns ratio is the
-//     persistent-pool payoff: the handoff saves a spawn per worker per
-//     barrier, so the ratio drops below 1 as epochs shrink and barriers
-//     dominate. As with the grid leg, gomaxprocs 1 makes every speedup
-//     degenerate (~1.0 or below, barrier overhead with nothing to
-//     overlap); the ratio between the two engine modes is still
-//     meaningful there, since both pay the same degenerate barriers.
+//     as such instead of reading like an engine defect.
 //
 // Wall-clock timing is inherently nondeterministic; that is fine here
 // because the numbers are diagnostics, never simulation inputs (twicelint's
@@ -50,7 +34,6 @@
 // Usage:
 //
 //	perfbench [-out BENCH_7.json] [-requests 40000] [-parallel 0]
-//	          [-channel-requests 150000]
 package main
 
 import (
@@ -111,49 +94,21 @@ type schedLeg struct {
 	AllocsPerStep float64 `json:"allocs_per_step"`
 }
 
-// chanLeg is one point of the channel-scaling matrix: a uniform-random S1
-// run on a machine with Channels DRAM channels, advanced by Workers channel
-// workers under a one-tREFI epoch barrier. Workers 0 is the serial loop at
-// the same epoch — the baseline each channel count's speedups divide by.
-type chanLeg struct {
-	Channels int     `json:"channels"`
-	Workers  int     `json:"channel_workers"`
-	Requests int64   `json:"requests_served"`
-	Seconds  float64 `json:"seconds"`
-	NsPerReq float64 `json:"ns_per_request"`
-	Speedup  float64 `json:"speedup_vs_serial"`
-	// GOMAXPROCS and Degenerate qualify the speedup: with fewer CPUs than
-	// channels the workers cannot actually overlap, so a flat speedup says
-	// nothing about the barrier design. benchdiff prints the flag beside
-	// the leg so cross-host comparisons don't mistake it for a regression.
-	GOMAXPROCS int  `json:"gomaxprocs"`
-	Degenerate bool `json:"degenerate"`
-	// Spawn* record the identical run with a goroutine spawned per barrier
-	// instead of the persistent pool (workers > 1 legs only; zero
-	// otherwise). PoolOverSpawn = pool seconds / spawn seconds, so < 1
-	// means the pool won.
-	SpawnSeconds  float64 `json:"spawn_seconds,omitempty"`
-	SpawnNsPerReq float64 `json:"spawn_ns_per_request,omitempty"`
-	PoolOverSpawn float64 `json:"pool_over_spawn_ns,omitempty"`
-}
-
 type report struct {
-	GOMAXPROCS     int            `json:"gomaxprocs"`
-	HotPath        hotPath        `json:"sim_run_s3"`
-	HotPathReused  hotPath        `json:"sim_run_s3_reused"`
-	HotPathProbed  hotPath        `json:"sim_run_s3_probed"`
-	BytesRatio     float64        `json:"fresh_over_reused_bytes"`
-	ProbeOverhead  float64        `json:"probed_over_detached_ns"`
-	Scheduler      []schedLeg     `json:"scheduler_step"`
-	Figure7b       gridThroughput `json:"figure7b_grid"`
-	ChannelScaling []chanLeg      `json:"channel_scaling"`
+	GOMAXPROCS    int            `json:"gomaxprocs"`
+	HotPath       hotPath        `json:"sim_run_s3"`
+	HotPathReused hotPath        `json:"sim_run_s3_reused"`
+	HotPathProbed hotPath        `json:"sim_run_s3_probed"`
+	BytesRatio    float64        `json:"fresh_over_reused_bytes"`
+	ProbeOverhead float64        `json:"probed_over_detached_ns"`
+	Scheduler     []schedLeg     `json:"scheduler_step"`
+	Figure7b      gridThroughput `json:"figure7b_grid"`
 }
 
 func main() {
 	out := flag.String("out", "BENCH_7.json", "output JSON file")
 	requests := flag.Int64("requests", 40000, "demand requests per Figure 7(b) cell")
 	par := flag.Int("parallel", 0, "workers for the parallel grid leg (0 = all CPUs)")
-	chanRequests := flag.Int64("channel-requests", 150000, "demand requests per channel-scaling leg")
 	flag.Parse()
 
 	rep := report{GOMAXPROCS: runtime.GOMAXPROCS(0)}
@@ -213,46 +168,6 @@ func main() {
 		gt.ParallelSeconds, gt.ParCellsSec, gt.Speedup, gt.Workers)
 	if rep.GOMAXPROCS == 1 {
 		fmt.Println("  note: gomaxprocs is 1 — the speedup leg is degenerate on this host")
-	}
-
-	fmt.Println("perfbench: channel-parallel scaling (S1, one-tREFI epoch barrier)...")
-	for _, chs := range []int{1, 2, 4} {
-		var base float64
-		for _, cw := range []int{0, 1, 2, 4} {
-			leg, err := benchChannels(chs, cw, *chanRequests, false)
-			if err != nil {
-				fail(err)
-			}
-			if cw == 0 {
-				base = leg.Seconds
-			}
-			if leg.Seconds > 0 {
-				leg.Speedup = base / leg.Seconds
-			}
-			if cw > 1 {
-				// Same point on the pre-pool engine: one goroutine spawned
-				// per worker per barrier. The ratio is the pool's payoff.
-				spawn, err := benchChannels(chs, cw, *chanRequests, true)
-				if err != nil {
-					fail(err)
-				}
-				leg.SpawnSeconds = spawn.Seconds
-				leg.SpawnNsPerReq = spawn.NsPerReq
-				if spawn.Seconds > 0 {
-					leg.PoolOverSpawn = leg.Seconds / spawn.Seconds
-				}
-			}
-			rep.ChannelScaling = append(rep.ChannelScaling, leg)
-			fmt.Printf("  %d ch × %d workers: %.2fs, %.1f ns/request (%.2fx vs serial)",
-				leg.Channels, leg.Workers, leg.Seconds, leg.NsPerReq, leg.Speedup)
-			if leg.PoolOverSpawn > 0 {
-				fmt.Printf("; pool/spawn %.3f", leg.PoolOverSpawn)
-			}
-			fmt.Println()
-		}
-	}
-	if rep.GOMAXPROCS == 1 {
-		fmt.Println("  note: gomaxprocs is 1 — channel workers cannot overlap; speedups are degenerate")
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -464,59 +379,6 @@ func benchGrid(requests int64, workers int) (gridThroughput, error) {
 		gt.Speedup = serialDur.Seconds() / parDur.Seconds()
 	}
 	return gt, nil
-}
-
-// benchChannels times one channel-scaling point: an S1 run (uniform random
-// traffic, so every channel stays busy inside an epoch) under quick-scale
-// TWiCe on a machine with the given channel count and worker budget, epoch
-// barrier fixed at one tREFI. Four cores keep enough requests in flight to
-// load all channels. Wall-clock over one full run; the equivalence tests pin
-// that every (workers, engine) choice serves the identical request stream,
-// so ns/request is directly comparable across the matrix. With spawn set the
-// machine uses the per-barrier goroutine engine instead of the persistent
-// pool — the comparison that measures what the pool buys.
-func benchChannels(channels, workers int, requests int64, spawn bool) (chanLeg, error) {
-	cfg := sim.DefaultConfig(4)
-	cfg.DRAM.Channels = channels
-	cfg.DRAM.TREFW = clock.Millisecond
-	cfg.DRAM.NTh = 2048
-	cfg.MC = mc.NewConfig(cfg.DRAM)
-	cfg.ChannelWorkers = workers
-	cfg.ChannelEpoch = cfg.DRAM.TREFI
-	amap, err := mc.NewAddrMap(cfg.DRAM)
-	if err != nil {
-		return chanLeg{}, err
-	}
-	ccfg := core.NewConfig(cfg.DRAM)
-	ccfg.ThRH = 512
-	tw, err := core.New(ccfg)
-	if err != nil {
-		return chanLeg{}, err
-	}
-	m, err := sim.NewMachine(cfg, tw, workload.S1(amap, cfg.DRAM, 11))
-	if err != nil {
-		return chanLeg{}, err
-	}
-	defer m.Close()
-	m.SetSpawnPerBarrier(spawn)
-	start := time.Now()
-	res, err := m.Run(sim.Limits{MaxRequests: requests, MaxTime: 10 * clock.Second})
-	if err != nil {
-		return chanLeg{}, err
-	}
-	dur := time.Since(start)
-	leg := chanLeg{
-		Channels:   channels,
-		Workers:    workers,
-		Requests:   res.Counters.RequestsServed,
-		Seconds:    dur.Seconds(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Degenerate: runtime.GOMAXPROCS(0) < channels,
-	}
-	if res.Counters.RequestsServed > 0 {
-		leg.NsPerReq = float64(dur.Nanoseconds()) / float64(res.Counters.RequestsServed)
-	}
-	return leg, nil
 }
 
 func fail(err error) {

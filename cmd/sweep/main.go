@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -49,8 +48,6 @@ func main() {
 	requests := flag.Int64("requests", 150000, "demand requests per point")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	par := flag.Int("parallel", 0, "worker goroutines across sweep points (0 = all CPUs, 1 = serial)")
-	chanWorkers := flag.Int("channel-workers", 0, "goroutines across each point machine's DRAM channels (0/1 = serial; byte-identical results)")
-	chanEpoch := flag.String("channel-epoch", "0s", "event-loop lookahead window per point, e.g. 7.8us, or \"auto\" to calibrate one (0 = classic loop; changes arrival quantization deterministically)")
 	progressFlag := flag.Bool("progress", false, "report completed/total sweep points and ETA on stderr")
 	telemetryDir := flag.String("telemetry", "", "directory to write per-point telemetry CSV/JSONL into")
 	timelineFile := flag.String("timeline", "", "write a Chrome trace-event timeline of every sweep point to this file")
@@ -62,34 +59,9 @@ func main() {
 
 	s := experiments.QuickScale()
 	s.Seed = *seed
-	s.ChannelWorkers = *chanWorkers
-	epoch, epochAuto, err := sim.ParseChannelEpoch(*chanEpoch)
-	if err != nil {
-		fail(err)
-	}
-	s.ChannelEpoch = epoch
-	if epochAuto {
-		// Closed-loop calibration: one throwaway window picks the epoch for
-		// every sweep point; the telemetry meta records the applied value so
-		// a `-channel-epoch <applied>` rerun is byte-identical.
-		e, err := s.CalibrateChannelEpoch()
-		if err != nil {
-			fail(err)
-		}
-		s.ChannelEpoch = e
-		fmt.Fprintf(os.Stderr, "sweep: calibrated -channel-epoch %v (applied to every point)\n", e)
-	}
 	points := strings.Split(*values, ",")
 
 	pool := parallel.Runner{Workers: *par}
-	// Points and channel workers share the CPU budget: cap the per-point
-	// channel fan-out so points×workers never oversubscribes the host.
-	// (Capping never changes output — channel workers are byte-identical.)
-	if s.ChannelWorkers > 1 {
-		if budget := runtime.GOMAXPROCS(0) / pool.PoolSize(len(points)); s.ChannelWorkers > budget {
-			s.ChannelWorkers = budget
-		}
-	}
 	if *progressFlag {
 		p := probe.NewProgress(os.Stderr, "sweep", time.Now)
 		pool.OnDone = p.Update
@@ -98,11 +70,6 @@ func main() {
 	var col *probe.Collector
 	if *telemetryDir != "" {
 		col = &probe.Collector{}
-		col.Meta = &probe.RunMeta{
-			ChannelEpoch:   s.ChannelEpoch,
-			ChannelWorkers: s.ChannelWorkers,
-			GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		}
 		col.Start(len(points))
 	}
 	var grid *timeline.Grid
@@ -202,8 +169,6 @@ func runPoint(param, raw string, s experiments.Scale, requests, seed int64, rec 
 	cfg.DRAM.TREFW = s.TREFW
 	cfg.DRAM.NTh = s.NTh
 	cfg.Seed = seed
-	cfg.ChannelWorkers = s.ChannelWorkers
-	cfg.ChannelEpoch = s.ChannelEpoch
 
 	var def defense.Defense
 	tableEntries := 0

@@ -21,9 +21,7 @@
 // Chrome trace-event / Perfetto JSON timeline of every run (open it at
 // ui.perfetto.dev); -timeline-windows K switches it to flight-recorder mode,
 // keeping only the last K tREFI windows unless a detection pins the ring.
-// When the channel-parallel loop runs (-channel-workers > 1), a *.wall.json
-// sidecar reports the nondeterministic wall-clock epoch profile. -debug-addr
-// serves expvar and net/http/pprof while the simulations run.
+// -debug-addr serves expvar and net/http/pprof while the simulations run.
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/detutil"
@@ -58,8 +55,6 @@ func main() {
 	hammerRow := flag.Int("row", 5000, "aggressor/victim row for S3 and double-sided")
 	replay := flag.String("replay", "", "replay a recorded trace file instead of a named workload")
 	par := flag.Int("parallel", 0, "worker goroutines across -defense list entries (0 = all CPUs, 1 = serial)")
-	chanWorkers := flag.Int("channel-workers", 0, "goroutines across one machine's DRAM channels (0/1 = serial; byte-identical results)")
-	chanEpoch := flag.String("channel-epoch", "0s", "event-loop lookahead window, e.g. 7.8us, or \"auto\" to calibrate one (0 = classic loop; changes arrival quantization deterministically)")
 	telemetryDir := flag.String("telemetry", "", "directory to write run telemetry CSV/JSONL into")
 	timelineFile := flag.String("timeline", "", "write a Chrome trace-event / Perfetto JSON timeline to this file")
 	timelineWindows := flag.Int("timeline-windows", 0, "flight-recorder mode: keep only the last K tREFI windows (0 = full trace; first detection pins the ring)")
@@ -98,12 +93,6 @@ func main() {
 	cfg.DRAM.NTh = s.NTh
 	cfg.MC = mc.NewConfig(cfg.DRAM)
 	cfg.Seed = *seed
-	cfg.ChannelWorkers = *chanWorkers
-	epoch, epochAuto, err := sim.ParseChannelEpoch(*chanEpoch)
-	if err != nil {
-		fail(err)
-	}
-	cfg.ChannelEpoch = epoch
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -156,59 +145,11 @@ func main() {
 	}
 
 	dnames := strings.Split(*dname, ",")
-	// Compose -parallel × -channel-workers: shrink the per-machine channel
-	// budget so the two axes together never oversubscribe the host. Worker
-	// counts cannot affect results, so the cap is purely an execution concern.
-	if cfg.ChannelWorkers > 1 {
-		pool := parallel.Runner{Workers: *par}
-		if budget := runtime.GOMAXPROCS(0) / pool.PoolSize(len(dnames)); cfg.ChannelWorkers > budget {
-			cfg.ChannelWorkers = budget
-		}
-	}
-	if epochAuto {
-		// Closed-loop calibration (-channel-epoch auto): run a short
-		// classic-loop window on throwaway instances of the first listed
-		// defense and workload, then apply the recommended epoch to every
-		// run. The applied value lands in the telemetry meta below, so
-		// rerunning with `-channel-epoch <applied>` reproduces the exports
-		// byte-identically.
-		w, err := buildW()
-		if err != nil {
-			fail(err)
-		}
-		def, err := s.NewDefense(strings.TrimSpace(dnames[0]), cfg.DRAM)
-		if err != nil {
-			fail(err)
-		}
-		applied, err := sim.CalibrateEpoch(cfg, def, w, sim.Limits{MaxRequests: *requests, MaxTime: 30 * clock.Second})
-		if err != nil {
-			fail(err)
-		}
-		cfg.ChannelEpoch = applied
-		fmt.Fprintf(os.Stderr, "twicesim: calibrated -channel-epoch %v (applied to all runs)\n", applied)
-	}
 	if col != nil {
-		col.Meta = &probe.RunMeta{
-			ChannelEpoch:   cfg.ChannelEpoch,
-			ChannelWorkers: cfg.ChannelWorkers,
-			GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		}
 		col.Start(len(dnames))
 	}
 	if grid != nil {
 		grid.Start(len(dnames))
-	}
-	// Wall-clock profilers (Clock B), one per run: profilers are not safe for
-	// concurrent attachment, and -parallel may run the defense list entries
-	// simultaneously. The wall clock is injected here — time.Now never enters
-	// internal packages (twicelint nondeterm).
-	var walls []*timeline.WallProfiler
-	if grid != nil && cfg.ChannelWorkers > 1 {
-		walls = make([]*timeline.WallProfiler, len(dnames))
-		for i := range walls {
-			start := time.Now()
-			walls[i] = timeline.NewWallProfiler(func() int64 { return int64(time.Since(start)) })
-		}
 	}
 	reports, err := parallel.Map(*par, len(dnames), func(i int) (string, error) {
 		w, err := buildW()
@@ -231,7 +172,6 @@ func main() {
 		if err != nil {
 			return "", err
 		}
-		defer m.Close()
 		var cfgRec probe.Config
 		if col != nil {
 			cfgRec = col.Config
@@ -241,9 +181,6 @@ func main() {
 		if grid != nil {
 			tl = grid.NewRecorder()
 			rec.SetSink(tl)
-		}
-		if walls != nil {
-			m.SetWallProfiler(walls[i])
 		}
 		m.SetRecorder(rec)
 		res, err := m.Run(sim.Limits{MaxRequests: *requests, MaxTime: 30 * clock.Second})
@@ -262,7 +199,7 @@ func main() {
 		fail(err)
 	}
 	writeTelemetry(*telemetryDir, col)
-	writeTimeline(*timelineFile, grid, walls)
+	writeTimeline(*timelineFile, grid)
 	for i, r := range reports {
 		if i > 0 {
 			fmt.Println(strings.Repeat("-", 60))
@@ -299,11 +236,8 @@ func writeTelemetry(dir string, col *probe.Collector) {
 }
 
 // writeTimeline exports the recorded timelines as one Chrome trace-event
-// JSON file (no-op without -timeline). When wall profiling ran, a
-// <file>.wall.json sidecar carries the nondeterministic epoch profiles as a
-// JSON array in defense-list order — quarantined from the deterministic
-// trace on purpose (DESIGN.md §15).
-func writeTimeline(path string, grid *timeline.Grid, walls []*timeline.WallProfiler) {
+// JSON file (no-op without -timeline).
+func writeTimeline(path string, grid *timeline.Grid) {
 	if grid == nil {
 		return
 	}
@@ -319,47 +253,6 @@ func writeTimeline(path string, grid *timeline.Grid, walls []*timeline.WallProfi
 		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "twicesim: wrote %s (open it at https://ui.perfetto.dev)\n", path)
-
-	profiled := 0
-	for _, w := range walls {
-		if w != nil && w.Epochs() > 0 {
-			profiled++
-		}
-	}
-	if profiled == 0 {
-		return
-	}
-	side := path + ".wall.json"
-	wf, err := os.Create(side)
-	if err != nil {
-		fail(err)
-	}
-	if _, err := wf.WriteString("[\n"); err != nil {
-		fail(err)
-	}
-	first := true
-	for _, w := range walls {
-		if w == nil || w.Epochs() == 0 {
-			continue
-		}
-		if !first {
-			if _, err := wf.WriteString(",\n"); err != nil {
-				fail(err)
-			}
-		}
-		first = false
-		if err := w.WriteJSON(wf, runtime.GOMAXPROCS(0)); err != nil {
-			_ = wf.Close()
-			fail(err)
-		}
-	}
-	if _, err := wf.WriteString("]\n"); err != nil {
-		fail(err)
-	}
-	if err := wf.Close(); err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "twicesim: wrote %s (wall-clock epoch profile, nondeterministic)\n", side)
 }
 
 // report renders the activity report for one completed run.

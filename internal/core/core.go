@@ -185,10 +185,8 @@ type TWiCe struct {
 
 	// detections deliberately survives Reset: it counts over the engine's
 	// lifetime, and the lifetime aggregate is what the detector tests pin.
-	// Sharded per flat bank so concurrent OnActivate calls for banks of
-	// different channels (channel-parallel Advance) never share a counter.
 	//twicelint:keep lifetime aggregate; Reset clears per-run table state only
-	detections []int64
+	detections int64
 
 	// probes, when non-nil, receives table telemetry (prune-tick occupancy,
 	// insert spills). The nil check is the whole detached cost; the spill
@@ -207,11 +205,10 @@ func New(cfg Config) (*TWiCe, error) {
 	}
 	n := cfg.DRAM.TotalBanks()
 	t := &TWiCe{
-		cfg:        cfg,
-		thPI:       cfg.ThPI(),
-		tables:     make([]Table, n),
-		pending:    make([]int, n),
-		detections: make([]int64, n),
+		cfg:     cfg,
+		thPI:    cfg.ThPI(),
+		tables:  make([]Table, n),
+		pending: make([]int, n),
 	}
 	bound := cfg.TableBound()
 	for i := range t.tables {
@@ -278,7 +275,7 @@ func (t *TWiCe) OnActivate(bank dram.BankID, row int, now clock.Time) defense.Ac
 	}
 	if e.ActCnt >= t.cfg.ThRH {
 		tb.Remove(row)
-		t.detections[i]++
+		t.detections++
 		//twicelint:allocok detection is a rare event; the one-element aggressor list is the API
 		return defense.Action{ARRAggressors: []int{row}, Detected: true}
 	}
@@ -311,21 +308,8 @@ func (t *TWiCe) Reset() {
 	}
 }
 
-// Detections returns the number of aggressor rows flagged so far, summed
-// across all per-bank shards.
-func (t *TWiCe) Detections() int64 {
-	var n int64
-	for _, v := range t.detections {
-		n += v
-	}
-	return n
-}
-
-// ChannelSafe implements defense.ChannelSharded: tables, pending ticks, and
-// detection counters are all per-bank, so cross-channel concurrency never
-// shares state. The probe recorder runs in channel-capture mode during
-// parallel phases, keeping telemetry race-free too.
-func (t *TWiCe) ChannelSafe() bool { return true }
+// Detections returns the number of aggressor rows flagged so far.
+func (t *TWiCe) Detections() int64 { return t.detections }
 
 // TableFor exposes the per-bank table for inspection (tests, reports).
 func (t *TWiCe) TableFor(bank dram.BankID) Table {

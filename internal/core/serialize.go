@@ -55,9 +55,7 @@ func (t *TWiCe) WriteState(w io.Writer) error {
 			return err
 		}
 	}
-	// The format stores the lifetime aggregate; the per-bank sharding is an
-	// in-memory concurrency detail, not part of the checkpoint identity.
-	if err := putUvarint(uint64(t.Detections())); err != nil {
+	if err := putUvarint(uint64(t.detections)); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -152,11 +150,6 @@ func (t *TWiCe) ReadState(r io.Reader) error {
 	if det > math.MaxInt64 {
 		return fmt.Errorf("core: detection count %d out of range in checkpoint", det)
 	}
-	// Restore the aggregate into shard 0: Detections() sums the shards, so
-	// the restored engine reports exactly the checkpointed count.
-	for i := range t.detections {
-		t.detections[i] = 0
-	}
-	t.detections[0] = int64(det) //twicelint:checked bounded to MaxInt64 above
+	t.detections = int64(det) //twicelint:checked bounded to MaxInt64 above
 	return nil
 }

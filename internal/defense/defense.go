@@ -45,10 +45,7 @@ func (a Action) Empty() bool {
 }
 
 // Defense is a row-hammer mitigation mechanism. Implementations are
-// single-goroutine per bank: the simulator invokes them from its event loop,
-// and under channel-parallel Advance two goroutines may be inside the same
-// Defense concurrently — but only for banks of different channels, and only
-// if the implementation opts in via ChannelSharded.
+// single-threaded: the simulator invokes them from its one event loop.
 type Defense interface {
 	// Name identifies the scheme in reports, e.g. "TWiCe" or "PARA-0.001".
 	Name() string
@@ -62,19 +59,6 @@ type Defense interface {
 	// that need it (CBT resets its tree every tREFW; TWiCe does not need
 	// resets but must tolerate them).
 	Reset()
-}
-
-// ChannelSharded is the opt-in marker for channel-parallel simulation: a
-// defense that implements it with ChannelSafe() == true declares that all of
-// its mutable state is sharded by bank (or channel), so concurrent
-// OnActivate/OnRefreshTick calls for banks of *different* channels never
-// touch the same memory. TWiCe, PARA, TRR, and the ideal counter scheme all
-// shard this way (per-flat-bank state, summed on read); defenses that keep
-// cross-channel aggregates (CBT's shared tree, CRA's counter cache, PRoHIT's
-// tables, Graphene's table) simply don't implement it, and the simulator
-// falls back to the serial event loop for them.
-type ChannelSharded interface {
-	ChannelSafe() bool
 }
 
 // Nop is the "no defense" baseline: it never requests mitigation work.
@@ -94,8 +78,4 @@ func (Nop) OnRefreshTick(dram.BankID, clock.Time) {}
 // Reset implements Defense.
 func (Nop) Reset() {}
 
-// ChannelSafe implements ChannelSharded: Nop has no state at all.
-func (Nop) ChannelSafe() bool { return true }
-
 var _ Defense = Nop{}
-var _ ChannelSharded = Nop{}

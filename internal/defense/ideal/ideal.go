@@ -43,21 +43,15 @@ type bankState struct {
 	refreshPtr int
 }
 
-// Ideal implements defense.Defense. Counters, refresh pointers, and the
-// detection aggregate are all per flat bank, so the scheme is channel-safe
-// (defense.ChannelSharded): concurrent workers for banks of different
-// channels never touch the same memory.
+// Ideal implements defense.Defense.
 type Ideal struct {
 	cfg        Config //twicelint:keep configuration, fixed at construction
 	banks      []bankState
-	perTick    int     //twicelint:keep derived decay quantum, fixed at construction
-	detections []int64 //twicelint:keep lifetime aggregates; Reset clears counter tables only
+	perTick    int   //twicelint:keep derived decay quantum, fixed at construction
+	detections int64 //twicelint:keep lifetime aggregate; Reset clears counter tables only
 }
 
-var (
-	_ defense.Defense        = (*Ideal)(nil)
-	_ defense.ChannelSharded = (*Ideal)(nil)
-)
+var _ defense.Defense = (*Ideal)(nil)
 
 // New builds the scheme.
 func New(cfg Config) (*Ideal, error) {
@@ -65,10 +59,9 @@ func New(cfg Config) (*Ideal, error) {
 		return nil, err
 	}
 	d := &Ideal{
-		cfg:        cfg,
-		banks:      make([]bankState, cfg.DRAM.TotalBanks()),
-		perTick:    cfg.DRAM.RowsPerRefresh(),
-		detections: make([]int64, cfg.DRAM.TotalBanks()),
+		cfg:     cfg,
+		banks:   make([]bankState, cfg.DRAM.TotalBanks()),
+		perTick: cfg.DRAM.RowsPerRefresh(),
 	}
 	for i := range d.banks {
 		d.banks[i].counts = make([]int32, cfg.DRAM.RowsPerBank)
@@ -85,15 +78,14 @@ func (d *Ideal) CountersPerBank() int { return d.cfg.DRAM.RowsPerBank }
 
 // OnActivate implements defense.Defense.
 func (d *Ideal) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action {
-	i := bank.Flat(&d.cfg.DRAM)
-	b := &d.banks[i]
+	b := &d.banks[bank.Flat(&d.cfg.DRAM)]
 	if row < 0 || row >= len(b.counts) {
 		return defense.Action{}
 	}
 	b.counts[row]++
 	if int(b.counts[row]) >= d.cfg.Threshold {
 		b.counts[row] = 0
-		d.detections[i]++
+		d.detections++
 		return defense.Action{ARRAggressors: []int{row}, Detected: true}
 	}
 	return defense.Action{}
@@ -125,16 +117,5 @@ func (d *Ideal) Reset() {
 	}
 }
 
-// ChannelSafe implements defense.ChannelSharded: every mutable field is
-// indexed by flat bank.
-func (d *Ideal) ChannelSafe() bool { return true }
-
-// Detections returns the number of aggressors flagged, summed across the
-// per-bank shards.
-func (d *Ideal) Detections() int64 {
-	var n int64
-	for _, v := range d.detections {
-		n += v
-	}
-	return n
-}
+// Detections returns the number of aggressors flagged.
+func (d *Ideal) Detections() int64 { return d.detections }

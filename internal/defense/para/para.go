@@ -14,10 +14,9 @@ import (
 	"repro/internal/dram"
 )
 
-// PARA is a probabilistic row-hammer mitigation. Its RNG and refresh counter
-// are sharded per flat bank so that concurrent OnActivate calls for banks of
-// different channels (channel-parallel Advance) never share state — which is
-// also what makes its random stream independent of channel interleaving.
+// PARA is a probabilistic row-hammer mitigation. It draws from one RNG stream
+// per flat bank, so each bank's random sequence depends only on that bank's
+// own ACT stream, never on how activations interleave across banks.
 type PARA struct {
 	name        string       //twicelint:keep display name, fixed at construction
 	p           float64      //twicelint:keep refresh probability, fixed at construction
@@ -25,11 +24,10 @@ type PARA struct {
 	radius      int          //twicelint:keep blast radius, fixed at construction
 	params      dram.Params  //twicelint:keep geometry, fixed at construction
 	rngs        []*rand.Rand //twicelint:keep per-bank stream continuity is deliberate; grids build a fresh PARA per cell
-	refreshes   []int64      //twicelint:keep lifetime aggregate; PARA is stateless per-epoch
+	refreshes   int64        //twicelint:keep lifetime aggregate; PARA is stateless per-epoch
 }
 
 var _ defense.Defense = (*PARA)(nil)
-var _ defense.ChannelSharded = (*PARA)(nil)
 
 // New builds a PARA instance with refresh probability p. The paper's
 // configurations are p = 0.001 and p = 0.002. The seed makes runs
@@ -46,11 +44,9 @@ func New(p float64, dp dram.Params, seed int64) (*PARA, error) {
 		radius:      dp.BlastRadius,
 		params:      dp,
 		rngs:        make([]*rand.Rand, dp.TotalBanks()),
-		refreshes:   make([]int64, dp.TotalBanks()),
 	}
 	// One deterministic stream per bank (golden-ratio stride decorrelates
-	// neighbouring banks); the observed sequence then depends only on each
-	// bank's own ACT stream, not on cross-channel event interleaving.
+	// neighbouring banks).
 	for i := range pa.rngs {
 		pa.rngs[i] = rand.New(rand.NewSource(seed + int64(i+1)*0x9E3779B9))
 	}
@@ -61,12 +57,9 @@ func New(p float64, dp dram.Params, seed int64) (*PARA, error) {
 func (pa *PARA) Name() string { return pa.name }
 
 // OnActivate implements defense.Defense: with probability p, refresh one
-// randomly chosen neighbour within the blast radius. Only the activated
-// bank's shard is touched, so calls for banks of different channels are safe
-// to run concurrently.
+// randomly chosen neighbour within the blast radius.
 func (pa *PARA) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action {
-	i := bank.Flat(&pa.params)
-	rng := pa.rngs[i]
+	rng := pa.rngs[bank.Flat(&pa.params)]
 	if rng.Float64() >= pa.p {
 		return defense.Action{}
 	}
@@ -82,7 +75,7 @@ func (pa *PARA) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Acti
 			return defense.Action{}
 		}
 	}
-	pa.refreshes[i]++
+	pa.refreshes++
 	return defense.Action{LogicalVictims: []int{victim}}
 }
 
@@ -92,15 +85,5 @@ func (pa *PARA) OnRefreshTick(dram.BankID, clock.Time) {}
 // Reset implements defense.Defense (PARA is stateless).
 func (pa *PARA) Reset() {}
 
-// ChannelSafe implements defense.ChannelSharded: the RNGs and counters are
-// per-bank, so cross-channel concurrency never shares state.
-func (pa *PARA) ChannelSafe() bool { return true }
-
 // Refreshes returns the number of victim refreshes issued across all banks.
-func (pa *PARA) Refreshes() int64 {
-	var n int64
-	for _, v := range pa.refreshes {
-		n += v
-	}
-	return n
-}
+func (pa *PARA) Refreshes() int64 { return pa.refreshes }

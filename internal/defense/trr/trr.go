@@ -54,26 +54,19 @@ type entry struct {
 	last  int64
 }
 
-// TRR implements defense.Defense. All mutable state — the trackers, the tick
-// clock, and the aggregate counters — is sharded per flat bank, so channel
-// workers touching banks of different channels never share memory
-// (defense.ChannelSharded, the TWiCe/PARA recipe). The tick clock shards
-// exactly because the only thing it feeds is the within-bank LRU comparison:
-// a per-bank tick preserves the relative activation order inside each bank,
-// so eviction decisions are identical to the global-clock formulation.
+// TRR implements defense.Defense. One tick clock serves every bank: it feeds
+// only the within-bank LRU comparison, which depends on the relative
+// activation order inside a bank, never on the clock's absolute value.
 type TRR struct {
 	cfg      Config //twicelint:keep configuration, fixed at construction
 	trackers [][]entry
-	ticks    []int64 //twicelint:keep lifetime tick clocks; trackers reference them only relatively
+	tick     int64 //twicelint:keep lifetime tick clock; trackers reference it only relatively
 
-	refreshes []int64 //twicelint:keep lifetime aggregates; Reset drops the trackers only
-	evictions []int64 //twicelint:keep lifetime aggregates; Reset drops the trackers only
+	refreshes int64 //twicelint:keep lifetime aggregate; Reset drops the trackers only
+	evictions int64 //twicelint:keep lifetime aggregate; Reset drops the trackers only
 }
 
-var (
-	_ defense.Defense        = (*TRR)(nil)
-	_ defense.ChannelSharded = (*TRR)(nil)
-)
+var _ defense.Defense = (*TRR)(nil)
 
 // New builds a TRR engine.
 func New(cfg Config) (*TRR, error) {
@@ -81,11 +74,8 @@ func New(cfg Config) (*TRR, error) {
 		return nil, err
 	}
 	return &TRR{
-		cfg:       cfg,
-		trackers:  make([][]entry, cfg.DRAM.TotalBanks()),
-		ticks:     make([]int64, cfg.DRAM.TotalBanks()),
-		refreshes: make([]int64, cfg.DRAM.TotalBanks()),
-		evictions: make([]int64, cfg.DRAM.TotalBanks()),
+		cfg:      cfg,
+		trackers: make([][]entry, cfg.DRAM.TotalBanks()),
 	}, nil
 }
 
@@ -97,17 +87,17 @@ func (t *TRR) Name() string { return fmt.Sprintf("TRR-%d", t.cfg.TrackerEntries)
 // least-recently-activated entry — the exploitable behaviour.
 func (t *TRR) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action {
 	i := bank.Flat(&t.cfg.DRAM)
-	t.ticks[i]++
+	t.tick++
 	tr := t.trackers[i]
 	for j := range tr {
 		if tr[j].row != row {
 			continue
 		}
 		tr[j].count++
-		tr[j].last = t.ticks[i]
+		tr[j].last = t.tick
 		if tr[j].count >= t.cfg.MAC {
 			tr[j].count = 0
-			t.refreshes[i]++
+			t.refreshes++
 			// The device refreshes the aggressor's neighbours via its own
 			// remap-aware internal path: model as an ARR.
 			return defense.Action{ARRAggressors: []int{row}, Detected: true}
@@ -115,7 +105,7 @@ func (t *TRR) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action
 		return defense.Action{}
 	}
 	if len(tr) < t.cfg.TrackerEntries {
-		t.trackers[i] = append(tr, entry{row: row, count: 1, last: t.ticks[i]})
+		t.trackers[i] = append(tr, entry{row: row, count: 1, last: t.tick})
 		return defense.Action{}
 	}
 	oldest := 0
@@ -124,8 +114,8 @@ func (t *TRR) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action
 			oldest = j
 		}
 	}
-	tr[oldest] = entry{row: row, count: 1, last: t.ticks[i]}
-	t.evictions[i]++
+	tr[oldest] = entry{row: row, count: 1, last: t.tick}
+	t.evictions++
 	return defense.Action{}
 }
 
@@ -140,18 +130,8 @@ func (t *TRR) Reset() {
 	}
 }
 
-// ChannelSafe implements defense.ChannelSharded: every mutable field is
-// indexed by flat bank, so concurrent workers for different channels are
-// disjoint.
-func (t *TRR) ChannelSafe() bool { return true }
-
-// Stats returns refresh and eviction counts summed across the per-bank
-// shards; a high eviction rate under attack is the signature of a many-sided
-// bypass.
+// Stats returns refresh and eviction counts; a high eviction rate under
+// attack is the signature of a many-sided bypass.
 func (t *TRR) Stats() (refreshes, evictions int64) {
-	for i := range t.refreshes {
-		refreshes += t.refreshes[i]
-		evictions += t.evictions[i]
-	}
-	return refreshes, evictions
+	return t.refreshes, t.evictions
 }

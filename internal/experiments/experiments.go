@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/analysis"
@@ -64,17 +63,6 @@ type Scale struct {
 	// trace export is byte-identical across serial and parallel runs. Each
 	// call to a grid experiment restarts the grid.
 	Timeline *timeline.Grid
-	// ChannelWorkers is the intra-machine parallelism budget per cell (see
-	// sim.Config.ChannelWorkers): channels of one machine run on this many
-	// goroutines with byte-identical results. Grid runs cap the effective
-	// value so pool-workers × channel-workers never exceeds GOMAXPROCS —
-	// safe, because the worker count cannot affect results.
-	ChannelWorkers int
-	// ChannelEpoch is the per-cell event-loop lookahead window (see
-	// sim.Config.ChannelEpoch). It changes the simulated arrival
-	// quantization deterministically, so unlike ChannelWorkers it is part of
-	// the experiment's identity; 0 keeps the classic loop.
-	ChannelEpoch clock.Time
 }
 
 // PaperScale reproduces the paper's parameters exactly (Table 2): thRH =
@@ -126,30 +114,7 @@ func (s Scale) machineConfig() sim.Config {
 	cfg.DRAM.NTh = s.NTh
 	cfg.MC = mc.NewConfig(cfg.DRAM)
 	cfg.Seed = s.Seed
-	cfg.ChannelWorkers = s.ChannelWorkers
-	cfg.ChannelEpoch = s.ChannelEpoch
 	return cfg
-}
-
-// CalibrateChannelEpoch implements `-channel-epoch auto` for the grid
-// commands: it measures a short classic-loop calibration window on a
-// representative throwaway cell — S1 uniform random traffic under the
-// scale's TWiCe defense, the same cell the perfbench channel leg times — and
-// returns the epoch to apply to every cell of the run. The measurement reads
-// simulated state only, so the same scale always calibrates to the same
-// epoch; stamping the applied value into the telemetry meta makes a
-// `-channel-epoch <applied>` rerun byte-identical.
-func (s Scale) CalibrateChannelEpoch() (clock.Time, error) {
-	cfg := s.machineConfig()
-	amap, err := mc.NewAddrMap(cfg.DRAM)
-	if err != nil {
-		return 0, err
-	}
-	def, err := s.NewDefense("TWiCe", cfg.DRAM)
-	if err != nil {
-		return 0, err
-	}
-	return sim.CalibrateEpoch(cfg, def, workload.S1(amap, cfg.DRAM, s.Seed), sim.Limits{MaxRequests: s.Requests, MaxTime: clock.Second})
 }
 
 // DefenseNames lists the Figure 7 defense configurations in display order.
@@ -278,30 +243,12 @@ func (s Scale) runGrid(jobs []cellJob) ([]Cell, error) {
 	pool := parallel.Runner{Workers: s.Parallel, OnDone: s.Progress}
 	runners := make([]*sim.CellRunner, pool.PoolSize(len(jobs)))
 	cfg := s.machineConfig()
-	// Compose the two parallelism axes: cells × channel-workers must not
-	// oversubscribe the host, so the per-cell budget shrinks as the pool
-	// grows. Worker counts never affect results (the equivalence tests pin
-	// byte-identity), so capping here is purely an execution concern.
-	if cfg.ChannelWorkers > 1 {
-		if budget := runtime.GOMAXPROCS(0) / len(runners); cfg.ChannelWorkers > budget {
-			cfg.ChannelWorkers = budget
-		}
-	}
 	if s.Telemetry != nil {
 		s.Telemetry.Start(len(jobs))
 	}
 	if s.Timeline != nil {
 		s.Timeline.Start(len(jobs))
 	}
-	defer func() {
-		// Release every slot's parked channel workers once the job list
-		// drains; the runners themselves are garbage afterwards.
-		for _, r := range runners {
-			if r != nil {
-				r.Close()
-			}
-		}
-	}()
 	return parallel.MapWorkersOn(pool, len(jobs), func(worker, i int) (Cell, error) {
 		if runners[worker] == nil {
 			runners[worker] = sim.NewCellRunner(cfg)

@@ -31,13 +31,12 @@ func Kernel(dst, spill []int, label, suffix string, n int) (int, string) {
 	return buf[0] + p.x + q.x + h.x + len(dst) + len(spill) + len(msg), label
 }
 
-// Barrier mirrors the epoch-barrier worker phase (the channel-parallel
-// Advance and the sharded core scan): the worker-body closure is a
-// per-barrier allocation that must be excused deliberately, and per-shard
-// buffers must reuse their backing arrays via the [:0] idiom rather than
-// grow fresh ones inside the loop.
+// Barrier mirrors a barrier-synchronised worker phase over sharded state:
+// the worker-body closure is a per-barrier allocation that must be excused
+// deliberately, and per-shard buffers must reuse their backing arrays via
+// the [:0] idiom rather than grow fresh ones inside the loop.
 //
-//twicelint:hotpath fixture stand-in for the epoch-barrier worker phase
+//twicelint:hotpath fixture stand-in for a barrier-synchronised worker phase
 func Barrier(shards [][]int, n int) int {
 	spawn := func(i int) { // want hotpath "function literal allocates a closure"
 		shards[i] = append(shards[i], n) // want hotpath "append without capacity evidence"

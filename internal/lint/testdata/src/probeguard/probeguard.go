@@ -81,8 +81,8 @@ func escaping(m *machine, n int) func() {
 
 // worker goroutines follow the same closure rule: a recorder call inside a
 // spawned closure must be dominated by a nil guard, either inside the
-// closure body or at the spawn site (the channel-parallel workers in
-// internal/mc guard at the spawn site).
+// closure body or at the spawn site (guarding once before spawning is the
+// cheap form).
 func (m *machine) workerUnguarded(n int) {
 	go func() {
 		m.probes.Event(n) // want probeguard "not dominated by a nil guard"
@@ -106,11 +106,11 @@ func (m *machine) workerGuardedAtSpawn(n int) {
 	}()
 }
 
-// pool mimics the persistent worker pool: Run invokes the job on parked
+// pool mimics a persistent worker pool: Run invokes the job on parked
 // goroutines, so a job closure follows the spawned-closure rule — the
 // recorder call must be dominated by a nil guard inside the body or at the
-// handoff site (the sharded core phase in internal/sim guards before it
-// arms the pool).
+// handoff site (a caller may guard once before it arms the pool, as in
+// poolJobGuardedAtHandoff).
 type pool struct{}
 
 func (pool) Run(k int, job func(worker int)) { job(k - 1) }

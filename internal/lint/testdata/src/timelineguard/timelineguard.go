@@ -55,7 +55,7 @@ func constructed(bank int, t int64) int {
 	return tl.n
 }
 
-// Apply mimics probe's capture-replay apply path — the hot forwarding shape
+// Apply mimics probe's hook-to-sink forwarding path — the hot forwarding shape
 // the rule exists for: one branch pays the whole detached cost, and the
 // guarded call allocates nothing (allocations inside the recorder would be
 // hotpath findings through the call graph below).

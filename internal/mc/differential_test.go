@@ -13,8 +13,8 @@ import (
 	"repro/internal/stats"
 )
 
-// The differential suite pins the tentpole invariant: the indexed scheduler
-// (scheduler.go) and the retained naive reference (reference.go) issue
+// The differential suite pins the central scheduler invariant: the indexed
+// scheduler (scheduler.go) and the naive reference (reference_test.go) issue
 // byte-identical command streams. Randomized request mixes are run through
 // both implementations across every page policy and both schedulers, with a
 // defense that exercises the ARR/nack/mitigation classes, and the full
@@ -134,7 +134,10 @@ func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, u
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.UseReferenceScheduler(useRef)
+	advance := sys.Advance
+	if useRef {
+		advance = newRefScheduler(sys).Advance
+	}
 	var res streamResult
 	sys.SetTrace(func(ev TraceEvent) { res.trace = append(res.trace, ev) })
 
@@ -180,7 +183,7 @@ func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, u
 			target = now + 1
 		}
 		now = target
-		sys.Advance(now)
+		advance(now)
 	}
 	// Drain trailing mitigation work (queued ARRs, victim refreshes) so the
 	// traces also cover post-completion defense scheduling.
@@ -190,7 +193,7 @@ func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, u
 		if ev > horizon {
 			break
 		}
-		sys.Advance(ev)
+		advance(ev)
 	}
 	res.cnt = *cnt
 	res.det = sys.DetectionsByCore()
@@ -419,7 +422,10 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 				cfg := NewConfig(sysParams())
 				cfg.Scheduler = sched
 				r := newRig(t, cfg, defense.Nop{})
-				r.sys.UseReferenceScheduler(useRef)
+				advance := r.sys.Advance
+				if useRef {
+					advance = newRefScheduler(r.sys).Advance
+				}
 				var free []*Request
 				r.sys.SetRelease(func(q *Request) { free = append(free, q) })
 				for i := 0; i < 256; i++ {
@@ -444,7 +450,7 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 					}
 					for i := 0; i < 8; i++ {
 						now = r.sys.NextEvent()
-						r.sys.Advance(now)
+						advance(now)
 					}
 				}
 				for i := 0; i < 300; i++ { // warmup: grow every queue, bucket, and scratch

@@ -1,10 +1,10 @@
-// Command execution. Both schedulers (indexed and reference) funnel their
-// selected candidate through exec, which is also where every scheduler index
-// is maintained: command effects are the only events that change row state,
-// timing state, or defense debt, so the hooks here keep the queue.go indexes
-// exact no matter which selection path produced the candidate. exec is also
-// the trace point: the differential test compares the full issued-command
-// stream of the two schedulers through SetTrace.
+// Command execution. The scheduler funnels its selected candidate through
+// exec, which is also where every scheduler index is maintained: command
+// effects are the only events that change row state, timing state, or
+// defense debt, so the hooks here keep the queue.go indexes exact no matter
+// which selection path produced the candidate. exec is also the trace point:
+// the differential test compares the full issued-command stream against the
+// reference scheduler through SetTrace.
 package mc
 
 import (
@@ -40,14 +40,7 @@ func (ch *channel) exec(c candidate) {
 			ev.Req = c.req.ID
 			ev.Write = c.req.Write
 		}
-		if ch.buffered {
-			// Parallel phase: the callback runs at the serial apply point,
-			// in the same order the serial loop would have invoked it.
-			//twicelint:allocok trace buffering is a test-harness path; storage reused via [:0]
-			ch.traceBuf = append(ch.traceBuf, ev)
-		} else {
-			tr(ev)
-		}
+		tr(ev)
 	}
 	switch c.op {
 	case opPRE:
@@ -76,7 +69,7 @@ func (ch *channel) doPRE(rk, ba int, t clock.Time) {
 	b.open = -1
 	b.hits = 0
 	ch.onRowClose(i)
-	ch.cnt.Precharges++
+	s.cnt.Precharges++
 }
 
 func (ch *channel) doREF(rk int, t clock.Time) {
@@ -88,7 +81,7 @@ func (ch *channel) doREF(rk int, t clock.Time) {
 		must(s.dev.Bank(ch.bankID(rk, ba)).AutoRefresh(t))
 	}
 	s.rcd.ObserveRefresh(rankID, t)
-	ch.cnt.Refreshes++
+	s.cnt.Refreshes++
 	if s.probes != nil {
 		s.probes.Refresh(ch.idx, t)
 	}
@@ -107,8 +100,8 @@ func (ch *channel) doARR(rk, ba int, t clock.Time) {
 	ch.bumpRank(rk)
 	n, err := s.dev.Bank(id).AdjacentRowRefresh(row, t)
 	must(err)
-	ch.cnt.ARRs++
-	ch.cnt.DefenseACTs += int64(n)
+	s.cnt.ARRs++
+	s.cnt.DefenseACTs += int64(n)
 	if s.probes != nil {
 		s.probes.ARR(id.Flat(&s.cfg.DRAM), t)
 	}
@@ -134,7 +127,7 @@ func (ch *channel) doMit(rk, ba int, t clock.Time) {
 		must(bank.Activate(op.row, t))
 		bank.Precharge()
 	}
-	ch.cnt.DefenseACTs++
+	s.cnt.DefenseACTs++
 }
 
 func (ch *channel) doACT(q *Request, t clock.Time) {
@@ -149,7 +142,7 @@ func (ch *channel) doACT(q *Request, t clock.Time) {
 	b.hits = 0
 	ch.onRowOpen(i, q.Addr.Row)
 	q.neededACT = true
-	ch.cnt.NormalACTs++
+	s.cnt.NormalACTs++
 	if s.probes != nil {
 		s.probes.ACT(id.Flat(&s.cfg.DRAM), t)
 	}
@@ -173,18 +166,11 @@ func (ch *channel) applyAction(id dram.BankID, core int, a defense.Action, t clo
 		b.mit = append(b.mit, mitOp{deviceRefresh: false})
 	}
 	if a.Detected {
-		ch.cnt.Detections++
+		s.cnt.Detections++
 		if s.probes != nil {
 			s.probes.Detection(id.Flat(&s.cfg.DRAM), core, t)
 		}
-		if ch.buffered {
-			// detectionsByCore is a shared map; attribution replays at the
-			// serial apply phase.
-			//twicelint:allocok detection is a rare event; backing array reused via [:0]
-			ch.detBuf = append(ch.detBuf, core)
-		} else {
-			s.detectionsByCore[core]++
-		}
+		s.detectionsByCore[core]++
 	}
 }
 
@@ -195,21 +181,21 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 	var err error
 	if q.Write {
 		done, err = s.chk.RecordWrite(id, t)
-		ch.cnt.Writes++
+		s.cnt.Writes++
 	} else {
 		done, err = s.chk.RecordRead(id, t)
-		ch.cnt.Reads++
+		s.cnt.Reads++
 	}
 	must(err)
 	i := ch.flat(q.Addr.Rank, q.Addr.Bank)
 	ch.bumpBank(i)
 	switch {
 	case !q.neededACT:
-		ch.cnt.RowHits++
+		s.cnt.RowHits++
 	case q.neededPRE:
-		ch.cnt.RowConflicts++
+		s.cnt.RowConflicts++
 	default:
-		ch.cnt.RowMisses++
+		s.cnt.RowMisses++
 	}
 	ch.unindex(q) // while the row is still open: the hit counter must see it
 	ch.removeRequest(q)
@@ -225,25 +211,15 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 		b.open = -1
 		b.hits = 0
 		ch.onRowClose(i)
-		ch.cnt.Precharges++
+		s.cnt.Precharges++
 	}
 	completion := done
 	if q.Write {
 		completion = t // posted write: the issuer does not wait
 	}
-	ch.cnt.AddLatency(completion - q.Arrival)
+	s.cnt.AddLatency(completion - q.Arrival)
 	if s.probes != nil {
 		s.probes.Dequeue(ch.idx, len(ch.queue)+len(ch.wqueue), completion-q.Arrival, completion)
-	}
-	if ch.buffered {
-		// Parallel phase: Done feeds cpu.Core state and release hands the
-		// request back to the submitter's pool — both shared across
-		// channels, so they replay at the serial apply phase.
-		if q.Done != nil || s.release != nil {
-			//twicelint:allocok completion buffering is the parallel phase; storage reused via [:0]
-			ch.compBuf = append(ch.compBuf, pendingDone{req: q, t: completion})
-		}
-		return
 	}
 	if q.Done != nil {
 		q.Done(completion)
@@ -255,13 +231,14 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 
 // countNack records one nacked command attempt per request per ARR window.
 func (ch *channel) countNack(q *Request, id dram.BankID, now clock.Time) {
-	blocked := ch.sys.chk.RankBlockedUntil(id.RankID())
+	s := ch.sys
+	blocked := s.chk.RankBlockedUntil(id.RankID())
 	if blocked > now && q.nackWindow != blocked {
 		q.nackWindow = blocked
-		ch.sys.rcd.Nack(ch.idx)
-		ch.cnt.Nacks++
-		if ch.sys.probes != nil {
-			ch.sys.probes.Nack(ch.idx, now)
+		s.rcd.Nack()
+		s.cnt.Nacks++
+		if s.probes != nil {
+			s.probes.Nack(ch.idx, now)
 		}
 	}
 }

@@ -6,15 +6,15 @@
 // debt, and a per-bank timing-checker cache. Every index is updated at the
 // event that changes it (enqueue, completion, row open/close, command
 // execution), so the scheduler's per-step cost is O(banks + issuable
-// candidates) instead of O(banks × queue). The retained reference scheduler
-// (reference.go) ignores the indexes and re-derives everything by scanning;
-// the differential test pins the two to the same issued-command trace.
+// candidates) instead of O(banks × queue). The reference scheduler in
+// reference_test.go ignores the indexes and re-derives everything by
+// scanning; the differential test pins the two to the same issued-command
+// trace.
 package mc
 
 import (
 	"repro/internal/clock"
 	"repro/internal/dram"
-	"repro/internal/stats"
 )
 
 // mitOp is one unit of defense-mandated work on a bank: refreshing a victim
@@ -82,38 +82,13 @@ type channel struct {
 	ready      []bankTiming // per bank: cached earliest-ACT/PRE constraints
 
 	// Per-step scratch, reused across the event loop's per-tREFI refresh
-	// and scheduling scans so the hot path stays allocation-free.
-	refreshScratch []bool     // per rank: refresh due and not postponed
-	hitScratch     []bool     // per bank: some queued request hits the open row (reference scheduler)
-	preScratch     []bool     // per bank: a conflicting PRE already planned (reference scheduler)
-	drainScratch   []*Request // scheduling pool when writes join the reads (reference scheduler)
+	// scans so the hot path stays allocation-free.
+	refreshScratch []bool // per rank: refresh due and not postponed
 
 	// PAR-BS batch-formation scratch (cleared and refilled per batch).
 	batchSlot  map[batchSlot]int // marked requests per (core, rank, bank)
 	batchLoad  map[int]int       // marked requests per core
 	batchCores []int             // cores sorted by marked load
-
-	// Channel-parallel buffering (parallel.go). cnt aliases sys.cnt during
-	// serial operation — every counter write in exec.go goes through it at
-	// zero extra cost — and points at the private shard while the channel
-	// runs on a worker goroutine. The remaining buffers defer the
-	// cross-channel side effects (completion callbacks, trace events,
-	// per-core detection attribution) until the serial apply phase that
-	// follows the barrier, replayed in (channel, capture-order) order.
-	cnt      *stats.Counters
-	buffered bool
-	shard    stats.Counters
-	stepsBuf int64
-	detBuf   []int        // cores whose ACTs triggered detections
-	traceBuf []TraceEvent // deferred SetTrace callbacks
-	compBuf  []pendingDone
-}
-
-// pendingDone is one deferred completion: the request whose Done callback
-// (and release-hook handoff) runs at the serial apply phase.
-type pendingDone struct {
-	req *Request
-	t   clock.Time
 }
 
 // batchSlot keys the PAR-BS per-(core, bank) marking cap.

@@ -3,7 +3,7 @@
 // attention loop is gated on the attention-set count, and the demand loop
 // visits only banks whose buckets hold queued work, consulting the cached
 // per-bank timing constraints instead of re-deriving them. Selection is
-// byte-identical to the retained naive scheduler (reference.go): classes
+// byte-identical to the naive reference scheduler (reference_test.go): classes
 // 0–2 are considered in the same rank-major bank order (first-considered
 // wins their seq-0 ties), and demand candidates carry demandKey values that
 // order exactly like the reference's pool-position sequence numbers
@@ -48,9 +48,6 @@ type candidate struct {
 // event loop drives Advance from NextEvent, which guarantees it); the
 // timing-constraint cache relies on it.
 func (ch *channel) step(now clock.Time) clock.Time {
-	if ch.sys.refSched {
-		return ch.stepReference(now)
-	}
 	s := ch.sys
 	p := &s.cfg.DRAM
 	best := candidate{t: clock.Never}
@@ -359,7 +356,7 @@ func (ch *channel) refreshBatch() {
 
 // rankCores installs the PAR-BS thread ranking for a fresh batch: cores
 // sorted by marked load ascending (shortest job first), core id breaking
-// ties. Shared by the indexed and reference batch formation.
+// ties. Shared with the reference scheduler's batch formation.
 func (ch *channel) rankCores(load map[int]int) {
 	// The core list is sorted into channel-owned scratch: batch formation
 	// runs once per drained batch, but on short queues that is often enough

@@ -5,9 +5,9 @@
 //
 // The package is split by responsibility: queue.go holds the per-channel
 // queue state and the incrementally maintained scheduler indexes,
-// scheduler.go the indexed candidate selection, reference.go the retained
-// naive scheduler the differential test pins it against, and exec.go the
-// command execution shared by both.
+// scheduler.go the indexed candidate selection, and exec.go the command
+// execution. The naive reference scheduler the differential test pins the
+// indexed one against lives in reference_test.go.
 package mc
 
 import (
@@ -15,11 +15,9 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/dram"
-	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/rcd"
 	"repro/internal/stats"
-	"repro/internal/timeline"
 	"repro/internal/timing"
 )
 
@@ -101,11 +99,6 @@ type System struct {
 	// pull the wake time earlier) and recomputed by Advance in the same
 	// pass that steps the channels.
 	nextWake clock.Time
-	// refSched switches every channel to the retained naive reference
-	// scheduler (reference.go). Selection survives Reset like the rest of
-	// the configuration.
-	//twicelint:keep scheduler selection is configuration, not run state
-	refSched bool
 	// trace, when set, receives every issued command (see exec). Test
 	// harness hook; the attachment is caller-owned and survives Reset.
 	//twicelint:keep caller-owned hook; survives reset like the probe attachment
@@ -123,25 +116,6 @@ type System struct {
 	// check at each hook site is the entire no-sink cost (see internal/probe).
 	//twicelint:keep attachment is machine-owned; Reset must not detach it
 	probes *probe.Recorder
-	// workers is the channel-parallel worker budget for Advance (parallel.go);
-	// ≤1 keeps the serial fast path.
-	//twicelint:keep configuration, set via SetChannelWorkers; survives Reset
-	workers int
-	// pool holds the persistent parked workers the parallel phase arms each
-	// barrier (parallel.go); built lazily on first use, released by Close.
-	//twicelint:keep pool lifetime spans Reset; Close owns teardown
-	pool *parallel.Pool
-	// spawnWorkers selects the retained spawn-per-barrier mode instead of the
-	// pool — the comparison leg cmd/perfbench measures.
-	//twicelint:keep configuration, set via SetSpawnPerBarrier; survives Reset
-	spawnWorkers bool
-	// parScratch is the reusable eligible-channel list for advanceParallel.
-	parScratch []*channel
-	// wallProf, when non-nil, receives wall-clock epoch profiles from
-	// advanceParallel (Clock B of internal/timeline). Simulated state never
-	// reads it, so attachment cannot perturb determinism.
-	//twicelint:keep caller-owned hook; survives reset like the probe attachment
-	wallProf *timeline.WallProfiler
 }
 
 // New wires a controller over the given device and RCD. The counters object
@@ -173,15 +147,12 @@ func New(cfg Config, dev *dram.Device, r *rcd.RCD, cnt *stats.Counters) (*System
 			timGen:         make([]uint64, nbanks),
 			ready:          make([]bankTiming, nbanks),
 			refreshScratch: make([]bool, cfg.DRAM.RanksPerChannel),
-			hitScratch:     make([]bool, nbanks),
-			preScratch:     make([]bool, nbanks),
 			batchSlot:      map[batchSlot]int{},
 			batchLoad:      map[int]int{},
 		}
 		for b := range ch.banks {
 			ch.banks[b].open = -1
 		}
-		ch.cnt = cnt
 		for rk := range ch.refreshDue {
 			// Stagger rank refreshes across the interval so all ranks never
 			// refresh simultaneously.
@@ -213,12 +184,6 @@ func (s *System) SetRelease(fn func(*Request)) { s.release = fn }
 // not intended for production runs (the callback runs on the hot path).
 func (s *System) SetTrace(fn func(TraceEvent)) { s.trace = fn }
 
-// UseReferenceScheduler switches every channel between the indexed scheduler
-// (the default) and the retained naive reference implementation. Both issue
-// byte-identical command streams; the reference exists as the differential
-// test's ground truth and as a debugging aid.
-func (s *System) UseReferenceScheduler(on bool) { s.refSched = on }
-
 // SetProbes attaches (or, with nil, detaches) a telemetry recorder. The
 // recorder must not be shared across concurrently running systems; Reset
 // does not touch the attachment — the machine owns it.
@@ -227,14 +192,6 @@ func (s *System) SetProbes(p *probe.Recorder) {
 		p.EnsureTopology(s.cfg.DRAM.TotalBanks())
 	}
 	s.probes = p
-}
-
-// SetWallProfiler attaches (or, with nil, detaches) a wall-clock profiler
-// for the channel-parallel loop. Like the probe attachment it is owned by
-// the caller and survives Reset; unlike probes its output is inherently
-// nondeterministic and is exported only through its own sidecar.
-func (s *System) SetWallProfiler(p *timeline.WallProfiler) {
-	s.wallProf = p
 }
 
 // Reset returns the controller and its timing checker to their
@@ -269,19 +226,6 @@ func (s *System) Reset() {
 		clear(ch.batchLoad)
 		ch.batchCores = ch.batchCores[:0]
 		ch.resetIndexes()
-		// Restore serial counter routing in case a run was interrupted
-		// mid-parallel-phase; the buffers are already drained on the normal
-		// path, so clearing them here is belt-and-braces.
-		ch.cnt = s.cnt
-		ch.buffered = false
-		ch.shard = stats.Counters{}
-		ch.stepsBuf = 0
-		ch.detBuf = ch.detBuf[:0]
-		ch.traceBuf = ch.traceBuf[:0]
-		for i := range ch.compBuf {
-			ch.compBuf[i].req = nil
-		}
-		ch.compBuf = ch.compBuf[:0]
 		// Re-derive the attention set from the RCD in case the caller resets
 		// it after the controller (the machine owns the order); a bank with
 		// leftover pending ARRs must stay in the set.
@@ -293,7 +237,6 @@ func (s *System) Reset() {
 	}
 	s.ids = 0
 	s.steps = 0
-	s.parScratch = s.parScratch[:0]
 	clear(s.detectionsByCore)
 	s.nextWake = clock.Never
 	for _, ch := range s.chans {
@@ -410,15 +353,10 @@ func (s *System) NextEvent() clock.Time {
 
 // Advance drives every channel up to and including time now, refreshing the
 // cached next-event time in the same pass. Channels whose wake time lies in
-// the future are skipped without entering their step loop. With a worker
-// budget (SetChannelWorkers) and a channel-safe defense, eligible channels
-// run concurrently (parallel.go) with byte-identical results.
+// the future are skipped without entering their step loop.
 //
 //twicelint:hotpath the event-loop core; every simulated tick funnels through it
 func (s *System) Advance(now clock.Time) {
-	if s.workers > 1 && len(s.chans) > 1 && s.rcd.ChannelSafe() && s.advanceParallel(now) {
-		return
-	}
 	next := clock.Never
 	for _, ch := range s.chans {
 		if ch.wake > now {
@@ -429,4 +367,18 @@ func (s *System) Advance(now clock.Time) {
 		next = clock.Min(next, ch.wake)
 	}
 	s.nextWake = next
+}
+
+// advanceTo steps this channel until its wake time passes t, stepping each
+// event at its own due time, and returns the number of scheduler steps
+// executed.
+//
+//twicelint:hotpath per-channel event-loop core
+func (ch *channel) advanceTo(t clock.Time) int64 {
+	steps := int64(0)
+	for ch.wake <= t {
+		ch.wake = ch.step(ch.wake)
+		steps++
+	}
+	return steps
 }

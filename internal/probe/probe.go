@@ -105,50 +105,11 @@ type Recorder struct {
 
 	dropped int64
 
-	// sink, when attached, receives every applied event as a timeline sample
-	// (internal/timeline). Forwarding happens in the apply* methods — the
-	// serial replay point of channel capture — so trace content is a function
-	// of the simulated event stream alone, at any ChannelWorkers value.
+	// sink, when attached, receives every recorded event as a timeline
+	// sample (internal/timeline), so trace content is a function of the
+	// simulated event stream alone.
 	sink *timeline.Recorder //twicelint:keep external attachment, not recorded data; survives Reset like gauges
-
-	// recEpoch is the epoch auto-tuner's recommendation for this run
-	// (timeline.RecommendEpoch), stamped by the machine at end of run.
-	recEpoch clock.Time
-
-	// appliedEpoch is the ChannelEpoch the run actually used, stamped by the
-	// machine at the start of Run — the closed-loop counterpart of recEpoch
-	// (an auto-calibrated run records here what the calibration chose).
-	appliedEpoch clock.Time
-
-	// Channel-capture mode (channel-parallel Advance): while capOn, the
-	// per-channel hot hooks append raw events to capture[channel] instead of
-	// touching shared state; EndChannelCapture replays them serially in
-	// channel order, reproducing the serial-run event order exactly.
-	capture         [][]capEvent
-	capOn           bool
-	banksPerChannel int
 }
-
-// capEvent is one deferred hook invocation recorded during channel capture.
-// kind selects the hook; a and b carry its scalar arguments.
-type capEvent struct {
-	kind int8
-	bank int32
-	a, b int64
-	t    clock.Time
-}
-
-const (
-	capACT int8 = iota
-	capARR
-	capARRQueued
-	capNack
-	capDequeue
-	capSpill
-	capTableTick
-	capRefresh
-	capDetect
-)
 
 // latencyBounds doubles from 50 ns: DRAM hits land in the first buckets,
 // refresh- and drain-delayed requests spread across the tail, and anything
@@ -249,26 +210,6 @@ func (r *Recorder) SetSink(tl *timeline.Recorder) { r.sink = tl }
 // Sink returns the attached timeline recorder, if any.
 func (r *Recorder) Sink() *timeline.Recorder { return r.sink }
 
-// SetRecommendedEpoch stores the epoch auto-tuner's ChannelEpoch
-// recommendation for this run. The machine computes it from simulated
-// quantities only (timeline.RecommendEpoch), so it is deterministic and safe
-// to export alongside the telemetry.
-func (r *Recorder) SetRecommendedEpoch(e clock.Time) { r.recEpoch = e }
-
-// RecommendedEpoch returns the stored ChannelEpoch recommendation (zero if
-// the machine never stamped one).
-func (r *Recorder) RecommendedEpoch() clock.Time { return r.recEpoch }
-
-// SetAppliedEpoch stores the ChannelEpoch the run actually used. The machine
-// stamps it at the start of every run; for `-channel-epoch auto` runs this
-// is the calibrated value, which is what makes the export self-describing —
-// rerunning with the stamped epoch reproduces the run byte-identically.
-func (r *Recorder) SetAppliedEpoch(e clock.Time) { r.appliedEpoch = e }
-
-// AppliedEpoch returns the stored applied ChannelEpoch (zero when the run
-// used the classic loop or never stamped one).
-func (r *Recorder) AppliedEpoch() clock.Time { return r.appliedEpoch }
-
 // ---- hot-path hooks ----
 //
 // Callers guard each call with `if probes != nil`; the methods themselves
@@ -278,15 +219,6 @@ func (r *Recorder) AppliedEpoch() clock.Time { return r.appliedEpoch }
 
 // ACT records one demand row activation.
 func (r *Recorder) ACT(bank int, now clock.Time) {
-	if r.capOn {
-		//twicelint:allocok capture buffers reused across epochs; growth amortizes
-		r.capture[r.chanOf(bank)] = append(r.capture[r.chanOf(bank)], capEvent{kind: capACT, bank: int32(bank), t: now}) //twicelint:checked flat bank index, bounded by TotalBanks
-		return
-	}
-	r.applyACT(bank, now)
-}
-
-func (r *Recorder) applyACT(bank int, now clock.Time) {
 	r.totals.ACTs++
 	if r.sink != nil {
 		r.sink.ACT(bank, now)
@@ -296,15 +228,6 @@ func (r *Recorder) applyACT(bank int, now clock.Time) {
 // ARR records one executed adjacent-row refresh and the simulated-time
 // distance to the bank's previous ARR.
 func (r *Recorder) ARR(bank int, now clock.Time) {
-	if r.capOn {
-		//twicelint:allocok capture buffers reused across epochs; growth amortizes
-		r.capture[r.chanOf(bank)] = append(r.capture[r.chanOf(bank)], capEvent{kind: capARR, bank: int32(bank), t: now}) //twicelint:checked flat bank index, bounded by TotalBanks
-		return
-	}
-	r.applyARR(bank, now)
-}
-
-func (r *Recorder) applyARR(bank int, now clock.Time) {
 	r.totals.ARRs++
 	if bank < len(r.lastARR) {
 		if last := r.lastARR[bank]; last != clock.Never {
@@ -319,15 +242,6 @@ func (r *Recorder) applyARR(bank int, now clock.Time) {
 
 // ARRQueued records one aggressor filed as pending ARR work at the RCD.
 func (r *Recorder) ARRQueued(bank, pending int, now clock.Time) {
-	if r.capOn {
-		//twicelint:allocok capture buffers reused across epochs; growth amortizes
-		r.capture[r.chanOf(bank)] = append(r.capture[r.chanOf(bank)], capEvent{kind: capARRQueued, bank: int32(bank), a: int64(pending), t: now}) //twicelint:checked flat bank index, bounded by TotalBanks
-		return
-	}
-	r.applyARRQueued(bank, pending, now)
-}
-
-func (r *Recorder) applyARRQueued(bank, pending int, now clock.Time) {
 	r.totals.ARRsQueued++
 	if r.sink != nil {
 		r.sink.ARRQueued(bank, pending, now)
@@ -336,15 +250,6 @@ func (r *Recorder) applyARRQueued(bank, pending int, now clock.Time) {
 
 // Nack records one nacked controller command on the given channel.
 func (r *Recorder) Nack(channel int, now clock.Time) {
-	if r.capOn {
-		//twicelint:allocok capture buffers reused across epochs; growth amortizes
-		r.capture[channel] = append(r.capture[channel], capEvent{kind: capNack, t: now})
-		return
-	}
-	r.applyNack(channel, now)
-}
-
-func (r *Recorder) applyNack(channel int, now clock.Time) {
 	r.totals.Nacks++
 	if r.sink != nil {
 		r.sink.Nack(channel, now)
@@ -370,15 +275,6 @@ func (r *Recorder) BankDepth(depth int, now clock.Time) {
 // Dequeue records a completed request on the given channel: its service
 // latency, the channel's remaining queue occupancy, and the completion time.
 func (r *Recorder) Dequeue(channel, depth int, latency, now clock.Time) {
-	if r.capOn {
-		//twicelint:allocok capture buffers reused across epochs; growth amortizes
-		r.capture[channel] = append(r.capture[channel], capEvent{kind: capDequeue, a: int64(depth), b: int64(latency), t: now})
-		return
-	}
-	r.applyDequeue(channel, depth, latency, now)
-}
-
-func (r *Recorder) applyDequeue(channel, depth int, latency, now clock.Time) {
 	r.totals.Dequeues++
 	r.depth.Observe(int64(depth))
 	r.latency.Observe(int64(latency))
@@ -390,15 +286,6 @@ func (r *Recorder) applyDequeue(channel, depth int, latency, now clock.Time) {
 // Spill records one table insert that landed outside its preferred location
 // (pa-TWiCe set borrowing, separated-table wide spill).
 func (r *Recorder) Spill(bank int, now clock.Time) {
-	if r.capOn {
-		//twicelint:allocok capture buffers reused across epochs; growth amortizes
-		r.capture[r.chanOf(bank)] = append(r.capture[r.chanOf(bank)], capEvent{kind: capSpill, bank: int32(bank), t: now}) //twicelint:checked flat bank index, bounded by TotalBanks
-		return
-	}
-	r.applySpill(bank, now)
-}
-
-func (r *Recorder) applySpill(bank int, now clock.Time) {
 	r.totals.Spills++
 	if r.sink != nil {
 		r.sink.Spill(bank, now)
@@ -409,15 +296,6 @@ func (r *Recorder) applySpill(bank int, now clock.Time) {
 // occupancy and the number of entries invalidated. The per-(bank, PI) series
 // it appends to is the Figure 5 trajectory.
 func (r *Recorder) TableTick(bank, occupancy, pruned int, now clock.Time) {
-	if r.capOn {
-		//twicelint:allocok capture buffers reused across epochs; growth amortizes
-		r.capture[r.chanOf(bank)] = append(r.capture[r.chanOf(bank)], capEvent{kind: capTableTick, bank: int32(bank), a: int64(occupancy), b: int64(pruned), t: now}) //twicelint:checked flat bank index, bounded by TotalBanks
-		return
-	}
-	r.applyTableTick(bank, occupancy, pruned, now)
-}
-
-func (r *Recorder) applyTableTick(bank, occupancy, pruned int, now clock.Time) {
 	r.totals.TableTicks++
 	r.totals.EntriesPruned += int64(pruned)
 	if occupancy > r.maxOcc {
@@ -435,19 +313,9 @@ func (r *Recorder) applyTableTick(bank, occupancy, pruned int, now clock.Time) {
 }
 
 // Refresh records one per-rank auto-refresh command on the given channel.
-// Gauge sampling is NOT driven here (it was pre-PR-8): the machine calls
-// MaybeSample from its run loop instead, so gauges always read fully merged
-// post-barrier state regardless of channel parallelism.
+// Gauge sampling is not driven here: the machine calls MaybeSample from its
+// run loop instead, so gauges read state between event-loop iterations.
 func (r *Recorder) Refresh(channel int, now clock.Time) {
-	if r.capOn {
-		//twicelint:allocok capture buffers reused across epochs; growth amortizes
-		r.capture[channel] = append(r.capture[channel], capEvent{kind: capRefresh, t: now})
-		return
-	}
-	r.applyRefresh(channel, now)
-}
-
-func (r *Recorder) applyRefresh(channel int, now clock.Time) {
 	r.totals.Refreshes++
 	if r.sink != nil {
 		r.sink.Refresh(channel, now)
@@ -458,15 +326,6 @@ func (r *Recorder) applyRefresh(channel int, now clock.Time) {
 // flight recorder pins on the first detection it sees, preserving the
 // preceding windows for the export.
 func (r *Recorder) Detection(bank, core int, now clock.Time) {
-	if r.capOn {
-		//twicelint:allocok capture buffers reused across epochs; growth amortizes
-		r.capture[r.chanOf(bank)] = append(r.capture[r.chanOf(bank)], capEvent{kind: capDetect, bank: int32(bank), a: int64(core), t: now}) //twicelint:checked flat bank index, bounded by TotalBanks
-		return
-	}
-	r.applyDetection(bank, core, now)
-}
-
-func (r *Recorder) applyDetection(bank, core int, now clock.Time) {
 	r.totals.Detections++
 	if r.sink != nil {
 		r.sink.Detect(bank, core, now)
@@ -475,10 +334,9 @@ func (r *Recorder) applyDetection(bank, core int, now clock.Time) {
 
 // MaybeSample drives the periodic gauge samplers: when simulated time has
 // crossed the sampling boundary, every registered gauge is read once. The
-// machine calls it from the run loop after each fully applied event-loop
-// iteration, so the gauges observe merged, deterministic state at
-// deterministic simulated times — byte-identical across serial, parallel,
-// channel-parallel, and recycled-machine runs.
+// machine calls it from the run loop after each event-loop iteration, so the
+// gauges observe deterministic state at deterministic simulated times —
+// byte-identical across serial, parallel, and recycled-machine runs.
 func (r *Recorder) MaybeSample(now clock.Time) {
 	if now < r.nextSample {
 		return
@@ -501,78 +359,6 @@ func (r *Recorder) MaybeSample(now clock.Time) {
 		}
 	} else {
 		r.nextSample = now + 1
-	}
-}
-
-// chanOf maps a flat bank index to its channel (the flat layout is
-// channel-major). Only meaningful while capture is on; BeginChannelCapture
-// guarantees banksPerChannel >= 1.
-func (r *Recorder) chanOf(bank int) int {
-	ch := bank / r.banksPerChannel
-	if ch >= len(r.capture) {
-		ch = len(r.capture) - 1
-	}
-	return ch
-}
-
-// ---- channel-capture mode ----
-
-// BeginChannelCapture switches the per-channel hot hooks (ACT, ARR,
-// ARRQueued, Nack, Dequeue, Spill, TableTick, Refresh) into capture mode for
-// one parallel Advance: each hook appends its event to the calling channel's
-// private buffer instead of mutating shared recorder state. Each channel's
-// worker goroutine must only emit events for its own channel (banks route by
-// the channel-major flat layout), which makes capture race-free without
-// locks. Enqueue, BankDepth, and MaybeSample are machine-phase hooks and stay
-// direct.
-func (r *Recorder) BeginChannelCapture(channels int) {
-	if channels <= 0 {
-		channels = 1
-	}
-	for len(r.capture) < channels {
-		//twicelint:allocok one nil slot per channel, grown once at first capture
-		r.capture = append(r.capture, nil)
-	}
-	bpc := r.cfg.Banks / channels
-	if bpc <= 0 {
-		bpc = 1
-	}
-	r.banksPerChannel = bpc
-	r.capOn = true
-}
-
-// EndChannelCapture leaves capture mode and replays the buffered events
-// serially in (channel, capture-order) order — exactly the order a serial
-// epoch produces, since the serial Advance steps channels to the horizon one
-// at a time in channel-index order.
-func (r *Recorder) EndChannelCapture() {
-	r.capOn = false
-	for ch := range r.capture {
-		evs := r.capture[ch]
-		for i := range evs {
-			e := &evs[i]
-			switch e.kind {
-			case capACT:
-				r.applyACT(int(e.bank), e.t)
-			case capARR:
-				r.applyARR(int(e.bank), e.t)
-			case capARRQueued:
-				r.applyARRQueued(int(e.bank), int(e.a), e.t)
-			case capNack:
-				r.applyNack(ch, e.t)
-			case capDequeue:
-				r.applyDequeue(ch, int(e.a), clock.Time(e.b), e.t)
-			case capSpill:
-				r.applySpill(int(e.bank), e.t)
-			case capTableTick:
-				r.applyTableTick(int(e.bank), int(e.a), int(e.b), e.t)
-			case capRefresh:
-				r.applyRefresh(ch, e.t)
-			case capDetect:
-				r.applyDetection(int(e.bank), int(e.a), e.t)
-			}
-		}
-		r.capture[ch] = evs[:0]
 	}
 }
 
@@ -611,13 +397,6 @@ func (r *Recorder) Reset() {
 	}
 	r.nextSample = 0
 	r.dropped = 0
-	r.recEpoch = 0
-	r.appliedEpoch = 0
-	for i := range r.capture {
-		r.capture[i] = r.capture[i][:0]
-	}
-	r.capOn = false
-	r.banksPerChannel = 0
 }
 
 // Instrumented is implemented by components that accept a probe recorder

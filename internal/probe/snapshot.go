@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/clock"
 	"repro/internal/stats"
 )
 
@@ -46,27 +45,17 @@ type Snapshot struct {
 	Events         EventTotals
 	MaxOccupancy   int
 	DroppedSamples int64
-	// RecommendedEpoch is the epoch auto-tuner's ChannelEpoch suggestion for
-	// this run (ps; zero when the machine never stamped one). Derived from
-	// simulated quantities only, so it is byte-identical across worker counts.
-	RecommendedEpoch clock.Time
-	// AppliedEpoch is the ChannelEpoch the run actually used (ps), stamped at
-	// the start of Run; for auto-calibrated runs it records what the
-	// calibration chose, making the export reproducible as-is.
-	AppliedEpoch clock.Time
-	Histograms   []HistogramSnapshot // fixed order: latency_ps, queue_depth, inter_arr_ps, bank_queue_depth
-	Occupancy        []OccSample
-	Gauges           []GaugeSeries // registration order
+	Histograms     []HistogramSnapshot // fixed order: latency_ps, queue_depth, inter_arr_ps, bank_queue_depth
+	Occupancy      []OccSample
+	Gauges         []GaugeSeries // registration order
 }
 
 // Snapshot copies the recorder's current state.
 func (r *Recorder) Snapshot() Snapshot {
 	s := Snapshot{
-		Events:           r.totals,
-		MaxOccupancy:     r.maxOcc,
-		DroppedSamples:   r.dropped,
-		RecommendedEpoch: r.recEpoch,
-		AppliedEpoch:     r.appliedEpoch,
+		Events:         r.totals,
+		MaxOccupancy:   r.maxOcc,
+		DroppedSamples: r.dropped,
 		Histograms: []HistogramSnapshot{
 			histSnapshot("latency_ps", r.latency),
 			histSnapshot("queue_depth", r.depth),
@@ -91,18 +80,6 @@ type CellLabel struct {
 	Defense  string
 }
 
-// RunMeta is the run configuration header stamped into telemetry exports so
-// parallel runs are self-describing (ROADMAP epoch auto-tuning): the
-// ChannelEpoch and worker count the run used plus the GOMAXPROCS it ran
-// under. GOMAXPROCS is execution-environment metadata, which is why the
-// header is opt-in (Collector.Meta) and lives in comment/meta lines the data
-// rows never mix with — the rows themselves stay byte-identical across hosts.
-type RunMeta struct {
-	ChannelEpoch   clock.Time `json:"channel_epoch_ps"`
-	ChannelWorkers int        `json:"channel_workers"`
-	GOMAXPROCS     int        `json:"gomaxprocs"`
-}
-
 // Collector gathers per-cell snapshots from a grid run. Start sizes it for
 // the grid; each worker Records only its own cell index, exactly like
 // parallel.Map's by-index result slots — which is what makes the export
@@ -110,11 +87,6 @@ type RunMeta struct {
 type Collector struct {
 	// Config seeds every per-cell Recorder the grid builds.
 	Config Config
-
-	// Meta, when non-nil, prefixes both exports with a run-configuration
-	// header: a `#`-comment line in the CSV, a {"meta": ...} first line in
-	// the JSONL. Nil keeps the historical headerless format.
-	Meta *RunMeta
 
 	labels []CellLabel
 	snaps  []Snapshot
@@ -152,35 +124,11 @@ func (c *Collector) Cells() int {
 // are zero snapshots).
 func (c *Collector) Snapshots() []Snapshot { return c.snaps }
 
-// WriteCSV exports the collector's time series in cell order, prefixed by
-// the Meta comment line when a RunMeta is attached.
-func (c *Collector) WriteCSV(w io.Writer) error {
-	if c.Meta != nil {
-		if _, err := fmt.Fprintf(w, "# channel_epoch_ps=%d channel_workers=%d gomaxprocs=%d\n",
-			int64(c.Meta.ChannelEpoch), c.Meta.ChannelWorkers, c.Meta.GOMAXPROCS); err != nil {
-			return err
-		}
-	}
-	return WriteCSV(w, c.labels, c.snaps)
-}
+// WriteCSV exports the collector's time series in cell order.
+func (c *Collector) WriteCSV(w io.Writer) error { return WriteCSV(w, c.labels, c.snaps) }
 
-// WriteJSONL exports the collector's totals and histograms in cell order,
-// prefixed by a {"meta": ...} line when a RunMeta is attached.
-func (c *Collector) WriteJSONL(w io.Writer) error {
-	if c.Meta != nil {
-		line := struct {
-			Meta RunMeta `json:"meta"`
-		}{Meta: *c.Meta}
-		data, err := json.Marshal(line)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(data, '\n')); err != nil {
-			return err
-		}
-	}
-	return WriteJSONL(w, c.labels, c.snaps)
-}
+// WriteJSONL exports the collector's totals and histograms in cell order.
+func (c *Collector) WriteJSONL(w io.Writer) error { return WriteJSONL(w, c.labels, c.snaps) }
 
 // WriteCSV writes the long-form time-series export: one row per sample,
 // `cell,workload,defense,series,t_ps,bank,value`. Occupancy samples emit a
@@ -219,14 +167,12 @@ func WriteCSV(w io.Writer, labels []CellLabel, snaps []Snapshot) error {
 
 // cellLine is the per-cell JSONL header record.
 type cellLine struct {
-	Cell             int         `json:"cell"`
-	Workload         string      `json:"workload"`
-	Defense          string      `json:"defense"`
-	Events           EventTotals `json:"events"`
-	MaxOccupancy     int         `json:"max_occupancy"`
-	DroppedSamples   int64       `json:"dropped_samples"`
-	RecommendedEpoch int64       `json:"recommended_epoch_ps"`
-	AppliedEpoch     int64       `json:"applied_epoch_ps"`
+	Cell           int         `json:"cell"`
+	Workload       string      `json:"workload"`
+	Defense        string      `json:"defense"`
+	Events         EventTotals `json:"events"`
+	MaxOccupancy   int         `json:"max_occupancy"`
+	DroppedSamples int64       `json:"dropped_samples"`
 }
 
 // histLine is the per-histogram JSONL record.
@@ -249,14 +195,12 @@ func WriteJSONL(w io.Writer, labels []CellLabel, snaps []Snapshot) error {
 	for i, s := range snaps {
 		l := labels[i]
 		if err := enc.Encode(cellLine{
-			Cell:             i,
-			Workload:         l.Workload,
-			Defense:          l.Defense,
-			Events:           s.Events,
-			MaxOccupancy:     s.MaxOccupancy,
-			DroppedSamples:   s.DroppedSamples,
-			RecommendedEpoch: int64(s.RecommendedEpoch),
-			AppliedEpoch:     int64(s.AppliedEpoch),
+			Cell:           i,
+			Workload:       l.Workload,
+			Defense:        l.Defense,
+			Events:         s.Events,
+			MaxOccupancy:   s.MaxOccupancy,
+			DroppedSamples: s.DroppedSamples,
 		}); err != nil {
 			return err
 		}

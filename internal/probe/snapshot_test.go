@@ -85,57 +85,6 @@ func TestCollectorWriteJSONL(t *testing.T) {
 	}
 }
 
-func TestCollectorMetaHeader(t *testing.T) {
-	col := collectTwoCells()
-	col.Meta = &RunMeta{ChannelEpoch: 7_800_000, ChannelWorkers: 4, GOMAXPROCS: 8}
-
-	var csv bytes.Buffer
-	if err := col.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	wantFirst := "# channel_epoch_ps=7800000 channel_workers=4 gomaxprocs=8"
-	if first := strings.SplitN(csv.String(), "\n", 2)[0]; first != wantFirst {
-		t.Errorf("CSV meta line = %q, want %q", first, wantFirst)
-	}
-
-	var jl bytes.Buffer
-	if err := col.WriteJSONL(&jl); err != nil {
-		t.Fatal(err)
-	}
-	first := strings.SplitN(jl.String(), "\n", 2)[0]
-	var meta struct {
-		Meta RunMeta `json:"meta"`
-	}
-	if err := json.Unmarshal([]byte(first), &meta); err != nil {
-		t.Fatalf("JSONL meta line %q: %v", first, err)
-	}
-	if meta.Meta != (RunMeta{ChannelEpoch: 7_800_000, ChannelWorkers: 4, GOMAXPROCS: 8}) {
-		t.Errorf("JSONL meta = %+v", meta.Meta)
-	}
-}
-
-func TestCellLineCarriesRecommendedEpoch(t *testing.T) {
-	col := &Collector{}
-	col.Start(1)
-	r := NewRecorder(Config{Banks: 1})
-	r.SetRecommendedEpoch(2_000_000)
-	col.Record(0, CellLabel{Workload: "S1", Defense: "TWiCe"}, r.Snapshot())
-	var buf bytes.Buffer
-	if err := col.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var head struct {
-		RecommendedEpoch int64 `json:"recommended_epoch_ps"`
-	}
-	first := strings.SplitN(buf.String(), "\n", 2)[0]
-	if err := json.Unmarshal([]byte(first), &head); err != nil {
-		t.Fatal(err)
-	}
-	if head.RecommendedEpoch != 2_000_000 {
-		t.Errorf("recommended_epoch_ps = %d, want 2000000", head.RecommendedEpoch)
-	}
-}
-
 func TestExportDeterminism(t *testing.T) {
 	// Identical recordings must serialize to identical bytes, every time.
 	render := func() (string, string) {

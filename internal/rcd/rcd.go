@@ -34,9 +34,7 @@ type RCD struct {
 	// on the ACT, so there is at most one pending aggressor per bank, but a
 	// slice keeps the model robust to defenses that flag several.
 	pendingARR [][]int
-	// stats is sharded per channel: under channel-parallel Advance each
-	// channel's worker touches only its own shard, and Stats() sums them.
-	stats []Stats
+	stats      Stats
 	// probes, when non-nil, receives ARR-queued telemetry events.
 	//twicelint:keep attachment is machine-owned; Reset must not detach it
 	probes *probe.Recorder
@@ -48,7 +46,6 @@ func New(p dram.Params, def defense.Defense) *RCD {
 		p:          p,
 		def:        def,
 		pendingARR: make([][]int, p.TotalBanks()),
-		stats:      make([]Stats, p.Channels),
 	}
 }
 
@@ -70,30 +67,11 @@ func (r *RCD) Reset() {
 	for i := range r.pendingARR {
 		r.pendingARR[i] = r.pendingARR[i][:0]
 	}
-	for i := range r.stats {
-		r.stats[i] = Stats{}
-	}
+	r.stats = Stats{}
 }
 
-// Stats returns the event counters summed across all channel shards.
-func (r *RCD) Stats() Stats {
-	var s Stats
-	for i := range r.stats {
-		s.ARRsIssued += r.stats[i].ARRsIssued
-		s.Nacks += r.stats[i].Nacks
-		s.Detections += r.stats[i].Detections
-	}
-	return s
-}
-
-// ChannelSafe reports whether the RCD may be driven by concurrent
-// channel workers: its own state (pending ARRs per bank, stats per channel)
-// always is, so the answer reduces to whether the hosted defense declares
-// bank-sharded state via defense.ChannelSharded.
-func (r *RCD) ChannelSafe() bool {
-	cs, ok := r.def.(defense.ChannelSharded)
-	return ok && cs.ChannelSafe()
-}
+// Stats returns the event counters.
+func (r *RCD) Stats() Stats { return r.stats }
 
 // ObserveACT reports one activation to the defense and files any requested
 // ARRs as pending work for the bank. The remaining mitigation work (victim
@@ -104,7 +82,7 @@ func (r *RCD) ChannelSafe() bool {
 func (r *RCD) ObserveACT(bank dram.BankID, row int, now clock.Time) defense.Action {
 	a := r.def.OnActivate(bank, row, now)
 	if a.Detected {
-		r.stats[bank.Channel].Detections++
+		r.stats.Detections++
 	}
 	if len(a.ARRAggressors) > 0 {
 		i := bank.Flat(&r.p)
@@ -142,10 +120,10 @@ func (r *RCD) TakeARR(bank dram.BankID) (row int, ok bool) {
 	}
 	row = q[0]
 	r.pendingARR[i] = q[1:]
-	r.stats[bank.Channel].ARRsIssued++
+	r.stats.ARRsIssued++
 	return row, true
 }
 
-// Nack records one nacked command attempt on the given channel (a controller
-// command that targeted a rank while an ARR was underway).
-func (r *RCD) Nack(channel int) { r.stats[channel].Nacks++ }
+// Nack records one nacked command attempt (a controller command that
+// targeted a rank while an ARR was underway).
+func (r *RCD) Nack() { r.stats.Nacks++ }

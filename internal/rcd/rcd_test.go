@@ -100,8 +100,8 @@ func TestObserveRefreshTicksEveryBank(t *testing.T) {
 
 func TestNackCounting(t *testing.T) {
 	r := New(params(), defense.Nop{})
-	r.Nack(0)
-	r.Nack(0)
+	r.Nack()
+	r.Nack()
 	if got := r.Stats().Nacks; got != 2 {
 		t.Errorf("nacks = %d", got)
 	}

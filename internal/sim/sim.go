@@ -8,9 +8,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"strings"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/clock"
@@ -21,7 +18,6 @@ import (
 	"repro/internal/probe"
 	"repro/internal/rcd"
 	"repro/internal/stats"
-	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
@@ -35,23 +31,6 @@ type Config struct {
 	Seed int64
 	// Remap enables spare-row remapping sampled at DRAM.SCFRate.
 	Remap bool
-
-	// ChannelWorkers is the intra-machine parallelism budget: the number of
-	// goroutines System.Advance may spread eligible channels over. 0 or 1
-	// keeps the serial fast path (zero new allocations); higher values are
-	// byte-identical to serial at the same ChannelEpoch — completions,
-	// counters, and telemetry are buffered per channel and applied in serial
-	// order. Only takes effect when the defense is channel-safe
-	// (defense.ChannelSharded); others silently run serial.
-	ChannelWorkers int
-	// ChannelEpoch is the event-loop lookahead window: each iteration
-	// advances the memory system to min-event-time + ChannelEpoch instead of
-	// exactly the min event time, giving parallel channel workers a batch of
-	// work per barrier. 0 preserves the classic one-event-at-a-time loop.
-	// The epoch quantizes new request arrivals to epoch boundaries, so a
-	// nonzero epoch is a (deterministic) different simulation than epoch 0 —
-	// results depend on the epoch, never on the worker count.
-	ChannelEpoch clock.Time
 }
 
 // DefaultConfig returns the paper's Table 4 machine for the given core
@@ -157,13 +136,6 @@ type Machine struct {
 	// defense (when it implements probe.Instrumented); Reuse re-fans it to
 	// each cell's fresh defense.
 	rec *probe.Recorder
-
-	// coreBuf holds each core's buffered demand intents for the sharded core
-	// issue phase (coreShard): per-core slices reused across barriers.
-	coreBuf [][]coreIntent
-	// coreShardRuns counts barriers whose core phase took the sharded path
-	// this run; equivalence tests assert the path actually engaged.
-	coreShardRuns int64
 }
 
 // NewMachine assembles a machine running the workload under the defense.
@@ -194,7 +166,6 @@ func NewMachine(cfg Config, def defense.Defense, w workload.Workload) (*Machine,
 	if err != nil {
 		return nil, err
 	}
-	sys.SetChannelWorkers(cfg.ChannelWorkers)
 	m := &Machine{
 		cfg: cfg, w: w, def: def,
 		dev: dev, amap: amap, sys: sys, cnt: cnt,
@@ -220,7 +191,6 @@ func NewMachine(cfg Config, def defense.Defense, w workload.Workload) (*Machine,
 func (m *Machine) buildCores() error {
 	m.cores = make([]*cpu.Core, m.w.Cores())
 	m.demandDone = make([]func(clock.Time), len(m.cores))
-	m.coreBuf = make([][]coreIntent, len(m.cores))
 	for i := range m.cores {
 		c, err := cpu.New(i, m.cfg.CPU, m.w.Gens[i])
 		if err != nil {
@@ -328,23 +298,6 @@ func (m *Machine) SetRecorder(rec *probe.Recorder) {
 	}
 }
 
-// SetWallProfiler attaches (or, with nil, detaches) a wall-clock profiler for
-// the channel-parallel loop (Clock B of internal/timeline). The attachment is
-// caller-owned; its output never feeds simulated state.
-func (m *Machine) SetWallProfiler(p *timeline.WallProfiler) { m.sys.SetWallProfiler(p) }
-
-// SetSpawnPerBarrier switches the channel-parallel phase between the
-// persistent worker pool (the default) and the retained spawn-per-barrier
-// mode; results are byte-identical either way (cmd/perfbench measures the
-// wall-clock difference).
-func (m *Machine) SetSpawnPerBarrier(on bool) { m.sys.SetSpawnPerBarrier(on) }
-
-// Close releases the machine's parked worker goroutines (the persistent
-// channel-worker pool). The machine stays usable afterwards — the next
-// parallel barrier would rebuild the pool — so Close is an idle-resource
-// release for callers that hold many machines, not a teardown.
-func (m *Machine) Close() { m.sys.Close() }
-
 // Recorder returns the attached telemetry recorder, nil when detached.
 func (m *Machine) Recorder() *probe.Recorder { return m.rec }
 
@@ -394,16 +347,6 @@ func (m *Machine) Run(lim Limits) (*Result, error) {
 	}
 
 	m.served = 0
-	m.coreShardRuns = 0
-	epoch := m.cfg.ChannelEpoch
-	if m.rec != nil {
-		// Stamp the epoch this run actually uses into the telemetry (the
-		// "applied epoch", as distinct from the auto-tuner's recommendation
-		// for the *next* run): auto-calibrated runs resolve their epoch
-		// before machine construction, so an auto run and a fixed-epoch run
-		// of the same value export identical bytes, stamp included.
-		m.rec.SetAppliedEpoch(epoch)
-	}
 	now := clock.Time(0)
 	for m.served < lim.MaxRequests && now < lim.MaxTime {
 		next := m.sys.NextEvent()
@@ -417,30 +360,13 @@ func (m *Machine) Run(lim Limits) (*Result, error) {
 		if now >= lim.MaxTime {
 			break
 		}
-		// The epoch-barrier scheme (DESIGN.md §14): advance the memory
-		// system through a whole lookahead window per iteration instead of
-		// one event time, so channel workers get a batch of independent work
-		// between barriers. horizon == now when epoch is 0, which makes this
-		// exactly the classic loop.
-		horizon := now
-		if epoch > 0 {
-			horizon = clock.Min(now+epoch, lim.MaxTime-1)
-		}
-		m.sys.Advance(horizon)
-		if !m.coreShard(now, horizon) {
-			for _, c := range m.cores {
-				// Each core paces itself inside the epoch: steps run at the
-				// core's own issue times (never before now, the barrier's start).
-				// With epoch 0 the condition holds exactly once per eligible core
-				// (Take pushes the next issue past now; a full queue defers past
-				// the horizon), reproducing the legacy single-step body.
-				for c.NextEventTime() <= horizon {
-					m.coreStep(c, clock.Max(c.NextEventTime(), now), horizon)
-				}
+		m.sys.Advance(now)
+		for _, c := range m.cores {
+			// Take pushes the core's next issue past now and a full queue
+			// defers it past now, so each eligible core steps once.
+			for c.NextEventTime() <= now {
+				m.coreStep(c, now)
 			}
-		}
-		if epoch > 0 {
-			now = horizon
 		}
 		if m.rec != nil {
 			m.rec.MaybeSample(now)
@@ -448,36 +374,17 @@ func (m *Machine) Run(lim Limits) (*Result, error) {
 	}
 
 	// Drain: let in-flight mitigation work (ARRs, victim refreshes) finish
-	// so defense accounting is complete. The drain runs under the same
-	// epoch-barrier scheme as the main loop (whole-run coverage, DESIGN.md
-	// §16): each iteration advances to the next event's horizon window, so
-	// long-tail drains — deep write queues, postponed refreshes — keep the
-	// channel workers busy instead of collapsing to one event at a time.
-	// With epoch 0 the horizon equals the event time and this is exactly the
-	// classic drain; either way the windows are a pure function of simulated
-	// state, so the drain is byte-identical at every worker count.
+	// so defense accounting is complete.
 	drainUntil := now + 2*m.cfg.DRAM.TREFI
 	for {
 		t := m.sys.NextEvent()
 		if t > drainUntil {
 			break
 		}
-		horizon := t
-		if epoch > 0 {
-			horizon = clock.Min(t+epoch, drainUntil)
-		}
-		m.sys.Advance(horizon)
+		m.sys.Advance(t)
 		if m.rec != nil {
-			m.rec.MaybeSample(horizon)
+			m.rec.MaybeSample(t)
 		}
-	}
-
-	if m.rec != nil {
-		// Epoch auto-tuning telemetry: a deterministic ChannelEpoch suggestion
-		// from this run's simulated step density (ROADMAP item). Pure function
-		// of simulated quantities, so it is identical at any worker count.
-		m.rec.SetRecommendedEpoch(timeline.RecommendEpoch(
-			m.cfg.DRAM.TREFI, m.cfg.DRAM.Channels, m.sys.Steps(), now))
 	}
 
 	for _, c := range m.cores {
@@ -500,17 +407,14 @@ func (m *Machine) Run(lim Limits) (*Result, error) {
 	return res, nil
 }
 
-// coreStep advances one core by one access at time t. Requests it produces
-// enter the controller at the horizon: the channels have already been stepped
-// through the epoch, so arrivals land at the barrier boundary, where the
-// per-bank timing caches' non-decreasing-clock invariant holds (with epoch 0,
-// horizon == t and this is the classic behaviour).
-func (m *Machine) coreStep(c *cpu.Core, t, horizon clock.Time) {
-	a := c.Take(t)
+// coreStep advances one core by one access at time now; the requests it
+// produces arrive at the controller at now.
+func (m *Machine) coreStep(c *cpu.Core, now clock.Time) {
+	a := c.Take(now)
 	addr := a.Addr &^ 63
 
 	if m.w.BypassCache {
-		m.submit(c, addr, a.Write, horizon)
+		m.submit(c, addr, a.Write, now)
 		return
 	}
 
@@ -524,114 +428,21 @@ func (m *Machine) coreStep(c *cpu.Core, t, horizon clock.Time) {
 	for _, ma := range res.Mem {
 		switch {
 		case ma.Demand:
-			m.submit(c, ma.Addr, false, horizon)
+			m.submit(c, ma.Addr, false, now)
 		case ma.Prefetch:
-			m.submitBestEffort(c.ID, ma.Addr, false, horizon)
+			m.submitBestEffort(c.ID, ma.Addr, false, now)
 		default: // writeback or non-blocking fill
-			m.submitBestEffort(c.ID, ma.Addr, ma.Write, horizon)
+			m.submitBestEffort(c.ID, ma.Addr, ma.Write, now)
 		}
 	}
 }
 
-// coreIntent is one buffered demand access produced by the sharded core
-// issue phase: the cache-line address and direction a core generated during
-// the parallel Take scan, replayed into the controller serially.
-type coreIntent struct {
-	addr  uint64
-	write bool
-}
-
-// coreShard runs the per-epoch core issue phase sharded across the worker
-// pool, and reports whether it did; false means the caller must run the
-// classic serial scan. Sharding is exact, not approximate, and the guard
-// conditions are what make it so (DESIGN.md §16):
-//
-//   - Cores must be share-nothing: only cache-bypassing workloads qualify
-//     (the hierarchy's shared L3 couples cores otherwise). Each core then
-//     touches only its own generator, pacing, and MLP window during Take.
-//   - No intra-phase feedback: the only way the controller talks back to a
-//     core mid-scan is a failed Enqueue (which defers the core). coreShardSafe
-//     proves no Enqueue can fail this phase, so the optimistic parallel scan
-//     takes exactly the accesses the serial scan would.
-//
-// Under those guards the parallel phase buffers each core's accesses and
-// applies OnMiss optimistically; the serial replay then assigns request IDs
-// and queue positions in core-index order — the order the serial scan, which
-// drains core 0 fully before touching core 1, produces. Byte-identical at
-// every worker count, and the guards themselves read only simulated state,
-// so whether the shard path engages is itself worker-independent.
-func (m *Machine) coreShard(now, horizon clock.Time) bool {
-	if m.cfg.ChannelWorkers <= 1 || len(m.cores) < 2 || !m.w.BypassCache || !m.coreShardSafe() {
-		return false
-	}
-	workers := m.cfg.ChannelWorkers
-	if workers > len(m.cores) {
-		workers = len(m.cores)
-	}
-	var cursor atomic.Int64
-	m.sys.WorkerPool().Run(workers, func(int) {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(m.cores) {
-				break
-			}
-			c := m.cores[i]
-			buf := m.coreBuf[i][:0]
-			for c.NextEventTime() <= horizon {
-				a := c.Take(clock.Max(c.NextEventTime(), now))
-				buf = append(buf, coreIntent{addr: a.Addr &^ 63, write: a.Write})
-				c.OnMiss()
-			}
-			m.coreBuf[i] = buf
-		}
-	})
-	for i, c := range m.cores {
-		for _, in := range m.coreBuf[i] {
-			req := m.newRequest(in.addr, in.write, c.ID, m.demandDone[c.ID])
-			if !m.sys.Enqueue(req, horizon) {
-				// Unreachable: coreShardSafe reserved queue space for every
-				// intent this phase could produce.
-				panic("sim: core-shard enqueue failed despite reserved queue space")
-			}
-		}
-		m.coreBuf[i] = m.coreBuf[i][:0]
-	}
-	m.coreShardRuns++
-	return true
-}
-
-// coreShardSafe reports whether every demand access the next core phase can
-// possibly produce is guaranteed queue admission. Each core issues at most
-// MLP − outstanding accesses before its window closes (nothing completes
-// during the phase — completions run inside Advance), so if every channel's
-// read queue (and write buffer, when enabled) has at least that much free
-// space in aggregate, no Enqueue can fail regardless of how the addresses
-// distribute. Pure function of simulated state: the serial fallback on a
-// false answer is taken identically at every worker count.
-func (m *Machine) coreShardSafe() bool {
-	budget := 0
-	for _, c := range m.cores {
-		budget += m.cfg.CPU.MLP - c.Outstanding()
-	}
-	for ch := 0; ch < m.cfg.DRAM.Channels; ch++ {
-		if m.cfg.MC.QueueDepth-m.sys.QueueLen(ch) < budget {
-			return false
-		}
-		if m.cfg.MC.WriteQueueDepth > 0 && m.cfg.MC.WriteQueueDepth-m.sys.WriteQueueLen(ch) < budget {
-			return false
-		}
-	}
-	return true
-}
-
-// submit enqueues a demand access, deferring the core when the queue is
-// full. The retry lands past the horizon so a full queue cannot spin inside
-// one epoch.
-func (m *Machine) submit(c *cpu.Core, addr uint64, write bool, horizon clock.Time) {
+// submit enqueues a demand access, deferring the core when the queue is full.
+func (m *Machine) submit(c *cpu.Core, addr uint64, write bool, now clock.Time) {
 	req := m.newRequest(addr, write, c.ID, m.demandDone[c.ID])
-	if !m.sys.Enqueue(req, horizon) {
+	if !m.sys.Enqueue(req, now) {
 		m.release(req)
-		c.Defer(workload.Access{Addr: addr, Write: write, Gap: 1}, horizon+retryDelay)
+		c.Defer(workload.Access{Addr: addr, Write: write, Gap: 1}, now+retryDelay)
 		return
 	}
 	c.OnMiss()
@@ -641,9 +452,9 @@ func (m *Machine) submit(c *cpu.Core, addr uint64, write bool, horizon clock.Tim
 // prefetches); when the queue is full the access is dropped, which is what
 // real prefetchers do and is harmless for write data in a reliability model.
 // Completions still count toward the run's request budget.
-func (m *Machine) submitBestEffort(coreID int, addr uint64, write bool, horizon clock.Time) {
+func (m *Machine) submitBestEffort(coreID int, addr uint64, write bool, now clock.Time) {
 	req := m.newRequest(addr, write, coreID, m.bestEffortDone)
-	if !m.sys.Enqueue(req, horizon) {
+	if !m.sys.Enqueue(req, now) {
 		m.release(req)
 	}
 }
@@ -654,88 +465,7 @@ func Run(cfg Config, def defense.Defense, w workload.Workload, lim Limits) (*Res
 	if err != nil {
 		return nil, err
 	}
-	defer m.Close()
 	return m.Run(lim)
-}
-
-// ParseChannelEpoch parses a -channel-epoch flag value: a duration like
-// "7.8us" (or "0" for the classic loop) sets the epoch directly, and the
-// literal "auto" selects closed-loop calibration — the caller runs
-// CalibrateEpoch on throwaway instances and builds the real run with the
-// returned epoch.
-func ParseChannelEpoch(s string) (epoch clock.Time, auto bool, err error) {
-	if strings.EqualFold(strings.TrimSpace(s), "auto") {
-		return 0, true, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, false, fmt.Errorf("sim: -channel-epoch wants a duration or \"auto\": %w", err)
-	}
-	if d < 0 {
-		return 0, false, fmt.Errorf("sim: -channel-epoch must be non-negative, got %v", d)
-	}
-	return clock.Time(d.Nanoseconds()) * clock.Nanosecond, false, nil
-}
-
-// calibrationTREFIs bounds the auto-tuner's measurement window: enough
-// refresh intervals for the step density to include refresh and mitigation
-// traffic, short enough that the throwaway window costs a negligible slice
-// of any real run.
-const calibrationTREFIs = 4
-
-// CalibrateEpoch implements the measurement half of `-channel-epoch auto`:
-// it assembles a machine from cfg/def/w, runs the classic loop (epoch 0) for
-// a short simulated window, and returns the ChannelEpoch that
-// timeline.RecommendEpoch derives from the observed step density. The
-// defense and workload are consumed — their state advances — so callers pass
-// throwaway instances and build the real run separately with ChannelEpoch
-// set to the returned value (stamping it into the telemetry meta). Every
-// input to the recommendation is simulated state, so identical inputs always
-// calibrate to the same epoch: an auto run reruns byte-identically, and
-// equals a run configured directly with the stamped epoch.
-func CalibrateEpoch(cfg Config, def defense.Defense, w workload.Workload, lim Limits) (clock.Time, error) {
-	cfg.ChannelEpoch = 0
-	m, err := NewMachine(cfg, def, w)
-	if err != nil {
-		return 0, err
-	}
-	defer m.Close()
-	if lim.MaxTime <= 0 {
-		lim.MaxTime = clock.Never
-	}
-	if lim.MaxRequests <= 0 {
-		lim.MaxRequests = 1<<62 - 1
-	}
-	calEnd := clock.Min(clock.Time(calibrationTREFIs)*cfg.DRAM.TREFI, lim.MaxTime)
-	now := clock.Time(0)
-	for m.served < lim.MaxRequests && now < calEnd {
-		next := m.sys.NextEvent()
-		for _, c := range m.cores {
-			next = clock.Min(next, c.NextEventTime())
-		}
-		if next == clock.Never {
-			break // the real run will diagnose the deadlock with full context
-		}
-		now = next
-		if now >= calEnd {
-			break
-		}
-		m.sys.Advance(now)
-		for _, c := range m.cores {
-			for c.NextEventTime() <= now {
-				m.coreStep(c, clock.Max(c.NextEventTime(), now), now)
-			}
-		}
-	}
-	e := timeline.RecommendEpoch(cfg.DRAM.TREFI, cfg.DRAM.Channels, m.sys.Steps(), now)
-	// Clamp to the flag-expressible domain: ParseChannelEpoch goes through
-	// time.Duration, so -channel-epoch can only name whole nanoseconds. The
-	// epoch is a semantic knob (it quantizes the barrier horizon), so an
-	// applied value with sub-ns picoseconds could never be reproduced from
-	// the logged/stamped duration. Flooring cannot drop below RecommendEpoch's
-	// 1µs floor, which is itself a whole-ns value.
-	e -= e % clock.Nanosecond
-	return e, nil
 }
 
 // CellRunner runs a sequence of (defense, workload) cells that share one
@@ -771,13 +501,4 @@ func (r *CellRunner) Run(def defense.Defense, w workload.Workload, lim Limits) (
 	}
 	r.m.SetRecorder(r.rec)
 	return r.m.Run(lim)
-}
-
-// Close releases the recycled machine's worker pool, if a machine was ever
-// built. The runner stays usable; grid workers call it once their job list
-// drains.
-func (r *CellRunner) Close() {
-	if r.m != nil {
-		r.m.Close()
-	}
 }

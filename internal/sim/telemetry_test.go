@@ -8,6 +8,8 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/probe"
+	"repro/internal/timeline"
+	"repro/internal/workload"
 )
 
 // TestTelemetryRecordsEvents runs the quick-scale S3 attack with a recorder
@@ -152,31 +154,80 @@ func TestTelemetryReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestDetachedRecorderLeavesResultsUntouched pins the zero-overhead contract
-// from the result side: attaching (and detaching) a recorder changes nothing
-// about the simulation itself.
+// TestDetachedRecorderLeavesResultsUntouched pins that execution knobs are
+// not semantic: attaching a probe recorder, attaching one that forwards to a
+// timeline sink, and running on a recycled machine must each leave the whole
+// Result — counters, sim time, flips, RCD stats, per-core detection
+// attribution, and L3 statistics — exactly as a bare run on a fresh machine
+// leaves it. The -parallel knob is covered by TestParallelSerialEquivalence
+// in internal/experiments.
 func TestDetachedRecorderLeavesResultsUntouched(t *testing.T) {
 	cfg := scaledConfig()
 	lim := Limits{MaxRequests: 6000, MaxTime: 20 * clock.Millisecond}
+	cells := []struct {
+		name string
+		w    func(t *testing.T) workload.Workload
+	}{
+		// S3 under TWiCe detects and issues ARRs; mcf runs through the caches.
+		{"s3", func(t *testing.T) workload.Workload { return s3Workload(t, cfg) }},
+		{"mcf", func(t *testing.T) workload.Workload {
+			w, err := workload.SPECRate("mcf", 1, uint64(cfg.DRAM.TotalCapacityBytes()), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}},
+	}
+	for i, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			bare, err := Run(cfg, scaledTWiCe(t, cfg, core.PA), c.w(t), lim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probed := func(rec *probe.Recorder) *Result {
+				m, err := NewMachine(cfg, scaledTWiCe(t, cfg, core.PA), c.w(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetRecorder(rec)
+				res, err := m.Run(lim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			sinkRec := probe.NewRecorder(probe.Config{})
+			var g timeline.Grid
+			tl := g.NewRecorder()
+			sinkRec.SetSink(tl)
 
-	bare, err := Run(cfg, scaledTWiCe(t, cfg, core.PA), s3Workload(t, cfg), lim)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// The recycled runner first runs the other cell, so the measured
+			// run starts from a dirtied machine.
+			runner := NewCellRunner(cfg)
+			if _, err := runner.Run(scaledTWiCe(t, cfg, core.FA), cells[1-i].w(t), lim); err != nil {
+				t.Fatal(err)
+			}
+			recycled, err := runner.Run(scaledTWiCe(t, cfg, core.PA), c.w(t), lim)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	m, err := NewMachine(cfg, scaledTWiCe(t, cfg, core.PA), s3Workload(t, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetRecorder(probe.NewRecorder(probe.Config{}))
-	probed, err := m.Run(lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Counters != probed.Counters {
-		t.Errorf("counters change when probes attach:\n bare   %+v\n probed %+v", bare.Counters, probed.Counters)
-	}
-	if bare.SimTime != probed.SimTime {
-		t.Errorf("sim time changes when probes attach: %v vs %v", bare.SimTime, probed.SimTime)
+			variants := []struct {
+				name string
+				res  *Result
+			}{
+				{"probe recorder", probed(probe.NewRecorder(probe.Config{}))},
+				{"probe recorder with timeline sink", probed(sinkRec)},
+				{"recycled CellRunner", recycled},
+			}
+			for _, v := range variants {
+				if !reflect.DeepEqual(bare, v.res) {
+					t.Errorf("%s changes the result:\n bare %+v\n got  %+v", v.name, bare, v.res)
+				}
+			}
+			if tl.Total() == 0 {
+				t.Error("timeline sink recorded no events; the sink case is not exercised")
+			}
+		})
 	}
 }

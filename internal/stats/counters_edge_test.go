@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-// TestMergeMaxLatencyIsMax pins the one non-additive Merge field: MaxLatency
-// takes the maximum of the two runs, in either merge direction, and never the
-// sum.
-func TestMergeMaxLatencyIsMax(t *testing.T) {
-	a := Counters{}
-	a.AddLatency(100)
-	a.AddLatency(700)
-	b := Counters{}
-	b.AddLatency(300)
-
-	lo, hi := a, b
-	lo.Merge(b)
-	hi.Merge(a)
-	if lo.MaxLatency != 700 || hi.MaxLatency != 700 {
-		t.Errorf("merged MaxLatency = %v / %v, want 700 both ways", lo.MaxLatency, hi.MaxLatency)
-	}
-	if lo.TotalLatency != 1100 || lo.RequestsServed != 3 {
-		t.Errorf("additive latency fields wrong after merge: total %v served %d", lo.TotalLatency, lo.RequestsServed)
-	}
-
-	// Merging an idle run must not disturb the maximum.
-	c := a
-	c.Merge(Counters{})
-	if c.MaxLatency != 700 {
-		t.Errorf("merge with empty run changed MaxLatency to %v", c.MaxLatency)
-	}
-}
-
 // TestAvgLatencyZeroRequests pins the division guard: a run that served
 // nothing reports average latency 0 rather than dividing by zero, even when
 // stray TotalLatency is present.

@@ -77,31 +77,6 @@ func (c *Counters) RowHitRate() float64 {
 	return float64(c.RowHits) / float64(total)
 }
 
-// Merge adds other's counts into c.
-func (c *Counters) Merge(other Counters) {
-	c.NormalACTs += other.NormalACTs
-	c.DefenseACTs += other.DefenseACTs
-	c.Precharges += other.Precharges
-	c.Reads += other.Reads
-	c.Writes += other.Writes
-	c.Refreshes += other.Refreshes
-	c.ARRs += other.ARRs
-	c.Nacks += other.Nacks
-	c.RowHits += other.RowHits
-	c.RowMisses += other.RowMisses
-	c.RowConflicts += other.RowConflicts
-	c.Detections += other.Detections
-	c.BitFlips += other.BitFlips
-	c.RequestsServed += other.RequestsServed
-	c.TotalLatency += other.TotalLatency
-	if other.MaxLatency > c.MaxLatency {
-		c.MaxLatency = other.MaxLatency
-	}
-	c.Instructions += other.Instructions
-	c.CacheHits += other.CacheHits
-	c.CacheMisses += other.CacheMisses
-}
-
 // String summarises the headline counters.
 func (c *Counters) String() string {
 	return fmt.Sprintf("ACTs=%d +%d (%.4f%%) reads=%d writes=%d refreshes=%d ARRs=%d nacks=%d detections=%d flips=%d",

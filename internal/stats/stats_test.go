@@ -47,18 +47,6 @@ func TestRowHitRate(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := Counters{NormalACTs: 10, DefenseACTs: 1, Nacks: 2, BitFlips: 1, MaxLatency: 5}
-	b := Counters{NormalACTs: 20, DefenseACTs: 3, Detections: 4, MaxLatency: 9}
-	a.Merge(b)
-	if a.NormalACTs != 30 || a.DefenseACTs != 4 || a.Nacks != 2 || a.Detections != 4 || a.BitFlips != 1 {
-		t.Errorf("merge result wrong: %+v", a)
-	}
-	if a.MaxLatency != 9 {
-		t.Errorf("merge max latency = %v, want 9", a.MaxLatency)
-	}
-}
-
 func TestCountersString(t *testing.T) {
 	c := Counters{NormalACTs: 1000, DefenseACTs: 1}
 	s := c.String()

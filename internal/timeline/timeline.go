@@ -1,22 +1,11 @@
-// Package timeline is the simulator's dual-clock tracing subsystem
-// (DESIGN.md §15). It records two kinds of time that must never mix:
-//
-// Clock A — simulated time. Recorder accumulates discrete events (ACTs,
-// ARRs, nacks, refreshes, TWiCe prunes and spills, request completions,
-// detections) keyed strictly by the simulated clock, and trace.go exports
-// them as Chrome trace-event / Perfetto JSON with one track per DRAM
-// channel/bank. Events reach the recorder through internal/probe's apply
-// path, which runs at the serial replay point of the channel-parallel
-// capture machinery — so the byte content of a trace is a function of the
-// simulated event stream alone, identical for any ChannelWorkers value
-// (pinned by TestTimelineChannelParallelIdentity in internal/sim).
-//
-// Clock B — wall time. WallProfiler (wall.go) measures the channel-parallel
-// loop itself: per-epoch worker occupancy, barrier stall, channels stepped.
-// Its numbers are inherently nondeterministic and are quarantined in their
-// own export (a *.wall.json sidecar, never the trace file); the injected
-// Now func keeps wall-clock reads out of internal packages' call graphs
-// (twicelint nondeterm), exactly like probe.NewProgress.
+// Package timeline is the simulator's simulated-time tracing subsystem
+// (DESIGN.md §15). Recorder accumulates discrete events (ACTs, ARRs, nacks,
+// refreshes, TWiCe prunes and spills, request completions, detections) keyed
+// strictly by the simulated clock, and trace.go exports them as Chrome
+// trace-event / Perfetto JSON with one track per DRAM channel/bank. Events
+// reach the recorder through internal/probe's hooks, so the byte content of
+// a trace is a function of the simulated event stream alone. Wall-clock
+// time never enters a trace.
 //
 // The attachment contract mirrors internal/probe: hot paths hold a concrete
 // *Recorder and guard every call with a nil check (twicelint probeguard

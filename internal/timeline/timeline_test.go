@@ -216,90 +216,3 @@ func TestWriteTraceFlightRecorderHeaderCountsDrops(t *testing.T) {
 		t.Fatal("trace is not valid JSON")
 	}
 }
-
-func TestRecommendEpoch(t *testing.T) {
-	trefi := 7800 * clock.Nanosecond
-	cases := []struct {
-		name     string
-		channels int
-		steps    int64
-		span     clock.Time
-		want     clock.Time
-	}{
-		{"no-steps falls back to tREFI", 2, 0, clock.Second, trefi},
-		{"zero-span falls back to tREFI", 2, 100, 0, trefi},
-		{"dense run clamps to 1µs floor", 4, 1 << 40, clock.Millisecond, clock.Microsecond},
-		{"sparse run clamps to tREFI ceiling", 1, 10, clock.Second, trefi},
-		// 256 steps/channel target: 256*2*1ms / 256_000 steps = 2 µs.
-		{"mid-range", 2, 256_000, clock.Millisecond, 2 * clock.Microsecond},
-	}
-	for _, c := range cases {
-		got := RecommendEpoch(trefi, c.channels, c.steps, c.span)
-		if got != c.want {
-			t.Errorf("%s: RecommendEpoch = %d, want %d", c.name, got, c.want)
-		}
-	}
-	if got := RecommendEpoch(0, 2, 100, clock.Second); got != 0 {
-		t.Errorf("tREFI=0: got %d, want 0", got)
-	}
-	// Determinism: worker count is not an input at all, but double-check the
-	// mid-range case is stable across calls.
-	a := RecommendEpoch(trefi, 2, 123_456, 90*clock.Microsecond)
-	b := RecommendEpoch(trefi, 2, 123_456, 90*clock.Microsecond)
-	if a != b {
-		t.Errorf("RecommendEpoch unstable: %d vs %d", a, b)
-	}
-}
-
-func TestWallProfilerReport(t *testing.T) {
-	var tick int64
-	p := NewWallProfiler(func() int64 { tick += 1000; return tick })
-	for e := 0; e < 3; e++ {
-		p.BeginEpoch(2, 4)
-		p.WorkerBusy(0, 600)
-		p.WorkerBusy(1, 800)
-		p.EndParallel()
-		p.EndEpoch(128)
-	}
-	if p.Epochs() != 3 {
-		t.Fatalf("Epochs = %d, want 3", p.Epochs())
-	}
-	var buf bytes.Buffer
-	if err := p.WriteJSON(&buf, 1); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatalf("wall report is not valid JSON:\n%s", buf.String())
-	}
-	var rep map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if det, ok := rep["deterministic"].(bool); !ok || det {
-		t.Errorf("deterministic = %v, want false (quarantine marker)", rep["deterministic"])
-	}
-	if rep["epochs"].(float64) != 3 {
-		t.Errorf("epochs = %v, want 3", rep["epochs"])
-	}
-	if rep["steps"].(float64) != 384 {
-		t.Errorf("steps = %v, want 384", rep["steps"])
-	}
-	if rep["gomaxprocs"].(float64) != 1 {
-		t.Errorf("gomaxprocs = %v, want 1", rep["gomaxprocs"])
-	}
-	if _, ok := rep["worker_occupancy_pct"]; !ok {
-		t.Error("report missing worker_occupancy_pct")
-	}
-}
-
-func TestWallProfilerNilClockSafe(t *testing.T) {
-	p := NewWallProfiler(nil)
-	p.BeginEpoch(1, 1)
-	p.WorkerBusy(0, 0)
-	p.WorkerBusy(5, 10) // out of range: ignored, not a panic
-	p.EndParallel()
-	p.EndEpoch(1)
-	if p.Epochs() != 1 {
-		t.Fatalf("Epochs = %d, want 1", p.Epochs())
-	}
-}

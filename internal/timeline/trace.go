@@ -1,8 +1,8 @@
 // Chrome trace-event / Perfetto JSON export of the simulated-time clock.
 // The writer is hand-formatted — field order, separators, and timestamp
 // rendering are all explicit — because the export is pinned byte-identical
-// across serial and channel-parallel runs: nothing here may depend on map
-// iteration or floating-point formatting. Timestamps are microseconds (the
+// across serial and parallel grid runs and across commits: nothing here may
+// depend on map iteration or floating-point formatting. Timestamps are microseconds (the
 // trace-event unit) rendered by integer math as "<µs>.<6 digits>", which is
 // exact picosecond precision straight from clock.Time.
 //

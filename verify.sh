@@ -13,8 +13,13 @@
 #                        change to internal/lint cannot land findings in
 #                        the tool that is supposed to report them
 #   4. go test         — full test suite (includes the golden linter tests,
-#                        the whole-repo lint run, and the same-seed
-#                        byte-identity determinism tests)
+#                        the whole-repo lint run, the same-seed byte-identity
+#                        determinism tests, and the cross-commit golden
+#                        digests of internal/experiments)
+#   4a. bench module   — go vet and short tests of the separate bench/
+#                        module, which `go test ./...` at the root skips, so
+#                        deleting an API the benchmark compiles against
+#                        fails here
 #   4b. bench smoke    — every sim benchmark body runs once (-benchtime=1x),
 #                        so a change that breaks only benchmark-path code
 #                        (the perfbench hot-path legs share these bodies)
@@ -27,12 +32,10 @@
 #                        than 2x fails the build (loose on purpose — see
 #                        the inline note at the leg)
 #   5. go test -race   — race detector over the event loop, the memory
-#                        controller (channel-parallel Advance), the TWiCe
-#                        engine, and the parallel experiment runner, plus
-#                        the serial/parallel equivalence tests — both the
-#                        experiment fan-out and the intra-machine
-#                        channel-worker grid — so the real concurrency
-#                        runs under the detector
+#                        controller, the TWiCe engine, and the parallel
+#                        experiment runner, plus the serial/parallel grid
+#                        equivalence test, so the real concurrency (the
+#                        cross-cell fan-out) runs under the detector
 #   6. fuzz (non-tier-1) — a short trace-reader fuzz burst; new findings
 #                        land in internal/trace/testdata/fuzz as regression
 #                        seeds. Not part of the tier-1 gate: skip with
@@ -56,6 +59,9 @@ go run ./cmd/twicelint ./internal/lint/...
 echo "==> go test ./..."
 go test ./...
 
+echo "==> (cd bench && go vet ./... && go test -short ./...)"
+(cd bench && go vet ./... && go test -short ./...)
+
 echo "==> go test -run='^\$' -bench=SimRun -benchtime=1x ./internal/sim"
 go test -run='^$' -bench=SimRun -benchtime=1x ./internal/sim
 
@@ -76,9 +82,6 @@ go test -race ./internal/sim/... ./internal/mc/... ./internal/core/... ./interna
 
 echo "==> go test -race -run TestParallelSerialEquivalence ./internal/experiments"
 go test -race -run TestParallelSerialEquivalence ./internal/experiments
-
-echo "==> go test -race -run 'TestChannelParallelEquivalence|TestChannelReuseAfterParallelRun|TestDrainParallelEquivalence|TestCoreShardEquivalence' ./internal/sim"
-go test -race -run 'TestChannelParallelEquivalence|TestChannelReuseAfterParallelRun|TestDrainParallelEquivalence|TestCoreShardEquivalence' ./internal/sim
 
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	echo "==> go test -run='^$' -fuzz=FuzzReader -fuzztime=10s ./internal/trace (non-tier-1)"
