@@ -77,7 +77,7 @@ func main() {
 		grid = &timeline.Grid{Config: timeline.Config{Windows: *timelineWindows}}
 		grid.Start(len(points))
 	}
-	lines, err := parallel.MapOn(pool, len(points), func(i int) (string, error) {
+	lines, err := parallel.Map(pool, len(points), func(_, i int) (string, error) {
 		raw := strings.TrimSpace(points[i])
 		var rec *probe.Recorder
 		if col != nil {

@@ -11,9 +11,10 @@
 //
 // Workloads: S1, S2, S3, double-sided, mix-high, mix-blend, FFT, MICA,
 // PageRank, RADIX, specrate:<app>. Defenses: none, TWiCe, TWiCe-fa,
-// TWiCe-sep, PARA-0.001, PARA-0.002, CBT-256, CRA, PRoHIT. A comma-separated
-// -defense list runs each defense as an independent simulation — concurrently
-// under -parallel — and prints the reports in list order.
+// TWiCe-sep, PARA-0.001, PARA-0.002, CBT-256, CRA, PRoHIT, Graphene. A
+// comma-separated -defense list runs each defense as an independent
+// simulation — concurrently under -parallel — and prints the reports in list
+// order.
 //
 // -telemetry attaches event probes to every run and writes histogram,
 // occupancy, and gauge series as <dir>/run.csv and <dir>/run.jsonl (one cell
@@ -65,7 +66,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("defenses: none, TWiCe, TWiCe-fa, TWiCe-sep, PARA-0.001, PARA-0.002, CBT-256, CRA, PRoHIT")
+		fmt.Println("defenses: none, TWiCe, TWiCe-fa, TWiCe-sep, PARA-0.001, PARA-0.002, CBT-256, CRA, PRoHIT, Graphene")
 		fmt.Println("workloads: S1, S2, S3, double-sided, mix-high, mix-blend, FFT, MICA, PageRank, RADIX, specrate:<app>")
 		fmt.Print("SPEC apps: ")
 		names := make([]string, 0, 29)
@@ -151,7 +152,7 @@ func main() {
 	if grid != nil {
 		grid.Start(len(dnames))
 	}
-	reports, err := parallel.Map(*par, len(dnames), func(i int) (string, error) {
+	reports, err := parallel.Map(parallel.Runner{Workers: *par}, len(dnames), func(_, i int) (string, error) {
 		w, err := buildW()
 		if err != nil {
 			return "", err

@@ -249,7 +249,7 @@ func (s Scale) runGrid(jobs []cellJob) ([]Cell, error) {
 	if s.Timeline != nil {
 		s.Timeline.Start(len(jobs))
 	}
-	return parallel.MapWorkersOn(pool, len(jobs), func(worker, i int) (Cell, error) {
+	return parallel.Map(pool, len(jobs), func(worker, i int) (Cell, error) {
 		if runners[worker] == nil {
 			runners[worker] = sim.NewCellRunner(cfg)
 		}
@@ -485,7 +485,7 @@ func Table3MeasuredAll(s Scale) (map[core.Org]energy.Breakdown, error) {
 		return nil, err
 	}
 	orgs := []core.Org{core.FA, core.PA, core.Separated}
-	bds, err := parallel.Map(s.Parallel, len(orgs), func(i int) (energy.Breakdown, error) {
+	bds, err := parallel.Map(parallel.Runner{Workers: s.Parallel}, len(orgs), func(_, i int) (energy.Breakdown, error) {
 		ccfg := core.NewConfig(cfg.DRAM)
 		ccfg.ThRH = s.ThRH
 		ccfg.Org = orgs[i]

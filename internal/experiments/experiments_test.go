@@ -32,7 +32,7 @@ func TestScalesAreSound(t *testing.T) {
 func TestNewDefenseCoversAllNames(t *testing.T) {
 	s := QuickScale()
 	p := s.machineConfig().DRAM
-	names := append(DefenseNames(), "none", "TWiCe-fa", "TWiCe-sep", "CRA", "PRoHIT")
+	names := append(DefenseNames(), "none", "TWiCe-fa", "TWiCe-sep", "CRA", "PRoHIT", "Graphene")
 	for _, n := range names {
 		d, err := s.NewDefense(n, p)
 		if err != nil {

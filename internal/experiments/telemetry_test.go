@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/probe"
+	"repro/internal/timeline"
 )
 
 // exportBytes renders a collector's CSV and JSONL exports.
@@ -55,18 +57,24 @@ func TestTelemetrySerialParallelByteIdentity(t *testing.T) {
 	}
 }
 
-// TestProgressDoesNotChangeCSV is the -progress contract: wiring a progress
-// hook (and a live meter behind it) into a grid run must not change the
-// result CSV by a byte, and the hook must observe every cell complete.
+// TestProgressDoesNotChangeCSV is the "observers are not semantic" contract
+// at grid level: a serial run with nothing attached and a two-worker run with
+// a progress hook (and a live meter behind it), a telemetry collector and a
+// flight-recorder timeline must produce the same cells and the same result
+// CSV to the byte, while every observer sees all 12 cells.
 func TestProgressDoesNotChangeCSV(t *testing.T) {
 	s := tinyScale()
 	s.Requests = 6000
-	s.Parallel = 4
+	s.Parallel = 1
 
 	bare, err := Figure7b(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	s.Parallel = 2
+	s.Telemetry = &probe.Collector{}
+	s.Timeline = &timeline.Grid{Config: timeline.Config{Windows: 4}}
 
 	var mu sync.Mutex
 	var calls, lastDone, total int
@@ -96,8 +104,17 @@ func TestProgressDoesNotChangeCSV(t *testing.T) {
 	if err := WriteCellsCSV(&meteredCSV, metered); err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(bare, metered) {
+		t.Error("cells changed when observers were attached")
+	}
 	if !bytes.Equal(bareCSV.Bytes(), meteredCSV.Bytes()) {
-		t.Error("stdout CSV changed when -progress was wired in")
+		t.Error("stdout CSV changed when observers were attached")
+	}
+	if got := s.Telemetry.Cells(); got != 12 {
+		t.Errorf("collector recorded %d cells, want 12", got)
+	}
+	if got := s.Timeline.Cells(); got != 12 {
+		t.Errorf("timeline recorded %d cells, want 12", got)
 	}
 	if calls == 0 || lastDone != total || total == 0 {
 		t.Errorf("progress hook saw %d calls, max done %d of total %d", calls, lastDone, total)

@@ -91,7 +91,8 @@ type System struct {
 	chans []*channel
 	ids   int64
 	// steps counts scheduler steps executed since construction or Reset;
-	// cmd/perfbench divides wall time by it for the ns/step legs.
+	// BenchmarkSchedulerStep and the bench/ mc replay divide wall time by
+	// it for ns/step.
 	steps int64
 	// nextWake caches the minimum of the channels' wake times so the event
 	// loop's NextEvent poll is O(1) instead of a per-iteration rescan of

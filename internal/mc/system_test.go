@@ -30,7 +30,7 @@ type rig struct {
 	dev *dram.Device
 }
 
-func newRig(t *testing.T, cfg Config, def defense.Defense) *rig {
+func newRig(t testing.TB, cfg Config, def defense.Defense) *rig {
 	t.Helper()
 	dev, err := dram.NewDevice(cfg.DRAM, nil)
 	if err != nil {

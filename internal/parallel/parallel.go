@@ -5,8 +5,8 @@
 //
 // Determinism falls out of two properties:
 //
-//   - Results are assembled by index. Each job writes only its own slot of a
-//     caller-owned slice, so output ordering never depends on scheduling.
+//   - Results are assembled by index. Each job writes only its own slot of
+//     the result slice, so output ordering never depends on scheduling.
 //   - Errors are selected by index. Jobs are dispatched in increasing index
 //     order from a single atomic counter, so by the time job k starts, every
 //     job i < k has already started and will run to completion. The reported
@@ -55,11 +55,11 @@ func (r Runner) workers(n int) int {
 	return w
 }
 
-// PoolSize reports the number of worker slots Do and DoWorkers will use for
-// n jobs — the upper bound (exclusive) on the worker index passed to a
-// DoWorkers job. Callers sizing per-worker scratch state (one recycled
-// machine per slot, say) allocate exactly this many entries. Serial
-// execution is one slot; n <= 0 needs none.
+// PoolSize reports the number of worker slots Map uses for n jobs — the
+// upper bound (exclusive) on the worker index passed to its fn. Callers
+// sizing per-worker scratch state (one recycled machine per slot, say)
+// allocate exactly this many entries. Serial execution is one slot; n <= 0
+// needs none.
 func (r Runner) PoolSize(n int) int {
 	if n <= 0 {
 		return 0
@@ -67,20 +67,34 @@ func (r Runner) PoolSize(n int) int {
 	return r.workers(n)
 }
 
-// Do runs job(0) … job(n-1) on the pool and returns the error of the
-// lowest-indexed failing job, or nil. After a failure no new jobs start;
-// jobs already running complete before Do returns, so the caller may reuse
-// or discard shared inputs immediately.
-func (r Runner) Do(n int, job func(i int) error) error {
-	return r.DoWorkers(n, func(_, i int) error { return job(i) })
+// Map runs fn(worker, i) for i = 0 … n-1 on r's pool and returns the results
+// in index order. worker is the executing pool slot, 0 <= worker <
+// PoolSize(n); a slot runs at most one job at a time, so per-worker state
+// indexed by the slot needs no locking, and serial execution (pool size 1)
+// reports worker 0 for every job. On error the results are discarded and the
+// lowest-indexed failure is returned; after a failure no new jobs start, and
+// jobs already running complete before Map returns, so the caller may reuse
+// or discard shared inputs immediately. Map is a free function rather than a
+// Runner method because Go methods cannot take type parameters.
+func Map[T any](r Runner, n int, fn func(worker, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := r.run(n, func(worker, i int) error {
+		v, err := fn(worker, i)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// DoWorkers is Do with the executing pool slot exposed: job(worker, i) runs
-// job i on slot worker, where 0 <= worker < PoolSize(n). A slot runs at most
-// one job at a time, so per-worker state indexed by the slot needs no
-// locking. Serial execution (pool size 1) reports worker 0 for every job —
-// the byte-identical baseline the equivalence tests compare against.
-func (r Runner) DoWorkers(n int, job func(worker, i int) error) error {
+// run executes job(worker, i) for every index on the pool and returns the
+// error of the lowest-indexed failing job, or nil.
+func (r Runner) run(n int, job func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -133,42 +147,4 @@ func (r Runner) DoWorkers(n int, job func(worker, i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// Map runs fn for indices 0 … n-1 on a pool of the given size (0 =
-// GOMAXPROCS, 1 = serial) and returns the results in index order. On error
-// the results are discarded and the lowest-indexed failure is returned.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapWorkers(workers, n, func(_, i int) (T, error) { return fn(i) })
-}
-
-// MapWorkers is Map with the executing pool slot exposed to fn, for callers
-// carrying per-worker scratch state across jobs (size it with
-// Runner.PoolSize). Results land in index order regardless of scheduling.
-func MapWorkers[T any](workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
-	return MapWorkersOn(Runner{Workers: workers}, n, fn)
-}
-
-// MapOn is Map executed on a fully configured Runner (progress hook, pool
-// size). Free functions rather than methods because Go methods cannot take
-// type parameters.
-func MapOn[T any](r Runner, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapWorkersOn(r, n, func(_, i int) (T, error) { return fn(i) })
-}
-
-// MapWorkersOn is MapWorkers executed on a fully configured Runner.
-func MapWorkersOn[T any](r Runner, n int, fn func(worker, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := r.DoWorkers(n, func(worker, i int) error {
-		v, err := fn(worker, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

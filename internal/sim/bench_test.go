@@ -6,6 +6,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/mc"
+	"repro/internal/probe"
 	"repro/internal/workload"
 )
 
@@ -32,9 +33,9 @@ func benchDefense(b *testing.B, cfg Config) *core.TWiCe {
 
 // BenchmarkSimRunAllocs measures the single-run hot path end to end — the
 // event loop, the controller's per-step scans, and the request submit path —
-// with allocation reporting. The perf trajectory (the BENCH_N.json files,
-// written by cmd/perfbench) tracks ns/op and allocs/op from this benchmark;
-// the per-request allocation count is also reported directly.
+// with a fresh machine per op and allocation reporting. Its bytes/op against
+// BenchmarkSimRunReusedAllocs/detached is what machine recycling saves per
+// grid cell. End-to-end throughput is measured by the bench/ module.
 func BenchmarkSimRunAllocs(b *testing.B) {
 	const requests = 20000
 	cfg := benchConfig(1)
@@ -59,34 +60,50 @@ func BenchmarkSimRunAllocs(b *testing.B) {
 // BenchmarkSimRunReusedAllocs measures the grid-cell hot path: the same S3
 // run as BenchmarkSimRunAllocs, but through a CellRunner that recycles one
 // machine across ops the way the experiment grids recycle one machine per
-// worker. The delta against BenchmarkSimRunAllocs is the per-cell cost of
-// machine construction (device disturb arrays, caches, controller queues)
-// that reuse eliminates.
+// worker. The detached case's delta against BenchmarkSimRunAllocs is the
+// per-cell cost of machine construction (device disturb arrays, caches,
+// controller queues) that reuse eliminates. The probed case attaches a fresh
+// probe.Recorder per op, as the -telemetry grids attach one per cell, so its
+// delta against detached is the whole observability tax, recorder
+// construction included.
 func BenchmarkSimRunReusedAllocs(b *testing.B) {
-	const requests = 20000
-	cfg := benchConfig(1)
-	amap, err := mc.NewAddrMap(cfg.DRAM)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runner := NewCellRunner(cfg)
-	// Pay for machine construction before the timer starts.
-	if _, err := runner.Run(benchDefense(b, cfg), workload.S3(amap, cfg.DRAM, 5000),
-		Limits{MaxRequests: 100, MaxTime: 10 * clock.Second}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var served int64
-	for i := 0; i < b.N; i++ {
-		res, err := runner.Run(benchDefense(b, cfg), workload.S3(amap, cfg.DRAM, 5000),
-			Limits{MaxRequests: requests, MaxTime: 10 * clock.Second})
-		if err != nil {
-			b.Fatal(err)
+	for _, probed := range []bool{false, true} {
+		name := "detached"
+		if probed {
+			name = "probed"
 		}
-		served = res.Counters.RequestsServed
+		b.Run(name, func(b *testing.B) {
+			const requests = 20000
+			cfg := benchConfig(1)
+			amap, err := mc.NewAddrMap(cfg.DRAM)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runner := NewCellRunner(cfg)
+			// Pay for machine construction before the timer starts.
+			if _, err := runner.Run(benchDefense(b, cfg), workload.S3(amap, cfg.DRAM, 5000),
+				Limits{MaxRequests: 100, MaxTime: 10 * clock.Second}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var served int64
+			for i := 0; i < b.N; i++ {
+				var rec *probe.Recorder
+				if probed {
+					rec = probe.NewRecorder(probe.Config{})
+				}
+				runner.SetRecorder(rec)
+				res, err := runner.Run(benchDefense(b, cfg), workload.S3(amap, cfg.DRAM, 5000),
+					Limits{MaxRequests: requests, MaxTime: 10 * clock.Second})
+				if err != nil {
+					b.Fatal(err)
+				}
+				served = res.Counters.RequestsServed
+			}
+			b.ReportMetric(float64(served), "requests/op")
+		})
 	}
-	b.ReportMetric(float64(served), "requests/op")
 }
 
 // BenchmarkSimRunCachedAllocs exercises the cache-fronted path (mix-blend

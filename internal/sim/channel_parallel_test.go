@@ -171,7 +171,7 @@ func TestChannelParallelEquivalence(t *testing.T) {
 						for i := range runners {
 							runners[i] = NewCellRunner(cfg)
 						}
-						results, err := parallel.MapWorkersOn(r, copies, func(worker, i int) (*Result, error) {
+						results, err := parallel.Map(r, copies, func(worker, i int) (*Result, error) {
 							runners[worker].SetRecorder(recs[i])
 							return runners[worker].Run(defs[i], loads[i], lim)
 						})

@@ -20,17 +20,9 @@
 #                        module, which `go test ./...` at the root skips, so
 #                        deleting an API the benchmark compiles against
 #                        fails here
-#   4b. bench smoke    — every sim benchmark body runs once (-benchtime=1x),
-#                        so a change that breaks only benchmark-path code
-#                        (the perfbench hot-path legs share these bodies)
-#                        cannot land green
-#   4c. benchdiff smoke — the regression-table tool parses older committed
-#                        perfbench snapshots (including the version skew
-#                        between them) and exits 0
-#   4d. benchdiff gate — the two newest committed snapshots are compared
-#                        with -threshold 100: any metric regressing by more
-#                        than 2x fails the build (loose on purpose — see
-#                        the inline note at the leg)
+#   4b. bench smoke    — every sim hot-path and scheduler-step benchmark
+#                        body runs once (-benchtime=1x), so a change that
+#                        breaks only benchmark-path code cannot land green
 #   5. go test -race   — race detector over the event loop, the memory
 #                        controller, the TWiCe engine, and the parallel
 #                        experiment runner, plus the serial/parallel grid
@@ -62,20 +54,8 @@ go test ./...
 echo "==> (cd bench && go vet ./... && go test -short ./...)"
 (cd bench && go vet ./... && go test -short ./...)
 
-echo "==> go test -run='^\$' -bench=SimRun -benchtime=1x ./internal/sim"
-go test -run='^$' -bench=SimRun -benchtime=1x ./internal/sim
-
-echo "==> benchdiff BENCH_5.json BENCH_6.json (smoke)"
-go run ./cmd/benchdiff BENCH_5.json BENCH_6.json >/dev/null
-
-echo "==> benchdiff -threshold 100 BENCH_6.json BENCH_7.json (regression gate)"
-# The two newest committed snapshots must stay within 2x of each other on
-# every metric. 100% is deliberately loose: both were measured on a
-# gomaxprocs=1 container where wall-clock legs wobble tens of percent
-# (BENCH_6→7's worst honest delta is +88.6% on the q=8 scheduler leg), so a
-# tighter gate would flake; a real engine regression — an accidental
-# serial-path slowdown, an allocation reintroduced per step — blows past 2x.
-go run ./cmd/benchdiff -threshold 100 BENCH_6.json BENCH_7.json >/dev/null
+echo "==> go test -run='^\$' -bench='SimRun|SchedulerStep' -benchtime=1x ./internal/sim ./internal/mc"
+go test -run='^$' -bench='SimRun|SchedulerStep' -benchtime=1x ./internal/sim ./internal/mc
 
 echo "==> go test -race ./internal/sim/... ./internal/mc/... ./internal/core/... ./internal/parallel/..."
 go test -race ./internal/sim/... ./internal/mc/... ./internal/core/... ./internal/parallel/...
