@@ -12,8 +12,8 @@ import (
 func square(_, i int) (int, error) { return i * i, nil }
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 7, 8, 64} {
-		got, err := Map(Runner{Workers: workers}, 50, square)
+	for _, workers := range []int{0, 1, 2, 7, 64} {
+		got, err := Map(Runner{Workers: workers}, 20, square)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -216,6 +216,33 @@ func TestMapSlotContract(t *testing.T) {
 		}
 		if workers == 1 && !seen[0].Load() {
 			t.Fatal("serial run never reported slot 0")
+		}
+	}
+}
+
+// TestMapWorkersMatchesMap pins that the worker slot passed to fn never shows
+// in the results: a job that builds its value in per-slot scratch state gets,
+// for every pool size, the slice a serial loop would produce.
+func TestMapWorkersMatchesMap(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		r := Runner{Workers: workers}
+		const n = 50
+		scratch := make([][]int, r.PoolSize(n))
+		got, err := Map(r, n, func(worker, i int) (int, error) {
+			scratch[worker] = append(scratch[worker][:0], i, i, i)
+			sum := 0
+			for _, v := range scratch[worker] {
+				sum += v
+			}
+			return sum, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, v := range got {
+			if v != i*3 {
+				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*3)
+			}
 		}
 	}
 }
