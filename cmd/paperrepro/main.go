@@ -29,13 +29,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/probe"
-	"repro/internal/timeline"
 )
 
 func main() {
@@ -67,6 +67,11 @@ func main() {
 		s.Requests = *requests
 	}
 	s.Parallel = *par
+	col, err := probe.NewCollector(*telemetryDir != "", *timelineDir != "", *timelineWindows)
+	if err != nil {
+		fail(err)
+	}
+	s.Telemetry = col
 
 	var cellsDone, cellsTotal expvar.Int
 	if *debugAddr != "" {
@@ -78,19 +83,10 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "paperrepro: debug server on http://%s/debug/vars and /debug/pprof/\n", addr)
 	}
-	var col *probe.Collector
-	if *telemetryDir != "" {
-		col = &probe.Collector{}
-		s.Telemetry = col
-	}
-	var grid *timeline.Grid
-	if *timelineDir != "" {
-		grid = &timeline.Grid{Config: timeline.Config{Windows: *timelineWindows}}
-		s.Timeline = grid
-	}
 	// instrument points one grid experiment's progress hook at the stderr
 	// meter and the expvar counters; the returned finish func ends the meter
-	// line. Telemetry attachment is independent — it rides on s.Telemetry.
+	// line. Telemetry and trace attachment are independent — they ride on
+	// s.Telemetry.
 	instrument := func(s *experiments.Scale, label string) func() {
 		if !*progressFlag && *debugAddr == "" {
 			return func() {}
@@ -112,56 +108,22 @@ func main() {
 			}
 		}
 	}
-	// writeTelemetry exports the collector's per-cell series after one grid
-	// experiment (no-op without -telemetry).
-	writeTelemetry := func(name string) {
-		if col == nil {
-			return
+	// export writes the collector's per-cell telemetry and trace after one
+	// grid experiment (no-op without -telemetry and -timeline). runGrid
+	// restarts the collector per experiment, so each file holds exactly one
+	// experiment.
+	export := func(name string) {
+		var tracePath string
+		if *timelineDir != "" {
+			tracePath = filepath.Join(*timelineDir, name+".trace.json")
 		}
-		if err := os.MkdirAll(*telemetryDir, 0o755); err != nil {
-			fail(err)
-		}
-		base := *telemetryDir + "/" + name
-		writeOne := func(path string, write func(f *os.File) error) {
-			f, err := os.Create(path)
-			if err != nil {
-				fail(err)
-			}
-			if err := write(f); err != nil {
-				_ = f.Close()
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-		}
-		writeOne(base+".csv", func(f *os.File) error { return col.WriteCSV(f) })
-		writeOne(base+".jsonl", func(f *os.File) error { return col.WriteJSONL(f) })
-		fmt.Fprintf(os.Stderr, "(wrote %s.csv and %s.jsonl)\n", base, base)
-	}
-	// writeTimeline exports the grid's simulated-time trace after one grid
-	// experiment (no-op without -timeline). The grid is restarted per
-	// experiment by runGrid, so each file holds exactly one experiment.
-	writeTimeline := func(name string) {
-		if grid == nil {
-			return
-		}
-		if err := os.MkdirAll(*timelineDir, 0o755); err != nil {
-			fail(err)
-		}
-		path := *timelineDir + "/" + name + ".trace.json"
-		f, err := os.Create(path)
+		paths, err := col.Export(*telemetryDir, name, tracePath)
 		if err != nil {
 			fail(err)
 		}
-		if err := grid.WriteTrace(f); err != nil {
-			_ = f.Close()
-			fail(err)
+		for _, p := range paths {
+			fmt.Fprintf(os.Stderr, "(wrote %s)\n", p)
 		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "(wrote %s — open it at https://ui.perfetto.dev)\n", path)
 	}
 
 	if *cpuprofile != "" {
@@ -225,8 +187,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		writeTelemetry("fig7b")
-		writeTimeline("fig7b")
+		export("fig7b")
 		writeCSV(*csvDir, "fig7b.csv", cells)
 		fmt.Print(experiments.RenderCells("additional ACTs, synthetics", cells))
 		fmt.Println("paper: TWiCe 0/0/0.006%; PARA-p ≈ p; CBT-256 up to 4.82% (S2), 0.39% (S3)")
@@ -242,8 +203,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		writeTelemetry("fig7a")
-		writeTimeline("fig7a")
+		export("fig7a")
 		writeCSV(*csvDir, "fig7a.csv", cells)
 		fmt.Print(experiments.RenderCells("additional ACTs, normal workloads", cells))
 		fmt.Println("paper: TWiCe 0 everywhere; PARA ≈ p; CBT-256 ≈ 0.05% average")
@@ -257,20 +217,23 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		writeTelemetry("table1")
-		writeTimeline("table1")
+		export("table1")
 		fmt.Print(experiments.RenderTable1(rows))
 		fmt.Println("paper: CRA/CBT high adversarial drop; PARA small but undetecting; TWiCe smallest + detects")
 		fmt.Println()
 	}
 }
 
-// writeCSV exports cells into dir/name when a CSV directory was given.
+// writeCSV exports cells into dir/name when a CSV directory was given,
+// creating the directory like the telemetry and trace exports do.
 func writeCSV(dir, name string, cells []experiments.Cell) {
 	if dir == "" {
 		return
 	}
-	f, err := os.Create(dir + "/" + name)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fail(err)
+	}
+	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		fail(err)
 	}

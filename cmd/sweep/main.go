@@ -38,7 +38,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/sim"
-	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
@@ -56,6 +55,10 @@ func main() {
 	if *values == "" {
 		fail(fmt.Errorf("-values is required"))
 	}
+	col, err := probe.NewCollector(*telemetryDir != "", *timelineFile != "", *timelineWindows)
+	if err != nil {
+		fail(err)
+	}
 
 	s := experiments.QuickScale()
 	s.Seed = *seed
@@ -67,103 +70,37 @@ func main() {
 		pool.OnDone = p.Update
 		defer p.Finish()
 	}
-	var col *probe.Collector
-	if *telemetryDir != "" {
-		col = &probe.Collector{}
-		col.Start(len(points))
-	}
-	var grid *timeline.Grid
-	if *timelineFile != "" {
-		grid = &timeline.Grid{Config: timeline.Config{Windows: *timelineWindows}}
-		grid.Start(len(points))
-	}
+	col.Start(len(points))
 	lines, err := parallel.Map(pool, len(points), func(_, i int) (string, error) {
 		raw := strings.TrimSpace(points[i])
-		var rec *probe.Recorder
-		if col != nil {
-			rec = probe.NewRecorder(col.Config)
-		} else if grid != nil {
-			rec = probe.NewRecorder(probe.Config{}) // sink carrier only
-		}
-		var tl *timeline.Recorder
-		if grid != nil && rec != nil {
-			tl = grid.NewRecorder()
-			rec.SetSink(tl)
-		}
+		rec := col.NewRecorder()
 		line, err := runPoint(*param, raw, s, *requests, *seed, rec)
 		if err != nil {
 			return "", err
 		}
-		if col != nil && rec != nil {
-			col.Record(i, probe.CellLabel{Workload: "S3", Defense: *param + "=" + raw}, rec.Snapshot())
-		}
-		if tl != nil {
-			grid.Record(i, "S3", *param+"="+raw, tl)
-		}
+		col.Record(i, probe.CellLabel{Workload: "S3", Defense: *param + "=" + raw}, rec)
 		return line, nil
 	})
 	if err != nil {
 		fail(err)
 	}
-	writeTelemetry(*telemetryDir, col)
-	writeTimeline(*timelineFile, grid)
+	paths, err := col.Export(*telemetryDir, "sweep", *timelineFile)
+	if err != nil {
+		fail(err)
+	}
+	for _, p := range paths {
+		fmt.Fprintf(os.Stderr, "sweep: wrote %s\n", p)
+	}
 	fmt.Println("param,value,extra_act_ratio,detections,arrs,nacks,flips,table_entries")
 	for _, line := range lines {
 		fmt.Print(line)
 	}
 }
 
-// writeTelemetry exports the collected per-point series as sweep.csv and
-// sweep.jsonl in dir (no-op without -telemetry).
-func writeTelemetry(dir string, col *probe.Collector) {
-	if col == nil {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fail(err)
-	}
-	writeOne := func(path string, write func(f *os.File) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			fail(err)
-		}
-		if err := write(f); err != nil {
-			_ = f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-	}
-	writeOne(dir+"/sweep.csv", func(f *os.File) error { return col.WriteCSV(f) })
-	writeOne(dir+"/sweep.jsonl", func(f *os.File) error { return col.WriteJSONL(f) })
-	fmt.Fprintf(os.Stderr, "sweep: wrote %s/sweep.csv and %s/sweep.jsonl\n", dir, dir)
-}
-
-// writeTimeline exports the per-point trace grid as one Chrome trace-event
-// file (no-op without -timeline).
-func writeTimeline(path string, grid *timeline.Grid) {
-	if grid == nil {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fail(err)
-	}
-	if err := grid.WriteTrace(f); err != nil {
-		_ = f.Close()
-		fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "sweep: wrote %s — open it at https://ui.perfetto.dev\n", path)
-}
-
 // runPoint simulates one sweep point and returns its CSV row (with trailing
 // newline). Each point builds its own config, defense, and workload, so
 // points share no mutable state and may run on any worker. rec, when
-// non-nil, records the point's telemetry.
+// non-nil, records the point's telemetry and trace.
 func runPoint(param, raw string, s experiments.Scale, requests, seed int64, rec *probe.Recorder) (string, error) {
 	cfg := sim.DefaultConfig(1)
 	cfg.DRAM.TREFW = s.TREFW

@@ -41,7 +41,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/sim"
-	"repro/internal/timeline"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -136,22 +135,13 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "twicesim: debug server on http://%s/debug/vars and /debug/pprof/\n", addr)
 	}
-	var col *probe.Collector
-	if *telemetryDir != "" {
-		col = &probe.Collector{}
-	}
-	var grid *timeline.Grid
-	if *timelineFile != "" {
-		grid = &timeline.Grid{Config: timeline.Config{Windows: *timelineWindows}}
+	col, err := probe.NewCollector(*telemetryDir != "", *timelineFile != "", *timelineWindows)
+	if err != nil {
+		fail(err)
 	}
 
 	dnames := strings.Split(*dname, ",")
-	if col != nil {
-		col.Start(len(dnames))
-	}
-	if grid != nil {
-		grid.Start(len(dnames))
-	}
+	col.Start(len(dnames))
 	reports, err := parallel.Map(parallel.Runner{Workers: *par}, len(dnames), func(_, i int) (string, error) {
 		w, err := buildW()
 		if err != nil {
@@ -162,98 +152,36 @@ func main() {
 		if err != nil {
 			return "", err
 		}
-		if col == nil && grid == nil {
-			res, err := sim.Run(cfg, def, w, sim.Limits{MaxRequests: *requests, MaxTime: 30 * clock.Second})
-			if err != nil {
-				return "", err
-			}
-			return report(res), nil
-		}
 		m, err := sim.NewMachine(cfg, def, w)
 		if err != nil {
 			return "", err
 		}
-		var cfgRec probe.Config
-		if col != nil {
-			cfgRec = col.Config
-		}
-		rec := probe.NewRecorder(cfgRec)
-		var tl *timeline.Recorder
-		if grid != nil {
-			tl = grid.NewRecorder()
-			rec.SetSink(tl)
-		}
+		// A nil collector builds a nil recorder: the run is detached.
+		rec := col.NewRecorder()
 		m.SetRecorder(rec)
 		res, err := m.Run(sim.Limits{MaxRequests: *requests, MaxTime: 30 * clock.Second})
 		if err != nil {
 			return "", err
 		}
-		if col != nil {
-			col.Record(i, probe.CellLabel{Workload: res.Workload, Defense: name}, rec.Snapshot())
-		}
-		if tl != nil {
-			grid.Record(i, res.Workload, name, tl)
-		}
+		col.Record(i, probe.CellLabel{Workload: res.Workload, Defense: name}, rec)
 		return report(res), nil
 	})
 	if err != nil {
 		fail(err)
 	}
-	writeTelemetry(*telemetryDir, col)
-	writeTimeline(*timelineFile, grid)
+	paths, err := col.Export(*telemetryDir, "run", *timelineFile)
+	if err != nil {
+		fail(err)
+	}
+	for _, p := range paths {
+		fmt.Fprintf(os.Stderr, "twicesim: wrote %s\n", p)
+	}
 	for i, r := range reports {
 		if i > 0 {
 			fmt.Println(strings.Repeat("-", 60))
 		}
 		fmt.Print(r)
 	}
-}
-
-// writeTelemetry exports the collected per-defense series as run.csv and
-// run.jsonl in dir (no-op without -telemetry).
-func writeTelemetry(dir string, col *probe.Collector) {
-	if col == nil {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fail(err)
-	}
-	writeOne := func(path string, write func(f *os.File) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			fail(err)
-		}
-		if err := write(f); err != nil {
-			_ = f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-	}
-	writeOne(dir+"/run.csv", func(f *os.File) error { return col.WriteCSV(f) })
-	writeOne(dir+"/run.jsonl", func(f *os.File) error { return col.WriteJSONL(f) })
-	fmt.Fprintf(os.Stderr, "twicesim: wrote %s/run.csv and %s/run.jsonl\n", dir, dir)
-}
-
-// writeTimeline exports the recorded timelines as one Chrome trace-event
-// JSON file (no-op without -timeline).
-func writeTimeline(path string, grid *timeline.Grid) {
-	if grid == nil {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fail(err)
-	}
-	if err := grid.WriteTrace(f); err != nil {
-		_ = f.Close()
-		fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "twicesim: wrote %s (open it at https://ui.perfetto.dev)\n", path)
 }
 
 // report renders the activity report for one completed run.

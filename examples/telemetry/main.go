@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := probe.NewRecorder(probe.Config{})
+	rec := probe.NewRecorder()
 	m.SetRecorder(rec)
 
 	res, err := m.Run(sim.Limits{MaxRequests: 400000, MaxTime: 4 * clock.Millisecond})

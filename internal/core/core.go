@@ -234,12 +234,7 @@ func (t *TWiCe) Name() string { return "TWiCe-" + t.cfg.Org.String() }
 
 // SetProbes implements probe.Instrumented: attach (nil detaches) a telemetry
 // recorder. Reset leaves the attachment alone — the machine owns it.
-func (t *TWiCe) SetProbes(p *probe.Recorder) {
-	if p != nil {
-		p.EnsureTopology(len(t.tables))
-	}
-	t.probes = p
-}
+func (t *TWiCe) SetProbes(p *probe.Recorder) { t.probes = p }
 
 // Config returns the engine's normalized configuration.
 func (t *TWiCe) Config() Config { return t.cfg }

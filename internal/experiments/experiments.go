@@ -25,7 +25,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/sim"
-	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
@@ -53,16 +52,12 @@ type Scale struct {
 	// execution only and must not affect results; with Parallel != 1 it is
 	// called from worker goroutines and must be safe for concurrent use.
 	Progress func(done, total int)
-	// Telemetry, when set, attaches one probe.Recorder per grid cell and
-	// records its snapshot into the collector by job index, so the exported
-	// series are byte-identical across serial and parallel runs. Each call
-	// to a grid experiment restarts the collector.
+	// Telemetry, when set, attaches one recorder from the collector to each
+	// grid cell and records the cell's telemetry and trace into the
+	// collector by job index, so every export is byte-identical across
+	// serial and parallel runs. Each call to a grid experiment restarts the
+	// collector.
 	Telemetry *probe.Collector
-	// Timeline, when set, attaches one timeline.Recorder per grid cell (as
-	// the probe recorder's sink) and records it by job index, so the Chrome
-	// trace export is byte-identical across serial and parallel runs. Each
-	// call to a grid experiment restarts the grid.
-	Timeline *timeline.Grid
 }
 
 // PaperScale reproduces the paper's parameters exactly (Table 2): thRH =
@@ -243,12 +238,7 @@ func (s Scale) runGrid(jobs []cellJob) ([]Cell, error) {
 	pool := parallel.Runner{Workers: s.Parallel, OnDone: s.Progress}
 	runners := make([]*sim.CellRunner, pool.PoolSize(len(jobs)))
 	cfg := s.machineConfig()
-	if s.Telemetry != nil {
-		s.Telemetry.Start(len(jobs))
-	}
-	if s.Timeline != nil {
-		s.Timeline.Start(len(jobs))
-	}
+	s.Telemetry.Start(len(jobs))
 	return parallel.Map(pool, len(jobs), func(worker, i int) (Cell, error) {
 		if runners[worker] == nil {
 			runners[worker] = sim.NewCellRunner(cfg)
@@ -260,30 +250,14 @@ func (s Scale) runGrid(jobs []cellJob) ([]Cell, error) {
 		}
 		// One recorder per cell, not per worker: recorders accumulate, and
 		// the collector slots them by job index so serial and parallel runs
-		// export identical series.
-		// The timeline sink rides on the probe recorder's apply path, so it
-		// needs one even when telemetry collection is off.
-		var rec *probe.Recorder
-		if s.Telemetry != nil {
-			rec = probe.NewRecorder(s.Telemetry.Config)
-		} else if s.Timeline != nil {
-			rec = probe.NewRecorder(probe.Config{}) // sink carrier only
-		}
-		var tl *timeline.Recorder
-		if s.Timeline != nil && rec != nil {
-			tl = s.Timeline.NewRecorder()
-			rec.SetSink(tl)
-		}
+		// export identical series and traces. A nil collector builds a nil
+		// recorder, which runs the cell detached.
+		rec := s.Telemetry.NewRecorder()
 		c, err := s.runCell(runners[worker], j.wname, w, j.dname, rec)
 		if err != nil {
 			return Cell{}, err
 		}
-		if s.Telemetry != nil && rec != nil {
-			s.Telemetry.Record(i, probe.CellLabel{Workload: j.wname, Defense: j.dname}, rec.Snapshot())
-		}
-		if tl != nil {
-			s.Timeline.Record(i, j.wname, j.dname, tl)
-		}
+		s.Telemetry.Record(i, probe.CellLabel{Workload: j.wname, Defense: j.dname}, rec)
 		return c, nil
 	})
 }

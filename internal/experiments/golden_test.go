@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/probe"
-	"repro/internal/timeline"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current code")
@@ -45,18 +44,21 @@ func TestGoldenDigests(t *testing.T) {
 	s := tinyScale()
 	s.Requests = 6000
 	s.Parallel = 2
-	s.Telemetry = &probe.Collector{}
-	// Flight-recorder mode with a small event cap keeps the trace (and this
-	// test's memory) bounded while still covering the detection pin.
-	s.Timeline = &timeline.Grid{Config: timeline.Config{Windows: 4, MaxEvents: 20000}}
+	// Flight-recorder mode keeps the trace (and this test's memory) small
+	// while still covering the detection pin.
+	col, err := probe.NewCollector(true, true, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Telemetry = col
 	cells, err := Figure7b(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := goldenDigests{
 		CellsCSV:     sha256Of(t, func(w io.Writer) error { return WriteCellsCSV(w, cells) }),
-		TelemetryCSV: sha256Of(t, s.Telemetry.WriteCSV),
-		Trace:        sha256Of(t, s.Timeline.WriteTrace),
+		TelemetryCSV: sha256Of(t, col.WriteCSV),
+		Trace:        sha256Of(t, col.WriteTrace),
 	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/probe"
-	"repro/internal/timeline"
 )
 
 // exportBytes renders a collector's CSV and JSONL exports.
@@ -59,9 +58,9 @@ func TestTelemetrySerialParallelByteIdentity(t *testing.T) {
 
 // TestProgressDoesNotChangeCSV is the "observers are not semantic" contract
 // at grid level: a serial run with nothing attached and a two-worker run with
-// a progress hook (and a live meter behind it), a telemetry collector and a
-// flight-recorder timeline must produce the same cells and the same result
-// CSV to the byte, while every observer sees all 12 cells.
+// a progress hook (and a live meter behind it) and a collector recording
+// telemetry and a flight-recorder trace must produce the same cells and the
+// same result CSV to the byte, while every observer sees all 12 cells.
 func TestProgressDoesNotChangeCSV(t *testing.T) {
 	s := tinyScale()
 	s.Requests = 6000
@@ -73,8 +72,11 @@ func TestProgressDoesNotChangeCSV(t *testing.T) {
 	}
 
 	s.Parallel = 2
-	s.Telemetry = &probe.Collector{}
-	s.Timeline = &timeline.Grid{Config: timeline.Config{Windows: 4}}
+	col, err := probe.NewCollector(true, true, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Telemetry = col
 
 	var mu sync.Mutex
 	var calls, lastDone, total int
@@ -110,11 +112,8 @@ func TestProgressDoesNotChangeCSV(t *testing.T) {
 	if !bytes.Equal(bareCSV.Bytes(), meteredCSV.Bytes()) {
 		t.Error("stdout CSV changed when observers were attached")
 	}
-	if got := s.Telemetry.Cells(); got != 12 {
+	if got := col.Cells(); got != 12 {
 		t.Errorf("collector recorded %d cells, want 12", got)
-	}
-	if got := s.Timeline.Cells(); got != 12 {
-		t.Errorf("timeline recorded %d cells, want 12", got)
 	}
 	if calls == 0 || lastDone != total || total == 0 {
 		t.Errorf("progress hook saw %d calls, max done %d of total %d", calls, lastDone, total)

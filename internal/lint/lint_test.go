@@ -32,7 +32,6 @@ var fixtures = []struct {
 	{"telemetry", "repro/internal/probe/fixture"},
 	{"hotpath", "repro/internal/sim/hotfix"},
 	{"probeguard", "repro/internal/probe/guardfix"},
-	{"timelineguard", "repro/internal/timeline/guardfix"},
 	{"resetcoverage", "repro/internal/mc/resetfix"},
 	{"directive", "repro/internal/sim/dirfix"},
 	{"clean", "repro/internal/sim/clean"},

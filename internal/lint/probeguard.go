@@ -23,17 +23,15 @@ import (
 //   - `if E == nil { return }` (or any terminating body; ||-disjuncts
 //     count) guards E for the rest of the block;
 //   - a variable assigned from probe.NewRecorder(...) or &Recorder{...} is
-//     non-nil until reassigned;
+//     non-nil until reassigned (a method named NewRecorder, like
+//     Collector.NewRecorder, may return nil and does not count);
 //   - inside a Recorder method, the receiver itself is non-nil by the
 //     package contract.
 
 // isRecorderType reports whether t (after pointer indirection) is a named
-// type Recorder declared in a probe or timeline package. The timeline
-// recorder (internal/timeline) rides the same attachment contract: probe
-// forwards to it from hot paths behind one nil check, so an unguarded call
-// is the same detached-run panic. Matching the path by substring keeps the
-// fixture packages (analyzed under assumed paths) in scope alongside the
-// real repro/internal/probe and repro/internal/timeline.
+// type Recorder declared in a probe package. Matching the path by substring
+// keeps the fixture packages (analyzed under assumed paths) in scope
+// alongside the real repro/internal/probe.
 func isRecorderType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -49,8 +47,7 @@ func isRecorderType(t types.Type) bool {
 	if obj.Name() != "Recorder" || obj.Pkg() == nil {
 		return false
 	}
-	path := obj.Pkg().Path()
-	return strings.Contains(path, "probe") || strings.Contains(path, "timeline")
+	return strings.Contains(obj.Pkg().Path(), "probe")
 }
 
 // guardSet is the set of expressions (by printed form) currently known to
@@ -299,8 +296,8 @@ func nilCheckedExprs(c *checker, cond ast.Expr, op, connector token.Token) []str
 }
 
 // recorderConstructed reports whether the expression is a freshly
-// constructed, necessarily non-nil recorder: a call to a NewRecorder
-// function in a probe or timeline package, or &Recorder{...}.
+// constructed, necessarily non-nil recorder: a call to a package-level
+// NewRecorder function in a probe package, or &Recorder{...}.
 func (c *checker) recorderConstructed(e ast.Expr) bool {
 	switch e := unparen(e).(type) {
 	case *ast.CallExpr:
@@ -308,8 +305,10 @@ func (c *checker) recorderConstructed(e ast.Expr) bool {
 		if fn == nil || fn.Name() != "NewRecorder" || fn.Pkg() == nil {
 			return false
 		}
-		path := fn.Pkg().Path()
-		return strings.Contains(path, "probe") || strings.Contains(path, "timeline")
+		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+			return false
+		}
+		return strings.Contains(fn.Pkg().Path(), "probe")
 	case *ast.UnaryExpr:
 		if e.Op != token.AND {
 			return false

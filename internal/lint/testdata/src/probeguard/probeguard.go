@@ -64,6 +64,17 @@ func constructed(n int) int {
 	return r.events + s.events
 }
 
+// collector mimics probe.Collector, whose NewRecorder method returns nil
+// for a nil collector: its result is not a constructed recorder.
+type collector struct{}
+
+func (c *collector) NewRecorder() *Recorder { return nil }
+
+func fromCollector(c *collector, n int) {
+	r := c.NewRecorder()
+	r.Event(n) // want probeguard "not dominated by a nil guard"
+}
+
 // methodReceiver: inside a Recorder method the receiver is non-nil by the
 // package contract, so delegated calls need no guard.
 func (r *Recorder) EventTwice(n int) {

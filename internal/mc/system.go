@@ -188,12 +188,7 @@ func (s *System) SetTrace(fn func(TraceEvent)) { s.trace = fn }
 // SetProbes attaches (or, with nil, detaches) a telemetry recorder. The
 // recorder must not be shared across concurrently running systems; Reset
 // does not touch the attachment — the machine owns it.
-func (s *System) SetProbes(p *probe.Recorder) {
-	if p != nil {
-		p.EnsureTopology(s.cfg.DRAM.TotalBanks())
-	}
-	s.probes = p
-}
+func (s *System) SetProbes(p *probe.Recorder) { s.probes = p }
 
 // Reset returns the controller and its timing checker to their
 // just-constructed state while reusing queues, scratch, and bank arrays. The
@@ -321,8 +316,8 @@ func (s *System) Enqueue(req *Request, now clock.Time) bool {
 		ch.wake = clock.Min(ch.wake, now)
 		s.nextWake = clock.Min(s.nextWake, ch.wake)
 		if s.probes != nil {
-			s.probes.Enqueue(len(ch.wqueue), now)
-			s.probes.BankDepth(s.BankQueueDepth(req.Addr.Channel, req.Addr.Rank, req.Addr.Bank), now)
+			s.probes.Enqueue(len(ch.wqueue))
+			s.probes.BankDepth(s.BankQueueDepth(req.Addr.Channel, req.Addr.Rank, req.Addr.Bank))
 		}
 		return true
 	}
@@ -336,8 +331,8 @@ func (s *System) Enqueue(req *Request, now clock.Time) bool {
 	ch.wake = clock.Min(ch.wake, now)
 	s.nextWake = clock.Min(s.nextWake, ch.wake)
 	if s.probes != nil {
-		s.probes.Enqueue(len(ch.queue), now)
-		s.probes.BankDepth(s.BankQueueDepth(req.Addr.Channel, req.Addr.Rank, req.Addr.Bank), now)
+		s.probes.Enqueue(len(ch.queue))
+		s.probes.BankDepth(s.BankQueueDepth(req.Addr.Channel, req.Addr.Rank, req.Addr.Bank))
 	}
 	return true
 }

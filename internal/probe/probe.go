@@ -1,7 +1,10 @@
 // Package probe is the simulator's observability layer: zero-alloc event
 // hooks on the hot paths (ACT, ARR, nack, prune, entry spill, refresh, queue
-// enqueue/dequeue), deterministic fixed-bucket histograms, and time-series
-// samplers keyed to *simulated* clock time.
+// enqueue/dequeue), deterministic fixed-bucket histograms, time-series
+// samplers keyed to *simulated* clock time, and the simulated-time Perfetto
+// trace (DESIGN.md §15). One Recorder updates the telemetry and, when it
+// traces, the trace from the same hook bodies, so both views see one event
+// stream in one order.
 //
 // The attachment contract keeps the no-sink cost at a single nil check: the
 // instrumented components hold a concrete *Recorder pointer and guard every
@@ -11,38 +14,24 @@
 // detached.
 //
 // Determinism is the second contract: every recorded quantity is a function
-// of the simulated event stream alone. Samples are timestamped with the
-// simulated clock (never wall time), series are appended in event order, and
-// the export layer iterates only slices — so a snapshot taken after a serial
-// run, a parallel run, or a recycled-machine run of the same seed serializes
-// to identical bytes. twicelint's nondeterm/maprange rules apply to this
-// package like any other internal package and keep it that way.
+// of the simulated event stream alone. Samples and trace events are
+// timestamped with the simulated clock (never wall time), series are
+// appended in event order, and the export layer iterates only slices — so a
+// collector filled by a serial run, a parallel run, or a recycled-machine
+// run of the same seed serializes to identical bytes. twicelint's
+// nondeterm/maprange rules apply to this package like any other internal
+// package and keep it that way.
 package probe
 
 import (
 	"repro/internal/clock"
 	"repro/internal/stats"
-	"repro/internal/timeline"
 )
 
-// DefaultMaxSamples bounds each time series when Config.MaxSamples is zero.
-// At 32 bytes per occupancy sample this caps a series at ~32 MB.
-const DefaultMaxSamples = 1 << 20
-
-// Config sizes a Recorder.
-type Config struct {
-	// Banks is the flat bank count of the observed machine; per-bank state
-	// (inter-ARR timestamps) is sized from it. Machine attachment fills it
-	// in (EnsureTopology) when zero, so callers rarely need to set it.
-	Banks int
-	// SampleEvery is the gauge-sampling period in simulated time. Zero lets
-	// the machine default it to tREFI at attachment.
-	SampleEvery clock.Time
-	// MaxSamples caps the occupancy series and each gauge series
-	// (0 = DefaultMaxSamples). Samples past the cap are counted in
-	// Snapshot.DroppedSamples rather than silently lost.
-	MaxSamples int
-}
+// maxSamples caps the occupancy series and each gauge series. At 32 bytes
+// per occupancy sample this bounds a series near 32 MB; samples past the cap
+// are counted in Snapshot.DroppedSamples rather than silently lost.
+const maxSamples = 1 << 20
 
 // EventTotals counts every probe event the recorder observed.
 type EventTotals struct {
@@ -82,12 +71,11 @@ type gauge struct {
 	samples []GaugePoint
 }
 
-// Recorder accumulates telemetry for one simulation run. It is not safe for
-// concurrent use; in grid runs each cell gets its own recorder (the cells
-// are already independent machines), which is also what makes parallel
-// telemetry deterministic.
+// Recorder accumulates telemetry, and optionally a trace, for one simulation
+// run. It is not safe for concurrent use; in grid runs each cell gets its
+// own recorder (the cells are already independent machines), which is also
+// what makes parallel telemetry deterministic.
 type Recorder struct {
-	cfg    Config //twicelint:keep sizing/topology survives Reset by documented contract
 	totals EventTotals
 
 	latency   *stats.Histogram // request completion - arrival, in ps
@@ -100,15 +88,16 @@ type Recorder struct {
 	occ    []OccSample
 	maxOcc int
 
-	gauges     []gauge
-	nextSample clock.Time
+	gauges      []gauge
+	sampleEvery clock.Time // gauge period; Attach sets it to tREFI
+	nextSample  clock.Time
 
-	dropped int64
+	sampleCap int // maxSamples; tests lower it to exercise the cap
+	dropped   int64
 
-	// sink, when attached, receives every recorded event as a timeline
-	// sample (internal/timeline), so trace content is a function of the
-	// simulated event stream alone.
-	sink *timeline.Recorder //twicelint:keep external attachment, not recorded data; survives Reset like gauges
+	// trace is the flight-recorder ring of simulated-time events, nil when
+	// the recorder does not trace (Collector.NewRecorder decides).
+	trace *ring
 }
 
 // latencyBounds doubles from 50 ns: DRAM hits land in the first buckets,
@@ -148,44 +137,33 @@ func bankDepthBounds() []int64 {
 	return []int64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 }
 
-// NewRecorder builds a recorder. Zero-value Config fields pick defaults at
-// machine attachment (Banks, SampleEvery) or construction (MaxSamples).
-func NewRecorder(cfg Config) *Recorder {
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = DefaultMaxSamples
-	}
-	r := &Recorder{
-		cfg:       cfg,
+// NewRecorder builds a telemetry recorder that does not trace; a grid's
+// Collector builds tracing ones. Attaching it to a machine sizes it.
+func NewRecorder() *Recorder {
+	return &Recorder{
 		latency:   stats.NewHistogram(latencyBounds()...),
 		depth:     stats.NewHistogram(depthBounds()...),
 		interARR:  stats.NewHistogram(interARRBounds()...),
 		bankDepth: stats.NewHistogram(bankDepthBounds()...),
+		sampleCap: maxSamples,
 	}
-	r.EnsureTopology(cfg.Banks)
-	return r
 }
 
-// EnsureTopology sizes per-bank state for the given flat bank count. The
-// machine calls it at attachment; calling it again with the same count is a
-// no-op, so a recorder may be attached before or after Config.Banks is known.
-func (r *Recorder) EnsureTopology(banks int) {
-	if banks <= len(r.lastARR) {
-		return
+// Attach installs the observed machine's topology and period: per-bank
+// state for totalBanks flat banks, the trace's (channel, bank) tracks, and
+// period — tREFI — as both the gauge-sampling period and the
+// flight-recorder window. The machine calls it when the recorder is
+// attached; re-attaching to the same topology keeps the recorded state.
+func (r *Recorder) Attach(channels, totalBanks int, period clock.Time) {
+	if len(r.lastARR) != totalBanks {
+		r.lastARR = make([]clock.Time, totalBanks)
+		for i := range r.lastARR {
+			r.lastARR[i] = clock.Never
+		}
 	}
-	old := r.lastARR
-	r.lastARR = make([]clock.Time, banks)
-	copy(r.lastARR, old)
-	for i := len(old); i < banks; i++ {
-		r.lastARR[i] = clock.Never
-	}
-	r.cfg.Banks = banks
-}
-
-// SetDefaultSampleEvery installs the gauge-sampling period unless the
-// recorder's Config pinned one explicitly. The machine passes tREFI.
-func (r *Recorder) SetDefaultSampleEvery(d clock.Time) {
-	if r.cfg.SampleEvery <= 0 {
-		r.cfg.SampleEvery = d
+	r.sampleEvery = period
+	if r.trace != nil {
+		r.trace.attach(channels, totalBanks, period)
 	}
 }
 
@@ -202,26 +180,19 @@ func (r *Recorder) AddGauge(name string, fn func() int64) {
 	r.gauges = append(r.gauges, gauge{name: name, fn: fn})
 }
 
-// SetSink attaches (or, with nil, detaches) a timeline recorder. Every event
-// the recorder applies is forwarded to the sink as a simulated-time sample;
-// the machine wires the sink's topology and default window at attachment.
-func (r *Recorder) SetSink(tl *timeline.Recorder) { r.sink = tl }
-
-// Sink returns the attached timeline recorder, if any.
-func (r *Recorder) Sink() *timeline.Recorder { return r.sink }
-
 // ---- hot-path hooks ----
 //
 // Callers guard each call with `if probes != nil`; the methods themselves
 // assume a non-nil receiver and do only counter increments, histogram
 // observes (a binary search over a fixed bound slice), and amortized-O(1)
-// slice appends bounded by MaxSamples.
+// slice appends bounded by the sample and event caps. Each hook that has a
+// trace Kind records it in the same body that updates the totals.
 
 // ACT records one demand row activation.
 func (r *Recorder) ACT(bank int, now clock.Time) {
 	r.totals.ACTs++
-	if r.sink != nil {
-		r.sink.ACT(bank, now)
+	if r.trace != nil {
+		r.trace.onBank(KindACT, bank, 0, 0, now)
 	}
 }
 
@@ -235,41 +206,39 @@ func (r *Recorder) ARR(bank int, now clock.Time) {
 		}
 		r.lastARR[bank] = now
 	}
-	if r.sink != nil {
-		r.sink.ARR(bank, now)
+	if r.trace != nil {
+		r.trace.onBank(KindARR, bank, 0, 0, now)
 	}
 }
 
 // ARRQueued records one aggressor filed as pending ARR work at the RCD.
 func (r *Recorder) ARRQueued(bank, pending int, now clock.Time) {
 	r.totals.ARRsQueued++
-	if r.sink != nil {
-		r.sink.ARRQueued(bank, pending, now)
+	if r.trace != nil {
+		r.trace.onBank(KindARRQueued, bank, int64(pending), 0, now)
 	}
 }
 
 // Nack records one nacked controller command on the given channel.
 func (r *Recorder) Nack(channel int, now clock.Time) {
 	r.totals.Nacks++
-	if r.sink != nil {
-		r.sink.Nack(channel, now)
+	if r.trace != nil {
+		r.trace.onChan(KindNack, channel, 0, 0, now)
 	}
 }
 
 // Enqueue records a request accepted into a controller queue with the
 // queue's post-insert occupancy.
-func (r *Recorder) Enqueue(depth int, now clock.Time) {
+func (r *Recorder) Enqueue(depth int) {
 	r.totals.Enqueues++
 	r.depth.Observe(int64(depth))
-	_ = now
 }
 
 // BankDepth records the post-insert occupancy of one per-bank scheduler
 // bucket (the controller's queued reads plus buffered writes targeting a
 // single bank) — the quantity the indexed scheduler iterates per step.
-func (r *Recorder) BankDepth(depth int, now clock.Time) {
+func (r *Recorder) BankDepth(depth int) {
 	r.bankDepth.Observe(int64(depth))
-	_ = now
 }
 
 // Dequeue records a completed request on the given channel: its service
@@ -278,8 +247,8 @@ func (r *Recorder) Dequeue(channel, depth int, latency, now clock.Time) {
 	r.totals.Dequeues++
 	r.depth.Observe(int64(depth))
 	r.latency.Observe(int64(latency))
-	if r.sink != nil {
-		r.sink.Request(channel, depth, latency, now)
+	if r.trace != nil {
+		r.trace.onChan(KindRequest, channel, int64(depth), int64(latency), now)
 	}
 }
 
@@ -287,8 +256,8 @@ func (r *Recorder) Dequeue(channel, depth int, latency, now clock.Time) {
 // (pa-TWiCe set borrowing, separated-table wide spill).
 func (r *Recorder) Spill(bank int, now clock.Time) {
 	r.totals.Spills++
-	if r.sink != nil {
-		r.sink.Spill(bank, now)
+	if r.trace != nil {
+		r.trace.onBank(KindSpill, bank, 0, 0, now)
 	}
 }
 
@@ -301,14 +270,14 @@ func (r *Recorder) TableTick(bank, occupancy, pruned int, now clock.Time) {
 	if occupancy > r.maxOcc {
 		r.maxOcc = occupancy
 	}
-	if r.sink != nil {
-		r.sink.Prune(bank, occupancy, pruned, now)
+	if r.trace != nil {
+		r.trace.onBank(KindPrune, bank, int64(occupancy), int64(pruned), now)
 	}
-	if len(r.occ) >= r.cfg.MaxSamples {
+	if len(r.occ) >= r.sampleCap {
 		r.dropped++
 		return
 	}
-	//twicelint:allocok one sample per prune pass, bounded by MaxSamples; growth amortizes
+	//twicelint:allocok one sample per prune pass, bounded by maxSamples; growth amortizes
 	r.occ = append(r.occ, OccSample{T: now, Bank: bank, Occupancy: occupancy, Pruned: pruned})
 }
 
@@ -317,18 +286,19 @@ func (r *Recorder) TableTick(bank, occupancy, pruned int, now clock.Time) {
 // run loop instead, so gauges read state between event-loop iterations.
 func (r *Recorder) Refresh(channel int, now clock.Time) {
 	r.totals.Refreshes++
-	if r.sink != nil {
-		r.sink.Refresh(channel, now)
+	if r.trace != nil {
+		r.trace.onChan(KindRefresh, channel, 0, 0, now)
 	}
 }
 
-// Detection records one row-hammer detection attributed to a core. The sink's
-// flight recorder pins on the first detection it sees, preserving the
+// Detection records one row-hammer detection attributed to a core. The
+// trace's flight recorder pins on the first detection, preserving the
 // preceding windows for the export.
 func (r *Recorder) Detection(bank, core int, now clock.Time) {
 	r.totals.Detections++
-	if r.sink != nil {
-		r.sink.Detect(bank, core, now)
+	if r.trace != nil {
+		r.trace.pinned = true
+		r.trace.onBank(KindDetect, bank, int64(core), 0, now)
 	}
 }
 
@@ -346,14 +316,14 @@ func (r *Recorder) MaybeSample(now clock.Time) {
 		if g.fn == nil {
 			continue
 		}
-		if len(g.samples) >= r.cfg.MaxSamples {
+		if len(g.samples) >= r.sampleCap {
 			r.dropped++
 			continue
 		}
-		//twicelint:allocok one sample per tREFI, bounded by MaxSamples; growth amortizes
+		//twicelint:allocok one sample per tREFI, bounded by maxSamples; growth amortizes
 		g.samples = append(g.samples, GaugePoint{T: now, V: g.fn()})
 	}
-	if step := r.cfg.SampleEvery; step > 0 {
+	if step := r.sampleEvery; step > 0 {
 		for r.nextSample <= now {
 			r.nextSample += step
 		}
@@ -375,29 +345,6 @@ func (r *Recorder) MaxOccupancy() int { return r.maxOcc }
 // OccupancySeries returns the recorded occupancy trajectory (shared storage;
 // callers must not modify it).
 func (r *Recorder) OccupancySeries() []OccSample { return r.occ }
-
-// DroppedSamples returns how many samples the MaxSamples cap discarded.
-func (r *Recorder) DroppedSamples() int64 { return r.dropped }
-
-// Reset clears all recorded data while keeping topology, bounds, and gauge
-// registrations, so one recorder can observe several runs back to back.
-func (r *Recorder) Reset() {
-	r.totals = EventTotals{}
-	r.latency = stats.NewHistogram(latencyBounds()...)
-	r.depth = stats.NewHistogram(depthBounds()...)
-	r.interARR = stats.NewHistogram(interARRBounds()...)
-	r.bankDepth = stats.NewHistogram(bankDepthBounds()...)
-	for i := range r.lastARR {
-		r.lastARR[i] = clock.Never
-	}
-	r.occ = r.occ[:0]
-	r.maxOcc = 0
-	for i := range r.gauges {
-		r.gauges[i].samples = r.gauges[i].samples[:0]
-	}
-	r.nextSample = 0
-	r.dropped = 0
-}
 
 // Instrumented is implemented by components that accept a probe recorder
 // (TWiCe's engine, and any later defense that wants table-level telemetry).

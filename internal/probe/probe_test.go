@@ -8,13 +8,14 @@ import (
 )
 
 func TestRecorderTotals(t *testing.T) {
-	r := NewRecorder(Config{Banks: 2, SampleEvery: clock.Microsecond})
+	r := NewRecorder()
+	r.Attach(1, 2, clock.Microsecond)
 	r.ACT(0, 10)
 	r.ACT(1, 20)
 	r.ARR(0, 30)
 	r.ARRQueued(0, 1, 25)
 	r.Nack(0, 40)
-	r.Enqueue(3, 50)
+	r.Enqueue(3)
 	r.Dequeue(0, 2, 400, 450)
 	r.Spill(1, 60)
 	r.TableTick(0, 5, 2, 70)
@@ -38,7 +39,8 @@ func TestRecorderTotals(t *testing.T) {
 }
 
 func TestInterARRDistance(t *testing.T) {
-	r := NewRecorder(Config{Banks: 2})
+	r := NewRecorder()
+	r.Attach(1, 2, 0)
 	// First ARR on a bank has no predecessor; only same-bank pairs count.
 	r.ARR(0, 1000)
 	r.ARR(1, 2000)
@@ -59,14 +61,16 @@ func TestInterARRDistance(t *testing.T) {
 }
 
 func TestTableTickSampleCap(t *testing.T) {
-	r := NewRecorder(Config{Banks: 1, MaxSamples: 2})
+	r := NewRecorder()
+	r.Attach(1, 1, 0)
+	r.sampleCap = 2
 	for i := 0; i < 5; i++ {
 		r.TableTick(0, i, 0, clock.Time(i))
 	}
 	if got := len(r.OccupancySeries()); got != 2 {
-		t.Errorf("series length = %d, want the MaxSamples cap of 2", got)
+		t.Errorf("series length = %d, want the sample cap of 2", got)
 	}
-	if got := r.DroppedSamples(); got != 3 {
+	if got := r.dropped; got != 3 {
 		t.Errorf("dropped = %d, want 3", got)
 	}
 	// The high-water mark keeps tracking past the cap.
@@ -76,7 +80,8 @@ func TestTableTickSampleCap(t *testing.T) {
 }
 
 func TestGaugeSampling(t *testing.T) {
-	r := NewRecorder(Config{SampleEvery: 100})
+	r := NewRecorder()
+	r.Attach(1, 1, 100)
 	v := int64(0)
 	r.AddGauge("g", func() int64 { return v })
 
@@ -110,7 +115,8 @@ func TestGaugeSampling(t *testing.T) {
 }
 
 func TestAddGaugeReplacementKeepsSeries(t *testing.T) {
-	r := NewRecorder(Config{SampleEvery: 10})
+	r := NewRecorder()
+	r.Attach(1, 1, 10)
 	r.AddGauge("g", func() int64 { return 1 })
 	r.MaybeSample(0)
 	// Re-registration (machine re-attachment) swaps the sampler but the
@@ -124,62 +130,29 @@ func TestAddGaugeReplacementKeepsSeries(t *testing.T) {
 	}
 }
 
-func TestEnsureTopologyGrowsOnly(t *testing.T) {
-	r := NewRecorder(Config{})
-	r.EnsureTopology(4)
+// TestAttachKeepsStateOnSameTopology pins re-attachment: attaching the
+// recorder again to a machine of the same shape keeps per-bank state, so
+// the inter-ARR distance spans the two attachments.
+func TestAttachKeepsStateOnSameTopology(t *testing.T) {
+	r := NewRecorder()
+	r.ARR(3, 50) // unattached: no per-bank state yet, only the total counts
+	r.Attach(1, 4, 0)
 	r.ARR(3, 100)
-	r.EnsureTopology(2) // shrink request: no-op, state survives
+	r.Attach(1, 4, 0)
 	r.ARR(3, 300)
-	s := r.Snapshot()
-	for _, h := range s.Histograms {
-		if h.Name == "inter_arr_ps" && h.Total != 1 {
-			t.Errorf("inter-ARR observations = %d, want 1 (per-bank state survives)", h.Total)
-		}
+	if got := r.Totals().ARRs; got != 3 {
+		t.Errorf("ARRs = %d, want 3", got)
 	}
-}
-
-func TestSetDefaultSampleEveryDoesNotOverride(t *testing.T) {
-	r := NewRecorder(Config{SampleEvery: 7})
-	r.SetDefaultSampleEvery(100)
-	r.MaybeSample(0)
-	r.AddGauge("g", func() int64 { return 1 })
-	r.MaybeSample(7) // pinned period still in force
-	if got := r.cfg.SampleEvery; got != 7 {
-		t.Errorf("SampleEvery = %d, want the pinned 7", got)
-	}
-}
-
-func TestRecorderReset(t *testing.T) {
-	r := NewRecorder(Config{Banks: 2, SampleEvery: 100})
-	r.AddGauge("g", func() int64 { return 9 })
-	r.ACT(0, 10)
-	r.ARR(1, 20)
-	r.TableTick(0, 7, 1, 30)
-	r.Refresh(0, 40)
-	r.MaybeSample(40)
-	r.Reset()
-
-	if got := r.Totals(); got != (EventTotals{}) {
-		t.Errorf("totals after reset = %+v", got)
-	}
-	if r.MaxOccupancy() != 0 || len(r.OccupancySeries()) != 0 || r.DroppedSamples() != 0 {
-		t.Error("sample state survived reset")
-	}
-	s := r.Snapshot()
-	if len(s.Gauges) != 1 || len(s.Gauges[0].Samples) != 0 {
-		t.Errorf("gauge registrations must survive reset with empty series, got %+v", s.Gauges)
-	}
-	// Per-bank ARR state is back to "never seen".
-	r.ARR(1, 50)
 	for _, h := range r.Snapshot().Histograms {
-		if h.Name == "inter_arr_ps" && h.Total != 0 {
-			t.Errorf("inter-ARR state survived reset (total %d)", h.Total)
+		if h.Name == "inter_arr_ps" && (h.Total != 1 || h.Max != 200) {
+			t.Errorf("inter-ARR total %d max %d, want 1 observation of 200 (per-bank state survives)", h.Total, h.Max)
 		}
 	}
 }
 
 func TestSnapshotIsDetached(t *testing.T) {
-	r := NewRecorder(Config{Banks: 1})
+	r := NewRecorder()
+	r.Attach(1, 1, 0)
 	r.TableTick(0, 3, 1, 10)
 	s := r.Snapshot()
 	r.TableTick(0, 9, 0, 20)

@@ -91,7 +91,7 @@ func BenchmarkSimRunReusedAllocs(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var rec *probe.Recorder
 				if probed {
-					rec = probe.NewRecorder(probe.Config{})
+					rec = probe.NewRecorder()
 				}
 				runner.SetRecorder(rec)
 				res, err := runner.Run(benchDefense(b, cfg), workload.S3(amap, cfg.DRAM, 5000),

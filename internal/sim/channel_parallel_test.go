@@ -76,16 +76,25 @@ type gridRunState struct {
 func exportGridState(t *testing.T, res *Result, rec *probe.Recorder, defKind string) gridRunState {
 	t.Helper()
 	st := gridRunState{res: res, snap: rec.Snapshot()}
-	labels := []probe.CellLabel{{Workload: "S1", Defense: defKind}}
-	var csv, jsonl bytes.Buffer
-	if err := probe.WriteCSV(&csv, labels, []probe.Snapshot{st.snap}); err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.WriteJSONL(&jsonl, labels, []probe.Snapshot{st.snap}); err != nil {
-		t.Fatal(err)
-	}
-	st.csv, st.jsonl = csv.Bytes(), jsonl.Bytes()
+	st.csv, st.jsonl = exportCell(t, probe.CellLabel{Workload: "S1", Defense: defKind}, rec)
 	return st
+}
+
+// exportCell renders one recorder's telemetry as a one-cell collector
+// exports it.
+func exportCell(t *testing.T, label probe.CellLabel, rec *probe.Recorder) (csv, jsonl []byte) {
+	t.Helper()
+	var col probe.Collector
+	col.Start(1)
+	col.Record(0, label, rec)
+	var c, j bytes.Buffer
+	if err := col.WriteCSV(&c); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.WriteJSONL(&j); err != nil {
+		t.Fatal(err)
+	}
+	return c.Bytes(), j.Bytes()
 }
 
 // compareGridRuns asserts two runs are observationally identical: full
@@ -148,7 +157,7 @@ func TestChannelParallelEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						rec := probe.NewRecorder(probe.Config{})
+						rec := probe.NewRecorder()
 						m.SetRecorder(rec)
 						res, err := m.Run(lim)
 						if err != nil {
@@ -164,7 +173,7 @@ func TestChannelParallelEquivalence(t *testing.T) {
 						for i := range defs {
 							defs[i] = gridDefense(t, cfg, defKind)
 							loads[i] = s1Workload(t, cfg)
-							recs[i] = probe.NewRecorder(probe.Config{})
+							recs[i] = probe.NewRecorder()
 						}
 						r := parallel.Runner{Workers: workers}
 						runners := make([]*CellRunner, r.PoolSize(copies))

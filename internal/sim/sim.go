@@ -273,10 +273,10 @@ func (m *Machine) newRequest(addr uint64, write bool, core int, done func(clock.
 
 // SetRecorder attaches a telemetry recorder to every instrumented component
 // of the machine (controller, RCD, defense) and registers the machine-level
-// gauges; nil detaches everywhere. The recorder's topology and sampling
-// period default from the machine's DRAM parameters (one gauge sample per
-// tREFI). The caller resets or replaces the recorder between runs — the
-// machine never clears recorded data.
+// gauges; nil detaches everywhere. The one Attach call hands the recorder
+// the machine's topology and tREFI, which is both the gauge-sampling period
+// and the trace's flight-recorder window. The caller gives every run a
+// fresh recorder — the machine never clears recorded data.
 func (m *Machine) SetRecorder(rec *probe.Recorder) {
 	m.rec = rec
 	m.sys.SetProbes(rec)
@@ -285,21 +285,11 @@ func (m *Machine) SetRecorder(rec *probe.Recorder) {
 	if rec == nil {
 		return
 	}
-	rec.EnsureTopology(m.cfg.DRAM.TotalBanks())
-	rec.SetDefaultSampleEvery(m.cfg.DRAM.TREFI)
+	rec.Attach(m.cfg.DRAM.Channels, m.cfg.DRAM.TotalBanks(), m.cfg.DRAM.TREFI)
 	rec.AddGauge("disturb_high_water", m.maxDisturbHighWater)
 	rec.AddGauge("requests_served", func() int64 { return m.served })
 	rec.AddGauge("max_bank_queue_depth", m.sys.MaxBankQueueDepth)
-	if tl := rec.Sink(); tl != nil {
-		// The timeline sink routes flat banks onto (channel, bank) tracks and
-		// buckets flight-recorder windows by tREFI unless configured otherwise.
-		tl.SetTopology(m.cfg.DRAM.Channels, m.cfg.DRAM.TotalBanks())
-		tl.SetDefaultWindow(m.cfg.DRAM.TREFI)
-	}
 }
-
-// Recorder returns the attached telemetry recorder, nil when detached.
-func (m *Machine) Recorder() *probe.Recorder { return m.rec }
 
 // wireDefenseProbes points the hosted defense at the machine's recorder when
 // the defense is instrumented; called on attachment and after every Reuse

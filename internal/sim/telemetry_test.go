@@ -8,7 +8,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/probe"
-	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
@@ -22,7 +21,7 @@ func TestTelemetryRecordsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := probe.NewRecorder(probe.Config{})
+	rec := probe.NewRecorder()
 	m.SetRecorder(rec)
 	if _, err := m.Run(Limits{MaxRequests: 20000, MaxTime: 20 * clock.Millisecond}); err != nil {
 		t.Fatal(err)
@@ -80,7 +79,7 @@ func TestTelemetryOccupancyBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := probe.NewRecorder(probe.Config{})
+	rec := probe.NewRecorder()
 	m.SetRecorder(rec)
 	if _, err := m.Run(Limits{MaxRequests: 60000, MaxTime: 2 * clock.Millisecond}); err != nil {
 		t.Fatal(err)
@@ -106,13 +105,13 @@ func TestTelemetryReuseMatchesFresh(t *testing.T) {
 
 	runner := NewCellRunner(cfg)
 	// First cell dirties the machine (and leaves a stale defense behind).
-	warm := probe.NewRecorder(probe.Config{})
+	warm := probe.NewRecorder()
 	runner.SetRecorder(warm)
 	if _, err := runner.Run(scaledTWiCe(t, cfg, core.PA), s3Workload(t, cfg), lim); err != nil {
 		t.Fatal(err)
 	}
 	// Second cell on the recycled machine, fresh recorder.
-	reused := probe.NewRecorder(probe.Config{})
+	reused := probe.NewRecorder()
 	runner.SetRecorder(reused)
 	if _, err := runner.Run(scaledTWiCe(t, cfg, core.Separated), s3Workload(t, cfg), lim); err != nil {
 		t.Fatal(err)
@@ -122,7 +121,7 @@ func TestTelemetryReuseMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frRec := probe.NewRecorder(probe.Config{})
+	frRec := probe.NewRecorder()
 	fresh.SetRecorder(frRec)
 	if _, err := fresh.Run(lim); err != nil {
 		t.Fatal(err)
@@ -132,31 +131,20 @@ func TestTelemetryReuseMatchesFresh(t *testing.T) {
 	if !reflect.DeepEqual(reSnap, frSnap) {
 		t.Errorf("telemetry snapshots diverge:\n reused %+v\n fresh  %+v", reSnap.Events, frSnap.Events)
 	}
-	labels := []probe.CellLabel{{Workload: "S3", Defense: "TWiCe-sep"}}
-	var reCSV, frCSV, reJSON, frJSON bytes.Buffer
-	if err := probe.WriteCSV(&reCSV, labels, []probe.Snapshot{reSnap}); err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.WriteCSV(&frCSV, labels, []probe.Snapshot{frSnap}); err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.WriteJSONL(&reJSON, labels, []probe.Snapshot{reSnap}); err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.WriteJSONL(&frJSON, labels, []probe.Snapshot{frSnap}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reCSV.Bytes(), frCSV.Bytes()) {
+	label := probe.CellLabel{Workload: "S3", Defense: "TWiCe-sep"}
+	reCSV, reJSON := exportCell(t, label, reused)
+	frCSV, frJSON := exportCell(t, label, frRec)
+	if !bytes.Equal(reCSV, frCSV) {
 		t.Error("telemetry CSV differs between recycled and fresh machines")
 	}
-	if !bytes.Equal(reJSON.Bytes(), frJSON.Bytes()) {
+	if !bytes.Equal(reJSON, frJSON) {
 		t.Error("telemetry JSONL differs between recycled and fresh machines")
 	}
 }
 
 // TestDetachedRecorderLeavesResultsUntouched pins that execution knobs are
-// not semantic: attaching a probe recorder, attaching one that forwards to a
-// timeline sink, and running on a recycled machine must each leave the whole
+// not semantic: attaching a probe recorder, attaching one that also records
+// a trace, and running on a recycled machine must each leave the whole
 // Result — counters, sim time, flips, RCD stats, per-core detection
 // attribution, and L3 statistics — exactly as a bare run on a fresh machine
 // leaves it. The -parallel knob is covered by TestParallelSerialEquivalence
@@ -196,10 +184,11 @@ func TestDetachedRecorderLeavesResultsUntouched(t *testing.T) {
 				}
 				return res
 			}
-			sinkRec := probe.NewRecorder(probe.Config{})
-			var g timeline.Grid
-			tl := g.NewRecorder()
-			sinkRec.SetSink(tl)
+			col, err := probe.NewCollector(false, true, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traced := col.NewRecorder()
 
 			// The recycled runner first runs the other cell, so the measured
 			// run starts from a dirtied machine.
@@ -216,8 +205,8 @@ func TestDetachedRecorderLeavesResultsUntouched(t *testing.T) {
 				name string
 				res  *Result
 			}{
-				{"probe recorder", probed(probe.NewRecorder(probe.Config{}))},
-				{"probe recorder with timeline sink", probed(sinkRec)},
+				{"probe recorder", probed(probe.NewRecorder())},
+				{"probe recorder with trace", probed(traced)},
 				{"recycled CellRunner", recycled},
 			}
 			for _, v := range variants {
@@ -225,8 +214,8 @@ func TestDetachedRecorderLeavesResultsUntouched(t *testing.T) {
 					t.Errorf("%s changes the result:\n bare %+v\n got  %+v", v.name, bare, v.res)
 				}
 			}
-			if tl.Total() == 0 {
-				t.Error("timeline sink recorded no events; the sink case is not exercised")
+			if parseTrace(t, exportTrace(t, probe.CellLabel{}, traced)).OtherData.Total == 0 {
+				t.Error("trace recorded no events; the tracing case is not exercised")
 			}
 		})
 	}

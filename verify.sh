@@ -26,8 +26,10 @@
 #   5. go test -race   — race detector over the event loop, the memory
 #                        controller, the TWiCe engine, and the parallel
 #                        experiment runner, plus the serial/parallel grid
-#                        equivalence test, so the real concurrency (the
-#                        cross-cell fan-out) runs under the detector
+#                        equivalence test and the grid test where two
+#                        workers record telemetry and traces into one
+#                        collector, so the real concurrency (the cross-cell
+#                        fan-out) runs under the detector
 #   6. fuzz (non-tier-1) — a short trace-reader fuzz burst; new findings
 #                        land in internal/trace/testdata/fuzz as regression
 #                        seeds. Not part of the tier-1 gate: skip with
@@ -60,8 +62,8 @@ go test -run='^$' -bench='SimRun|SchedulerStep' -benchtime=1x ./internal/sim ./i
 echo "==> go test -race ./internal/sim/... ./internal/mc/... ./internal/core/... ./internal/parallel/..."
 go test -race ./internal/sim/... ./internal/mc/... ./internal/core/... ./internal/parallel/...
 
-echo "==> go test -race -run TestParallelSerialEquivalence ./internal/experiments"
-go test -race -run TestParallelSerialEquivalence ./internal/experiments
+echo "==> go test -race -run 'TestParallelSerialEquivalence|TestProgressDoesNotChangeCSV' ./internal/experiments"
+go test -race -run 'TestParallelSerialEquivalence|TestProgressDoesNotChangeCSV' ./internal/experiments
 
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	echo "==> go test -run='^$' -fuzz=FuzzReader -fuzztime=10s ./internal/trace (non-tier-1)"
