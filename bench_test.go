@@ -23,7 +23,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/mc"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // benchScale sizes experiment cells so individual benchmark iterations
@@ -87,23 +86,9 @@ func BenchmarkTable3Energy(b *testing.B) {
 // system behave like a 16-core DDR4-2400 box" claim.
 func BenchmarkTable4SystemThroughput(b *testing.B) {
 	s := benchScale()
-	cfg := sim.DefaultConfig(s.Cores)
-	cfg.DRAM.TREFW = s.TREFW
-	cfg.DRAM.NTh = s.NTh
-	cfg.MC = mc.NewConfig(cfg.DRAM)
+	cfg := s.MachineConfig()
 	for i := 0; i < b.N; i++ {
-		w, err := workload.MixHigh(s.Cores, uint64(cfg.DRAM.TotalCapacityBytes()), s.Seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		def, err := s.NewDefense("TWiCe", cfg.DRAM)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run(cfg, def, w, sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res, _ := runNamed(b, s, cfg, "mix-high", "TWiCe")
 		gbps := float64(res.Counters.RequestsServed*64) / res.SimTime.Seconds() / 1e9
 		b.ReportMetric(gbps, "GB/s")
 		b.ReportMetric(100*res.Counters.RowHitRate(), "row_hit_pct")
@@ -114,40 +99,12 @@ func BenchmarkTable4SystemThroughput(b *testing.B) {
 // one sub-benchmark per (workload, defense) bar of Figure 7(a).
 func BenchmarkFigure7a(b *testing.B) {
 	s := benchScale()
-	cfg := sim.DefaultConfig(s.Cores)
-	cfg.DRAM.TREFW = s.TREFW
-	cfg.DRAM.NTh = s.NTh
-	cfg.MC = mc.NewConfig(cfg.DRAM)
-	mem := uint64(cfg.DRAM.TotalCapacityBytes())
-
-	workloads := []struct {
-		name  string
-		build func() (workload.Workload, error)
-	}{
-		{"SPECrate-mcf", func() (workload.Workload, error) { return workload.SPECRate("mcf", s.Cores, mem, s.Seed) }},
-		{"mix-high", func() (workload.Workload, error) { return workload.MixHigh(s.Cores, mem, s.Seed) }},
-		{"mix-blend", func() (workload.Workload, error) { return workload.MixBlend(s.Cores, mem, s.Seed), nil }},
-		{"FFT", func() (workload.Workload, error) { return workload.FFT(s.Cores, mem, s.Seed), nil }},
-		{"MICA", func() (workload.Workload, error) { return workload.MICA(s.Cores, mem, s.Seed), nil }},
-		{"PageRank", func() (workload.Workload, error) { return workload.PageRank(s.Cores, mem, s.Seed), nil }},
-		{"RADIX", func() (workload.Workload, error) { return workload.Radix(s.Cores, mem, s.Seed), nil }},
-	}
-	for _, wl := range workloads {
+	cfg := s.MachineConfig()
+	for _, wname := range []string{"specrate:mcf", "mix-high", "mix-blend", "FFT", "MICA", "PageRank", "RADIX"} {
 		for _, dname := range experiments.DefenseNames() {
-			b.Run(fmt.Sprintf("%s/%s", wl.name, dname), func(b *testing.B) {
+			b.Run(wname+"/"+dname, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					w, err := wl.build()
-					if err != nil {
-						b.Fatal(err)
-					}
-					def, err := s.NewDefense(dname, cfg.DRAM)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := sim.Run(cfg, def, w, sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-					if err != nil {
-						b.Fatal(err)
-					}
+					res, _ := runNamed(b, s, cfg, wname, dname)
 					b.ReportMetric(100*res.Counters.AdditionalACTRatio(), "extra_act_pct")
 					b.ReportMetric(float64(len(res.Flips)), "flips")
 				}
@@ -160,34 +117,12 @@ func BenchmarkFigure7a(b *testing.B) {
 // (S1/S2/S3, defense) bar of Figure 7(b).
 func BenchmarkFigure7b(b *testing.B) {
 	s := benchScale()
-	cfg := sim.DefaultConfig(1)
-	cfg.DRAM.TREFW = s.TREFW
-	cfg.DRAM.NTh = s.NTh
-	cfg.MC = mc.NewConfig(cfg.DRAM)
-	amap, err := mc.NewAddrMap(cfg.DRAM)
-	if err != nil {
-		b.Fatal(err)
-	}
-	synthetics := []struct {
-		name  string
-		build func() workload.Workload
-	}{
-		{"S1", func() workload.Workload { return workload.S1(amap, cfg.DRAM, s.Seed) }},
-		{"S2", func() workload.Workload { return workload.S2(amap, cfg.DRAM, s.CBTThreshold) }},
-		{"S3", func() workload.Workload { return workload.S3(amap, cfg.DRAM, 5000) }},
-	}
-	for _, syn := range synthetics {
+	cfg := s.MachineConfig()
+	for _, wname := range []string{"S1", "S2", "S3"} {
 		for _, dname := range experiments.DefenseNames() {
-			b.Run(fmt.Sprintf("%s/%s", syn.name, dname), func(b *testing.B) {
+			b.Run(wname+"/"+dname, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					def, err := s.NewDefense(dname, cfg.DRAM)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := sim.Run(cfg, def, syn.build(), sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-					if err != nil {
-						b.Fatal(err)
-					}
+					res, _ := runNamed(b, s, cfg, wname, dname)
 					b.ReportMetric(100*res.Counters.AdditionalACTRatio(), "extra_act_pct")
 					b.ReportMetric(float64(res.Counters.Detections), "detections")
 					b.ReportMetric(float64(len(res.Flips)), "flips")
@@ -241,31 +176,15 @@ func BenchmarkAreaOverhead(b *testing.B) {
 // BenchmarkAblationThreshold sweeps thRH: protection margin versus table
 // size versus ARR rate (§4.3's thRH ≤ Nth/4 trade-off).
 func BenchmarkAblationThreshold(b *testing.B) {
-	s := benchScale()
 	for _, thRH := range []int{256, 512, 1024, 2048} {
 		b.Run(fmt.Sprintf("thRH=%d", thRH), func(b *testing.B) {
-			cfg := sim.DefaultConfig(1)
-			cfg.DRAM.TREFW = s.TREFW
-			cfg.DRAM.NTh = 4 * thRH
-			cfg.MC = mc.NewConfig(cfg.DRAM)
-			amap, err := mc.NewAddrMap(cfg.DRAM)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ccfg := core.NewConfig(cfg.DRAM)
-			ccfg.ThRH = thRH
+			s := benchScale()
+			s.ThRH, s.NTh = thRH, 4*thRH
+			cfg := s.MachineConfig()
 			for i := 0; i < b.N; i++ {
-				tw, err := core.New(ccfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run(cfg, tw, workload.S3(amap, cfg.DRAM, 5000),
-					sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res, def := runNamed(b, s, cfg, "S3", "TWiCe")
 				b.ReportMetric(100*res.Counters.AdditionalACTRatio(), "extra_act_pct")
-				b.ReportMetric(float64(ccfg.TableBound()), "table_entries")
+				b.ReportMetric(float64(def.(*core.TWiCe).Config().TableBound()), "table_entries")
 			}
 		})
 	}
@@ -295,30 +214,13 @@ func BenchmarkAblationPruneInterval(b *testing.B) {
 // identical attack stream: identical protection, different energy paths.
 func BenchmarkAblationTableOrg(b *testing.B) {
 	s := benchScale()
-	for _, org := range []core.Org{core.FA, core.PA, core.Separated} {
-		b.Run(org.String(), func(b *testing.B) {
-			cfg := sim.DefaultConfig(1)
-			cfg.DRAM.TREFW = s.TREFW
-			cfg.DRAM.NTh = s.NTh
-			cfg.MC = mc.NewConfig(cfg.DRAM)
-			amap, err := mc.NewAddrMap(cfg.DRAM)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ccfg := core.NewConfig(cfg.DRAM)
-			ccfg.ThRH = s.ThRH
-			ccfg.Org = org
+	cfg := s.MachineConfig()
+	for _, dname := range []string{"TWiCe-fa", "TWiCe", "TWiCe-sep"} {
+		b.Run(dname, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tw, err := core.New(ccfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run(cfg, tw, workload.S3(amap, cfg.DRAM, 5000),
-					sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-				if err != nil {
-					b.Fatal(err)
-				}
-				bd := Table3Energy().Aggregate(res.Counters, tw.Ops(), org, cfg.DRAM.BanksPerRank)
+				res, def := runNamed(b, s, cfg, "S3", dname)
+				tw := def.(*core.TWiCe)
+				bd := Table3Energy().Aggregate(res.Counters, tw.Ops(), tw.Config().Org, cfg.DRAM.BanksPerRank)
 				b.ReportMetric(100*bd.CountOverhead(), "count_energy_pct")
 				b.ReportMetric(float64(res.Counters.Detections), "detections")
 			}
@@ -332,27 +234,11 @@ func BenchmarkAblationBlastRadius(b *testing.B) {
 	s := benchScale()
 	for _, radius := range []int{1, 2} {
 		b.Run(fmt.Sprintf("radius=%d", radius), func(b *testing.B) {
-			cfg := sim.DefaultConfig(1)
-			cfg.DRAM.TREFW = s.TREFW
-			cfg.DRAM.NTh = s.NTh
+			cfg := s.MachineConfig()
 			cfg.DRAM.BlastRadius = radius
 			cfg.MC = mc.NewConfig(cfg.DRAM)
-			amap, err := mc.NewAddrMap(cfg.DRAM)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ccfg := core.NewConfig(cfg.DRAM)
-			ccfg.ThRH = s.ThRH
 			for i := 0; i < b.N; i++ {
-				tw, err := core.New(ccfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run(cfg, tw, workload.S3(amap, cfg.DRAM, 5000),
-					sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res, _ := runNamed(b, s, cfg, "S3", "TWiCe")
 				b.ReportMetric(100*res.Counters.AdditionalACTRatio(), "extra_act_pct")
 				b.ReportMetric(float64(len(res.Flips)), "flips")
 			}
@@ -365,26 +251,11 @@ func BenchmarkAblationBlastRadius(b *testing.B) {
 // same deterministic protection, different state cost.
 func BenchmarkAblationSuccessor(b *testing.B) {
 	s := benchScale()
+	cfg := s.MachineConfig()
 	for _, dname := range []string{"TWiCe", "Graphene"} {
 		b.Run(dname, func(b *testing.B) {
-			cfg := sim.DefaultConfig(1)
-			cfg.DRAM.TREFW = s.TREFW
-			cfg.DRAM.NTh = s.NTh
-			cfg.MC = mc.NewConfig(cfg.DRAM)
-			amap, err := mc.NewAddrMap(cfg.DRAM)
-			if err != nil {
-				b.Fatal(err)
-			}
 			for i := 0; i < b.N; i++ {
-				def, err := s.NewDefense(dname, cfg.DRAM)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run(cfg, def, workload.S3(amap, cfg.DRAM, 5000),
-					sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res, _ := runNamed(b, s, cfg, "S3", dname)
 				b.ReportMetric(100*res.Counters.AdditionalACTRatio(), "extra_act_pct")
 				b.ReportMetric(float64(res.Counters.Detections), "detections")
 				b.ReportMetric(float64(len(res.Flips)), "flips")
@@ -455,21 +326,10 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	s := benchScale()
 	for _, sched := range []mc.Scheduler{mc.FRFCFS, mc.PARBS} {
 		b.Run(sched.String(), func(b *testing.B) {
-			cfg := sim.DefaultConfig(s.Cores)
-			cfg.DRAM.TREFW = s.TREFW
-			cfg.DRAM.NTh = s.NTh
-			cfg.MC = mc.NewConfig(cfg.DRAM)
+			cfg := s.MachineConfig()
 			cfg.MC.Scheduler = sched
 			for i := 0; i < b.N; i++ {
-				w, err := workload.MixHigh(s.Cores, uint64(cfg.DRAM.TotalCapacityBytes()), s.Seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run(cfg, defenseOrDie(b, s, cfg), w,
-					sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res, _ := runNamed(b, s, cfg, "mix-high", "TWiCe")
 				b.ReportMetric(res.Counters.AvgLatency().Nanoseconds(), "avg_lat_ns")
 				b.ReportMetric(100*res.Counters.RowHitRate(), "row_hit_pct")
 			}
@@ -483,21 +343,10 @@ func BenchmarkAblationPagePolicy(b *testing.B) {
 	s := benchScale()
 	for _, pol := range []mc.PagePolicy{mc.OpenPage, mc.ClosedPage, mc.MinimalistOpen} {
 		b.Run(pol.String(), func(b *testing.B) {
-			cfg := sim.DefaultConfig(s.Cores)
-			cfg.DRAM.TREFW = s.TREFW
-			cfg.DRAM.NTh = s.NTh
-			cfg.MC = mc.NewConfig(cfg.DRAM)
+			cfg := s.MachineConfig()
 			cfg.MC.PagePolicy = pol
 			for i := 0; i < b.N; i++ {
-				w, err := workload.MixHigh(s.Cores, uint64(cfg.DRAM.TotalCapacityBytes()), s.Seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run(cfg, defenseOrDie(b, s, cfg), w,
-					sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res, _ := runNamed(b, s, cfg, "mix-high", "TWiCe")
 				b.ReportMetric(res.Counters.AvgLatency().Nanoseconds(), "avg_lat_ns")
 				b.ReportMetric(100*res.Counters.RowHitRate(), "row_hit_pct")
 				b.ReportMetric(float64(res.Counters.NormalACTs), "acts")
@@ -512,21 +361,10 @@ func BenchmarkAblationRefreshPostpone(b *testing.B) {
 	s := benchScale()
 	for _, pp := range []int{0, 8} {
 		b.Run(fmt.Sprintf("postpone=%d", pp), func(b *testing.B) {
-			cfg := sim.DefaultConfig(s.Cores)
-			cfg.DRAM.TREFW = s.TREFW
-			cfg.DRAM.NTh = s.NTh
-			cfg.MC = mc.NewConfig(cfg.DRAM)
+			cfg := s.MachineConfig()
 			cfg.MC.RefreshPostpone = pp
 			for i := 0; i < b.N; i++ {
-				w, err := workload.MixHigh(s.Cores, uint64(cfg.DRAM.TotalCapacityBytes()), s.Seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run(cfg, defenseOrDie(b, s, cfg), w,
-					sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res, _ := runNamed(b, s, cfg, "mix-high", "TWiCe")
 				b.ReportMetric(res.Counters.AvgLatency().Nanoseconds(), "avg_lat_ns")
 				b.ReportMetric(float64(res.Counters.MaxLatency.Nanoseconds()), "max_lat_ns")
 			}
@@ -534,12 +372,22 @@ func BenchmarkAblationRefreshPostpone(b *testing.B) {
 	}
 }
 
-// defenseOrDie builds the default TWiCe defense for ablation benches.
-func defenseOrDie(b *testing.B, s experiments.Scale, cfg sim.Config) defense.Defense {
+// runNamed runs one catalogue workload under one catalogue defense on cfg
+// for the cell budget the experiment grids give that workload, and returns
+// the result with the defense it built.
+func runNamed(b *testing.B, s experiments.Scale, cfg sim.Config, wname, dname string) (*sim.Result, defense.Defense) {
 	b.Helper()
-	def, err := s.NewDefense("TWiCe", cfg.DRAM)
+	w, err := s.NewWorkload(wname, experiments.AttackRow)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return def
+	def, err := s.NewDefense(dname, cfg.DRAM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sim.Run(cfg, def, w, sim.Limits{MaxRequests: s.CellRequests(wname), MaxTime: 10 * clock.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res, def
 }

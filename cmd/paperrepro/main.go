@@ -53,13 +53,8 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	var s experiments.Scale
-	switch *scaleFlag {
-	case "quick":
-		s = experiments.QuickScale()
-	case "paper":
-		s = experiments.PaperScale()
-	default:
+	s, err := experiments.ScaleByName(*scaleFlag)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "paperrepro: unknown scale %q\n", *scaleFlag)
 		os.Exit(2)
 	}

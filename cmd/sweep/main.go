@@ -38,7 +38,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -55,12 +54,16 @@ func main() {
 	if *values == "" {
 		fail(fmt.Errorf("-values is required"))
 	}
+	if *requests <= 0 {
+		fail(fmt.Errorf("-requests %d: want > 0", *requests))
+	}
 	col, err := probe.NewCollector(*telemetryDir != "", *timelineFile != "", *timelineWindows)
 	if err != nil {
 		fail(err)
 	}
 
 	s := experiments.QuickScale()
+	s.Cores = 1
 	s.Seed = *seed
 	points := strings.Split(*values, ",")
 
@@ -74,7 +77,7 @@ func main() {
 	lines, err := parallel.Map(pool, len(points), func(_, i int) (string, error) {
 		raw := strings.TrimSpace(points[i])
 		rec := col.NewRecorder()
-		line, err := runPoint(*param, raw, s, *requests, *seed, rec)
+		line, err := runPoint(*param, raw, s, *requests, rec)
 		if err != nil {
 			return "", err
 		}
@@ -101,11 +104,8 @@ func main() {
 // newline). Each point builds its own config, defense, and workload, so
 // points share no mutable state and may run on any worker. rec, when
 // non-nil, records the point's telemetry and trace.
-func runPoint(param, raw string, s experiments.Scale, requests, seed int64, rec *probe.Recorder) (string, error) {
-	cfg := sim.DefaultConfig(1)
-	cfg.DRAM.TREFW = s.TREFW
-	cfg.DRAM.NTh = s.NTh
-	cfg.Seed = seed
+func runPoint(param, raw string, s experiments.Scale, requests int64, rec *probe.Recorder) (string, error) {
+	cfg := s.MachineConfig()
 
 	var def defense.Defense
 	tableEntries := 0
@@ -128,7 +128,7 @@ func runPoint(param, raw string, s experiments.Scale, requests, seed int64, rec 
 		if err != nil {
 			return "", err
 		}
-		pa, err := para.New(v, cfg.DRAM, seed+3)
+		pa, err := para.New(v, cfg.DRAM, s.Seed+3)
 		if err != nil {
 			return "", err
 		}
@@ -137,6 +137,9 @@ func runPoint(param, raw string, s experiments.Scale, requests, seed int64, rec 
 		v, err := strconv.Atoi(raw)
 		if err != nil {
 			return "", err
+		}
+		if v < 1 { // core.Config would quietly run 0 as its default of 1
+			return "", fmt.Errorf("-values: prune-every %d, want >= 1", v)
 		}
 		ccfg := core.NewConfig(cfg.DRAM)
 		ccfg.ThRH = s.ThRH
@@ -163,12 +166,14 @@ func runPoint(param, raw string, s experiments.Scale, requests, seed int64, rec 
 		return "", fmt.Errorf("unknown parameter %q", param)
 	}
 
+	// The per-point DRAM edits reach the controller too. The S3 workload
+	// reads only the geometry, which no sweep parameter changes.
 	cfg.MC = mc.NewConfig(cfg.DRAM)
-	amap, err := mc.NewAddrMap(cfg.DRAM)
+	w, err := s.NewWorkload("S3", experiments.AttackRow)
 	if err != nil {
 		return "", err
 	}
-	m, err := sim.NewMachine(cfg, def, workload.S3(amap, cfg.DRAM, 5000))
+	m, err := sim.NewMachine(cfg, def, w)
 	if err != nil {
 		return "", err
 	}

@@ -7,6 +7,8 @@
 //
 //	tracegen -workload S3 -n 100000 -o s3.trace     # record
 //	tracegen -inspect s3.trace                      # summarise
+//
+// -workload takes any name twicesim -list prints, built for one core.
 package main
 
 import (
@@ -15,15 +17,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/dram"
+	"repro/internal/experiments"
 	"repro/internal/mc"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
-	wname := flag.String("workload", "S3", "workload to record: S1, S2, S3, double-sided, specrate:<app>, MICA")
+	wname := flag.String("workload", "S3", "workload to record: "+strings.Join(experiments.AllWorkloads(), ", "))
 	n := flag.Int("n", 100000, "accesses to record")
 	out := flag.String("o", "", "output trace file (required for recording)")
 	inspect := flag.String("inspect", "", "trace file to summarise instead of recording")
@@ -40,15 +43,19 @@ func main() {
 		fail(errors.New("-o is required when recording (or use -inspect)"))
 	}
 
-	p := dram.DDR4_2400()
-	amap, err := mc.NewAddrMap(p)
+	if *n <= 0 {
+		fail(fmt.Errorf("-n %d: want > 0", *n))
+	}
+	// One core's stream on the paper-scale machine, whose DRAM is plain
+	// DDR4-2400: the geometry -inspect decodes with.
+	s := experiments.PaperScale()
+	s.Cores = 1
+	s.Seed = *seed
+	w, err := s.NewWorkload(*wname, experiments.AttackRow)
 	if err != nil {
 		fail(err)
 	}
-	gen, err := pickGenerator(*wname, amap, p, *seed)
-	if err != nil {
-		fail(err)
-	}
+	gen := w.Gens[0]
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -69,31 +76,6 @@ func main() {
 	}
 	fmt.Printf("recorded %d accesses of %s to %s (%d bytes, %.2f B/access)\n",
 		*n, gen.Name(), *out, info.Size(), float64(info.Size())/float64(*n))
-}
-
-func pickGenerator(name string, amap *mc.AddrMap, p dram.Params, seed int64) (workload.Generator, error) {
-	mem := uint64(p.TotalCapacityBytes())
-	switch name {
-	case "S1":
-		return workload.S1(amap, p, seed).Gens[0], nil
-	case "S2":
-		return workload.S2(amap, p, 32768).Gens[0], nil
-	case "S3":
-		return workload.S3(amap, p, 5000).Gens[0], nil
-	case "double-sided":
-		return workload.DoubleSided(amap, 5000).Gens[0], nil
-	case "MICA":
-		return workload.MICA(1, mem, seed).Gens[0], nil
-	default:
-		if len(name) > 9 && name[:9] == "specrate:" {
-			w, err := workload.SPECRate(name[9:], 1, mem, seed)
-			if err != nil {
-				return nil, err
-			}
-			return w.Gens[0], nil
-		}
-		return nil, fmt.Errorf("unknown workload %q", name)
-	}
 }
 
 func summarise(path string) error {

@@ -9,12 +9,10 @@
 //	twicesim -workload specrate:mcf -defense CBT-256
 //	twicesim -list
 //
-// Workloads: S1, S2, S3, double-sided, mix-high, mix-blend, FFT, MICA,
-// PageRank, RADIX, specrate:<app>. Defenses: none, TWiCe, TWiCe-fa,
-// TWiCe-sep, PARA-0.001, PARA-0.002, CBT-256, CRA, PRoHIT, Graphene. A
-// comma-separated -defense list runs each defense as an independent
-// simulation — concurrently under -parallel — and prints the reports in list
-// order.
+// -list prints every workload and defense name, read from the catalogue in
+// internal/experiments. A comma-separated -defense list runs each defense as
+// an independent simulation — concurrently under -parallel — and prints the
+// reports in list order.
 //
 // -telemetry attaches event probes to every run and writes histogram,
 // occupancy, and gauge series as <dir>/run.csv and <dir>/run.jsonl (one cell
@@ -37,7 +35,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/detutil"
 	"repro/internal/experiments"
-	"repro/internal/mc"
 	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/sim"
@@ -52,7 +49,7 @@ func main() {
 	requests := flag.Int64("requests", 200000, "demand memory requests to simulate")
 	scaleFlag := flag.String("scale", "quick", "threshold scale: quick (1 ms window) or paper (64 ms)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	hammerRow := flag.Int("row", 5000, "aggressor/victim row for S3 and double-sided")
+	hammerRow := flag.Int("row", experiments.AttackRow, "aggressor/victim row for S3 and double-sided")
 	replay := flag.String("replay", "", "replay a recorded trace file instead of a named workload")
 	par := flag.Int("parallel", 0, "worker goroutines across -defense list entries (0 = all CPUs, 1 = serial)")
 	telemetryDir := flag.String("telemetry", "", "directory to write run telemetry CSV/JSONL into")
@@ -65,34 +62,22 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("defenses: none, TWiCe, TWiCe-fa, TWiCe-sep, PARA-0.001, PARA-0.002, CBT-256, CRA, PRoHIT, Graphene")
-		fmt.Println("workloads: S1, S2, S3, double-sided, mix-high, mix-blend, FFT, MICA, PageRank, RADIX, specrate:<app>")
-		fmt.Print("SPEC apps: ")
-		names := make([]string, 0, 29)
-		for _, p := range workload.Profiles() {
-			names = append(names, p.Name)
-		}
-		fmt.Println(strings.Join(names, ", "))
+		fmt.Println("defenses: " + strings.Join(experiments.AllDefenses(), ", "))
+		fmt.Println("workloads: " + strings.Join(experiments.AllWorkloads(), ", "))
+		fmt.Println("SPEC apps: " + strings.Join(experiments.AllSPECApps(), ", "))
 		return
 	}
 
-	var s experiments.Scale
-	switch *scaleFlag {
-	case "quick":
-		s = experiments.QuickScale()
-	case "paper":
-		s = experiments.PaperScale()
-	default:
-		fail(fmt.Errorf("unknown scale %q", *scaleFlag))
+	if *requests <= 0 {
+		fail(fmt.Errorf("-requests %d: want > 0", *requests))
+	}
+	s, err := experiments.ScaleByName(*scaleFlag)
+	if err != nil {
+		fail(err)
 	}
 	s.Cores = *cores
 	s.Seed = *seed
-
-	cfg := sim.DefaultConfig(*cores)
-	cfg.DRAM.TREFW = s.TREFW
-	cfg.DRAM.NTh = s.NTh
-	cfg.MC = mc.NewConfig(cfg.DRAM)
-	cfg.Seed = *seed
+	cfg := s.MachineConfig()
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -111,9 +96,7 @@ func main() {
 	// Workloads carry generator state (RNG cursors, trace positions), so each
 	// defense gets a freshly built copy; replayed traces are read into memory
 	// once and re-decoded per defense.
-	buildW := func() (workload.Workload, error) {
-		return buildWorkload(*wname, s, cfg, *hammerRow)
-	}
+	buildW := func() (workload.Workload, error) { return s.NewWorkload(*wname, *hammerRow) }
 	if *replay != "" {
 		data, err := os.ReadFile(*replay)
 		if err != nil {
@@ -231,44 +214,6 @@ func writeMemProfile(path string) {
 	}
 	if err := f.Close(); err != nil {
 		fail(err)
-	}
-}
-
-func buildWorkload(name string, s experiments.Scale, cfg sim.Config, row int) (workload.Workload, error) {
-	mem := uint64(cfg.DRAM.TotalCapacityBytes())
-	if app, ok := strings.CutPrefix(name, "specrate:"); ok {
-		return workload.SPECRate(app, s.Cores, mem, s.Seed)
-	}
-	switch name {
-	case "S1", "S2", "S3", "double-sided":
-		amap, err := mc.NewAddrMap(cfg.DRAM)
-		if err != nil {
-			return workload.Workload{}, err
-		}
-		switch name {
-		case "S1":
-			return workload.S1(amap, cfg.DRAM, s.Seed), nil
-		case "S2":
-			return workload.S2(amap, cfg.DRAM, s.CBTThreshold), nil
-		case "S3":
-			return workload.S3(amap, cfg.DRAM, row), nil
-		default:
-			return workload.DoubleSided(amap, row), nil
-		}
-	case "mix-high":
-		return workload.MixHigh(s.Cores, mem, s.Seed)
-	case "mix-blend":
-		return workload.MixBlend(s.Cores, mem, s.Seed), nil
-	case "FFT":
-		return workload.FFT(s.Cores, mem, s.Seed), nil
-	case "MICA":
-		return workload.MICA(s.Cores, mem, s.Seed), nil
-	case "PageRank":
-		return workload.PageRank(s.Cores, mem, s.Seed), nil
-	case "RADIX":
-		return workload.Radix(s.Cores, mem, s.Seed), nil
-	default:
-		return workload.Workload{}, fmt.Errorf("unknown workload %q (try -list)", name)
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/mc"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // TestCSVByteIdentity runs the measurement pipeline (workload → MC →
@@ -19,15 +17,10 @@ import (
 func TestCSVByteIdentity(t *testing.T) {
 	run := func() ([]byte, string) {
 		s := tinyScale()
-		cfg := s.machineConfig()
-		amap, err := mc.NewAddrMap(cfg.DRAM)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var cells []Cell
-		runner := sim.NewCellRunner(cfg)
+		runner := sim.NewCellRunner(s.MachineConfig())
 		for _, dname := range []string{"none", "TWiCe", "PARA-0.002"} {
-			c, err := s.runCell(runner, "S3", workload.S3(amap, cfg.DRAM, 5000), dname, nil)
+			c, err := s.runCell(runner, cellJob{label: "S3", workload: "S3", defense: dname}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,10 +103,10 @@ func TestParallelFirstErrorMatchesSerial(t *testing.T) {
 	s := tinyScale()
 	s.Requests = 2000
 	jobs := []cellJob{
-		{wname: "S3", build: okBuild(s), dname: "TWiCe"},
-		{wname: "S3", build: okBuild(s), dname: "bogus-a"},
-		{wname: "S3", build: okBuild(s), dname: "bogus-b"},
-		{wname: "S3", build: okBuild(s), dname: "TWiCe"},
+		{label: "S3", workload: "S3", defense: "TWiCe"},
+		{label: "S3", workload: "S3", defense: "bogus-a"},
+		{label: "S3", workload: "S3", defense: "bogus-b"},
+		{label: "S3", workload: "S3", defense: "TWiCe"},
 	}
 	serial, par := s, s
 	serial.Parallel = 1
@@ -128,18 +121,6 @@ func TestParallelFirstErrorMatchesSerial(t *testing.T) {
 	}
 	if !strings.Contains(parErr.Error(), "bogus-a") {
 		t.Errorf("error %q is not the first failing cell's", parErr)
-	}
-}
-
-// okBuild returns a builder for a well-formed S3 workload.
-func okBuild(s Scale) func() (workload.Workload, error) {
-	return func() (workload.Workload, error) {
-		cfg := s.machineConfig()
-		amap, err := mc.NewAddrMap(cfg.DRAM)
-		if err != nil {
-			return workload.Workload{}, err
-		}
-		return workload.S3(amap, cfg.DRAM, 5000), nil
 	}
 }
 

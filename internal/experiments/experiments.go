@@ -12,20 +12,12 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/defense"
-	"repro/internal/defense/cbt"
-	"repro/internal/defense/cra"
-	"repro/internal/defense/graphene"
-	"repro/internal/defense/para"
-	"repro/internal/defense/prohit"
 	"repro/internal/detutil"
-	"repro/internal/dram"
 	"repro/internal/energy"
 	"repro/internal/mc"
 	"repro/internal/parallel"
 	"repro/internal/probe"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Scale sizes an experiment run. PaperScale uses the paper's thresholds and
@@ -71,7 +63,7 @@ func PaperScale() Scale {
 		CBTThreshold: 32768,
 		Cores:        16,
 		Requests:     600000,
-		SPECApps:     allSPECApps(),
+		SPECApps:     AllSPECApps(),
 		Seed:         1,
 	}
 }
@@ -93,17 +85,8 @@ func QuickScale() Scale {
 	}
 }
 
-func allSPECApps() []string {
-	ps := workload.Profiles()
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name
-	}
-	return out
-}
-
-// machineConfig builds the simulated machine for the scale.
-func (s Scale) machineConfig() sim.Config {
+// MachineConfig builds the simulated Table 4 machine for the scale.
+func (s Scale) MachineConfig() sim.Config {
 	cfg := sim.DefaultConfig(s.Cores)
 	cfg.DRAM.TREFW = s.TREFW
 	cfg.DRAM.NTh = s.NTh
@@ -115,57 +98,6 @@ func (s Scale) machineConfig() sim.Config {
 // DefenseNames lists the Figure 7 defense configurations in display order.
 func DefenseNames() []string {
 	return []string{"PARA-0.001", "PARA-0.002", "CBT-256", "TWiCe"}
-}
-
-// NewDefense instantiates a defense by display name for the scale.
-func (s Scale) NewDefense(name string, p dram.Params) (defense.Defense, error) {
-	switch name {
-	case "none":
-		return defense.Nop{}, nil
-	case "PARA-0.001":
-		return para.New(0.001, p, s.Seed+11)
-	case "PARA-0.002":
-		return para.New(0.002, p, s.Seed+13)
-	case "CBT-256":
-		cfg := cbt.NewConfig(p)
-		cfg.Threshold = s.CBTThreshold
-		return cbt.New(cfg)
-	case "TWiCe":
-		cfg := core.NewConfig(p)
-		cfg.ThRH = s.ThRH
-		return core.New(cfg)
-	case "TWiCe-fa":
-		cfg := core.NewConfig(p)
-		cfg.ThRH = s.ThRH
-		cfg.Org = core.FA
-		return core.New(cfg)
-	case "TWiCe-sep":
-		cfg := core.NewConfig(p)
-		cfg.ThRH = s.ThRH
-		cfg.Org = core.Separated
-		return core.New(cfg)
-	case "CRA":
-		cfg := cra.NewConfig(p)
-		cfg.Threshold = s.ThRH
-		return cra.New(cfg)
-	case "PRoHIT":
-		return prohit.New(prohit.NewConfig(p), s.Seed+17)
-	case "Graphene":
-		return graphene.New(graphene.NewConfig(p, s.ThRH))
-	default:
-		return nil, fmt.Errorf("experiments: unknown defense %q", name)
-	}
-}
-
-// s2MinRequests returns the request budget S2 needs: at least three full
-// exhaust-then-attack cycles (each ≈ 40.8× the CBT threshold in accesses).
-func (s Scale) s2MinRequests() int64 {
-	cycle := int64(float64(s.CBTThreshold)*0.9*128) + 12*int64(s.CBTThreshold)
-	min := 3 * cycle
-	if s.Requests > min {
-		return s.Requests
-	}
-	return min
 }
 
 // Cell is one (workload, defense) measurement.
@@ -182,29 +114,28 @@ type Cell struct {
 	SimTime    clock.Time
 }
 
-// runCell executes one workload under one defense on the given cell runner,
-// recycling the runner's machine (device, caches, controller, queues) across
-// calls. The defense is built fresh per cell — it is the one component whose
-// type varies across a grid. rec, when non-nil, is attached to the machine
-// for the duration of the run; a nil rec detaches any probes a previous cell
-// left on the recycled machine.
-func (s Scale) runCell(r *sim.CellRunner, wname string, w workload.Workload, dname string, rec *probe.Recorder) (Cell, error) {
-	requests := s.Requests
-	if wname == "S2" || wname == "adversarial-S2" {
-		requests = s.s2MinRequests()
+// runCell builds one grid cell's workload and defense and runs them on the
+// given cell runner, recycling the runner's machine (device, caches,
+// controller, queues) across calls. rec, when non-nil, is attached to the
+// machine for the duration of the run; a nil rec detaches any probes a
+// previous cell left on the recycled machine.
+func (s Scale) runCell(r *sim.CellRunner, j cellJob, rec *probe.Recorder) (Cell, error) {
+	w, err := s.NewWorkload(j.workload, AttackRow)
+	if err != nil {
+		return Cell{}, err
 	}
-	def, err := s.NewDefense(dname, s.machineConfig().DRAM)
+	def, err := s.NewDefense(j.defense, s.MachineConfig().DRAM)
 	if err != nil {
 		return Cell{}, err
 	}
 	r.SetRecorder(rec)
-	res, err := r.Run(def, w, sim.Limits{MaxRequests: requests, MaxTime: 30 * clock.Second})
+	res, err := r.Run(def, w, sim.Limits{MaxRequests: s.CellRequests(j.workload), MaxTime: 30 * clock.Second})
 	if err != nil {
-		return Cell{}, fmt.Errorf("experiments: %s/%s: %w", wname, dname, err)
+		return Cell{}, fmt.Errorf("experiments: %s/%s: %w", j.label, j.defense, err)
 	}
 	return Cell{
-		Workload:   wname,
-		Defense:    dname,
+		Workload:   j.label,
+		Defense:    j.defense,
 		Ratio:      res.Counters.AdditionalACTRatio(),
 		NormalACTs: res.Counters.NormalACTs,
 		ExtraACTs:  res.Counters.DefenseACTs,
@@ -216,14 +147,14 @@ func (s Scale) runCell(r *sim.CellRunner, wname string, w workload.Workload, dna
 	}, nil
 }
 
-// cellJob names one (workload, defense) cell of an experiment grid. The
-// workload is built inside the worker that runs the cell: generators carry
-// per-run RNG state, so sharing a built workload across cells would couple
-// them.
+// cellJob is one cell of an experiment grid: a catalogue workload under a
+// catalogue defense, reported under label (a grid may show a workload under
+// another name, such as Table 1's adversarial-S1). The worker that runs the
+// cell builds the workload, so no generator state is shared between cells.
 type cellJob struct {
-	wname string
-	build func() (workload.Workload, error)
-	dname string
+	label    string
+	workload string
+	defense  string
 }
 
 // runGrid executes a flat list of independent cells on the scale's worker
@@ -237,47 +168,25 @@ type cellJob struct {
 func (s Scale) runGrid(jobs []cellJob) ([]Cell, error) {
 	pool := parallel.Runner{Workers: s.Parallel, OnDone: s.Progress}
 	runners := make([]*sim.CellRunner, pool.PoolSize(len(jobs)))
-	cfg := s.machineConfig()
+	cfg := s.MachineConfig()
 	s.Telemetry.Start(len(jobs))
 	return parallel.Map(pool, len(jobs), func(worker, i int) (Cell, error) {
 		if runners[worker] == nil {
 			runners[worker] = sim.NewCellRunner(cfg)
 		}
 		j := jobs[i]
-		w, err := j.build()
-		if err != nil {
-			return Cell{}, err
-		}
 		// One recorder per cell, not per worker: recorders accumulate, and
 		// the collector slots them by job index so serial and parallel runs
 		// export identical series and traces. A nil collector builds a nil
 		// recorder, which runs the cell detached.
 		rec := s.Telemetry.NewRecorder()
-		c, err := s.runCell(runners[worker], j.wname, w, j.dname, rec)
+		c, err := s.runCell(runners[worker], j, rec)
 		if err != nil {
 			return Cell{}, err
 		}
-		s.Telemetry.Record(i, probe.CellLabel{Workload: j.wname, Defense: j.dname}, rec)
+		s.Telemetry.Record(i, probe.CellLabel{Workload: j.label, Defense: j.defense}, rec)
 		return c, nil
 	})
-}
-
-// figure7aWorkloads builds the Figure 7(a) workload set: SPECrate average is
-// represented by running each app and averaging, plus mix-high, mix-blend,
-// FFT, MICA, PageRank, and RADIX.
-func (s Scale) figure7aWorkloads(memBytes uint64) (map[string]func() (workload.Workload, error), []string) {
-	make7a := map[string]func() (workload.Workload, error){
-		"mix-high": func() (workload.Workload, error) { return workload.MixHigh(s.Cores, memBytes, s.Seed) },
-		"mix-blend": func() (workload.Workload, error) {
-			return workload.MixBlend(s.Cores, memBytes, s.Seed), nil
-		},
-		"FFT":      func() (workload.Workload, error) { return workload.FFT(s.Cores, memBytes, s.Seed), nil },
-		"MICA":     func() (workload.Workload, error) { return workload.MICA(s.Cores, memBytes, s.Seed), nil },
-		"PageRank": func() (workload.Workload, error) { return workload.PageRank(s.Cores, memBytes, s.Seed), nil },
-		"RADIX":    func() (workload.Workload, error) { return workload.Radix(s.Cores, memBytes, s.Seed), nil },
-	}
-	order := []string{"SPECrate(Avg)", "mix-high", "mix-blend", "FFT", "MICA", "PageRank", "RADIX"}
-	return make7a, order
 }
 
 // Figure7a runs the multi-programmed and multi-threaded study for every
@@ -286,26 +195,17 @@ func (s Scale) figure7aWorkloads(memBytes uint64) (map[string]func() (workload.W
 // every SPEC app and named workload under every defense — runs as one flat
 // batch of independent cells on the scale's worker pool.
 func Figure7a(s Scale) ([]Cell, error) {
-	cfg := s.machineConfig()
-	memBytes := uint64(cfg.DRAM.TotalCapacityBytes())
-	builders, order := s.figure7aWorkloads(memBytes)
-
 	// Per defense: the SPEC apps backing SPECrate(Avg), then the named
 	// workloads. The job list mirrors the display order so reassembly below
 	// is a linear walk.
+	named := []string{"mix-high", "mix-blend", "FFT", "MICA", "PageRank", "RADIX"}
 	var jobs []cellJob
 	for _, dname := range DefenseNames() {
 		for _, app := range s.SPECApps {
-			jobs = append(jobs, cellJob{
-				wname: "specrate-" + app,
-				build: func() (workload.Workload, error) {
-					return workload.SPECRate(app, s.Cores, memBytes, s.Seed)
-				},
-				dname: dname,
-			})
+			jobs = append(jobs, cellJob{label: "specrate-" + app, workload: specRate + app, defense: dname})
 		}
-		for _, wname := range order[1:] {
-			jobs = append(jobs, cellJob{wname: wname, build: builders[wname], dname: dname})
+		for _, wname := range named {
+			jobs = append(jobs, cellJob{label: wname, workload: wname, defense: dname})
 		}
 	}
 	results, err := s.runGrid(jobs)
@@ -332,7 +232,7 @@ func Figure7a(s Scale) ([]Cell, error) {
 		agg.Defense = dname
 		agg.Ratio = sum / float64(len(s.SPECApps))
 		cells = append(cells, agg)
-		for range order[1:] {
+		for range named {
 			cells = append(cells, results[i])
 			i++
 		}
@@ -381,32 +281,12 @@ func averageRows(cells []Cell) []Cell {
 }
 
 // Figure7b runs the synthetic study (S1, S2, S3) for every defense, fanning
-// the 12-cell grid out on the scale's worker pool. The address map is shared
-// across cells (it is immutable after construction); each cell builds its
-// own workload because generators carry RNG state.
+// the 12-cell grid out on the scale's worker pool.
 func Figure7b(s Scale) ([]Cell, error) {
-	cfg := s.machineConfig()
-	amap, err := mc.NewAddrMap(cfg.DRAM)
-	if err != nil {
-		return nil, err
-	}
-	synthetics := []struct {
-		name  string
-		build func() workload.Workload
-	}{
-		{"S1", func() workload.Workload { return workload.S1(amap, cfg.DRAM, s.Seed) }},
-		{"S2", func() workload.Workload { return workload.S2(amap, cfg.DRAM, s.CBTThreshold) }},
-		{"S3", func() workload.Workload { return workload.S3(amap, cfg.DRAM, 5000) }},
-	}
 	var jobs []cellJob
-	for _, syn := range synthetics {
+	for _, wname := range []string{"S1", "S2", "S3"} {
 		for _, dname := range DefenseNames() {
-			build := syn.build
-			jobs = append(jobs, cellJob{
-				wname: syn.name,
-				build: func() (workload.Workload, error) { return build(), nil },
-				dname: dname,
-			})
+			jobs = append(jobs, cellJob{label: wname, workload: wname, defense: dname})
 		}
 	}
 	return s.runGrid(jobs)
@@ -427,10 +307,7 @@ func RenderCells(title string, cells []Cell) string {
 
 // Table2 reproduces the parameter table for the scale.
 func Table2(s Scale) analysis.Derived {
-	cfg := s.machineConfig()
-	c := core.NewConfig(cfg.DRAM)
-	c.ThRH = s.ThRH
-	return analysis.Derive(c)
+	return analysis.Derive(s.twiceConfig(s.MachineConfig().DRAM, core.PA))
 }
 
 // Table3 returns the timing/energy constants (the paper's measurements).
@@ -447,54 +324,53 @@ func Table3Measured(s Scale) (energy.Breakdown, error) {
 	if err != nil {
 		return energy.Breakdown{}, err
 	}
-	return all[core.NewConfig(s.machineConfig().DRAM).Org], nil
+	return all[core.NewConfig(s.MachineConfig().DRAM).Org], nil
 }
 
 // Table3MeasuredAll runs the §7.1 measurement for every table organization
 // and returns the breakdowns keyed by organization.
 func Table3MeasuredAll(s Scale) (map[core.Org]energy.Breakdown, error) {
-	cfg := s.machineConfig()
-	amap, err := mc.NewAddrMap(cfg.DRAM)
-	if err != nil {
-		return nil, err
+	type measured struct {
+		org core.Org
+		bd  energy.Breakdown
 	}
-	orgs := []core.Org{core.FA, core.PA, core.Separated}
-	bds, err := parallel.Map(parallel.Runner{Workers: s.Parallel}, len(orgs), func(_, i int) (energy.Breakdown, error) {
-		ccfg := core.NewConfig(cfg.DRAM)
-		ccfg.ThRH = s.ThRH
-		ccfg.Org = orgs[i]
-		tw, err := core.New(ccfg)
+	cfg := s.MachineConfig()
+	names := []string{"TWiCe-fa", "TWiCe", "TWiCe-sep"}
+	ms, err := parallel.Map(parallel.Runner{Workers: s.Parallel}, len(names), func(_, i int) (measured, error) {
+		def, err := s.NewDefense(names[i], cfg.DRAM)
 		if err != nil {
-			return energy.Breakdown{}, err
+			return measured{}, err
 		}
-		res, err := sim.Run(cfg, tw, workload.S3(amap, cfg.DRAM, 5000),
-			sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
+		w, err := s.NewWorkload("S3", AttackRow)
 		if err != nil {
-			return energy.Breakdown{}, err
+			return measured{}, err
 		}
-		return energy.Table3().Aggregate(res.Counters, tw.Ops(), ccfg.Org, cfg.DRAM.BanksPerRank), nil
+		res, err := sim.Run(cfg, def, w, sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
+		if err != nil {
+			return measured{}, err
+		}
+		tw := def.(*core.TWiCe)
+		org := tw.Config().Org
+		return measured{org, energy.Table3().Aggregate(res.Counters, tw.Ops(), org, cfg.DRAM.BanksPerRank)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[core.Org]energy.Breakdown, len(orgs))
-	for i, org := range orgs {
-		out[org] = bds[i]
+	out := make(map[core.Org]energy.Breakdown, len(ms))
+	for _, m := range ms {
+		out[m.org] = m.bd
 	}
 	return out, nil
 }
 
 // AreaReport reproduces the §6.2/§7.1 storage figures.
 func AreaReport(s Scale) energy.Area {
-	cfg := s.machineConfig()
-	c := core.NewConfig(cfg.DRAM)
-	c.ThRH = s.ThRH
-	return energy.AreaModel(c)
+	return energy.AreaModel(s.twiceConfig(s.MachineConfig().DRAM, core.PA))
 }
 
 // Table4 renders the simulated system configuration.
 func Table4(s Scale) string {
-	cfg := s.machineConfig()
+	cfg := s.MachineConfig()
 	var b strings.Builder
 	fmt.Fprintf(&b, "cores: %d @ %.1f GHz, IPC %.1f, MLP %d\n", s.Cores, cfg.CPU.FreqGHz, cfg.CPU.IPC, cfg.CPU.MLP)
 	fmt.Fprintf(&b, "caches: L1 %dKB, L2 %dKB private; L3 %dMB shared; %dB lines; prefetch on\n",
@@ -520,28 +396,21 @@ type Table1Row struct {
 // overhead on typical versus adversarial patterns and whether it can detect
 // attacks. CRA and PRoHIT are included beyond the Figure 7 set.
 func Table1(s Scale) ([]Table1Row, error) {
-	cfg := s.machineConfig()
-	memBytes := uint64(cfg.DRAM.TotalCapacityBytes())
-	amap, err := mc.NewAddrMap(cfg.DRAM)
-	if err != nil {
-		return nil, err
-	}
 	defs := []string{"CRA", "CBT-256", "PARA-0.001", "PRoHIT", "TWiCe"}
-	patterns := []struct {
-		name  string
-		build func() (workload.Workload, error)
-	}{
-		{"mix-high", func() (workload.Workload, error) { return workload.MixHigh(s.Cores, memBytes, s.Seed) }},
-		{"adversarial-S1", func() (workload.Workload, error) { return workload.S1(amap, cfg.DRAM, s.Seed), nil }},
-		{"adversarial-S2", func() (workload.Workload, error) { return workload.S2(amap, cfg.DRAM, s.CBTThreshold), nil }},
-		{"adversarial-S3", func() (workload.Workload, error) { return workload.S3(amap, cfg.DRAM, 5000), nil }},
+	// The typical mix first, then the three adversarial patterns.
+	patterns := []cellJob{
+		{label: "mix-high", workload: "mix-high"},
+		{label: "adversarial-S1", workload: "S1"},
+		{label: "adversarial-S2", workload: "S2"},
+		{label: "adversarial-S3", workload: "S3"},
 	}
 	// One flat grid: every defense under the typical mix and all three
 	// adversarial patterns, reassembled into rows afterwards.
 	var jobs []cellJob
 	for _, dname := range defs {
-		for _, p := range patterns {
-			jobs = append(jobs, cellJob{wname: p.name, build: p.build, dname: dname})
+		for _, j := range patterns {
+			j.defense = dname
+			jobs = append(jobs, j)
 		}
 	}
 	results, err := s.runGrid(jobs)

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/dram"
 )
 
 // tinyScale shrinks QuickScale further for unit-test speed.
@@ -16,7 +19,7 @@ func tinyScale() Scale {
 
 func TestScalesAreSound(t *testing.T) {
 	for _, s := range []Scale{PaperScale(), QuickScale()} {
-		cfg := s.machineConfig()
+		cfg := s.MachineConfig()
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}
@@ -27,24 +30,34 @@ func TestScalesAreSound(t *testing.T) {
 	if len(PaperScale().SPECApps) != 29 {
 		t.Errorf("paper scale runs %d SPEC apps, want 29", len(PaperScale().SPECApps))
 	}
+	// tracegen records on the paper-scale machine and -inspect decodes
+	// with plain DDR4-2400.
+	if got := PaperScale().MachineConfig().DRAM; got != dram.DDR4_2400() {
+		t.Errorf("paper-scale DRAM = %+v, want DDR4-2400", got)
+	}
 }
 
 func TestNewDefenseCoversAllNames(t *testing.T) {
-	s := QuickScale()
-	p := s.machineConfig().DRAM
-	names := append(DefenseNames(), "none", "TWiCe-fa", "TWiCe-sep", "CRA", "PRoHIT", "Graphene")
-	for _, n := range names {
-		d, err := s.NewDefense(n, p)
-		if err != nil {
-			t.Errorf("%s: %v", n, err)
-			continue
+	for _, s := range []Scale{QuickScale(), PaperScale()} {
+		p := s.MachineConfig().DRAM
+		for _, n := range AllDefenses() {
+			d, err := s.NewDefense(n, p)
+			if err != nil {
+				t.Errorf("%s scale, %s: %v", s.Name, n, err)
+				continue
+			}
+			if d == nil {
+				t.Errorf("%s scale, %s: nil defense", s.Name, n)
+			}
 		}
-		if d == nil {
-			t.Errorf("%s: nil defense", n)
+		if _, err := s.NewDefense("bogus", p); err == nil {
+			t.Errorf("%s scale: unknown defense accepted", s.Name)
 		}
 	}
-	if _, err := s.NewDefense("bogus", p); err == nil {
-		t.Error("unknown defense accepted")
+	for _, n := range DefenseNames() {
+		if !slices.Contains(AllDefenses(), n) {
+			t.Errorf("Figure 7 defense %s missing from AllDefenses", n)
+		}
 	}
 }
 

@@ -23,6 +23,9 @@
 #   4b. bench smoke    — every sim hot-path and scheduler-step benchmark
 #                        body runs once (-benchtime=1x), so a change that
 #                        breaks only benchmark-path code cannot land green
+#   4c. root benchmarks — every paper table/figure and ablation benchmark in
+#                        bench_test.go runs once (-benchtime 1x, ~17 s on
+#                        2 vCPUs); `go test ./...` only compiles them
 #   5. go test -race   — race detector over the event loop, the memory
 #                        controller, the TWiCe engine, and the parallel
 #                        experiment runner, plus the serial/parallel grid
@@ -58,6 +61,9 @@ echo "==> (cd bench && go vet ./... && go test -short ./...)"
 
 echo "==> go test -run='^\$' -bench='SimRun|SchedulerStep' -benchtime=1x ./internal/sim ./internal/mc"
 go test -run='^$' -bench='SimRun|SchedulerStep' -benchtime=1x ./internal/sim ./internal/mc
+
+echo "==> go test -run '^\$' -bench . -benchtime 1x ."
+go test -run '^$' -bench . -benchtime 1x .
 
 echo "==> go test -race ./internal/sim/... ./internal/mc/... ./internal/core/... ./internal/parallel/..."
 go test -race ./internal/sim/... ./internal/mc/... ./internal/core/... ./internal/parallel/...
