@@ -48,6 +48,8 @@ hot-path rules:
   probeguard     probe.Recorder calls not dominated by a nil guard
   resetcoverage  Reset/Clear methods that skip struct fields
   directive      malformed twicelint directives (unknown name, no rationale)
+  deadexport     exported internal/ functions no non-test code references
+                 (runs when the packages include a main package)
 
 Exit codes: 0 clean, 1 findings reported, 2 load or type-check error.
 `)

@@ -83,6 +83,8 @@ type Monitor struct {
 }
 
 // NewMonitor builds an oracle for the given thresholds.
+//
+//twicelint:keep §4.3 reference oracle, called by internal/analysis tests
 func NewMonitor(thRH, maxLife int) *Monitor {
 	return &Monitor{
 		thRH:    thRH,
@@ -93,6 +95,8 @@ func NewMonitor(thRH, maxLife int) *Monitor {
 
 // OnACT records one activation of the row; it reports whether the theorem
 // still holds (false exactly once per offending row per window).
+//
+//twicelint:keep §4.3 reference oracle, called by internal/analysis tests
 func (m *Monitor) OnACT(row int) bool {
 	w, ok := m.window[row]
 	if !ok {
@@ -117,6 +121,8 @@ func (m *Monitor) OnACT(row int) bool {
 
 // OnDetected records that the defense flagged the row (its victims are
 // refreshed), resetting the oracle's window for it.
+//
+//twicelint:keep §4.3 reference oracle, called by internal/analysis tests
 func (m *Monitor) OnDetected(row int) {
 	if w, ok := m.window[row]; ok {
 		for i := range w {
@@ -126,6 +132,8 @@ func (m *Monitor) OnDetected(row int) {
 }
 
 // OnPruneTick advances the sliding window by one pruning interval.
+//
+//twicelint:keep §4.3 reference oracle, called by internal/analysis tests
 func (m *Monitor) OnPruneTick() {
 	m.pos = (m.pos + 1) % m.maxLife
 	for _, w := range m.window {
@@ -134,4 +142,6 @@ func (m *Monitor) OnPruneTick() {
 }
 
 // Violations returns every observed theorem breach.
+//
+//twicelint:keep §4.3 reference oracle, called by internal/analysis tests
 func (m *Monitor) Violations() []Violation { return m.errs }

@@ -87,9 +87,6 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Reset invalidates every line and zeroes the LRU clock and counters,
 // returning the cache to its just-constructed state without reallocating.
 func (c *Cache) Reset() {

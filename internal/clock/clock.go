@@ -27,6 +27,8 @@ const Never Time = 1<<63 - 1
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
 // Seconds returns t as a floating-point second count, for reporting.
+//
+//twicelint:keep called by the root bench_test.go
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // String renders the time with an auto-selected unit, e.g. "7.8µs".

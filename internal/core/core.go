@@ -100,6 +100,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: thRH (%d) below tREFW/PI (%d): thPI would be zero and the table unbounded", c.ThRH, maxLife)
 	case c.PruneEvery < 1:
 		return fmt.Errorf("core: PruneEvery must be ≥ 1, got %d", c.PruneEvery)
+	case c.Org != FA && c.Org != PA && c.Org != Separated:
+		return fmt.Errorf("core: unknown table organization %v", c.Org)
+	case c.Ways < 1:
+		return fmt.Errorf("core: Ways must be positive (0 selects 64), got %d", c.Ways)
 	case 4*c.ThRH > c.DRAM.NTh:
 		return fmt.Errorf("core: thRH (%d) exceeds Nth/4 (%d): double-sided attacks could flip before detection", c.ThRH, c.DRAM.NTh/4)
 	}
@@ -304,9 +308,13 @@ func (t *TWiCe) Reset() {
 }
 
 // Detections returns the number of aggressor rows flagged so far.
+//
+//twicelint:keep called by internal/mc tests
 func (t *TWiCe) Detections() int64 { return t.detections }
 
 // TableFor exposes the per-bank table for inspection (tests, reports).
+//
+//twicelint:keep called by internal/sim tests
 func (t *TWiCe) TableFor(bank dram.BankID) Table {
 	return t.tables[bank.Flat(&t.cfg.DRAM)]
 }

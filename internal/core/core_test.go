@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -61,30 +62,32 @@ func TestTable2Derivations(t *testing.T) {
 	}
 }
 
+// TestConfigValidate checks each config through New, which must return
+// Validate's error.
 func TestConfigValidate(t *testing.T) {
-	good := testConfig(PA)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	cases := []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"default", func(*Config) {}, true},
+		{"fa", func(c *Config) { c.Org = FA }, true},
+		{"sep", func(c *Config) { c.Org = Separated }, true},
+		{"ways 0 selects 64", func(c *Config) { c.Ways = 0 }, true},
+		{"negative thRH", func(c *Config) { c.ThRH = -1 }, false},
+		{"thRH below maxlife", func(c *Config) { c.ThRH = 8 }, false},                // maxlife 16 → thPI 0
+		{"thRH above a quarter of Nth", func(c *Config) { c.DRAM.NTh = 100 }, false}, // 4·thRH = 256 > 100
+		{"negative PruneEvery", func(c *Config) { c.PruneEvery = -2 }, false},
+		{"unknown org", func(c *Config) { c.Org = Org(9) }, false},
+		{"negative org", func(c *Config) { c.Org = -1 }, false},
+		{"negative ways", func(c *Config) { c.Ways = -4 }, false},
 	}
-	bad := good
-	bad.ThRH = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative thRH accepted")
-	}
-	bad = good
-	bad.ThRH = 8 // below maxlife 16 → thPI 0
-	if err := bad.Validate(); err == nil {
-		t.Error("thRH below maxlife accepted")
-	}
-	bad = good
-	bad.DRAM.NTh = 100 // 4·thRH = 256 > 100
-	if err := bad.Validate(); err == nil {
-		t.Error("thRH above Nth/4 accepted")
-	}
-	bad = good
-	bad.PruneEvery = -2
-	if err := bad.Validate(); err == nil {
-		t.Error("negative PruneEvery accepted")
+	for _, tc := range cases {
+		cfg := testConfig(PA)
+		tc.edit(&cfg)
+		if _, err := New(cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: New error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 
@@ -307,55 +310,97 @@ func snapshotSorted(tb Table) []Entry {
 	return s
 }
 
+// boundWitness reads tableBound's recurrence as an ACT schedule on bank 0
+// and returns the bank's peak occupancy. Cohort n, the rows with life n in
+// the last PI, has the recurrence's size and needs (n−1)·thPI ACTs a row.
+// Each PI first gives every live cohort the minimum it needs to survive the
+// coming prune, then spends the rest of maxact on the newborn cohort and
+// then older ones, youngest first (the recurrence's leftover carry); the
+// last PI activates maxact fresh rows. Rows are rowStride apart.
+func boundWitness(t *testing.T, tw *TWiCe, rowStride int) int {
+	t.Helper()
+	cfg := tw.Config()
+	maxact, thPI, maxLife := cfg.MaxACT(), cfg.ThPI(), cfg.MaxLife()
+	type cohort struct {
+		born, need, first int
+		acts              []int
+	}
+	var cohorts []*cohort // youngest first
+	rows, leftover := 0, 0
+	for n := 2; n <= maxLife; n++ {
+		need, budget := (n-1)*thPI, maxact+leftover
+		leftover = budget % need
+		if k := budget / need; k > 0 {
+			cohorts = append(cohorts, &cohort{born: maxLife - n, need: need, first: rows, acts: make([]int, k)})
+			rows += k
+		}
+	}
+	budget := 0
+	act := func(row int) {
+		budget--
+		if a := tw.OnActivate(bank0(), row*rowStride, 0); !a.Empty() {
+			t.Fatalf("ACT of row %d returned %+v; want no detection and no overflow ARR", row, a)
+		}
+	}
+	for pi := 0; pi < maxLife-1; pi++ {
+		budget = maxact
+		for _, c := range cohorts {
+			for i := range c.acts {
+				for ; c.born <= pi && c.acts[i] < min(c.need, (pi-c.born+1)*thPI); c.acts[i]++ {
+					act(c.first + i)
+				}
+			}
+		}
+		for _, c := range cohorts {
+			for spent := true; c.born <= pi && budget > 0 && spent; {
+				spent = false
+				for i := range c.acts {
+					if budget > 0 && c.acts[i] < c.need {
+						act(c.first + i)
+						c.acts[i]++
+						spent = true
+					}
+				}
+			}
+		}
+		if budget < 0 {
+			t.Fatalf("PI %d: %d ACTs, over maxact %d", pi, maxact-budget, maxact)
+		}
+		tw.OnRefreshTick(bank0(), 0)
+	}
+	for i := 0; i < maxact; i++ {
+		act(rows + i)
+	}
+	return tw.TableFor(bank0()).Ops().PeakOccupancy
+}
+
+// TestTableBoundNeverExceeded pins TableBound as tight: a stream that never
+// exceeds maxact ACTs per PI fills the table to exactly TableBound for every
+// organization, and pa's set borrowing holds it even when every row prefers
+// one set. At Table 2's parameters that is 556 entries (the paper: 553).
 func TestTableBoundNeverExceeded(t *testing.T) {
-	// Adversarial occupancy maximisation: each PI, spread exactly maxact
-	// ACTs to keep as many entries alive as possible, preferring to keep
-	// old survivors at their minimum and fill the rest with fresh rows.
-	for _, org := range []Org{FA, PA, Separated} {
-		cfg := testConfig(org)
-		tw, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := cfg.TableBound()
-		thPI, maxact := cfg.ThPI(), cfg.MaxACT()
-		nextRow := 0
-		for pi := 0; pi < 3*cfg.MaxLife(); pi++ {
-			budget := maxact
-			// Keep every current survivor exactly at its survival bar.
-			entries := snapshotSorted(tw.TableFor(bank0()))
-			sort.Slice(entries, func(i, j int) bool { return entries[i].Life > entries[j].Life })
-			for _, e := range entries {
-				need := thPI*e.Life - e.ActCnt
-				if need <= 0 || need > budget {
-					continue
+	for j, base := range []Config{testConfig(PA), NewConfig(dram.DDR4_2400())} {
+		want := []int{36, 556}[j]
+		for i, org := range []Org{FA, PA, Separated, PA} {
+			oneSet := i == 3 // every row in one pa preferred set
+			cfg := base
+			cfg.Org = org
+			t.Run(fmt.Sprintf("bound %d %v one set %v", want, org, oneSet), func(t *testing.T) {
+				tw, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := 0; i < need; i++ {
-					tw.OnActivate(bank0(), e.Row, 0)
+				stride := 1
+				if oneSet {
+					stride = tw.TableFor(bank0()).(*paTable).Sets()
 				}
-				budget -= need
-			}
-			// Spend the remainder on fresh rows, thPI each so they survive.
-			for budget >= thPI {
-				for i := 0; i < thPI; i++ {
-					tw.OnActivate(bank0(), 100000+nextRow, 0)
+				if peak, bound := boundWitness(t, tw, stride), cfg.TableBound(); peak != bound || bound != want {
+					t.Fatalf("peak occupancy %d, TableBound() %d, want both %d", peak, bound, want)
 				}
-				nextRow++
-				budget -= thPI
-			}
-			for i := 0; i < budget; i++ { // dribble the leftover ACTs
-				tw.OnActivate(bank0(), 100000+nextRow, 0)
-			}
-			nextRow++
-			if got := tw.TableFor(bank0()).Len(); got > bound {
-				t.Fatalf("%v: occupancy %d exceeds bound %d at PI %d", org, got, bound, pi)
-			}
-			tw.OnRefreshTick(bank0(), 0)
-		}
-		peak := tw.Ops().PeakOccupancy
-		t.Logf("%v: peak occupancy %d of bound %d", org, peak, bound)
-		if peak > bound {
-			t.Fatalf("%v: peak occupancy %d exceeds bound %d", org, peak, bound)
+				if d := tw.Detections(); d != 0 {
+					t.Fatalf("%d detections, want 0", d)
+				}
+			})
 		}
 	}
 }

@@ -20,9 +20,6 @@ type paTable struct {
 // newPATable builds a pseudo-associative table with enough sets of the given
 // way count to hold capacity entries.
 func newPATable(capacity, ways int) *paTable {
-	if ways <= 0 {
-		ways = 64
-	}
 	nsets := (capacity + ways - 1) / ways
 	if nsets < 1 {
 		nsets = 1
@@ -149,17 +146,6 @@ func (t *paTable) invalidate(s, w int) {
 	}
 	t.sets[s][w].Row = -1
 	t.len--
-}
-
-// Restore implements Table: insert with explicit counts.
-func (t *paTable) Restore(e Entry) error {
-	if err := t.Insert(e.Row); err != nil {
-		return err
-	}
-	if s, w := t.locate(e.Row, false); s >= 0 {
-		t.sets[s][w] = e
-	}
-	return nil
 }
 
 func (t *paTable) Remove(row int) {

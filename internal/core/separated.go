@@ -92,28 +92,6 @@ func (t *sepTable) Insert(row int) error {
 	return nil
 }
 
-// Restore implements Table: entries at or past the graduation count land in
-// the wide sub-table, the rest in the narrow one (spilling like Insert).
-func (t *sepTable) Restore(e Entry) error {
-	if _, ok := t.Lookup(e.Row); ok {
-		return fmt.Errorf("core: restore of already-tracked row %d", e.Row)
-	}
-	if e.ActCnt >= t.graduate {
-		if err := t.wide.Restore(e); err != nil {
-			return fmt.Errorf("core: separated wide sub-table: %w", err)
-		}
-	} else if err := t.narrow.Restore(e); err != nil {
-		if werr := t.wide.Restore(e); werr != nil {
-			return fmt.Errorf("core: separated table full: %w", werr)
-		}
-	}
-	t.ops.Inserts++
-	if n := t.Len(); n > t.ops.PeakOccupancy {
-		t.ops.PeakOccupancy = n
-	}
-	return nil
-}
-
 func (t *sepTable) Remove(row int) {
 	before := t.Len()
 	t.narrow.Remove(row)

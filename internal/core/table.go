@@ -51,8 +51,6 @@ type Table interface {
 	// Len returns the number of valid entries; Cap the capacity.
 	Len() int
 	Cap() int
-	// Restore inserts an entry with explicit counts (checkpoint loading).
-	Restore(e Entry) error
 	// Snapshot returns a copy of all valid entries in unspecified order.
 	Snapshot() []Entry
 	// Ops returns operation counters since construction.
@@ -129,15 +127,6 @@ func (t *faTable) Insert(row int) error {
 	if n := t.index.len(); n > t.ops.PeakOccupancy {
 		t.ops.PeakOccupancy = n
 	}
-	return nil
-}
-
-// Restore implements Table: insert with explicit counts.
-func (t *faTable) Restore(e Entry) error {
-	if err := t.Insert(e.Row); err != nil {
-		return err
-	}
-	t.set(e.Row, e)
 	return nil
 }
 

@@ -144,20 +144,6 @@ func TestTableDifferentialVsMapReference(t *testing.T) {
 				}
 			}
 
-			// Restore/Snapshot round-trip: rebuild a fresh table from the
-			// final snapshot and require identical contents, then identical
-			// behaviour under a further stream after Clear-based reuse.
-			snap := sortedSnapshot(tb)
-			rebuilt := factory()
-			for _, e := range snap {
-				if err := rebuilt.Restore(e); err != nil {
-					t.Fatalf("Restore(%+v): %v", e, err)
-				}
-			}
-			if got := sortedSnapshot(rebuilt); !entriesEqual(got, snap) {
-				t.Fatalf("restore round-trip diverged\n got  %+v\n want %+v", got, snap)
-			}
-
 			// Clear must return the table to fresh-equivalent state: same
 			// emptiness, zeroed ops, and the same slot-assignment sequence as
 			// a newly built table (checked via a deterministic refill).

@@ -65,12 +65,6 @@ func New(id int, cfg Config, gen workload.Generator) (*Core, error) {
 // Instructions returns the instructions executed so far.
 func (c *Core) Instructions() int64 { return c.instructions }
 
-// Accesses returns the memory accesses issued so far.
-func (c *Core) Accesses() int64 { return c.accesses }
-
-// Outstanding returns the in-flight demand misses.
-func (c *Core) Outstanding() int { return c.outstanding }
-
 // NextEventTime returns when the core can next act: its issue time when it
 // has MLP headroom, or Never while the window is full (completion callbacks
 // reopen it).

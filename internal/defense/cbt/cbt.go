@@ -9,15 +9,9 @@
 // paper's double-counting artefact). When a counter reaches the top
 // threshold, every row in its range must be refreshed — which on adversarial
 // patterns covers thousands of rows at once, the refresh-burst weakness
-// TWiCe's evaluation exposes with workload S2. The tree resets every tREFW.
-//
-// An optional extension (Config.Rebalance) reclaims counters under pressure:
-// when a split is needed but no counter is free, the coldest mergeable leaf
-// pair is folded back into its parent (keeping the maximum child count, so no
-// activation evidence is lost). The paper's CBT has no reclamation — splits
-// simply stop when the pool is empty, which is exactly what its adversarial
-// workload S2 exploits — so Rebalance defaults to off; turning it on shows
-// how much of the S2 weakness a smarter CBT could recover.
+// TWiCe's evaluation exposes with workload S2. Splits stop when the pool is
+// empty; there is no reclamation, which is what S2 exploits. The tree resets
+// every tREFW.
 package cbt
 
 import (
@@ -37,9 +31,6 @@ type Config struct {
 	// Levels is the number of tree levels / sub-thresholds (11 in the
 	// evaluation: the deepest counter covers rows/2^(Levels-1) rows).
 	Levels int
-	// Rebalance enables the merge-based counter reclamation extension
-	// (off in the paper's design).
-	Rebalance bool
 	// DRAM supplies geometry and the refresh-window reset cadence.
 	DRAM dram.Params
 }
@@ -86,7 +77,6 @@ type node struct {
 	level       int
 	count       int
 	left, right *node // nil for leaves
-	parent      *node
 }
 
 func (n *node) leaf() bool { return n.left == nil }
@@ -104,9 +94,6 @@ type CBT struct {
 	trees      []*bankTree
 	ticks      []int // refresh ticks since last tree reset, per bank
 	resetEvery int   //twicelint:keep ticks per tREFW, fixed at construction
-
-	splits, merges, rangeRefreshes int64 //twicelint:keep lifetime aggregates; Reset rebuilds the trees only
-	detections                     int64 //twicelint:keep lifetime aggregate; Reset rebuilds the trees only
 }
 
 var _ defense.Defense = (*CBT)(nil)
@@ -153,53 +140,12 @@ func (t *bankTree) find(row int) *node {
 	return n
 }
 
-// coldestMergeable returns the internal node with two leaf children whose
-// larger child count is smallest, or nil.
-func (t *bankTree) coldestMergeable() *node {
-	var best *node
-	bestCount := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf() {
-			return
-		}
-		if n.left.leaf() && n.right.leaf() {
-			m := n.left.count
-			if n.right.count > m {
-				m = n.right.count
-			}
-			if best == nil || m < bestCount {
-				best, bestCount = n, m
-			}
-			return
-		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(t.root)
-	return best
-}
-
 // split divides a leaf into two children initialised to the parent's count.
-func (c *CBT) split(t *bankTree, n *node) {
+func (t *bankTree) split(n *node) {
 	mid := n.lo + (n.hi-n.lo)/2
-	n.left = &node{lo: n.lo, hi: mid, level: n.level + 1, count: n.count, parent: n}
-	n.right = &node{lo: mid, hi: n.hi, level: n.level + 1, count: n.count, parent: n}
+	n.left = &node{lo: n.lo, hi: mid, level: n.level + 1, count: n.count}
+	n.right = &node{lo: mid, hi: n.hi, level: n.level + 1, count: n.count}
 	t.leaves++
-	c.splits++
-}
-
-// merge folds a mergeable internal node back into a leaf, keeping the larger
-// child count so no activation evidence is discarded.
-func (c *CBT) merge(t *bankTree, n *node) {
-	count := n.left.count
-	if n.right.count > count {
-		count = n.right.count
-	}
-	n.count = count
-	n.left, n.right = nil, nil
-	t.leaves--
-	c.merges++
 }
 
 // OnActivate implements defense.Defense.
@@ -213,8 +159,6 @@ func (c *CBT) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action
 	// as a potential victim and the rows adjacent to the range's edges too.
 	if n.count >= c.cfg.Threshold {
 		n.count = 0
-		c.rangeRefreshes++
-		c.detections++
 		victims := make([]int, 0, n.hi-n.lo+2*c.cfg.DRAM.BlastRadius)
 		for r := n.lo - c.cfg.DRAM.BlastRadius; r < n.hi+c.cfg.DRAM.BlastRadius; r++ {
 			if r >= 0 && r < c.cfg.DRAM.RowsPerBank {
@@ -224,29 +168,12 @@ func (c *CBT) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action
 		return defense.Action{LogicalVictims: victims, Detected: true}
 	}
 
-	// Sub-threshold: subdivide hot ranges while counters remain, optionally
-	// merging cold pairs when the pool is exhausted.
-	if n.level < t.maxDepth && n.hi-n.lo > 1 && n.count >= c.cfg.subThreshold(n.level) {
-		if c.cfg.Rebalance && t.leaves >= c.cfg.Counters {
-			if cold := t.coldestMergeable(); cold != nil && cold != n.parent && cold.left != n && cold.right != n {
-				if m := maxChild(cold); m < n.count {
-					c.merge(t, cold)
-				}
-			}
-		}
-		if t.leaves < c.cfg.Counters {
-			c.split(t, n)
-		}
+	// Sub-threshold: subdivide hot ranges while counters remain.
+	if n.level < t.maxDepth && n.hi-n.lo > 1 && n.count >= c.cfg.subThreshold(n.level) &&
+		t.leaves < c.cfg.Counters {
+		t.split(n)
 	}
 	return defense.Action{}
-}
-
-func maxChild(n *node) int {
-	m := n.left.count
-	if n.right.count > m {
-		m = n.right.count
-	}
-	return m
 }
 
 // OnRefreshTick implements defense.Defense: CBT resets its tree every tREFW
@@ -266,32 +193,4 @@ func (c *CBT) Reset() {
 		c.trees[i] = c.newTree()
 		c.ticks[i] = 0
 	}
-}
-
-// Stats returns split/merge/refresh counters for reports.
-func (c *CBT) Stats() (splits, merges, rangeRefreshes, detections int64) {
-	return c.splits, c.merges, c.rangeRefreshes, c.detections
-}
-
-// Leaves returns the current leaf count of a bank's tree (test hook).
-func (c *CBT) Leaves(bank dram.BankID) int {
-	return c.trees[bank.Flat(&c.cfg.DRAM)].leaves
-}
-
-// MaxLeafCount returns the largest current leaf count in a bank's tree and
-// that leaf's range size (diagnostic hook).
-func (c *CBT) MaxLeafCount(bank dram.BankID) (count, rangeRows int) {
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf() {
-			if n.count > count {
-				count, rangeRows = n.count, n.hi-n.lo
-			}
-			return
-		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(c.trees[bank.Flat(&c.cfg.DRAM)].root)
-	return
 }

@@ -154,31 +154,6 @@ func TestCounterPoolBounded(t *testing.T) {
 	}
 }
 
-func TestMergeReclaimsColdCounters(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Rebalance = true
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Heat the first half until the pool is exhausted.
-	for i := 0; c.Leaves(bank0()) < cfg.Counters && i < 100000; i++ {
-		c.OnActivate(bank0(), i%512, 0)
-	}
-	if c.Leaves(bank0()) != cfg.Counters {
-		t.Skip("pool not exhausted by warm-up; adjust test parameters")
-	}
-	// Hammer the second half: merges must free counters for new splits.
-	_, mergesBefore, _, _ := c.Stats()
-	for i := 0; i < 4*cfg.Threshold; i++ {
-		c.OnActivate(bank0(), 700, 0)
-	}
-	_, mergesAfter, _, _ := c.Stats()
-	if mergesAfter == mergesBefore {
-		t.Error("no merges under counter pressure; cold ranges never reclaimed")
-	}
-}
-
 func TestDoubleCountingOnSplit(t *testing.T) {
 	// Children are initialised to the parent's count, so an attacker's
 	// count is never lost by a split (conservative over-counting).

@@ -40,6 +40,8 @@ type Action struct {
 }
 
 // Empty reports whether the action requests no work.
+//
+//twicelint:keep called by internal/core and internal/defense/ideal tests
 func (a Action) Empty() bool {
 	return len(a.ARRAggressors) == 0 && len(a.LogicalVictims) == 0 && !a.Detected && a.ExtraAccesses == 0
 }

@@ -98,9 +98,6 @@ func New(cfg Config) (*Graphene, error) {
 // Name implements defense.Defense.
 func (g *Graphene) Name() string { return fmt.Sprintf("Graphene-%d", g.cfg.Entries) }
 
-// TableEntries reports the per-bank state cost.
-func (g *Graphene) TableEntries() int { return g.cfg.Entries }
-
 // OnActivate implements defense.Defense: the Misra-Gries update. Tracked
 // rows increment; untracked rows either claim a free slot, replace an entry
 // at the spillover floor, or raise the floor.
@@ -156,6 +153,3 @@ func (g *Graphene) Reset() {
 		g.banks[i] = bankTable{index: make(map[int]int, g.cfg.Entries)}
 	}
 }
-
-// Stats returns detection and replacement counters.
-func (g *Graphene) Stats() (detections, swaps int64) { return g.detections, g.swaps }

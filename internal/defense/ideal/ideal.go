@@ -25,6 +25,8 @@ type Config struct {
 }
 
 // NewConfig returns the scheme at the paper's thRH.
+//
+//twicelint:keep called by internal/sim tests
 func NewConfig(p dram.Params) Config {
 	return Config{Threshold: 32768, DRAM: p}
 }
@@ -54,6 +56,8 @@ type Ideal struct {
 var _ defense.Defense = (*Ideal)(nil)
 
 // New builds the scheme.
+//
+//twicelint:keep called by internal/sim tests
 func New(cfg Config) (*Ideal, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -71,10 +75,6 @@ func New(cfg Config) (*Ideal, error) {
 
 // Name implements defense.Defense.
 func (d *Ideal) Name() string { return "ideal-counters" }
-
-// CountersPerBank reports the state cost the scheme pays (for comparisons
-// against TWiCe's table bound).
-func (d *Ideal) CountersPerBank() int { return d.cfg.DRAM.RowsPerBank }
 
 // OnActivate implements defense.Defense.
 func (d *Ideal) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Action {
@@ -116,6 +116,3 @@ func (d *Ideal) Reset() {
 		d.banks[i].refreshPtr = 0
 	}
 }
-
-// Detections returns the number of aggressors flagged.
-func (d *Ideal) Detections() int64 { return d.detections }

@@ -84,6 +84,3 @@ func (pa *PARA) OnRefreshTick(dram.BankID, clock.Time) {}
 
 // Reset implements defense.Defense (PARA is stateless).
 func (pa *PARA) Reset() {}
-
-// Refreshes returns the number of victim refreshes issued across all banks.
-func (pa *PARA) Refreshes() int64 { return pa.refreshes }

@@ -60,8 +60,6 @@ type PRoHIT struct {
 	tables [][]entry
 	rng    *rand.Rand //twicelint:keep stream continuity is deliberate; grids build a fresh PRoHIT per cell
 	tick   int64      //twicelint:keep lifetime tick clock; tables reference it only relatively
-
-	refreshes int64 //twicelint:keep lifetime aggregate; Reset drops the tables only
 }
 
 var _ defense.Defense = (*PRoHIT)(nil)
@@ -95,7 +93,6 @@ func (p *PRoHIT) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Act
 		}
 		tbl[j].prio = p.tick
 		if p.rng.Float64() < p.cfg.RefreshProb {
-			p.refreshes++
 			return defense.Action{LogicalVictims: p.neighbours(row)}
 		}
 		return defense.Action{}
@@ -118,7 +115,6 @@ func (p *PRoHIT) OnActivate(bank dram.BankID, row int, _ clock.Time) defense.Act
 	}
 	// Keep PARA-level background protection for untracked rows.
 	if p.rng.Float64() < p.cfg.InsertProb {
-		p.refreshes++
 		return defense.Action{LogicalVictims: p.neighbours(row)[:1]}
 	}
 	return defense.Action{}
@@ -144,6 +140,3 @@ func (p *PRoHIT) Reset() {
 		p.tables[i] = nil
 	}
 }
-
-// Refreshes returns the number of refresh triggers issued.
-func (p *PRoHIT) Refreshes() int64 { return p.refreshes }

@@ -29,16 +29,3 @@ func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	slices.Sort(keys)
 	return keys
 }
-
-// SortedKeysFunc returns the keys of m ordered by the given comparison
-// function (for key types that are not cmp.Ordered, e.g. small structs).
-// The comparison must induce a total order for the result to be
-// deterministic.
-func SortedKeysFunc[M ~map[K]V, K comparable, V any](m M, compare func(a, b K) int) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, compare)
-	return keys
-}

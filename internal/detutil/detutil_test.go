@@ -17,22 +17,3 @@ func TestSortedKeys(t *testing.T) {
 		t.Fatalf("SortedKeys(empty) = %v, want empty", got)
 	}
 }
-
-func TestSortedKeysFunc(t *testing.T) {
-	type key struct{ rank, bank int }
-	m := map[key]int{
-		{1, 0}: 1, {0, 1}: 2, {0, 0}: 3, {1, 1}: 4,
-	}
-	cmpKey := func(a, b key) int {
-		if a.rank != b.rank {
-			return a.rank - b.rank
-		}
-		return a.bank - b.bank
-	}
-	want := []key{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	for i := 0; i < 50; i++ {
-		if got := SortedKeysFunc(m, cmpKey); !reflect.DeepEqual(got, want) {
-			t.Fatalf("SortedKeysFunc = %v, want %v", got, want)
-		}
-	}
-}

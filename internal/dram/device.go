@@ -71,15 +71,13 @@ func NewBank(id BankID, p *Params, remap *RemapTable) *Bank {
 }
 
 // ID returns the bank coordinate.
+//
+//twicelint:keep called by internal/sim tests
 func (b *Bank) ID() BankID { return b.id }
 
-// Remap exposes the bank's remap table (the device-internal fuse data).
-func (b *Bank) Remap() *RemapTable { return b.remap }
-
-// OpenRow returns the logical row currently open in the bank, or -1.
-func (b *Bank) OpenRow() int { return b.openRow }
-
 // Stats returns a copy of the bank's activity counters.
+//
+//twicelint:keep called by internal/mc tests
 func (b *Bank) Stats() BankStats { return b.stats }
 
 // Flips returns the recorded row-hammer flips.
@@ -108,8 +106,8 @@ func (b *Bank) Activate(logicalRow int, now clock.Time) error {
 // hammer applies the disturbance of one activation of the given physical row
 // to its neighbours and rejuvenates the activated row itself (an activation
 // fully restores the row's own charge). This is the innermost operation of
-// every experiment, so the neighbour range is iterated inline — same
-// ascending order as RemapTable.PhysicalNeighbors, but with zero allocation.
+// every experiment, so the neighbour range is iterated inline, in ascending
+// order, with zero allocation.
 //
 //twicelint:hotpath disturbance accounting runs on every ACT and ARR
 func (b *Bank) hammer(phys int, now clock.Time) {
@@ -300,9 +298,6 @@ func NewDevice(p Params, rng *rand.Rand) (*Device, error) {
 	return d, nil
 }
 
-// Params returns the device parameters.
-func (d *Device) Params() Params { return d.p }
-
 // Bank returns the bank at the given coordinate.
 func (d *Device) Bank(id BankID) *Bank { return d.banks[id.Flat(&d.p)] }
 
@@ -316,25 +311,3 @@ func (d *Device) Reset() {
 
 // Banks returns all banks in flat order.
 func (d *Device) Banks() []*Bank { return d.banks }
-
-// TotalFlips sums observed row-hammer flips across all banks.
-func (d *Device) TotalFlips() int64 {
-	var n int64
-	for _, b := range d.banks {
-		n += b.stats.Flips
-	}
-	return n
-}
-
-// TotalStats sums per-bank statistics across the device.
-func (d *Device) TotalStats() BankStats {
-	var s BankStats
-	for _, b := range d.banks {
-		s.ACTs += b.stats.ACTs
-		s.VictimACTs += b.stats.VictimACTs
-		s.AutoRefreshes += b.stats.AutoRefreshes
-		s.RowsRefreshed += b.stats.RowsRefreshed
-		s.Flips += b.stats.Flips
-	}
-	return s
-}

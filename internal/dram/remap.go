@@ -183,33 +183,5 @@ func (t *RemapTable) Logical(phys int) int {
 	return phys
 }
 
-// Remapped returns the sorted list of remapped logical rows.
-func (t *RemapTable) Remapped() []int {
-	out := make([]int, len(t.remappedLogical))
-	copy(out, t.remappedLogical)
-	return out
-}
-
-// Count returns the number of remapped rows.
-func (t *RemapTable) Count() int { return t.used() }
-
 // PhysicalRows returns the size of the physical row space.
 func (t *RemapTable) PhysicalRows() int { return t.rows + t.spares }
-
-// PhysicalNeighbors returns the physical rows within the blast radius of the
-// given physical row, in ascending order, clipped to the physical row space.
-// It allocates its result and exists as a test/report hook; the per-ACT
-// disturbance path in Bank.hammer iterates the same range inline instead.
-func (t *RemapTable) PhysicalNeighbors(phys, radius int) []int {
-	out := make([]int, 0, 2*radius)
-	for d := -radius; d <= radius; d++ {
-		if d == 0 {
-			continue
-		}
-		n := phys + d
-		if n >= 0 && n < t.PhysicalRows() {
-			out = append(out, n)
-		}
-	}
-	return out
-}

@@ -80,33 +80,6 @@ func TestRemappedSorted(t *testing.T) {
 	}
 }
 
-func TestPhysicalNeighbors(t *testing.T) {
-	rt := NewRemapTable(100, 4)
-	cases := []struct {
-		phys, radius int
-		want         []int
-	}{
-		{50, 1, []int{49, 51}},
-		{0, 1, []int{1}},
-		{103, 1, []int{102}}, // last spare row
-		{50, 2, []int{48, 49, 51, 52}},
-		{1, 2, []int{0, 2, 3}},
-	}
-	for _, c := range cases {
-		got := rt.PhysicalNeighbors(c.phys, c.radius)
-		if len(got) != len(c.want) {
-			t.Errorf("neighbors(%d,r%d) = %v, want %v", c.phys, c.radius, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("neighbors(%d,r%d) = %v, want %v", c.phys, c.radius, got, c.want)
-				break
-			}
-		}
-	}
-}
-
 func TestGenerateRemapTableDeterministic(t *testing.T) {
 	p := DDR4_2400()
 	a := GenerateRemapTable(p, rand.New(rand.NewSource(7)))

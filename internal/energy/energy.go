@@ -75,15 +75,6 @@ func (b Breakdown) UpdateOverhead() float64 {
 	return b.UpdateNJ / b.DRAMRefreshNJ
 }
 
-// TotalOverhead returns TWiCe energy relative to all DRAM energy.
-func (b Breakdown) TotalOverhead() float64 {
-	dram := b.DRAMActPreNJ + b.DRAMRefreshNJ
-	if dram == 0 {
-		return 0
-	}
-	return (b.CountNJ + b.UpdateNJ) / dram
-}
-
 // String renders the breakdown.
 func (b Breakdown) String() string {
 	return fmt.Sprintf("ACT/PRE=%.1fnJ refresh=%.1fnJ count=%.1fnJ (%.3f%%) update=%.1fnJ (%.3f%%)",

@@ -10,9 +10,9 @@ import (
 
 // Directive names. A directive is a `//twicelint:<name> <rationale>` comment
 // placed on the flagged line or on the line immediately above it; hotpath
-// attaches to a function declaration and keep to a struct field. Every
-// directive requires a rationale — a suppression without a recorded reason
-// is itself a finding (rule "directive").
+// attaches to a function declaration and keep to a struct field or a
+// function declaration. Every directive requires a rationale — a suppression
+// without a recorded reason is itself a finding (rule "directive").
 const (
 	// dirOrdered asserts that a map iteration's order is handled: either
 	// the keys are sorted before use or the consumer is order-agnostic in
@@ -31,7 +31,8 @@ const (
 	dirAllocOK = "allocok"
 	// dirKeep exempts one struct field from Reset/Clear coverage
 	// (rule "resetcoverage"): configuration, identity, or state that is
-	// intentionally preserved across reuse.
+	// intentionally preserved across reuse. On a function declaration it
+	// exempts the function from rule "deadexport" and names its caller.
 	dirKeep = "keep"
 )
 
@@ -190,17 +191,16 @@ func (c *checker) checkDirectives(f *ast.File) {
 					"//twicelint:hotpath must be attached to a function declaration")
 			}
 		case dirKeep:
-			if !fieldLines[occ.line] {
+			if !fieldLines[occ.line] && !funcLines[occ.line] {
 				c.report(occ.pos, RuleDirective,
-					"//twicelint:keep must be attached to a struct field")
+					"//twicelint:keep must be attached to a struct field or a function declaration")
 			}
 		}
 	}
 }
 
-// directiveAnchors returns the sets of source lines on which a hotpath
-// directive is attached to a function declaration and a keep directive is
-// attached to a struct field, respectively.
+// directiveAnchors returns the sets of source lines on which a directive is
+// attached to a function declaration and to a struct field, respectively.
 func directiveAnchors(fset *token.FileSet, f *ast.File) (funcLines, fieldLines map[int]bool) {
 	funcLines = map[int]bool{}
 	fieldLines = map[int]bool{}

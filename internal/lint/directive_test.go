@@ -10,24 +10,33 @@ import (
 	"repro/internal/lint"
 )
 
-// checkSource parses, type-checks, and analyzes one in-memory file under the
-// given import path — the harness for cases a golden fixture cannot express
-// (a rationale-free directive cannot share its line with a want annotation,
-// and CRLF endings would not survive the repository's text tooling).
-func checkSource(t *testing.T, asPath, src string) []lint.Finding {
+// loadSource parses and type-checks one in-memory file under the given
+// import path, resolving its imports through imp.
+func loadSource(t *testing.T, imp types.Importer, asPath, src string) (*lint.Package, *types.Package) {
 	t.Helper()
-	fset, imp := fixtureImporter()
+	fset, _ := fixtureImporter()
 	f, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("parsing: %v", err)
 	}
 	info := lint.NewInfo()
 	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", "amd64")}
-	if _, err := conf.Check(asPath, fset, []*ast.File{f}, info); err != nil {
+	tp, err := conf.Check(asPath, fset, []*ast.File{f}, info)
+	if err != nil {
 		t.Fatalf("type-checking: %v", err)
 	}
-	pkg := &lint.Package{Path: asPath, Fset: fset, Files: []*ast.File{f}, Info: info}
-	return lint.Check(pkg, lint.DefaultConfig())
+	return &lint.Package{Path: asPath, Fset: fset, Files: []*ast.File{f}, Info: info}, tp
+}
+
+// checkSource analyzes one in-memory file under the given import path — the
+// harness for cases a golden fixture cannot express (a rationale-free
+// directive cannot share its line with a want annotation, and CRLF endings
+// would not survive the repository's text tooling).
+func checkSource(t *testing.T, asPath, src string) []lint.Finding {
+	t.Helper()
+	_, imp := fixtureImporter()
+	pkg, _ := loadSource(t, imp, asPath, src)
+	return lint.CheckAll([]*lint.Package{pkg}, lint.DefaultConfig())
 }
 
 // findingsMatching filters by rule and message substring.
@@ -88,7 +97,7 @@ func F(m map[int]int) {
 	if got := findingsMatching(fs, lint.RuleDirective, "must be attached to a function declaration"); len(got) != 1 {
 		t.Errorf("want 1 hotpath-attachment finding, got %d in %v", len(got), fs)
 	}
-	if got := findingsMatching(fs, lint.RuleDirective, "must be attached to a struct field"); len(got) != 1 {
+	if got := findingsMatching(fs, lint.RuleDirective, "keep must be attached to a struct field or a function declaration"); len(got) != 1 {
 		t.Errorf("want 1 keep-attachment finding, got %d in %v", len(got), fs)
 	}
 }

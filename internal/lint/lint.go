@@ -1,7 +1,7 @@
 // Package lint implements twicelint, a stdlib-only static analyzer that
 // enforces the determinism and hygiene invariants the TWiCe reproduction
 // depends on. The paper's security claim (no row exceeds thRH undetected)
-// and its table-size bound (≤553 entries) are only reproducible when the
+// and its §4.4 table-size bound are only reproducible when the
 // simulator is bit-for-bit deterministic, so the analyzer rejects the Go
 // constructs that silently break that property:
 //
@@ -33,6 +33,9 @@
 //   - directive: twicelint directives themselves must be well-formed —
 //     known name, rationale present, attached to the right node.
 //
+// When the load contains a main package, the whole-program deadexport rule
+// reports exported internal/ functions no non-test code references.
+//
 // The analyzer uses only go/ast, go/parser, go/token, and go/types.
 package lint
 
@@ -55,6 +58,7 @@ const (
 	RuleProbeGuard    = "probeguard"
 	RuleResetCoverage = "resetcoverage"
 	RuleDirective     = "directive"
+	RuleDeadExport    = "deadexport"
 )
 
 // Finding is one diagnostic.
@@ -74,8 +78,8 @@ type Config struct {
 	// SimPackages are the path patterns where map iteration order is
 	// load-bearing (the maprange rule).
 	SimPackages []string
-	// InternalPackages are the path patterns where the nondeterm and
-	// truncconv rules apply.
+	// InternalPackages are the path patterns where the nondeterm,
+	// truncconv and deadexport rules apply.
 	InternalPackages []string
 	// ExcludePackages are fully exempt (the blessed detutil helper).
 	ExcludePackages []string
@@ -112,19 +116,13 @@ func NewInfo() *types.Info {
 	}
 }
 
-// Check runs every rule over one package in isolation. The hotpath rule's
-// call graph then covers only that package's functions; use CheckAll for
-// whole-program analysis.
-func Check(pkg *Package, cfg Config) []Finding {
-	return CheckAll([]*Package{pkg}, cfg)
-}
-
 // CheckAll runs every rule over the loaded packages and returns the
 // findings sorted by position. The per-file rules (maprange, nondeterm,
 // droppederr, truncconv, directive, probeguard) and the per-package
 // resetcoverage rule skip excluded packages; the hotpath rule builds one
 // static call graph spanning every loaded package, so a hot root in one
-// package is followed into the bodies it calls anywhere else in the load.
+// package is followed into the bodies it calls anywhere else in the load;
+// the deadexport rule collects references from every loaded package.
 func CheckAll(pkgs []*Package, cfg Config) []Finding {
 	var all []Finding
 	var roots []*funcInfo
@@ -186,6 +184,8 @@ func CheckAll(pkgs []*Package, cfg Config) []Finding {
 			})
 		})
 	}
+
+	all = append(all, checkDeadExports(pkgs, cfg, dirsByFile)...)
 
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]

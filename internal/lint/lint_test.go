@@ -118,7 +118,7 @@ func TestFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.dir, func(t *testing.T) {
 			pkg := loadFixture(t, fx.dir, fx.asPath)
-			findings := lint.Check(pkg, lint.DefaultConfig())
+			findings := lint.CheckAll([]*lint.Package{pkg}, lint.DefaultConfig())
 			wants := readExpectations(t, fx.dir)
 
 			matched := make([]bool, len(findings))
@@ -158,7 +158,7 @@ func TestFixtures(t *testing.T) {
 // worth stating on its own).
 func TestCleanFixtureIsEmpty(t *testing.T) {
 	pkg := loadFixture(t, "clean", "repro/internal/sim/clean")
-	if findings := lint.Check(pkg, lint.DefaultConfig()); len(findings) != 0 {
+	if findings := lint.CheckAll([]*lint.Package{pkg}, lint.DefaultConfig()); len(findings) != 0 {
 		for _, f := range findings {
 			t.Errorf("clean fixture produced: %s", f)
 		}
@@ -185,7 +185,7 @@ func TestExactPositions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			pkg := loadFixture(t, tc.dir, tc.asPath)
-			findings := lint.Check(pkg, lint.DefaultConfig())
+			findings := lint.CheckAll([]*lint.Package{pkg}, lint.DefaultConfig())
 			if len(findings) == 0 {
 				t.Fatalf("no findings in %s fixture", tc.dir)
 			}

@@ -81,7 +81,7 @@ func exportLookup(pkgs []*listedPackage) map[string]string {
 }
 
 // Load lists, parses, and type-checks every non-test package matched by
-// the patterns (relative to dir), returning them ready for Check.
+// the patterns (relative to dir), returning them ready for CheckAll.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {

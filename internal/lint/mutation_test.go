@@ -9,8 +9,8 @@ import (
 
 // The mutation spot-checks pin the acceptance criterion directly: starting
 // from a clean source, deleting exactly one load-bearing construct — a probe
-// nil guard, a Reset field assignment, an allocation-hoisting idiom — must
-// produce the corresponding finding. A rule that passes its golden fixture
+// nil guard, a Reset field assignment, an allocation-hoisting idiom, the only
+// call to an exported function — must produce the corresponding finding. A rule that passes its golden fixture
 // but misses these single-token regressions would be decorative.
 
 const guardedSrc = `package m
@@ -95,5 +95,17 @@ func TestMutationCapacityEvidenceDeletion(t *testing.T) {
 	fs := checkSource(t, path, mutated)
 	if got := findingsMatching(fs, lint.RuleHotPath, "append without capacity evidence"); len(got) != 1 {
 		t.Fatalf("dropping the [:0] reuse idiom must be caught: want 1 hotpath finding, got %d in %v", len(got), fs)
+	}
+}
+
+func TestMutationDeadExportCallDeletion(t *testing.T) {
+	mutated := strings.Replace(deadMain, "\t_ = x.Count(3)\n", "", 1)
+	if mutated == deadMain {
+		t.Fatal("mutation did not apply")
+	}
+	fs := checkProgram(t, deadLib, mutated)
+	got := findingsMatching(fs, lint.RuleDeadExport, "repro/internal/x.Count is exported but has no caller outside tests")
+	if len(got) != 1 || len(fs) != 1 {
+		t.Fatalf("deleting the only call must be caught: want exactly 1 deadexport finding, got %v", fs)
 	}
 }

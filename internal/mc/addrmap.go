@@ -66,11 +66,6 @@ func field(a uint64, width uint) (int, uint64) {
 	return int(a & (1<<width - 1)), a >> width //twicelint:checked field widths sum to ≤63 (NewAddrMap)
 }
 
-// Capacity returns the highest mappable address + 1.
-func (m *AddrMap) Capacity() uint64 {
-	return 1 << (m.lineBits + m.chBits + m.colBits + m.bankBits + m.rankBits + m.rowBits)
-}
-
 // Decompose maps a byte address to its DRAM coordinate. Addresses beyond
 // capacity wrap (high bits are ignored), matching real systems' modulo
 // decoding.

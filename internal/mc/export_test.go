@@ -1,0 +1,14 @@
+package mc
+
+// HasSpace reports whether the channel's queue can accept a request.
+func (s *System) HasSpace(channelIdx int) bool {
+	return len(s.chans[channelIdx].queue) < s.cfg.QueueDepth
+}
+
+// WriteQueueLen returns the channel's write-buffer occupancy.
+func (s *System) WriteQueueLen(channelIdx int) int { return len(s.chans[channelIdx].wqueue) }
+
+// Capacity returns the highest mappable address + 1.
+func (m *AddrMap) Capacity() uint64 {
+	return 1 << (m.lineBits + m.chBits + m.colBits + m.bankBits + m.rankBits + m.rowBits)
+}

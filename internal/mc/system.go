@@ -183,6 +183,8 @@ func (s *System) SetRelease(fn func(*Request)) { s.release = fn }
 // command, in issue order, before it executes. Pass nil to detach. The
 // differential scheduler test compares full traces through this hook; it is
 // not intended for production runs (the callback runs on the hot path).
+//
+//twicelint:keep called by the bench/ module
 func (s *System) SetTrace(fn func(TraceEvent)) { s.trace = fn }
 
 // SetProbes attaches (or, with nil, detaches) a telemetry recorder. The
@@ -240,12 +242,6 @@ func (s *System) Reset() {
 	}
 }
 
-// Config returns the controller configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// Device returns the controlled DRAM device.
-func (s *System) Device() *dram.Device { return s.dev }
-
 // RCD returns the register clock driver.
 func (s *System) RCD() *rcd.RCD { return s.rcd }
 
@@ -254,6 +250,8 @@ func (s *System) NewID() int64 { s.ids++; return s.ids }
 
 // Steps returns how many scheduler steps have executed since construction or
 // the last Reset. One step issues at most one DRAM command.
+//
+//twicelint:keep called by the bench/ module
 func (s *System) Steps() int64 { return s.steps }
 
 // DetectionsByCore returns, per core, how many row-hammer detections that
@@ -265,14 +263,6 @@ func (s *System) DetectionsByCore() map[int]int64 {
 	}
 	return out
 }
-
-// HasSpace reports whether the channel's queue can accept a request.
-func (s *System) HasSpace(channelIdx int) bool {
-	return len(s.chans[channelIdx].queue) < s.cfg.QueueDepth
-}
-
-// QueueLen returns the channel's current queue occupancy.
-func (s *System) QueueLen(channelIdx int) int { return len(s.chans[channelIdx].queue) }
 
 // BankQueueDepth returns how many queued demand requests (read queue plus
 // write buffer) currently target the given bank — a direct read of the
@@ -336,9 +326,6 @@ func (s *System) Enqueue(req *Request, now clock.Time) bool {
 	}
 	return true
 }
-
-// WriteQueueLen returns the channel's write-buffer occupancy.
-func (s *System) WriteQueueLen(channelIdx int) int { return len(s.chans[channelIdx].wqueue) }
 
 // NextEvent returns the earliest time any channel has work to do. The value
 // is cached (see System.nextWake), so polling it every event-loop iteration

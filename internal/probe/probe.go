@@ -338,8 +338,9 @@ func (r *Recorder) MaybeSample(now clock.Time) {
 func (r *Recorder) Totals() EventTotals { return r.totals }
 
 // MaxOccupancy returns the highest post-prune table occupancy observed on
-// any bank — the value the §4.4 bound (553 entries for the paper's DDR4-2400
-// parameters) must dominate.
+// any bank — the value the §4.4 bound must dominate: core.Config.TableBound,
+// 556 entries for the paper's DDR4-2400 parameters, which a legal stream
+// reaches exactly (the paper reports 553).
 func (r *Recorder) MaxOccupancy() int { return r.maxOcc }
 
 // OccupancySeries returns the recorded occupancy trajectory (shared storage;

@@ -152,6 +152,8 @@ func (c *Collector) Record(i int, label CellLabel, rec *Recorder) {
 }
 
 // Cells returns the number of recorded cells.
+//
+//twicelint:keep called by internal/experiments tests
 func (c *Collector) Cells() int {
 	n := 0
 	for i := range c.cells {

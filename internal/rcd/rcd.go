@@ -49,9 +49,6 @@ func New(p dram.Params, def defense.Defense) *RCD {
 	}
 }
 
-// Defense returns the hosted defense.
-func (r *RCD) Defense() defense.Defense { return r.def }
-
 // SetDefense swaps the hosted defense (machine-reuse path: each experiment
 // grid cell brings its own freshly built defense to the recycled RCD).
 func (r *RCD) SetDefense(def defense.Defense) { r.def = def }

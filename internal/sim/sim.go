@@ -6,6 +6,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -55,6 +56,14 @@ func (c Config) Validate() error {
 	}
 	if err := c.MC.Validate(); err != nil {
 		return err
+	}
+	// The device reads DRAM; the controller and its timing checker read
+	// MC.DRAM. Both must describe one organization and timing. The
+	// reliability fields and the spare rows are the device's alone.
+	ctl := c.MC.DRAM
+	ctl.NTh, ctl.BlastRadius, ctl.SCFRate, ctl.SpareRowsPerBank = c.DRAM.NTh, c.DRAM.BlastRadius, c.DRAM.SCFRate, c.DRAM.SpareRowsPerBank
+	if ctl != c.DRAM {
+		return errors.New("sim: MC.DRAM differs from DRAM in organization or timing; rebuild MC with mc.NewConfig(DRAM)")
 	}
 	if err := c.Cache.Validate(); err != nil {
 		return err
@@ -311,15 +320,6 @@ func (m *Machine) maxDisturbHighWater() int64 {
 	}
 	return hw
 }
-
-// Counters exposes the live counters (reports read them after Run).
-func (m *Machine) Counters() *stats.Counters { return m.cnt }
-
-// Device exposes the DRAM device (for flip inspection).
-func (m *Machine) Device() *dram.Device { return m.dev }
-
-// AddrMap exposes the controller's address mapping.
-func (m *Machine) AddrMap() *mc.AddrMap { return m.amap }
 
 // retryDelay spaces queue-full retries.
 const retryDelay = 100 * clock.Nanosecond

@@ -47,14 +47,34 @@ func s3Workload(t *testing.T, cfg Config) workload.Workload {
 	return workload.S3(m, cfg.DRAM, 5000)
 }
 
+// TestConfigValidate checks each config through NewMachine, which must
+// return Validate's error rather than build a machine that panics in Run.
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(16).Validate(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"default", func(*Config) {}, true},
+		{"cpu mlp 0", func(c *Config) { c.CPU.MLP = 0 }, false},
+		{"device banks differ", func(c *Config) { c.DRAM.BanksPerRank = 8 }, false},
+		{"controller channels differ", func(c *Config) { c.MC.DRAM.Channels = 4 }, false},
+		{"controller timing differs", func(c *Config) { c.MC.DRAM.TRC = 50 * clock.Nanosecond }, false},
+		{"device-only fields", func(c *Config) {
+			c.DRAM.NTh, c.DRAM.BlastRadius, c.DRAM.SCFRate, c.DRAM.SpareRowsPerBank = 4096, 2, 1e-3, 8
+		}, true},
 	}
-	bad := DefaultConfig(16)
-	bad.CPU.MLP = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("bad CPU config accepted")
+	w := s3Workload(t, DefaultConfig(1))
+	for _, tc := range cases {
+		cfg := DefaultConfig(1)
+		tc.edit(&cfg)
+		if m, err := NewMachine(cfg, nil, w); (err == nil) != tc.ok {
+			t.Errorf("%s: NewMachine error = %v, want ok=%v", tc.name, err, tc.ok)
+		} else if err == nil {
+			if _, err := m.Run(DefaultLimits(200)); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+		}
 	}
 }
 

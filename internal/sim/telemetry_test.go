@@ -65,9 +65,9 @@ func TestTelemetryRecordsEvents(t *testing.T) {
 // TestTelemetryOccupancyBound pins the §4.4 claim on the real DDR4-2400
 // machine at the paper's parameters (thRH = 32768, tREFW = 64 ms): the
 // per-bank TWiCe table occupancy observed after every prune pass stays within
-// the paper's 553-entry bound (this repo's own accounting gives 556, which
-// 553 rounds into the same 9×64 geometry — either way the trajectory must
-// never exceed the provable bound).
+// the derived TableBound. That is 556 entries, which a legal stream reaches
+// exactly (core's TestTableBoundNeverExceeded), so the paper's 553 is not a
+// ceiling for this engine.
 func TestTelemetryOccupancyBound(t *testing.T) {
 	cfg := DefaultConfig(1)
 	ccfg := core.NewConfig(cfg.DRAM)
@@ -87,11 +87,8 @@ func TestTelemetryOccupancyBound(t *testing.T) {
 	if len(rec.OccupancySeries()) == 0 {
 		t.Fatal("no occupancy samples — the trajectory test observed nothing")
 	}
-	if got := rec.MaxOccupancy(); got <= 0 || got > 553 {
-		t.Errorf("max table occupancy = %d, want in (0, 553]", got)
-	}
-	if bound := ccfg.TableBound(); rec.MaxOccupancy() > bound {
-		t.Errorf("occupancy %d exceeds the computed bound %d", rec.MaxOccupancy(), bound)
+	if got, bound := rec.MaxOccupancy(), ccfg.TableBound(); got <= 0 || got > bound {
+		t.Errorf("max table occupancy = %d, want in (0, %d]", got, bound)
 	}
 }
 

@@ -150,29 +150,6 @@ func (h *Histogram) Mean() float64 {
 // Max returns the maximum observed value.
 func (h *Histogram) Max() int64 { return h.max }
 
-// Percentile returns an upper bound on the p-quantile (0 < p ≤ 1) using
-// bucket boundaries; the overflow bucket reports the observed max.
-func (h *Histogram) Percentile(p float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(p * float64(h.total))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
-}
-
 // String renders the non-empty buckets.
 func (h *Histogram) String() string {
 	var sb strings.Builder

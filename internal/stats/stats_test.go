@@ -72,34 +72,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
-func TestHistogramPercentile(t *testing.T) {
-	h := NewHistogram(10, 100, 1000)
-	for i := 0; i < 90; i++ {
-		h.Observe(5)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(500)
-	}
-	if got := h.Percentile(0.5); got != 10 {
-		t.Errorf("p50 = %d, want 10 (bucket bound)", got)
-	}
-	if got := h.Percentile(0.99); got != 1000 {
-		t.Errorf("p99 = %d, want 1000", got)
-	}
-	var empty Histogram
-	if empty.Percentile(0.5) != 0 {
-		t.Error("empty percentile must be 0")
-	}
-}
-
-func TestHistogramOverflowPercentile(t *testing.T) {
-	h := NewHistogram(10)
-	h.Observe(99999)
-	if got := h.Percentile(1.0); got != 99999 {
-		t.Errorf("overflow percentile = %d, want observed max", got)
-	}
-}
-
 func TestHistogramBadBoundsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

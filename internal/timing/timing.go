@@ -112,9 +112,6 @@ func (c *Checker) Reset() {
 func (c *Checker) bank(id dram.BankID) *bankState { return &c.banks[id.Flat(&c.p)] }
 func (c *Checker) rank(id dram.BankID) *rankState { return &c.ranks[id.RankID().Flat(&c.p)] }
 
-// RowOpen reports whether the checker believes the bank has an open row.
-func (c *Checker) RowOpen(id dram.BankID) bool { return c.bank(id).rowOpen }
-
 // EarliestACT returns the earliest time ≥ now at which an ACT may issue to
 // the bank. It accounts for tRC/tRP, the rank's tRRD and tFAW windows, any
 // REF/ARR occupancy, and ARR rank blocking.
@@ -329,9 +326,4 @@ func (c *Checker) RecordARR(id dram.BankID, t clock.Time) error {
 // (zero if none); the controller uses it to count nacked command attempts.
 func (c *Checker) RankBlockedUntil(id dram.RankID) clock.Time {
 	return c.ranks[id.Flat(&c.p)].blockedUntil
-}
-
-// BankBusyUntil reports the end of the bank's REF/ARR occupancy.
-func (c *Checker) BankBusyUntil(id dram.BankID) clock.Time {
-	return c.bank(id).busyUntil
 }

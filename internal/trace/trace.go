@@ -58,9 +58,6 @@ func (t *Writer) Write(a workload.Access) error {
 	return nil
 }
 
-// Count returns the accesses written.
-func (t *Writer) Count() int64 { return t.count }
-
 // Flush completes the stream.
 func (t *Writer) Flush() error { return t.w.Flush() }
 
@@ -138,9 +135,6 @@ func NewReplayer(name string, r io.Reader) (*Replayer, error) {
 	}
 	return &Replayer{name: name, accesses: acc}, nil
 }
-
-// Len returns the number of recorded accesses.
-func (r *Replayer) Len() int { return len(r.accesses) }
 
 // Name implements workload.Generator.
 func (r *Replayer) Name() string { return r.name }

@@ -77,9 +77,6 @@ func ProfileByName(name string) (SPECProfile, error) {
 	return SPECProfile{}, fmt.Errorf("workload: unknown SPEC application %q", name)
 }
 
-// SpecHighNames returns the spec-high application list.
-func SpecHighNames() []string { return append([]string(nil), specHigh...) }
-
 // specGen emits a stream/random mixture over a private footprint.
 type specGen struct {
 	prof   SPECProfile

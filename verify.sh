@@ -4,11 +4,15 @@
 # sequence.
 #
 #   1. go vet          — stdlib static checks
+#   1b. gofmt          — no tracked .go file (bench/ included, the ignored
+#                        .bench_build/ build output excluded) needs
+#                        reformatting; the check lists any that do
 #   2. go build        — everything compiles
-#   3. twicelint       — determinism, hygiene, and hot-path rules
-#                        (internal/lint); the build fails on any finding,
-#                        and the failure output ends with a per-rule count
-#                        summary (e.g. "2 finding(s) (hotpath: 2)")
+#   3. twicelint       — determinism, hygiene, hot-path, and dead-export
+#                        rules (internal/lint); the build fails on any
+#                        finding, and the failure output ends with a
+#                        per-rule count summary (e.g. "2 finding(s)
+#                        (hotpath: 2)")
 #   3b. twicelint self-check — the analyzer analyzes its own engine, so a
 #                        change to internal/lint cannot land findings in
 #                        the tool that is supposed to report them
@@ -43,6 +47,14 @@ cd "$(dirname "$0")"
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l (tracked .go files)"
+unformatted=$( (git ls-files '*.go' 2>/dev/null || find . -name '*.go') | grep -v '^\(\./\)\{0,1\}\.bench_build/' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go build ./..."
 go build ./...
