@@ -35,12 +35,17 @@ type Bank struct {
 	remap *RemapTable //twicelint:keep fuse data survives power cycles; RemapTable has no reset
 
 	// disturb[phys] counts neighbour ACTs since the row's last refresh or
-	// own activation.
+	// own activation. A count rises only by one, in hammer, so a row records
+	// its flip on the increment that takes it to NTh+1 and never again until
+	// a refresh zeroes it.
 	disturb []int32
-	// flipped[phys] marks rows that have already recorded a flip in the
-	// current vulnerability epoch, so one over-threshold row produces one
-	// flip record rather than one per subsequent ACT.
-	flipped []bool
+	// dirty holds one bit per physical row (bit phys&63 of word phys>>6),
+	// set whenever hammer raises that row's count. A clear bit means the
+	// row's count is zero, so the refresh sweep and Reset zero only the
+	// 64-row groups whose word has a bit set: an attack disturbs a handful
+	// of rows, and zeroing the whole range would stream every row of every
+	// bank through the cache.
+	dirty []uint64
 	// hwm is the highest disturbance count any row of the bank has reached —
 	// the per-bank high-water mark the telemetry layer samples. Maintained
 	// inline in hammer (one compare per disturbed neighbour).
@@ -65,7 +70,7 @@ func NewBank(id BankID, p *Params, remap *RemapTable) *Bank {
 		p:       p,
 		remap:   remap,
 		disturb: make([]int32, n),
-		flipped: make([]bool, n),
+		dirty:   make([]uint64, (n+63)/64),
 		openRow: -1,
 	}
 }
@@ -112,7 +117,6 @@ func (b *Bank) Activate(logicalRow int, now clock.Time) error {
 //twicelint:hotpath disturbance accounting runs on every ACT and ARR
 func (b *Bank) hammer(phys int, now clock.Time) {
 	b.disturb[phys] = 0
-	b.flipped[phys] = false
 	lo := phys - b.p.BlastRadius
 	if lo < 0 {
 		lo = 0
@@ -126,11 +130,11 @@ func (b *Bank) hammer(phys int, now clock.Time) {
 			continue
 		}
 		b.disturb[n]++
+		b.dirty[n>>6] |= 1 << (n & 63)
 		if b.disturb[n] > b.hwm {
 			b.hwm = b.disturb[n]
 		}
-		if int(b.disturb[n]) > b.p.NTh && !b.flipped[n] {
-			b.flipped[n] = true
+		if int(b.disturb[n]) == b.p.NTh+1 {
 			b.stats.Flips++
 			//twicelint:allocok flip records are rare events (each physical row flips at most once)
 			b.flips = append(b.flips, Flip{
@@ -160,24 +164,37 @@ func (b *Bank) AutoRefresh(now clock.Time) error {
 		//twicelint:allocok cold error path: protocol violation, not steady state
 		return fmt.Errorf("dram: auto-refresh with row %d open in %v", b.openRow, b.id)
 	}
-	n := b.remap.PhysicalRows()
-	count := b.p.RowsPerRefresh()
-	for i := 0; i < count; i++ {
-		b.refreshRow(b.refreshPtr)
-		b.refreshPtr++
-		if b.refreshPtr >= n {
-			b.refreshPtr = 0
-		}
+	n := len(b.disturb)
+	count := b.p.RowsPerRefresh() // at most n: the window holds at least one tick
+	lo, hi := b.refreshPtr, b.refreshPtr+count
+	if hi > n {
+		b.refreshRows(lo, n)
+		lo, hi = 0, hi-n
 	}
+	b.refreshRows(lo, hi)
+	b.refreshPtr = hi % n
 	b.stats.AutoRefreshes++
 	b.stats.RowsRefreshed += int64(count)
 	_ = now
 	return nil
 }
 
-func (b *Bank) refreshRow(phys int) {
-	b.disturb[phys] = 0
-	b.flipped[phys] = false
+// refreshRows zeroes the disturbance counts of the physical rows [lo, hi)
+// and clears their dirty bits, one bitmap word at a time. A word's rows are
+// zeroed with one clear when any of them is dirty and skipped otherwise:
+// the clean rows among them already count zero.
+func (b *Bank) refreshRows(lo, hi int) {
+	for lo < hi {
+		w := lo >> 6
+		end := min(hi, (w+1)<<6)
+		first, last := lo&63, (end-1)&63
+		mask := ^uint64(0) << first & (^uint64(0) >> (63 - last))
+		if b.dirty[w]&mask != 0 {
+			clear(b.disturb[lo:end])
+			b.dirty[w] &^= mask
+		}
+		lo = end
+	}
 }
 
 // AdjacentRowRefresh implements the ARR command: the device resolves the
@@ -249,17 +266,18 @@ func (b *Bank) Disturbance(phys int) int { return int(b.disturb[phys]) }
 func (b *Bank) DisturbHighWater() int { return int(b.hwm) }
 
 // Reset restores the bank to its just-constructed state while keeping its
-// storage and remap table: disturbance counters and flip marks cleared, the
-// refresh pointer rewound, recorded flips dropped (the backing array is
-// reused), and the activity counters zeroed. The remap table is fuse data —
-// it survives, which is what makes a reset bank byte-identical to a fresh
-// bank built from the same generation sequence.
+// storage and remap table: disturbance counters and dirty bits cleared (only
+// the 64-row groups the bitmap marks are zeroed, so a reset costs what the
+// last run disturbed), the refresh pointer rewound, recorded flips dropped
+// (the backing array is reused), and the activity counters zeroed. The remap
+// table is fuse data — it survives, which is what makes a reset bank
+// byte-identical to a fresh bank built from the same generation sequence.
 func (b *Bank) Reset() {
-	for i := range b.disturb {
-		b.disturb[i] = 0
-	}
-	for i := range b.flipped {
-		b.flipped[i] = false
+	for w, word := range b.dirty {
+		if word != 0 {
+			clear(b.disturb[w<<6 : min(len(b.disturb), (w+1)<<6)])
+			b.dirty[w] = 0
+		}
 	}
 	b.refreshPtr = 0
 	b.openRow = -1

@@ -121,6 +121,47 @@ func TestFlipRecordedOnceAboveThreshold(t *testing.T) {
 			t.Errorf("identity-mapped flip logical = %d, phys = %d", f.Logical, f.PhysRow)
 		}
 	}
+
+	// Clearing the victims re-arms them: hammering past NTh again records
+	// exactly one more flip per victim, whether an ARR or a refresh sweep
+	// did the clearing.
+	hammer := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := b.Activate(20, 0); err != nil {
+				t.Fatal(err)
+			}
+			b.Precharge()
+		}
+	}
+	if _, err := b.AdjacentRowRefresh(20, 0); err != nil {
+		t.Fatal(err)
+	}
+	hammer(p.NTh + 5)
+	if got := len(b.Flips()); got != 4 {
+		t.Fatalf("after ARR and re-hammer: %d flips, want 4", got)
+	}
+	for i := 0; i < p.RefreshTicksPerWindow(); i++ {
+		if err := b.AutoRefresh(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.Disturbance(19) + b.Disturbance(21); got != 0 {
+		t.Fatalf("victims not cleared by a full refresh sweep: disturbance sum %d", got)
+	}
+	hammer(p.NTh + 5)
+	if got := len(b.Flips()); got != 6 {
+		t.Fatalf("after refresh sweep and re-hammer: %d flips, want 6", got)
+	}
+	for _, f := range b.Flips()[2:] {
+		if f.Disturb != p.NTh+1 || (f.PhysRow != 19 && f.PhysRow != 21) {
+			t.Errorf("re-armed flip = %+v, want row 19 or 21 at disturbance %d", f, p.NTh+1)
+		}
+	}
+	// Staying above NTh records nothing more.
+	hammer(p.NTh)
+	if got := len(b.Flips()); got != 6 {
+		t.Fatalf("staying above NTh: %d flips, want still 6", got)
+	}
 }
 
 func TestNoFlipAtExactlyThreshold(t *testing.T) {

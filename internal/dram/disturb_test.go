@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,41 +9,195 @@ import (
 	"repro/internal/clock"
 )
 
-// TestDisturbanceConservation checks the bookkeeping invariant behind the
-// whole reliability model: with no refreshes, after any sequence of
-// activations of interior rows, each row's disturbance equals the number of
-// neighbour activations since the row itself was last activated.
+// refBank is the dense reference model of a Bank's reliability state: every
+// refresh walks each row of its range, and flips are tracked with an
+// explicit per-row mark instead of being read off the count.
+type refBank struct {
+	p       *Params
+	remap   *RemapTable
+	disturb []int
+	flipped []bool
+	ptr     int
+	hwm     int
+	flips   []Flip
+	stats   BankStats
+}
+
+func newRefBank(p *Params, remap *RemapTable) *refBank {
+	n := remap.PhysicalRows()
+	return &refBank{p: p, remap: remap, disturb: make([]int, n), flipped: make([]bool, n)}
+}
+
+func (r *refBank) hammer(phys int, now clock.Time) {
+	r.disturb[phys] = 0
+	r.flipped[phys] = false
+	for n := phys - r.p.BlastRadius; n <= phys+r.p.BlastRadius; n++ {
+		if n == phys || n < 0 || n >= len(r.disturb) {
+			continue
+		}
+		r.disturb[n]++
+		r.hwm = max(r.hwm, r.disturb[n])
+		if r.disturb[n] > r.p.NTh && !r.flipped[n] {
+			r.flipped[n] = true
+			r.stats.Flips++
+			r.flips = append(r.flips, Flip{PhysRow: n, Logical: r.remap.Logical(n), Time: now, Disturb: r.disturb[n]})
+		}
+	}
+}
+
+func (r *refBank) activate(row int, now clock.Time) {
+	r.stats.ACTs++
+	r.hammer(r.remap.Physical(row), now)
+}
+
+func (r *refBank) adjacentRowRefresh(row int, now clock.Time) {
+	phys := r.remap.Physical(row)
+	for n := phys - r.p.BlastRadius; n <= phys+r.p.BlastRadius; n++ {
+		if n != phys && n >= 0 && n < len(r.disturb) {
+			r.hammer(n, now)
+			r.stats.VictimACTs++
+		}
+	}
+}
+
+func (r *refBank) refreshLogicalNeighbors(row int, now clock.Time) {
+	for l := row - r.p.BlastRadius; l <= row+r.p.BlastRadius; l++ {
+		if l != row && l >= 0 && l < r.p.RowsPerBank {
+			r.hammer(r.remap.Physical(l), now)
+			r.stats.VictimACTs++
+		}
+	}
+}
+
+func (r *refBank) autoRefresh() {
+	for i := 0; i < r.p.RowsPerRefresh(); i++ {
+		r.disturb[r.ptr] = 0
+		r.flipped[r.ptr] = false
+		r.ptr = (r.ptr + 1) % len(r.disturb)
+	}
+	r.stats.AutoRefreshes++
+	r.stats.RowsRefreshed += int64(r.p.RowsPerRefresh())
+}
+
+func (r *refBank) reset() {
+	*r = *newRefBank(r.p, r.remap)
+}
+
+// TestDisturbanceConservation checks the bookkeeping behind the whole
+// reliability model against refBank: after every activation, ARR,
+// logical-neighbour refresh, auto-refresh and reset of a random stream, each
+// row's disturbance, the recorded flips, the activity counters and the
+// high-water mark must match. The streams hammer a few hot rows, some of
+// them remapped to spares, at a small NTh, so rows flip, are refreshed and
+// flip again. Two geometries: 72 rows refreshed one per tick, whose bitmap
+// ends in a partial word, and 200 rows refreshed 67 per tick, so a tick's
+// range spans several words and wraps past the last row mid-tick.
 func TestDisturbanceConservation(t *testing.T) {
-	p := smallParams()
-	p.NTh = 1 << 30 // never flip; we only audit the counters
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := NewBank(BankID{}, &p, nil)
-		// Reference model: per physical row, neighbour ACTs since own ACT.
-		ref := make([]int, p.RowsPerBank+p.SpareRowsPerBank)
-		for i := 0; i < 500; i++ {
-			row := rng.Intn(p.RowsPerBank)
-			if err := b.Activate(row, clock.Time(i)); err != nil {
-				return false
+	wide := smallParams()
+	wide.RowsPerBank, wide.SpareRowsPerBank = 192, 8
+	wide.TREFW = 3 * wide.TREFI
+	for _, tc := range []struct {
+		name         string
+		p            Params
+		perTick      int
+		refreshEvery int // about one auto-refresh per this many ops
+	}{
+		{"72rows", smallParams(), 1, 4},
+		{"200rows", wide, 67, 25},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
+			p.NTh = 4
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
 			}
-			b.Precharge()
-			ref[row] = 0
-			for _, n := range []int{row - 1, row + 1} {
-				if n >= 0 && n < len(ref) {
-					ref[n]++
+			if got := p.RowsPerRefresh(); got != tc.perTick {
+				t.Fatalf("RowsPerRefresh = %d, want %d", got, tc.perTick)
+			}
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				remap := NewRemapTable(p.RowsPerBank, p.SpareRowsPerBank)
+				hot := []int{1, 2, p.RowsPerBank / 2, p.RowsPerBank - 1, rng.Intn(p.RowsPerBank)}
+				for _, row := range []int{hot[2], hot[4], rng.Intn(p.RowsPerBank)} {
+					if remap.Physical(row) == row {
+						if err := remap.Remap(row); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
+				b := NewBank(BankID{}, &p, remap)
+				ref := newRefBank(&p, remap)
+				for i := 0; i < 3000; i++ {
+					now := clock.Time(i)
+					row := rng.Intn(p.RowsPerBank)
+					if rng.Intn(2) == 0 {
+						row = hot[rng.Intn(len(hot))]
+					}
+					var op string
+					var err error
+					switch k := rng.Intn(1000); {
+					case k == 0:
+						op = "reset"
+						b.Reset()
+						ref.reset()
+					case rng.Intn(tc.refreshEvery) == 0:
+						op = "auto-refresh"
+						err = b.AutoRefresh(now)
+						ref.autoRefresh()
+					case k < 100:
+						op = "arr"
+						_, err = b.AdjacentRowRefresh(row, now)
+						ref.adjacentRowRefresh(row, now)
+					case k < 150:
+						op = "logical-neighbours"
+						_, err = b.RefreshLogicalNeighbors(row, now)
+						ref.refreshLogicalNeighbors(row, now)
+					default:
+						op = "activate"
+						err = b.Activate(row, now)
+						b.Precharge()
+						ref.activate(row, now)
+					}
+					if err != nil {
+						t.Fatalf("seed %d op %d %s(%d): %v", seed, i, op, row, err)
+					}
+					if msg := diffRef(b, ref); msg != "" {
+						t.Logf("seed %d op %d %s(%d): %s", seed, i, op, row, msg)
+						return false
+					}
+				}
+				return true
 			}
-		}
-		for r := range ref {
-			if b.Disturbance(r) != ref[r] {
-				return false
+			if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+				t.Error(err)
 			}
+		})
+	}
+}
+
+// diffRef describes the first difference between a bank and its reference
+// model, or returns "" when they agree.
+func diffRef(b *Bank, ref *refBank) string {
+	for r, want := range ref.disturb {
+		if got := b.Disturbance(r); got != want {
+			return fmt.Sprintf("disturb[%d] = %d, reference %d", r, got, want)
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+	if len(b.Flips()) != len(ref.flips) {
+		return fmt.Sprintf("%d flips, reference %d", len(b.Flips()), len(ref.flips))
 	}
+	for i, f := range b.Flips() {
+		if f != ref.flips[i] {
+			return fmt.Sprintf("flip %d = %+v, reference %+v", i, f, ref.flips[i])
+		}
+	}
+	if b.Stats() != ref.stats {
+		return fmt.Sprintf("stats %+v, reference %+v", b.Stats(), ref.stats)
+	}
+	if b.DisturbHighWater() != ref.hwm {
+		return fmt.Sprintf("high-water mark %d, reference %d", b.DisturbHighWater(), ref.hwm)
+	}
+	return ""
 }
 
 // TestRefreshWindowBoundsDisturbance verifies the premise of §3.2: with the

@@ -157,7 +157,11 @@ func (p Params) RefreshTicksPerWindow() int {
 }
 
 // RowsPerRefresh returns how many rows each auto-refresh command refreshes so
-// that every row (including spares) is covered once per refresh window.
+// that every row (including spares) is covered at least once per refresh
+// window. It is rounded up, so a window may refresh more rows than the bank
+// has and the rolling sweep then runs ahead of the window: at the default
+// parameters 17 rows × 8,192 ticks cover 139,264 rows against 132,096, so
+// each row is refreshed every ~7,770 ticks (~60.7 ms of the 64 ms window).
 func (p Params) RowsPerRefresh() int {
 	total := p.RowsPerBank + p.SpareRowsPerBank
 	ticks := p.RefreshTicksPerWindow()

@@ -34,16 +34,85 @@ func BenchmarkBankActivate(b *testing.B) {
 	}
 }
 
-func BenchmarkBankAutoRefresh(b *testing.B) {
+// quickBankParams is benchParams at the quick scale's 1 ms refresh window
+// (experiments.QuickScale, which the repository benchmark runs): 128 ticks a
+// window, so each auto-refresh covers 1,032 rows.
+func quickBankParams() Params {
 	p := benchParams()
-	bank := NewBank(BankID{0, 0, 0}, &p, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bank.AutoRefresh(clock.Time(i)); err != nil {
-			b.Fatal(err)
+	p.TREFW = clock.Millisecond
+	return p
+}
+
+// hotRows are single-row aggressors like the paper's S3 attack, spread over
+// the bank.
+var hotRows = []int{5000, 40000, 80000, 120000}
+
+// activateRows activates and precharges each row once.
+func activateRows(tb testing.TB, bank *Bank, rows []int) {
+	for _, row := range rows {
+		if err := bank.Activate(row, 0); err != nil {
+			tb.Fatal(err)
 		}
+		bank.Precharge()
 	}
+}
+
+// dirtyEveryRow activates every logical row in ascending order, which leaves
+// a non-zero disturbance count on every physical row but the unreached
+// spares.
+func dirtyEveryRow(tb testing.TB, bank *Bank, p Params) {
+	for row := 0; row < p.RowsPerBank; row++ {
+		if err := bank.Activate(row, 0); err != nil {
+			tb.Fatal(err)
+		}
+		bank.Precharge()
+	}
+}
+
+// BenchmarkBankAutoRefresh times one auto-refresh of a quick-scale bank in
+// three states: never hammered (clean), a few S3-like aggressors hammered
+// before each refresh (hot; their ACTs are timed too), and every row of the
+// range disturbed (dense, the worst case: the bank is re-disturbed, untimed,
+// once per refresh window).
+func BenchmarkBankAutoRefresh(b *testing.B) {
+	p := quickBankParams()
+	ticks := p.RefreshTicksPerWindow()
+	b.Run("clean", func(b *testing.B) {
+		bank := NewBank(BankID{0, 0, 0}, &p, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := bank.AutoRefresh(clock.Time(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hot", func(b *testing.B) {
+		bank := NewBank(BankID{0, 0, 0}, &p, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			activateRows(b, bank, hotRows)
+			if err := bank.AutoRefresh(clock.Time(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		bank := NewBank(BankID{0, 0, 0}, &p, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%ticks == 0 {
+				b.StopTimer()
+				dirtyEveryRow(b, bank, p)
+				b.StartTimer()
+			}
+			if err := bank.AutoRefresh(clock.Time(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // remapTableWithN builds a table with n remapped rows spread across the bank.
@@ -111,16 +180,31 @@ func TestActivateSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAutoRefreshSteadyStateZeroAllocs pins the refresh sweep at zero
+// allocations on a clean bank and on a disturbed one, where it has dirty
+// rows to clear on every tick.
 func TestAutoRefreshSteadyStateZeroAllocs(t *testing.T) {
-	p := benchParams()
-	bank := NewBank(BankID{0, 0, 0}, &p, nil)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := bank.AutoRefresh(0); err != nil {
-			t.Fatal(err)
+	p := quickBankParams()
+	clean := NewBank(BankID{0, 0, 0}, &p, nil)
+	dirty := NewBank(BankID{0, 0, 0}, &p, nil)
+	dirtyEveryRow(t, dirty, p)
+	for _, tc := range []struct {
+		name string
+		bank *Bank
+		hot  []int
+	}{
+		{"clean", clean, nil},
+		{"dirty", dirty, hotRows},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			activateRows(t, tc.bank, tc.hot)
+			if err := tc.bank.AutoRefresh(0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Bank.AutoRefresh on a %s bank allocates %v per run, want 0", tc.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Bank.AutoRefresh allocates %v per run, want 0", allocs)
 	}
 }
 

@@ -24,9 +24,10 @@
 #                        module, which `go test ./...` at the root skips, so
 #                        deleting an API the benchmark compiles against
 #                        fails here
-#   4b. bench smoke    — every sim hot-path and scheduler-step benchmark
-#                        body runs once (-benchtime=1x), so a change that
-#                        breaks only benchmark-path code cannot land green
+#   4b. bench smoke    — every sim hot-path, scheduler-step and DRAM bank
+#                        (activate, auto-refresh, remap) benchmark body runs
+#                        once (-benchtime=1x), so a change that breaks only
+#                        benchmark-path code cannot land green
 #   4c. root benchmarks — every paper table/figure and ablation benchmark in
 #                        bench_test.go runs once (-benchtime 1x, ~17 s on
 #                        2 vCPUs); `go test ./...` only compiles them
@@ -71,8 +72,8 @@ go test ./...
 echo "==> (cd bench && go vet ./... && go test -short ./...)"
 (cd bench && go vet ./... && go test -short ./...)
 
-echo "==> go test -run='^\$' -bench='SimRun|SchedulerStep' -benchtime=1x ./internal/sim ./internal/mc"
-go test -run='^$' -bench='SimRun|SchedulerStep' -benchtime=1x ./internal/sim ./internal/mc
+echo "==> go test -run='^\$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram"
+go test -run='^$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram
 
 echo "==> go test -run '^\$' -bench . -benchtime 1x ."
 go test -run '^$' -bench . -benchtime 1x .
