@@ -12,6 +12,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -34,7 +35,7 @@ func main() {
 	flag.Parse()
 
 	if *inspect != "" {
-		if err := summarise(*inspect); err != nil {
+		if err := summarise(os.Stdout, *inspect); err != nil {
 			fail(err)
 		}
 		return
@@ -78,7 +79,10 @@ func main() {
 		*n, gen.Name(), *out, info.Size(), float64(info.Size())/float64(*n))
 }
 
-func summarise(path string) error {
+// summarise writes the trace's access, write and instruction totals and its
+// hottest row to w. Of rows tied for the most accesses it names the lowest
+// (channel, rank, bank, row).
+func summarise(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -95,6 +99,8 @@ func summarise(path string) error {
 	}
 	var count, writes, insts int64
 	rows := map[dram.Addr]int64{}
+	var hottest dram.Addr
+	var hotCount int64
 	for {
 		a, err := r.Read()
 		if errors.Is(err, io.EOF) {
@@ -111,22 +117,24 @@ func summarise(path string) error {
 		d := amap.Decompose(a.Addr)
 		d.Col = 0
 		rows[d]++
+		if c := rows[d]; c > hotCount || c == hotCount && rowBefore(d, hottest) {
+			hottest, hotCount = d, c
+		}
 	}
 	if count == 0 {
 		return errors.New("empty trace")
 	}
-	var hottest dram.Addr
-	var hotCount int64
-	for r, c := range rows {
-		if c > hotCount {
-			hottest, hotCount = r, c
-		}
-	}
-	fmt.Printf("%s: %d accesses (%.1f%% writes), %d instructions, %d distinct rows\n",
+	fmt.Fprintf(w, "%s: %d accesses (%.1f%% writes), %d instructions, %d distinct rows\n",
 		path, count, 100*float64(writes)/float64(count), insts, len(rows))
-	fmt.Printf("hottest row: %v with %d accesses (%.1f%% of trace)\n",
+	fmt.Fprintf(w, "hottest row: %v with %d accesses (%.1f%% of trace)\n",
 		hottest, hotCount, 100*float64(hotCount)/float64(count))
 	return nil
+}
+
+// rowBefore reports whether a precedes b in (channel, rank, bank, row) order.
+func rowBefore(a, b dram.Addr) bool {
+	return cmp.Or(cmp.Compare(a.Channel, b.Channel), cmp.Compare(a.Rank, b.Rank),
+		cmp.Compare(a.Bank, b.Bank), cmp.Compare(a.Row, b.Row)) < 0
 }
 
 func fail(err error) {

@@ -18,8 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
+	"repro/internal/detutil"
 	"repro/internal/lint"
 )
 
@@ -40,7 +40,7 @@ func main() {
 
 Checks the packages (default ./...) against the TWiCe determinism and
 hot-path rules:
-  maprange       map iteration where order can leak into sim behaviour
+  maprange       map iteration where order can leak into behaviour or output
   nondeterm      unseeded global randomness or wall-clock time under internal/
   droppederr     discarded error results outside tests
   truncconv      unguarded narrowing integer conversions under internal/
@@ -60,7 +60,7 @@ Exit codes: 0 clean, 1 findings reported, 2 load or type-check error.
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	findings, err := lint.Run(".", patterns, lint.DefaultConfig())
+	findings, err := lint.Run(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "twicelint: %v\n", err)
 		os.Exit(2)
@@ -99,13 +99,8 @@ func ruleCounts(findings []lint.Finding) string {
 	for _, f := range findings {
 		counts[f.Rule]++
 	}
-	rules := make([]string, 0, len(counts))
-	for r := range counts {
-		rules = append(rules, r)
-	}
-	sort.Strings(rules)
 	s := " ("
-	for i, r := range rules {
+	for i, r := range detutil.SortedKeys(counts) {
 		if i > 0 {
 			s += ", "
 		}

@@ -36,9 +36,7 @@ func newIntMap(capacity int) *intMap {
 		vals: make([]int, size),
 		mask: uint64(size) - 1,
 	}
-	for i := range m.keys {
-		m.keys[i] = -1
-	}
+	m.clear()
 	return m
 }
 

@@ -31,11 +31,9 @@ func newPATable(capacity, ways int) *paTable {
 	}
 	for s := range t.sets {
 		t.sets[s] = make([]Entry, ways)
-		for w := range t.sets[s] {
-			t.sets[s][w].Row = -1
-		}
 		t.sb[s] = make([]int, nsets)
 	}
+	t.Clear()
 	return t
 }
 

@@ -84,9 +84,7 @@ func newFATable(capacity int) *faTable {
 		free:    make([]int, 0, capacity),
 		index:   newIntMap(capacity),
 	}
-	for i := capacity - 1; i >= 0; i-- {
-		t.free = append(t.free, i)
-	}
+	t.Clear()
 	return t
 }
 
@@ -171,9 +169,9 @@ func (t *faTable) Prune(thPI int) int {
 	return pruned
 }
 
-// Clear implements Table. The free list is rebuilt in the same descending
-// order newFATable uses, so a cleared table hands out slots in the exact
-// sequence a fresh one would.
+// Clear implements Table. It is also how newFATable lays out the free
+// list, in descending slot order, so a cleared table hands out slots in the
+// exact sequence a fresh one would.
 func (t *faTable) Clear() {
 	for i := range t.valid {
 		t.valid[i] = false

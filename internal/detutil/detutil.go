@@ -2,11 +2,11 @@
 // map iteration order on purpose; simulation code must never let that
 // randomness reach scheduling decisions or output, because the paper's
 // thRH/table-bound claims are only checkable on bit-for-bit reproducible
-// runs. Every `for … range m` over a map in sim-critical packages either
-// proves itself order-insensitive to twicelint or iterates SortedKeys(m).
+// runs. Every `for … range m` over a map, in any package, either proves
+// itself order-insensitive to twicelint or iterates SortedKeys(m).
 //
-// This is the one package the twicelint maprange rule excludes: the raw
-// iteration lives here, once, behind a sorting barrier.
+// This is the one package twicelint skips: the raw iteration lives here,
+// once, behind a sorting barrier.
 package detutil
 
 import (

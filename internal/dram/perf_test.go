@@ -267,6 +267,20 @@ func TestBankResetMatchesFresh(t *testing.T) {
 			t.Fatalf("disturbance[%d] = %d vs fresh %d", r, used.Disturbance(r), fresh.Disturbance(r))
 		}
 	}
+
+	// One activation leaves its neighbours at count 1: the lowest high-water
+	// mark whose reset must still clear them.
+	once := NewBank(BankID{0, 0, 0}, &p, remap)
+	if err := once.Activate(20, 0); err != nil {
+		t.Fatal(err)
+	}
+	once.Precharge()
+	once.Reset()
+	for r := 0; r < remap.PhysicalRows(); r++ {
+		if once.Disturbance(r) != 0 {
+			t.Fatalf("after one activation and a reset, disturbance[%d] = %d, want 0", r, once.Disturbance(r))
+		}
+	}
 }
 
 func TestDeviceResetResetsAllBanks(t *testing.T) {

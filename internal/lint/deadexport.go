@@ -38,7 +38,7 @@ func sigOf(fn *types.Func) methodSig {
 }
 
 // checkDeadExports runs the deadexport rule over the whole load.
-func checkDeadExports(pkgs []*Package, cfg Config, dirsByFile map[*ast.File]*directives) []Finding {
+func checkDeadExports(pkgs []*Package, dirsByFile map[*ast.File]*directives) []Finding {
 	used, hasMain := map[string]bool{}, false
 	var ifaces [][]methodSig
 	addIface := func(t types.Type) {
@@ -113,7 +113,7 @@ func checkDeadExports(pkgs []*Package, cfg Config, dirsByFile map[*ast.File]*dir
 
 	var out []Finding
 	for _, pkg := range pkgs {
-		if !matchAny(pkg.Path, cfg.InternalPackages) || matchAny(pkg.Path, cfg.ExcludePackages) {
+		if !strings.Contains(pkg.Path, internalScope) || strings.Contains(pkg.Path, exemptPackage) {
 			continue
 		}
 		for _, f := range pkg.Files {

@@ -29,7 +29,7 @@ func checkProgram(t *testing.T, libSrc, mainSrc string) []lint.Finding {
 		m, _ := loadSource(t, imp, "repro/cmd/m", mainSrc)
 		pkgs = append(pkgs, m)
 	}
-	return lint.CheckAll(pkgs, lint.DefaultConfig())
+	return lint.CheckAll(pkgs)
 }
 
 const deadLib = `package x

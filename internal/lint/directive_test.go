@@ -36,7 +36,7 @@ func checkSource(t *testing.T, asPath, src string) []lint.Finding {
 	t.Helper()
 	_, imp := fixtureImporter()
 	pkg, _ := loadSource(t, imp, asPath, src)
-	return lint.CheckAll([]*lint.Package{pkg}, lint.DefaultConfig())
+	return lint.CheckAll([]*lint.Package{pkg})
 }
 
 // findingsMatching filters by rule and message substring.

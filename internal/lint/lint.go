@@ -5,8 +5,8 @@
 // simulator is bit-for-bit deterministic, so the analyzer rejects the Go
 // constructs that silently break that property:
 //
-//   - maprange: `for … range` over a map in sim-critical packages, unless
-//     the loop body is provably order-insensitive or the site carries a
+//   - maprange: `for … range` over a map in any package, unless the loop
+//     body is provably order-insensitive or the site carries a
 //     //twicelint:ordered directive asserting sorted/handled ordering.
 //   - nondeterm: use of the unseeded global math/rand source or of
 //     wall-clock time (time.Now / time.Since / time.Until) under internal/;
@@ -73,28 +73,15 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Message)
 }
 
-// Config scopes the rules to package-path patterns (substring match).
-type Config struct {
-	// SimPackages are the path patterns where map iteration order is
-	// load-bearing (the maprange rule).
-	SimPackages []string
-	// InternalPackages are the path patterns where the nondeterm,
-	// truncconv and deadexport rules apply.
-	InternalPackages []string
-	// ExcludePackages are fully exempt (the blessed detutil helper).
-	ExcludePackages []string
-}
-
-// DefaultConfig returns the repository policy: every internal/ package is
-// sim-critical except detutil, which hosts the one sanctioned raw map
-// iteration behind its sorting barrier.
-func DefaultConfig() Config {
-	return Config{
-		SimPackages:      []string{"internal/"},
-		InternalPackages: []string{"internal/"},
-		ExcludePackages:  []string{"internal/detutil"},
-	}
-}
+// Rule scopes, matched as substrings of a package path. The maprange,
+// droppederr, directive, probeguard and resetcoverage rules apply to every
+// package; nondeterm, truncconv and deadexport only to internalScope.
+// exemptPackage is skipped by every rule: detutil hosts the one sanctioned
+// raw map iteration behind its sorting barrier.
+const (
+	internalScope = "internal/"
+	exemptPackage = "internal/detutil"
+)
 
 // Package is one type-checked, non-test package ready for analysis.
 type Package struct {
@@ -119,11 +106,11 @@ func NewInfo() *types.Info {
 // CheckAll runs every rule over the loaded packages and returns the
 // findings sorted by position. The per-file rules (maprange, nondeterm,
 // droppederr, truncconv, directive, probeguard) and the per-package
-// resetcoverage rule skip excluded packages; the hotpath rule builds one
+// resetcoverage rule skip exemptPackage; the hotpath rule builds one
 // static call graph spanning every loaded package, so a hot root in one
 // package is followed into the bodies it calls anywhere else in the load;
 // the deadexport rule collects references from every loaded package.
-func CheckAll(pkgs []*Package, cfg Config) []Finding {
+func CheckAll(pkgs []*Package) []Finding {
 	var all []Finding
 	var roots []*funcInfo
 	dirsByFile := map[*ast.File]*directives{}
@@ -132,9 +119,7 @@ func CheckAll(pkgs []*Package, cfg Config) []Finding {
 	for _, pkg := range pkgs {
 		c := &checker{
 			pkg:      pkg,
-			cfg:      cfg,
-			sim:      matchAny(pkg.Path, cfg.SimPackages),
-			internal: matchAny(pkg.Path, cfg.InternalPackages),
+			internal: strings.Contains(pkg.Path, internalScope),
 			fileDirs: map[*ast.File]*directives{},
 		}
 		for _, f := range pkg.Files {
@@ -142,9 +127,9 @@ func CheckAll(pkgs []*Package, cfg Config) []Finding {
 			c.fileDirs[f] = d
 			dirsByFile[f] = d
 		}
-		// Hot roots are collected from every package, excluded or not: the
-		// exclusion list exempts a package from hygiene findings, not from
-		// participating in the call graph.
+		// Hot roots are collected from every package, exempt or not: the
+		// exemption spares a package hygiene findings, not participation in
+		// the call graph.
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -161,7 +146,7 @@ func CheckAll(pkgs []*Package, cfg Config) []Finding {
 				}
 			}
 		}
-		if matchAny(pkg.Path, cfg.ExcludePackages) {
+		if strings.Contains(pkg.Path, exemptPackage) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -185,7 +170,7 @@ func CheckAll(pkgs []*Package, cfg Config) []Finding {
 		})
 	}
 
-	all = append(all, checkDeadExports(pkgs, cfg, dirsByFile)...)
+	all = append(all, checkDeadExports(pkgs, dirsByFile)...)
 
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -205,8 +190,6 @@ func CheckAll(pkgs []*Package, cfg Config) []Finding {
 
 type checker struct {
 	pkg      *Package
-	cfg      Config
-	sim      bool
 	internal bool
 	fileDirs map[*ast.File]*directives
 	dirs     *directives
@@ -244,9 +227,6 @@ func (c *checker) file(f *ast.File) {
 // ---- rule: maprange ----
 
 func (c *checker) checkRange(rs *ast.RangeStmt) {
-	if !c.sim {
-		return
-	}
 	t := c.typeOf(rs.X)
 	if t == nil || !isMap(t) {
 		return
@@ -339,7 +319,7 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 	if !c.internal {
 		return
 	}
-	fn := c.callee(call)
+	fn := calleeOf(c.pkg.Info, call)
 	if fn == nil {
 		return
 	}
@@ -504,7 +484,7 @@ func (c *checker) checkDiscard(call *ast.CallExpr, how string) {
 	if tv, ok := c.pkg.Info.Types[call.Fun]; ok && tv.IsType() {
 		return
 	}
-	fn := c.callee(call)
+	fn := calleeOf(c.pkg.Info, call)
 	if fn == nil {
 		return // builtins and fuzzy calls
 	}
@@ -582,22 +562,6 @@ func (c *checker) hasCall(e ast.Expr) bool {
 	return found
 }
 
-// callee resolves the called function or method, or nil for builtins,
-// function-typed variables, and conversions.
-func (c *checker) callee(call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := c.pkg.Info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := c.pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
 func basicInt(t types.Type) *types.Basic {
 	if t == nil {
 		return nil
@@ -622,13 +586,4 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-func matchAny(path string, patterns []string) bool {
-	for _, p := range patterns {
-		if strings.Contains(path, p) {
-			return true
-		}
-	}
-	return false
 }

@@ -20,12 +20,13 @@ import (
 
 // Fixtures under testdata/src are type-checked with the stdlib source
 // importer and analyzed under an assumed import path, so each fixture can
-// opt in or out of the sim-critical and internal scopes.
+// opt in or out of the internal scope. The maprange fixture sits outside it
+// because that rule covers every package.
 var fixtures = []struct {
 	dir    string
 	asPath string
 }{
-	{"maprange", "repro/internal/sim/fixture"},
+	{"maprange", "repro/cmd/fixture"},
 	{"nondeterm", "repro/internal/workload/fixture"},
 	{"droppederr", "repro/cmd/fixture"},
 	{"truncconv", "repro/internal/mc/fixture"},
@@ -118,7 +119,7 @@ func TestFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.dir, func(t *testing.T) {
 			pkg := loadFixture(t, fx.dir, fx.asPath)
-			findings := lint.CheckAll([]*lint.Package{pkg}, lint.DefaultConfig())
+			findings := lint.CheckAll([]*lint.Package{pkg})
 			wants := readExpectations(t, fx.dir)
 
 			matched := make([]bool, len(findings))
@@ -158,7 +159,7 @@ func TestFixtures(t *testing.T) {
 // worth stating on its own).
 func TestCleanFixtureIsEmpty(t *testing.T) {
 	pkg := loadFixture(t, "clean", "repro/internal/sim/clean")
-	if findings := lint.CheckAll([]*lint.Package{pkg}, lint.DefaultConfig()); len(findings) != 0 {
+	if findings := lint.CheckAll([]*lint.Package{pkg}); len(findings) != 0 {
 		for _, f := range findings {
 			t.Errorf("clean fixture produced: %s", f)
 		}
@@ -173,7 +174,7 @@ func TestExactPositions(t *testing.T) {
 		asPath string
 		want   string // suffix of Finding.String()
 	}{
-		{"maprange", "repro/internal/sim/fixture",
+		{"maprange", "repro/cmd/fixture",
 			"maprange.go:11:2: maprange: nondeterministic iteration over map m; iterate detutil.SortedKeys(m) or annotate the loop with //twicelint:ordered"},
 		{"nondeterm", "repro/internal/workload/fixture",
 			"nondeterm.go:11:9: nondeterm: math/rand.Intn draws from the unseeded global source; use a rand.New(rand.NewSource(seed)) instance threaded from the run configuration"},
@@ -185,7 +186,7 @@ func TestExactPositions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			pkg := loadFixture(t, tc.dir, tc.asPath)
-			findings := lint.CheckAll([]*lint.Package{pkg}, lint.DefaultConfig())
+			findings := lint.CheckAll([]*lint.Package{pkg})
 			if len(findings) == 0 {
 				t.Fatalf("no findings in %s fixture", tc.dir)
 			}
@@ -204,7 +205,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-repo lint in -short mode")
 	}
-	findings, err := lint.Run("../..", []string{"./..."}, lint.DefaultConfig())
+	findings, err := lint.Run("../..", []string{"./..."})
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}

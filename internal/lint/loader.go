@@ -169,10 +169,10 @@ func underTestdata(importPath string) bool {
 // Run loads every package matched by the patterns and checks them together
 // (one cross-package call graph), returning all findings in deterministic
 // order.
-func Run(dir string, patterns []string, cfg Config) ([]Finding, error) {
+func Run(dir string, patterns []string) ([]Finding, error) {
 	pkgs, err := Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	return CheckAll(pkgs, cfg), nil
+	return CheckAll(pkgs), nil
 }

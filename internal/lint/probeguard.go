@@ -301,7 +301,7 @@ func nilCheckedExprs(c *checker, cond ast.Expr, op, connector token.Token) []str
 func (c *checker) recorderConstructed(e ast.Expr) bool {
 	switch e := unparen(e).(type) {
 	case *ast.CallExpr:
-		fn := c.callee(e)
+		fn := calleeOf(c.pkg.Info, e)
 		if fn == nil || fn.Name() != "NewRecorder" || fn.Pkg() == nil {
 			return false
 		}

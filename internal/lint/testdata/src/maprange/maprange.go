@@ -1,6 +1,6 @@
 // Package fixture exercises the maprange rule. The test analyzes it as if
-// it lived at repro/internal/sim/fixture, i.e. inside the sim-critical
-// scope. Lines carrying a `// want <rule> "<substring>"` comment must
+// it lived at repro/cmd/fixture, outside internal/: the rule covers every
+// package. Lines carrying a `// want <rule> "<substring>"` comment must
 // produce exactly that diagnostic; every other line must be clean.
 package fixture
 

@@ -21,7 +21,7 @@ import (
 // issued-command trace plus all end-of-run accounting must match exactly.
 
 // diffParams is a two-rank topology so the rank-level indexes (demand
-// counters, timing-generation rank bumps) see cross-rank traffic.
+// counters, rank-wide tRRD/tFAW and nack windows) see cross-rank traffic.
 func diffParams() dram.Params {
 	p := dram.DDR4_2400()
 	p.Channels = 1
@@ -114,7 +114,6 @@ type streamResult struct {
 	trace  []TraceEvent
 	cnt    stats.Counters
 	det    map[int]int64
-	rcd    rcd.Stats
 	steps  int64
 	served int
 }
@@ -129,8 +128,7 @@ func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, u
 		t.Fatal(err)
 	}
 	cnt := &stats.Counters{}
-	r := rcd.New(cfg.DRAM, def)
-	sys, err := New(cfg, dev, r, cnt)
+	sys, err := New(cfg, dev, rcd.New(cfg.DRAM, def), cnt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +195,6 @@ func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, u
 	}
 	res.cnt = *cnt
 	res.det = sys.DetectionsByCore()
-	res.rcd = r.Stats()
 	res.steps = sys.Steps()
 	res.served = completed
 	return res
@@ -250,9 +247,6 @@ func diffCompare(t *testing.T, idx, ref streamResult) {
 	}
 	if idx.cnt != ref.cnt {
 		t.Errorf("counters diverge:\n  indexed:   %+v\n  reference: %+v", idx.cnt, ref.cnt)
-	}
-	if idx.rcd != ref.rcd {
-		t.Errorf("rcd stats diverge: indexed %+v, reference %+v", idx.rcd, ref.rcd)
 	}
 	if len(idx.det) != len(ref.det) {
 		t.Errorf("detection attribution diverges: indexed %v, reference %v", idx.det, ref.det)

@@ -63,7 +63,6 @@ func (ch *channel) doPRE(rk, ba int, t clock.Time) {
 	id := ch.bankID(rk, ba)
 	must(s.chk.RecordPRE(id, t))
 	i := ch.flat(rk, ba)
-	ch.bumpBank(i)
 	s.dev.Bank(id).Precharge()
 	b := &ch.banks[i]
 	b.open = -1
@@ -76,7 +75,6 @@ func (ch *channel) doREF(rk int, t clock.Time) {
 	s := ch.sys
 	rankID := dram.RankID{Channel: ch.idx, Rank: rk}
 	must(s.chk.RecordREF(rankID, t))
-	ch.bumpRank(rk)
 	for ba := 0; ba < s.cfg.DRAM.BanksPerRank; ba++ {
 		must(s.dev.Bank(ch.bankID(rk, ba)).AutoRefresh(t))
 	}
@@ -97,7 +95,6 @@ func (ch *channel) doARR(rk, ba int, t clock.Time) {
 		return
 	}
 	must(s.chk.RecordARR(id, t))
-	ch.bumpRank(rk)
 	n, err := s.dev.Bank(id).AdjacentRowRefresh(row, t)
 	must(err)
 	s.cnt.ARRs++
@@ -121,7 +118,6 @@ func (ch *channel) doMit(rk, ba int, t clock.Time) {
 	must(s.chk.RecordACT(id, t))
 	preAt := s.chk.EarliestPRE(id, t)
 	must(s.chk.RecordPRE(id, preAt))
-	ch.bumpRank(rk)
 	if op.deviceRefresh {
 		bank := s.dev.Bank(id)
 		must(bank.Activate(op.row, t))
@@ -134,7 +130,6 @@ func (ch *channel) doACT(q *Request, t clock.Time) {
 	s := ch.sys
 	id := q.Addr.BankID()
 	must(s.chk.RecordACT(id, t))
-	ch.bumpRank(q.Addr.Rank)
 	must(s.dev.Bank(id).Activate(q.Addr.Row, t))
 	i := ch.flat(q.Addr.Rank, q.Addr.Bank)
 	b := &ch.banks[i]
@@ -188,7 +183,6 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 	}
 	must(err)
 	i := ch.flat(q.Addr.Rank, q.Addr.Bank)
-	ch.bumpBank(i)
 	switch {
 	case !q.neededACT:
 		s.cnt.RowHits++
@@ -206,7 +200,6 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 	if closeNow {
 		preAt := s.chk.EarliestPRE(id, t)
 		must(s.chk.RecordPRE(id, preAt))
-		ch.bumpBank(i)
 		s.dev.Bank(id).Precharge()
 		b.open = -1
 		b.hits = 0
@@ -235,7 +228,6 @@ func (ch *channel) countNack(q *Request, id dram.BankID, now clock.Time) {
 	blocked := s.chk.RankBlockedUntil(id.RankID())
 	if blocked > now && q.nackWindow != blocked {
 		q.nackWindow = blocked
-		s.rcd.Nack()
 		s.cnt.Nacks++
 		if s.probes != nil {
 			s.probes.Nack(ch.idx, now)

@@ -2,14 +2,13 @@
 // indexes (DESIGN.md §13). The read and write queues stay the source of
 // truth for admission, backpressure, and PAR-BS batch formation; alongside
 // them the channel keeps per-bank FIFO buckets, per-rank demand counters,
-// per-bank open-row hit counters, an attention set of banks with defense
-// debt, and a per-bank timing-checker cache. Every index is updated at the
-// event that changes it (enqueue, completion, row open/close, command
-// execution), so the scheduler's per-step cost is O(banks + issuable
-// candidates) instead of O(banks × queue). The reference scheduler in
-// reference_test.go ignores the indexes and re-derives everything by
-// scanning; the differential test pins the two to the same issued-command
-// trace.
+// per-bank open-row hit counters, and an attention set of banks with
+// defense debt. Every index is updated at the event that changes it
+// (enqueue, completion, row open/close, command execution), so the
+// scheduler's per-step cost is O(banks + issuable candidates) instead of
+// O(banks × queue). The reference scheduler in reference_test.go ignores
+// the indexes and re-derives everything by scanning; the differential test
+// pins the two to the same issued-command trace.
 package mc
 
 import (
@@ -42,22 +41,6 @@ type bankq struct {
 	hits   int        // queued requests (either bucket) targeting the open row
 }
 
-// bankTiming caches the timing checker's constraint-only earliest issue
-// times for one bank. An entry is valid while its generation matches the
-// channel's timGen for the bank; commands that touch the bank's (or its
-// rank's) timing state bump the generation. A cached constraint of 0 means
-// "was already issuable when computed" — with a non-decreasing step clock
-// (Advance is driven by a monotone event loop) the command stays issuable,
-// so the lookup degenerates to max(constraint, now) with no checker call.
-// The zero value is correct for a fresh checker (everything legal at now),
-// which is what makes zeroing on Reset sufficient.
-type bankTiming struct {
-	actGen uint64
-	act    clock.Time
-	preGen uint64
-	pre    clock.Time
-}
-
 // channel owns one memory channel's queue and banks.
 type channel struct {
 	sys        *System
@@ -72,14 +55,12 @@ type channel struct {
 
 	// Incremental scheduler indexes (DESIGN.md §13). Maintained on every
 	// queue/row/command transition; consumed by scheduler.go.
-	bankqs     []bankq      // per bank: FIFO buckets + open-row hit count
-	rankDemand []int        // per rank: queued requests across both queues
-	attn       []bool       // per bank: pending ARR or mitigation debt
-	attnCount  int          // number of true entries in attn
-	markedLeft int          // marked PAR-BS requests still in the read queue
-	admits     int64        // admission stamp counter (Request.stamp source)
-	timGen     []uint64     // per bank: timing-state generation
-	ready      []bankTiming // per bank: cached earliest-ACT/PRE constraints
+	bankqs     []bankq // per bank: FIFO buckets + open-row hit count
+	rankDemand []int   // per rank: queued requests across both queues
+	attn       []bool  // per bank: pending ARR or mitigation debt
+	attnCount  int     // number of true entries in attn
+	markedLeft int     // marked PAR-BS requests still in the read queue
+	admits     int64   // admission stamp counter (Request.stamp source)
 
 	// Per-step scratch, reused across the event loop's per-tREFI refresh
 	// scans so the hot path stays allocation-free.
@@ -209,54 +190,8 @@ func (ch *channel) updateAttn(i int, id dram.BankID) {
 	}
 }
 
-// bumpBank invalidates the bank's cached timing constraints.
-func (ch *channel) bumpBank(i int) { ch.timGen[i]++ }
-
-// bumpRank invalidates the cached timing constraints of every bank in the
-// rank — commands with rank-wide timing effects (ACT via tRRD/tFAW, REF via
-// occupancy, ARR via the nack block) funnel through here.
-func (ch *channel) bumpRank(rk int) {
-	bpr := ch.sys.cfg.DRAM.BanksPerRank
-	for i := rk * bpr; i < (rk+1)*bpr; i++ {
-		ch.timGen[i]++
-	}
-}
-
-// earliestACT returns the checker's earliest legal ACT time for the bank,
-// served from the per-bank cache when no command has touched the bank's (or
-// rank's) ACT-relevant timing state since it was computed.
-func (ch *channel) earliestACT(id dram.BankID, i int, now clock.Time) clock.Time {
-	c := &ch.ready[i]
-	if c.actGen == ch.timGen[i] {
-		return clock.Max(c.act, now)
-	}
-	t := ch.sys.chk.EarliestACT(id, now)
-	c.actGen = ch.timGen[i]
-	c.act = 0
-	if t > now {
-		c.act = t
-	}
-	return t
-}
-
-// earliestPRE is the precharge counterpart of earliestACT.
-func (ch *channel) earliestPRE(id dram.BankID, i int, now clock.Time) clock.Time {
-	c := &ch.ready[i]
-	if c.preGen == ch.timGen[i] {
-		return clock.Max(c.pre, now)
-	}
-	t := ch.sys.chk.EarliestPRE(id, now)
-	c.preGen = ch.timGen[i]
-	c.pre = 0
-	if t > now {
-		c.pre = t
-	}
-	return t
-}
-
 // resetIndexes returns every index to its just-constructed state, reusing
-// backing storage. The zeroed timing cache is valid for a fresh checker
-// (see bankTiming).
+// backing storage.
 func (ch *channel) resetIndexes() {
 	for i := range ch.bankqs {
 		ch.bankqs[i].reads = ch.bankqs[i].reads[:0]
@@ -272,10 +207,4 @@ func (ch *channel) resetIndexes() {
 	ch.attnCount = 0
 	ch.markedLeft = 0
 	ch.admits = 0
-	for i := range ch.timGen {
-		ch.timGen[i] = 0
-	}
-	for i := range ch.ready {
-		ch.ready[i] = bankTiming{}
-	}
 }

@@ -1,8 +1,7 @@
 // The indexed per-channel scheduler. One step costs O(banks + issuable
 // candidates): the refresh loop reads the per-rank demand counters, the
 // attention loop is gated on the attention-set count, and the demand loop
-// visits only banks whose buckets hold queued work, consulting the cached
-// per-bank timing constraints instead of re-deriving them. Selection is
+// visits only banks whose buckets hold queued work. Selection is
 // byte-identical to the naive reference scheduler (reference_test.go): classes
 // 0–2 are considered in the same rank-major bank order (first-considered
 // wins their seq-0 ties), and demand candidates carry demandKey values that
@@ -44,9 +43,7 @@ type candidate struct {
 
 // step issues at most one DRAM command for the channel at time now,
 // returning the time of the next step. A return > now means nothing was
-// issuable at now. The step clock must be non-decreasing per channel (the
-// event loop drives Advance from NextEvent, which guarantees it); the
-// timing-constraint cache relies on it.
+// issuable at now.
 func (ch *channel) step(now clock.Time) clock.Time {
 	s := ch.sys
 	p := &s.cfg.DRAM
@@ -92,7 +89,7 @@ func (ch *channel) step(now clock.Time) clock.Time {
 			if ch.banks[base+ba].open >= 0 {
 				allClosed = false
 				id := ch.bankID(rk, ba)
-				consider(candidate{t: ch.earliestPRE(id, base+ba, now), class: 0, op: opPRE, rank: rk, bank: ba})
+				consider(candidate{t: s.chk.EarliestPRE(id, now), class: 0, op: opPRE, rank: rk, bank: ba})
 			}
 		}
 		if allClosed {
@@ -126,7 +123,7 @@ func (ch *channel) step(now clock.Time) clock.Time {
 						if hasARR {
 							class = 1
 						}
-						consider(candidate{t: ch.earliestPRE(id, i, now), class: class, op: opPRE, rank: rk, bank: ba})
+						consider(candidate{t: s.chk.EarliestPRE(id, now), class: class, op: opPRE, rank: rk, bank: ba})
 					}
 					continue
 				}
@@ -134,7 +131,7 @@ func (ch *channel) step(now clock.Time) clock.Time {
 					consider(candidate{t: s.chk.EarliestARR(id, now), class: 1, op: opARR, rank: rk, bank: ba})
 					continue
 				}
-				consider(candidate{t: ch.earliestACT(id, i, now), class: 2, op: opMit, rank: rk, bank: ba})
+				consider(candidate{t: s.chk.EarliestACT(id, now), class: 2, op: opMit, rank: rk, bank: ba})
 			}
 		}
 	}
@@ -208,7 +205,7 @@ func (ch *channel) scheduleDemand(now clock.Time, refreshPending []bool, conside
 				default:
 					continue // writes outside a drain burst never conflict-PRE
 				}
-				t := ch.earliestPRE(id, i, now)
+				t := s.chk.EarliestPRE(id, now)
 				first.neededPRE = true
 				consider(candidate{t: t, class: 3, seq: ch.demandKey(first, false), op: opPRE, rank: rk, bank: ba})
 			default:
@@ -229,7 +226,7 @@ func (ch *channel) scheduleDemand(now clock.Time, refreshPending []bool, conside
 						}
 					}
 				}
-				t := ch.earliestACT(id, i, now)
+				t := s.chk.EarliestACT(id, now)
 				if t > now {
 					consider(candidate{t: t, class: 3, op: opACT})
 					continue

@@ -120,7 +120,8 @@ type System struct {
 }
 
 // New wires a controller over the given device and RCD. The counters object
-// receives all activity accounting.
+// receives all activity accounting. New allocates the queues, scratch and
+// bank arrays and leaves every initial value to Reset.
 func New(cfg Config, dev *dram.Device, r *rcd.RCD, cnt *stats.Counters) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -134,9 +135,9 @@ func New(cfg Config, dev *dram.Device, r *rcd.RCD, cnt *stats.Counters) (*System
 		chans:            make([]*channel, cfg.DRAM.Channels),
 		detectionsByCore: map[int]int64{},
 	}
+	nbanks := cfg.DRAM.RanksPerChannel * cfg.DRAM.BanksPerRank
 	for c := range s.chans {
-		nbanks := cfg.DRAM.RanksPerChannel * cfg.DRAM.BanksPerRank
-		ch := &channel{
+		s.chans[c] = &channel{
 			sys:            s,
 			idx:            c,
 			banks:          make([]bankCtl, nbanks),
@@ -145,32 +146,12 @@ func New(cfg Config, dev *dram.Device, r *rcd.RCD, cnt *stats.Counters) (*System
 			bankqs:         make([]bankq, nbanks),
 			rankDemand:     make([]int, cfg.DRAM.RanksPerChannel),
 			attn:           make([]bool, nbanks),
-			timGen:         make([]uint64, nbanks),
-			ready:          make([]bankTiming, nbanks),
 			refreshScratch: make([]bool, cfg.DRAM.RanksPerChannel),
 			batchSlot:      map[batchSlot]int{},
 			batchLoad:      map[int]int{},
 		}
-		for b := range ch.banks {
-			ch.banks[b].open = -1
-		}
-		for rk := range ch.refreshDue {
-			// Stagger rank refreshes across the interval so all ranks never
-			// refresh simultaneously.
-			off := clock.Time(c*cfg.DRAM.RanksPerChannel+rk+1) * cfg.DRAM.TREFI /
-				clock.Time(cfg.DRAM.Channels*cfg.DRAM.RanksPerChannel+1)
-			ch.refreshDue[rk] = cfg.DRAM.TREFI + off
-		}
-		ch.wake = ch.refreshDue[0]
-		for _, d := range ch.refreshDue {
-			ch.wake = clock.Min(ch.wake, d)
-		}
-		s.chans[c] = ch
 	}
-	s.nextWake = clock.Never
-	for _, ch := range s.chans {
-		s.nextWake = clock.Min(s.nextWake, ch.wake)
-	}
+	s.Reset()
 	return s, nil
 }
 
@@ -195,9 +176,8 @@ func (s *System) SetProbes(p *probe.Recorder) { s.probes = p }
 // Reset returns the controller and its timing checker to their
 // just-constructed state while reusing queues, scratch, and bank arrays. The
 // device, RCD, and counters objects were handed to New by the caller and are
-// the caller's to reset. The refresh stagger and wake times are recomputed
-// exactly as New computes them, so a reset system schedules the same command
-// stream a fresh one would.
+// the caller's to reset. New ends with Reset, so a reset system schedules
+// the same command stream a fresh one would.
 func (s *System) Reset() {
 	s.chk.Reset()
 	cfg := s.cfg
@@ -211,6 +191,8 @@ func (s *System) Reset() {
 			ch.banks[b].mit = ch.banks[b].mit[:0]
 		}
 		for rk := range ch.refreshDue {
+			// Stagger rank refreshes across the interval so all ranks never
+			// refresh simultaneously.
 			off := clock.Time(c*cfg.DRAM.RanksPerChannel+rk+1) * cfg.DRAM.TREFI /
 				clock.Time(cfg.DRAM.Channels*cfg.DRAM.RanksPerChannel+1)
 			ch.refreshDue[rk] = cfg.DRAM.TREFI + off

@@ -401,9 +401,6 @@ func TestNacksCountedDuringARR(t *testing.T) {
 	if r.cnt.Nacks == 0 {
 		t.Error("no nacks recorded despite ACTs during the ARR window")
 	}
-	if got := r.sys.RCD().Stats().Nacks; got != r.cnt.Nacks {
-		t.Errorf("RCD nacks %d != controller nacks %d", got, r.cnt.Nacks)
-	}
 }
 
 func TestMitigationVictimRefreshPath(t *testing.T) {

@@ -1,10 +1,9 @@
 // Package rcd models the registered-DIMM register clock driver that hosts
 // the TWiCe table in the paper's architecture (§5): it observes the repeated
-// command/address stream, runs the row-hammer defense, holds at most one
-// pending adjacent-row-refresh per bank, and accounts for the negative
-// acknowledgements sent to the memory controller while an ARR occupies a
-// rank. Baseline defenses (which the original papers place in the MC) run
-// through the same observation point; only the ARR path is RCD-specific.
+// command/address stream, runs the row-hammer defense, and holds at most one
+// pending adjacent-row-refresh per bank. Baseline defenses (which the
+// original papers place in the MC) run through the same observation point;
+// only the ARR path is RCD-specific.
 package rcd
 
 import (
@@ -14,7 +13,8 @@ import (
 	"repro/internal/probe"
 )
 
-// Stats counts RCD-level events.
+// Stats counts RCD-level events. The controller counts each of them in
+// stats.Counters as it happens; sim.Result reports them in this shape.
 type Stats struct {
 	ARRsIssued int64 // adjacent-row-refresh commands forwarded to the device
 	Nacks      int64 // controller commands nacked during ARR windows
@@ -34,7 +34,6 @@ type RCD struct {
 	// on the ACT, so there is at most one pending aggressor per bank, but a
 	// slice keeps the model robust to defenses that flag several.
 	pendingARR [][]int
-	stats      Stats
 	// probes, when non-nil, receives ARR-queued telemetry events.
 	//twicelint:keep attachment is machine-owned; Reset must not detach it
 	probes *probe.Recorder
@@ -64,11 +63,7 @@ func (r *RCD) Reset() {
 	for i := range r.pendingARR {
 		r.pendingARR[i] = r.pendingARR[i][:0]
 	}
-	r.stats = Stats{}
 }
-
-// Stats returns the event counters.
-func (r *RCD) Stats() Stats { return r.stats }
 
 // ObserveACT reports one activation to the defense and files any requested
 // ARRs as pending work for the bank. The remaining mitigation work (victim
@@ -78,9 +73,6 @@ func (r *RCD) Stats() Stats { return r.stats }
 //twicelint:hotpath defense observation point on every ACT
 func (r *RCD) ObserveACT(bank dram.BankID, row int, now clock.Time) defense.Action {
 	a := r.def.OnActivate(bank, row, now)
-	if a.Detected {
-		r.stats.Detections++
-	}
 	if len(a.ARRAggressors) > 0 {
 		i := bank.Flat(&r.p)
 		//twicelint:allocok ARR filing is rare (per detection, not per ACT); storage reused via [:0]
@@ -117,10 +109,5 @@ func (r *RCD) TakeARR(bank dram.BankID) (row int, ok bool) {
 	}
 	row = q[0]
 	r.pendingARR[i] = q[1:]
-	r.stats.ARRsIssued++
 	return row, true
 }
-
-// Nack records one nacked command attempt (a controller command that
-// targeted a rank while an ARR was underway).
-func (r *RCD) Nack() { r.stats.Nacks++ }

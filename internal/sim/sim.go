@@ -147,16 +147,12 @@ type Machine struct {
 	rec *probe.Recorder
 }
 
-// NewMachine assembles a machine running the workload under the defense.
+// NewMachine assembles a machine running the workload under the defense. It
+// builds the parts every run shares (device, address map, controller) and
+// arms them for the first run through Reuse.
 func NewMachine(cfg Config, def defense.Defense, w workload.Workload) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	if def == nil {
-		def = defense.Nop{}
 	}
 	var remapRng *rand.Rand
 	if cfg.Remap {
@@ -170,28 +166,15 @@ func NewMachine(cfg Config, def defense.Defense, w workload.Workload) (*Machine,
 	if err != nil {
 		return nil, err
 	}
-	cnt := &stats.Counters{}
-	sys, err := mc.New(cfg.MC, dev, rcd.New(cfg.DRAM, def), cnt)
-	if err != nil {
-		return nil, err
-	}
-	m := &Machine{
-		cfg: cfg, w: w, def: def,
-		dev: dev, amap: amap, sys: sys, cnt: cnt,
-	}
-	if !w.BypassCache {
-		hcfg := cfg.Cache
-		hcfg.Cores = w.Cores()
-		if m.hier, err = cache.NewHierarchy(hcfg); err != nil {
-			return nil, err
-		}
-		m.hierPool = m.hier
-	}
-	if err := m.buildCores(); err != nil {
+	m := &Machine{cfg: cfg, dev: dev, amap: amap, cnt: &stats.Counters{}}
+	if m.sys, err = mc.New(cfg.MC, dev, rcd.New(cfg.DRAM, nil), m.cnt); err != nil {
 		return nil, err
 	}
 	m.bestEffortDone = func(clock.Time) { m.served++ }
-	sys.SetRelease(m.release)
+	m.sys.SetRelease(m.release)
+	if err := m.Reuse(def, w); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -219,9 +202,9 @@ func (m *Machine) buildCores() error {
 // remap tables (fuse data — they survive untouched, which is why reuse is
 // only valid within one Config, whose Seed generated them), the timing
 // checker, controller queues and scratch, the RCD, counters, caches, and the
-// request pool. A reused machine must be byte-identical in behaviour to a
-// machine freshly built with NewMachine(cfg, def, w) — the reuse equivalence
-// test pins that contract.
+// request pool. NewMachine arms a fresh machine through Reuse too, and the
+// reuse equivalence test pins that a recycled machine behaves byte for byte
+// like a fresh one.
 func (m *Machine) Reuse(def defense.Defense, w workload.Workload) error {
 	if err := w.Validate(); err != nil {
 		return err
@@ -385,7 +368,7 @@ func (m *Machine) Run(lim Limits) (*Result, error) {
 		Defense:          m.def.Name(),
 		Counters:         *m.cnt,
 		SimTime:          now,
-		RCD:              m.sys.RCD().Stats(),
+		RCD:              rcd.Stats{ARRsIssued: m.cnt.ARRs, Nacks: m.cnt.Nacks, Detections: m.cnt.Detections},
 		DetectionsByCore: m.sys.DetectionsByCore(),
 	}
 	for _, b := range m.dev.Banks() {

@@ -82,13 +82,7 @@ func NewChecker(p dram.Params) *Checker {
 		ranks:   make([]rankState, p.Channels*p.RanksPerChannel),
 		busFree: make([]clock.Time, p.Channels),
 	}
-	for i := range c.ranks {
-		c.ranks[i].lastACT = -clock.Never // effectively -inf: no prior ACT
-		c.ranks[i].lastCol = -clock.Never
-		for j := range c.ranks[i].faw {
-			c.ranks[i].faw[j] = -clock.Never // effectively -inf: window empty
-		}
-	}
+	c.Reset()
 	return c
 }
 
@@ -99,6 +93,8 @@ func (c *Checker) Reset() {
 		c.banks[i] = bankState{}
 	}
 	for i := range c.ranks {
+		// -clock.Never is effectively -inf: no prior ACT or column command,
+		// and an empty tFAW window.
 		c.ranks[i] = rankState{lastACT: -clock.Never, lastCol: -clock.Never}
 		for j := range c.ranks[i].faw {
 			c.ranks[i].faw[j] = -clock.Never

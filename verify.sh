@@ -31,6 +31,10 @@
 #   4c. root benchmarks — every paper table/figure and ablation benchmark in
 #                        bench_test.go runs once (-benchtime 1x, ~17 s on
 #                        2 vCPUs); `go test ./...` only compiles them
+#   4d. examples       — every program under examples/ is built and run
+#                        once from a temporary directory (telemetry writes
+#                        occupancy.csv into its working directory); a
+#                        non-zero exit fails the build (~14 s on 2 vCPUs)
 #   5. go test -race   — race detector over the event loop, the memory
 #                        controller, the TWiCe engine, and the parallel
 #                        experiment runner, plus the serial/parallel grid
@@ -77,6 +81,16 @@ go test -run='^$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal
 
 echo "==> go test -run '^\$' -bench . -benchtime 1x ."
 go test -run '^$' -bench . -benchtime 1x .
+
+echo "==> examples (build each, run once in a temporary directory)"
+exdir=$(mktemp -d)
+trap 'rm -rf "$exdir"' EXIT
+for ex in examples/*/; do
+	name=$(basename "$ex")
+	echo "    $name"
+	go build -o "$exdir/$name" "./$ex"
+	(cd "$exdir" && "./$name" >/dev/null)
+done
 
 echo "==> go test -race ./internal/sim/... ./internal/mc/... ./internal/core/... ./internal/parallel/..."
 go test -race ./internal/sim/... ./internal/mc/... ./internal/core/... ./internal/parallel/...
