@@ -117,6 +117,22 @@ func (p Params) Validate() error {
 	case p.BankGroups > 1 && p.BanksPerRank%p.BankGroups != 0:
 		return fmt.Errorf("dram: bank groups (%d) must divide banks per rank (%d)", p.BankGroups, p.BanksPerRank)
 	}
+	// The timing checker adds these spacings to its −∞ "no previous
+	// command" sentinel; a negative one overflows it to clock.Never, and no
+	// command would ever be legal. Zero is legal (a zero tRRD_L or tCCD_L
+	// means "use the short value").
+	for _, t := range [...]struct {
+		name string
+		v    clock.Time
+	}{
+		{"tRRD", p.TRRD}, {"tRRD_L", p.TRRDL}, {"tCCD", p.TCCD}, {"tCCD_L", p.TCCDL},
+		{"tFAW", p.TFAW}, {"tRCD", p.TRCD}, {"tRP", p.TRP}, {"tRAS", p.TRAS},
+		{"tCL", p.TCL}, {"tWR", p.TWR}, {"tBL", p.TBL},
+	} {
+		if t.v < 0 {
+			return fmt.Errorf("dram: %s (%v) must not be negative", t.name, t.v)
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -58,6 +59,46 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid params", m.name)
 		}
+	}
+}
+
+// TestValidateRejectsNegativeCommandTimings covers each command timing: a
+// negative value is rejected with its name in the error, and zero stays
+// legal (a zero tRRD_L or tCCD_L means "use the short value").
+func TestValidateRejectsNegativeCommandTimings(t *testing.T) {
+	fields := []struct {
+		name  string
+		field func(*Params) *clock.Time
+	}{
+		{"tRRD", func(p *Params) *clock.Time { return &p.TRRD }},
+		{"tRRD_L", func(p *Params) *clock.Time { return &p.TRRDL }},
+		{"tCCD", func(p *Params) *clock.Time { return &p.TCCD }},
+		{"tCCD_L", func(p *Params) *clock.Time { return &p.TCCDL }},
+		{"tFAW", func(p *Params) *clock.Time { return &p.TFAW }},
+		{"tRCD", func(p *Params) *clock.Time { return &p.TRCD }},
+		{"tRP", func(p *Params) *clock.Time { return &p.TRP }},
+		{"tRAS", func(p *Params) *clock.Time { return &p.TRAS }},
+		{"tCL", func(p *Params) *clock.Time { return &p.TCL }},
+		{"tWR", func(p *Params) *clock.Time { return &p.TWR }},
+		{"tBL", func(p *Params) *clock.Time { return &p.TBL }},
+	}
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) {
+			p := DDR4_2400()
+			*f.field(&p) = -2 * clock.Picosecond
+			err := p.Validate()
+			if err == nil {
+				t.Fatalf("Validate accepted %s = -2ps", f.name)
+			}
+			if !strings.Contains(err.Error(), f.name+" ") {
+				t.Errorf("error %q does not name %s", err, f.name)
+			}
+			p = DDR4_2400()
+			*f.field(&p) = 0
+			if err := p.Validate(); err != nil {
+				t.Errorf("Validate rejected %s = 0: %v", f.name, err)
+			}
+		})
 	}
 }
 

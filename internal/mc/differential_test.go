@@ -280,6 +280,50 @@ func TestSchedulerDifferential(t *testing.T) {
 	}
 }
 
+// TestSchedulerDifferentialSparseCores draws core ids from {0, 2, 5, 7}, so
+// the channel's dense per-core batch state holds ids that never issue a
+// request. The reference forms batches and ranks cores on its own, so an
+// indexed ranking that also ranked cores without marked requests diverges
+// here.
+func TestSchedulerDifferentialSparseCores(t *testing.T) {
+	p := diffParams()
+	sparse := []int{0, 2, 5, 7}
+	for ci, c := range diffConfigs(p) {
+		if c.cfg.Scheduler != PARBS {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			specs := mkStream(7000+int64(ci), 1200, p, 0.4)
+			for i := range specs {
+				specs[i].core = sparse[specs[i].core]
+			}
+			idx := runStream(t, c.cfg, &diffDefense{every: 7}, specs, false)
+			ref := runStream(t, c.cfg, &diffDefense{every: 7}, specs, true)
+			diffCompare(t, idx, ref)
+		})
+	}
+}
+
+// TestSchedulerDifferentialWideChannel spreads 80 banks over two ranks, so
+// the busy-bank mask spans two words and rank 1's bit range crosses the
+// word boundary: the demand walk and refresh postponement's rank test both
+// read across it.
+func TestSchedulerDifferentialWideChannel(t *testing.T) {
+	p := diffParams()
+	p.BanksPerRank = 40
+	for _, c := range diffConfigs(p) {
+		if c.cfg.RefreshPostpone == 0 {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			specs := mkStream(4242, 1500, p, 0.3)
+			idx := runStream(t, c.cfg, &diffDefense{every: 7}, specs, false)
+			ref := runStream(t, c.cfg, &diffDefense{every: 7}, specs, true)
+			diffCompare(t, idx, ref)
+		})
+	}
+}
+
 // TestSchedulerDifferentialTWiCe runs the real paper defense over a
 // hammer-heavy stream on a fast-detection timescale, so the differential
 // also covers the TWiCe-driven ARR protocol end to end.

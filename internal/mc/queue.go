@@ -1,14 +1,14 @@
 // Per-channel queue state and the incrementally maintained scheduler
 // indexes (DESIGN.md §13). The read and write queues stay the source of
 // truth for admission, backpressure, and PAR-BS batch formation; alongside
-// them the channel keeps per-bank FIFO buckets, per-rank demand counters,
+// them the channel keeps per-bank FIFO buckets, a busy-bank bitmask,
 // per-bank open-row hit counters, and an attention set of banks with
 // defense debt. Every index is updated at the event that changes it
 // (enqueue, completion, row open/close, command execution), so the
-// scheduler's per-step cost is O(banks + issuable candidates) instead of
-// O(banks × queue). The reference scheduler in reference_test.go ignores
-// the indexes and re-derives everything by scanning; the differential test
-// pins the two to the same issued-command trace.
+// scheduler's per-step cost is O(ranks + busy banks + issuable candidates)
+// instead of O(banks × queue). The reference scheduler in reference_test.go
+// ignores the indexes and re-derives everything by scanning; the
+// differential test pins the two to the same issued-command trace.
 package mc
 
 import (
@@ -50,30 +50,29 @@ type channel struct {
 	draining   bool         // write-drain burst in progress
 	banks      []bankCtl    // rank-major: rank*BanksPerRank + bank
 	refreshDue []clock.Time // per rank
-	coreRank   map[int]int  // PAR-BS thread ranking for the current batch
 	wake       clock.Time
 
 	// Incremental scheduler indexes (DESIGN.md §13). Maintained on every
 	// queue/row/command transition; consumed by scheduler.go.
-	bankqs     []bankq // per bank: FIFO buckets + open-row hit count
-	rankDemand []int   // per rank: queued requests across both queues
-	attn       []bool  // per bank: pending ARR or mitigation debt
-	attnCount  int     // number of true entries in attn
-	markedLeft int     // marked PAR-BS requests still in the read queue
-	admits     int64   // admission stamp counter (Request.stamp source)
+	bankqs     []bankq  // per bank: FIFO buckets + open-row hit count
+	busy       []uint64 // bit per bank: some bucket holds a queued request
+	attn       []bool   // per bank: pending ARR or mitigation debt
+	attnCount  int      // number of true entries in attn
+	markedLeft int      // marked PAR-BS requests still in the read queue
+	admits     int64    // admission stamp counter (Request.stamp source)
 
 	// Per-step scratch, reused across the event loop's per-tREFI refresh
 	// scans so the hot path stays allocation-free.
 	refreshScratch []bool // per rank: refresh due and not postponed
 
-	// PAR-BS batch-formation scratch (cleared and refilled per batch).
-	batchSlot  map[batchSlot]int // marked requests per (core, rank, bank)
-	batchLoad  map[int]int       // marked requests per core
-	batchCores []int             // cores sorted by marked load
+	// PAR-BS batch state, dense by core id: admit grows each slice the
+	// first time a core id appears, and a core without marked requests
+	// ranks 0.
+	coreRank   []int // per core: thread rank in the current batch
+	batchSlot  []int // per core*banks + bank: marked requests (the cap count)
+	batchLoad  []int // per core: marked requests in the current batch
+	batchCores []int // cores with marked requests, sorted by load
 }
-
-// batchSlot keys the PAR-BS per-(core, bank) marking cap.
-type batchSlot struct{ core, rank, bank int }
 
 func (ch *channel) bankID(rank, bank int) dram.BankID {
 	return dram.BankID{Channel: ch.idx, Rank: rank, Bank: bank}
@@ -95,12 +94,15 @@ func (ch *channel) flat(rank, bank int) int {
 // reachable from the Enqueue/Advance hot paths.
 
 // admit indexes a freshly accepted request: stamps it, appends it to its
-// bank bucket, and updates the rank-demand and open-row hit counters. The
-// caller has already appended it to the matching global queue.
+// bank bucket, marks the bank busy, and updates the open-row hit counter.
+// The caller has already appended it to the matching global queue.
 func (ch *channel) admit(q *Request, toWQ bool) {
 	q.stamp = ch.admits
 	ch.admits++
 	q.fromWQ = toWQ
+	if q.Core >= len(ch.coreRank) {
+		ch.growCores(q.Core + 1)
+	}
 	i := ch.flat(q.Addr.Rank, q.Addr.Bank)
 	bq := &ch.bankqs[i]
 	if toWQ {
@@ -110,7 +112,7 @@ func (ch *channel) admit(q *Request, toWQ bool) {
 		//twicelint:allocok amortized growth of the reused per-bank read bucket
 		bq.reads = append(bq.reads, q)
 	}
-	ch.rankDemand[q.Addr.Rank]++
+	ch.busy[i>>6] |= 1 << (i & 63)
 	if ch.banks[i].open == q.Addr.Row {
 		bq.hits++
 	}
@@ -143,13 +145,39 @@ func (ch *channel) unindex(q *Request) {
 	} else {
 		bq.reads = fifo
 	}
-	ch.rankDemand[q.Addr.Rank]--
+	if len(bq.reads) == 0 && len(bq.writes) == 0 {
+		ch.busy[i>>6] &^= 1 << (i & 63)
+	}
 	if ch.banks[i].open == q.Addr.Row {
 		bq.hits--
 	}
 	if q.marked && !q.fromWQ {
 		ch.markedLeft--
 	}
+}
+
+// growCores extends the dense PAR-BS batch state to n core ids. It runs
+// once per new core id, so a run's first requests pay for it.
+func (ch *channel) growCores(n int) {
+	nb := len(ch.banks)
+	//twicelint:allocok grows once per new core id, bounded by the core count
+	ch.coreRank = append(ch.coreRank, make([]int, n-len(ch.coreRank))...)
+	//twicelint:allocok grows once per new core id, bounded by the core count
+	ch.batchLoad = append(ch.batchLoad, make([]int, n-len(ch.batchLoad))...)
+	//twicelint:allocok grows once per new core id, bounded by cores × banks
+	ch.batchSlot = append(ch.batchSlot, make([]int, n*nb-len(ch.batchSlot))...)
+}
+
+// rankBusy reports whether any bank of rank rk holds queued demand. Only
+// refresh postponement asks, and only while a refresh is due.
+func (ch *channel) rankBusy(rk int) bool {
+	bpr := ch.sys.cfg.DRAM.BanksPerRank
+	for i := rk * bpr; i < (rk+1)*bpr; i++ {
+		if ch.busy[i>>6]&(1<<(i&63)) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // onRowOpen recounts the bank's open-row hit counter after an ACT. The scan
@@ -198,9 +226,7 @@ func (ch *channel) resetIndexes() {
 		ch.bankqs[i].writes = ch.bankqs[i].writes[:0]
 		ch.bankqs[i].hits = 0
 	}
-	for i := range ch.rankDemand {
-		ch.rankDemand[i] = 0
-	}
+	clear(ch.busy)
 	for i := range ch.attn {
 		ch.attn[i] = false
 	}

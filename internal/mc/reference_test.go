@@ -8,6 +8,9 @@
 package mc
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/clock"
 	"repro/internal/dram"
 )
@@ -18,7 +21,17 @@ type refScratch struct {
 	hit   []bool     // per bank: some queued request hits the open row
 	pre   []bool     // per bank: a conflicting PRE already planned
 	drain []*Request // scheduling pool when writes join the reads
+
+	// PAR-BS batch state, kept apart from the channel's dense slices so the
+	// differential test checks batch marking and thread ranking too.
+	slot  map[refSlot]int // marked requests per (core, rank, bank)
+	load  map[int]int     // marked requests per core
+	rank  map[int]int     // thread rank per core; absent cores rank 0
+	cores []int           // cores of the batch, sorted by (load, id)
 }
+
+// refSlot keys the reference's PAR-BS per-(core, bank) marking cap.
+type refSlot struct{ core, rank, bank int }
 
 // refScheduler steps a System's channels with stepReference.
 type refScheduler struct {
@@ -30,7 +43,13 @@ func newRefScheduler(s *System) *refScheduler {
 	nbanks := s.cfg.DRAM.RanksPerChannel * s.cfg.DRAM.BanksPerRank
 	r := &refScheduler{sys: s, scratch: make([]refScratch, len(s.chans))}
 	for i := range r.scratch {
-		r.scratch[i] = refScratch{hit: make([]bool, nbanks), pre: make([]bool, nbanks)}
+		r.scratch[i] = refScratch{
+			hit:  make([]bool, nbanks),
+			pre:  make([]bool, nbanks),
+			slot: map[refSlot]int{},
+			load: map[int]int{},
+			rank: map[int]int{},
+		}
 	}
 	return r
 }
@@ -221,7 +240,7 @@ func (ch *channel) drainSet(sc *refScratch) []*Request {
 func (ch *channel) scheduleDemandRef(now clock.Time, refreshPending []bool, sc *refScratch, consider func(candidate)) {
 	s := ch.sys
 	if s.cfg.Scheduler == PARBS {
-		ch.refreshBatchRef()
+		ch.refreshBatchRef(sc)
 	}
 	pool := ch.drainSet(sc)
 	// A bank's conflicting PRE is only allowed when no queued request hits
@@ -254,11 +273,11 @@ func (ch *channel) scheduleDemandRef(now clock.Time, refreshPending []bool, sc *
 		switch {
 		case b.open == q.Addr.Row:
 			t := s.chk.EarliestColumn(id, now)
-			consider(candidate{t: t, class: 3, seq: ch.demandSeq(q, true, i), op: opColumn, req: q})
+			consider(candidate{t: t, class: 3, seq: ch.demandSeq(sc, q, true, i), op: opColumn, req: q})
 		case b.open < 0:
 			t := s.chk.EarliestACT(id, now)
 			ch.countNack(q, id, now)
-			consider(candidate{t: t, class: 3, seq: ch.demandSeq(q, false, i), op: opACT, req: q})
+			consider(candidate{t: t, class: 3, seq: ch.demandSeq(sc, q, false, i), op: opACT, req: q})
 		default:
 			if hits[key] || prePlanned[key] {
 				continue // other requests still hit the open row
@@ -266,7 +285,7 @@ func (ch *channel) scheduleDemandRef(now clock.Time, refreshPending []bool, sc *
 			prePlanned[key] = true
 			t := s.chk.EarliestPRE(id, now)
 			q.neededPRE = true
-			consider(candidate{t: t, class: 3, seq: ch.demandSeq(q, false, i), op: opPRE, rank: q.Addr.Rank, bank: q.Addr.Bank})
+			consider(candidate{t: t, class: 3, seq: ch.demandSeq(sc, q, false, i), op: opPRE, rank: q.Addr.Rank, bank: q.Addr.Bank})
 		}
 	}
 }
@@ -274,7 +293,7 @@ func (ch *channel) scheduleDemandRef(now clock.Time, refreshPending []bool, sc *
 // demandSeq is the reference tie-break: the same priority fields as
 // demandKey but with the request's position in the freshly built pool as the
 // low-order arrival component.
-func (ch *channel) demandSeq(q *Request, hit bool, queueIdx int) int64 {
+func (ch *channel) demandSeq(sc *refScratch, q *Request, hit bool, queueIdx int) int64 {
 	var seq int64
 	// During a drain burst, buffered writes count as first-class work so a
 	// steady read stream cannot starve the write buffer into backpressure.
@@ -286,15 +305,16 @@ func (ch *channel) demandSeq(q *Request, hit bool, queueIdx int) int64 {
 		seq |= 1 << 45
 	}
 	if ch.sys.cfg.Scheduler == PARBS {
-		seq |= int64(ch.coreRank[q.Core]) << 25
+		seq |= int64(sc.rank[q.Core]) << 25
 	}
 	return seq | int64(queueIdx)
 }
 
 // refreshBatchRef is the naive batch formation: it re-scans the queue for
 // leftover marks instead of trusting markedLeft (which it still maintains,
-// since exec's unindex decrements it for either scheduler).
-func (ch *channel) refreshBatchRef() {
+// since exec's unindex decrements it for either scheduler), counts marks in
+// maps, and ranks the batch's cores with a sort on (load, core id).
+func (ch *channel) refreshBatchRef(sc *refScratch) {
 	for _, q := range ch.queue {
 		if q.marked {
 			return
@@ -303,17 +323,30 @@ func (ch *channel) refreshBatchRef() {
 	if len(ch.queue) == 0 {
 		return
 	}
-	perSlot, load := ch.batchSlot, ch.batchLoad
-	clear(perSlot)
-	clear(load)
+	clear(sc.slot)
+	clear(sc.load)
 	for _, q := range ch.queue {
-		k := batchSlot{q.Core, q.Addr.Rank, q.Addr.Bank}
-		if perSlot[k] < ch.sys.cfg.BatchCap {
-			perSlot[k]++
+		k := refSlot{q.Core, q.Addr.Rank, q.Addr.Bank}
+		if sc.slot[k] < ch.sys.cfg.BatchCap {
+			sc.slot[k]++
 			q.marked = true
 			ch.markedLeft++
-			load[q.Core]++
+			sc.load[q.Core]++
 		}
 	}
-	ch.rankCores(load)
+	cores := sc.cores[:0]
+	for c := range sc.load { // sorted below
+		cores = append(cores, c)
+	}
+	slices.SortFunc(cores, func(a, b int) int {
+		if la, lb := sc.load[a], sc.load[b]; la != lb {
+			return cmp.Compare(la, lb)
+		}
+		return cmp.Compare(a, b)
+	})
+	sc.cores = cores
+	clear(sc.rank)
+	for r, c := range cores {
+		sc.rank[c] = r
+	}
 }

@@ -12,7 +12,7 @@ type Request struct {
 	ID      int64
 	Addr    dram.Addr
 	Write   bool
-	Core    int        // issuing core/thread, used by PAR-BS ranking
+	Core    int        // issuing core/thread index (non-negative), used by PAR-BS ranking
 	Arrival clock.Time // enqueue time
 	// Done, if non-nil, is invoked once: for reads when data has returned,
 	// for writes when the command has issued (writes are posted).

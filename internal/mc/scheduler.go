@@ -1,16 +1,16 @@
-// The indexed per-channel scheduler. One step costs O(banks + issuable
-// candidates): the refresh loop reads the per-rank demand counters, the
-// attention loop is gated on the attention-set count, and the demand loop
-// visits only banks whose buckets hold queued work. Selection is
-// byte-identical to the naive reference scheduler (reference_test.go): classes
-// 0–2 are considered in the same rank-major bank order (first-considered
-// wins their seq-0 ties), and demand candidates carry demandKey values that
-// order exactly like the reference's pool-position sequence numbers
-// (DESIGN.md §13).
+// The indexed per-channel scheduler. One step costs O(ranks + busy banks +
+// issuable candidates): refresh postponement tests the rank's bits in the
+// busy-bank mask, the attention loop is gated on the attention-set count,
+// and the demand loop walks the mask's set bits, so it visits only banks
+// whose buckets hold queued work. Selection is byte-identical to the naive
+// reference scheduler (reference_test.go): classes 0–2 are considered in the
+// same rank-major bank order (first-considered wins their seq-0 ties), and
+// demand candidates carry demandKey values that order exactly like the
+// reference's pool-position sequence numbers (DESIGN.md §13).
 package mc
 
 import (
-	"slices"
+	"math/bits"
 
 	"repro/internal/clock"
 	"repro/internal/dram"
@@ -76,7 +76,7 @@ func (ch *channel) step(now clock.Time) clock.Time {
 		// forces the catch-up burst.
 		if pp := s.cfg.RefreshPostpone; pp > 0 {
 			lag := int((now - due) / p.TREFI)
-			if lag < pp && ch.rankDemand[rk] > 0 {
+			if lag < pp && ch.rankBusy(rk) {
 				earliest = clock.Min(earliest, due+clock.Time(pp)*p.TREFI)
 				continue
 			}
@@ -162,19 +162,18 @@ func (ch *channel) scheduleDemand(now clock.Time, refreshPending []bool, conside
 		ch.refreshBatch()
 	}
 	ch.updateDrain()
-	p := &s.cfg.DRAM
-	for rk := 0; rk < p.RanksPerChannel; rk++ {
-		if refreshPending[rk] || ch.rankDemand[rk] == 0 {
-			continue // drain the rank for refresh / nothing queued
-		}
-		base := rk * p.BanksPerRank
-		for ba := 0; ba < p.BanksPerRank; ba++ {
-			i := base + ba
+	bpr := s.cfg.DRAM.BanksPerRank
+	// Set bits ascend in flat (rank-major) bank order, the order the
+	// reference considers banks in.
+	for w, word := range ch.busy {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			rk, ba := i/bpr, i%bpr
+			if refreshPending[rk] {
+				continue // drain the rank for refresh
+			}
 			bq := &ch.bankqs[i]
 			nr, nw := len(bq.reads), len(bq.writes)
-			if nr == 0 && nw == 0 {
-				continue
-			}
 			b := &ch.banks[i]
 			id := ch.bankID(rk, ba)
 			switch {
@@ -339,8 +338,9 @@ func (ch *channel) refreshBatch() {
 	perSlot, load := ch.batchSlot, ch.batchLoad
 	clear(perSlot)
 	clear(load)
+	nb := len(ch.banks)
 	for _, q := range ch.queue {
-		k := batchSlot{q.Core, q.Addr.Rank, q.Addr.Bank}
+		k := q.Core*nb + ch.flat(q.Addr.Rank, q.Addr.Bank)
 		if perSlot[k] < ch.sys.cfg.BatchCap {
 			perSlot[k]++
 			q.marked = true
@@ -351,23 +351,22 @@ func (ch *channel) refreshBatch() {
 	ch.rankCores(load)
 }
 
-// rankCores installs the PAR-BS thread ranking for a fresh batch: cores
-// sorted by marked load ascending (shortest job first), core id breaking
-// ties. Shared with the reference scheduler's batch formation.
-func (ch *channel) rankCores(load map[int]int) {
-	// The core list is sorted into channel-owned scratch: batch formation
-	// runs once per drained batch, but on short queues that is often enough
-	// for per-batch map and slice allocation to show up in profiles.
+// rankCores installs the PAR-BS thread ranking for a fresh batch: cores with
+// a non-zero load (marked requests), sorted by load ascending (shortest job
+// first), core id breaking ties. Every other core ranks 0.
+func (ch *channel) rankCores(load []int) {
 	cores := ch.batchCores[:0]
-	for c := range load { //twicelint:ordered keys are sorted before use below
-		//twicelint:allocok extends batchCores scratch, bounded by the core count
-		cores = append(cores, c)
+	for c, n := range load {
+		if n > 0 {
+			//twicelint:allocok extends batchCores scratch, bounded by the core count
+			cores = append(cores, c)
+		}
 	}
-	slices.Sort(cores)
 	ch.batchCores = cores
-	for i := 1; i < len(cores); i++ { // insertion sort: tiny n
-		for j := i; j > 0 && (load[cores[j]] < load[cores[j-1]] ||
-			(load[cores[j]] == load[cores[j-1]] && cores[j] < cores[j-1])); j-- {
+	// Insertion sort (tiny n) of the id-ordered list; stability keeps ties
+	// in id order.
+	for i := 1; i < len(cores); i++ {
+		for j := i; j > 0 && load[cores[j]] < load[cores[j-1]]; j-- {
 			cores[j], cores[j-1] = cores[j-1], cores[j]
 		}
 	}

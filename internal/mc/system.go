@@ -142,13 +142,10 @@ func New(cfg Config, dev *dram.Device, r *rcd.RCD, cnt *stats.Counters) (*System
 			idx:            c,
 			banks:          make([]bankCtl, nbanks),
 			refreshDue:     make([]clock.Time, cfg.DRAM.RanksPerChannel),
-			coreRank:       map[int]int{},
 			bankqs:         make([]bankq, nbanks),
-			rankDemand:     make([]int, cfg.DRAM.RanksPerChannel),
+			busy:           make([]uint64, (nbanks+63)/64),
 			attn:           make([]bool, nbanks),
 			refreshScratch: make([]bool, cfg.DRAM.RanksPerChannel),
-			batchSlot:      map[batchSlot]int{},
-			batchLoad:      map[int]int{},
 		}
 	}
 	s.Reset()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/defense/graphene"
 	"repro/internal/defense/para"
 	"repro/internal/defense/trr"
+	"repro/internal/dram"
 	"repro/internal/mc"
 	"repro/internal/workload"
 )
@@ -74,6 +75,30 @@ func TestConfigValidate(t *testing.T) {
 			if _, err := m.Run(DefaultLimits(200)); err != nil {
 				t.Errorf("%s: %v", tc.name, err)
 			}
+		}
+	}
+}
+
+// TestNegativeCommandTimingRejected pins the fix for a silent stall: a
+// negative tRRD (or tCCD), added to the timing checker's "no previous
+// command" sentinel, overflowed to clock.Never, so no ACT (or column) was
+// ever legal and Run returned no error after serving none of its requests.
+func TestNegativeCommandTimingRejected(t *testing.T) {
+	const neg = -2 * clock.Picosecond
+	cases := []struct {
+		name string
+		edit func(*dram.Params)
+	}{
+		{"tRRD", func(p *dram.Params) { p.TRRD, p.TRRDL = neg, neg }},
+		{"tCCD", func(p *dram.Params) { p.TCCD, p.TCCDL = neg, neg }},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig(1)
+		tc.edit(&cfg.DRAM)
+		tc.edit(&cfg.MC.DRAM)
+		res, err := Run(cfg, defense.Nop{}, s3Workload(t, DefaultConfig(1)), DefaultLimits(2000))
+		if err == nil {
+			t.Errorf("%s = %v: Run returned no error (served %d of 2000 requests)", tc.name, neg, res.Counters.RequestsServed)
 		}
 	}
 }

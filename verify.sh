@@ -24,14 +24,19 @@
 #                        module, which `go test ./...` at the root skips, so
 #                        deleting an API the benchmark compiles against
 #                        fails here
-#   4b. bench smoke    — every sim hot-path, scheduler-step and DRAM bank
+#   4b. bench golden   — the benchmark recomputes its golden digests
+#                        (-write-golden into a temporary file, ~6.5 s on
+#                        2 vCPUs) and the result must equal bench/golden.json
+#                        byte for byte; unlike the experiments digests, these
+#                        pin multi-core PAR-BS output (mix-high, lbm-stream)
+#   4c. bench smoke    — every sim hot-path, scheduler-step and DRAM bank
 #                        (activate, auto-refresh, remap) benchmark body runs
 #                        once (-benchtime=1x), so a change that breaks only
 #                        benchmark-path code cannot land green
-#   4c. root benchmarks — every paper table/figure and ablation benchmark in
+#   4d. root benchmarks — every paper table/figure and ablation benchmark in
 #                        bench_test.go runs once (-benchtime 1x, ~17 s on
 #                        2 vCPUs); `go test ./...` only compiles them
-#   4d. examples       — every program under examples/ is built and run
+#   4e. examples       — every program under examples/ is built and run
 #                        once from a temporary directory (telemetry writes
 #                        occupancy.csv into its working directory); a
 #                        non-zero exit fails the build (~14 s on 2 vCPUs)
@@ -76,6 +81,13 @@ go test ./...
 echo "==> (cd bench && go vet ./... && go test -short ./...)"
 (cd bench && go vet ./... && go test -short ./...)
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+echo "==> (cd bench && go run . -write-golden \$tmp/golden.json) && cmp with bench/golden.json"
+(cd bench && go run . -write-golden "$tmp/golden.json")
+cmp "$tmp/golden.json" bench/golden.json
+
 echo "==> go test -run='^\$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram"
 go test -run='^$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram
 
@@ -83,8 +95,8 @@ echo "==> go test -run '^\$' -bench . -benchtime 1x ."
 go test -run '^$' -bench . -benchtime 1x .
 
 echo "==> examples (build each, run once in a temporary directory)"
-exdir=$(mktemp -d)
-trap 'rm -rf "$exdir"' EXIT
+exdir="$tmp/examples"
+mkdir "$exdir"
 for ex in examples/*/; do
 	name=$(basename "$ex")
 	echo "    $name"
