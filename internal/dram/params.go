@@ -137,8 +137,8 @@ func (p Params) Validate() error {
 }
 
 // BankGroup returns the bank-group index of a bank, or 0 when grouping is
-// disabled. Pointer receiver: the timing checker calls this once or twice
-// per candidate command, and a by-value receiver copies the whole struct.
+// disabled. The timing checker calls it once per bank position at
+// construction and keeps the answers.
 func (p *Params) BankGroup(bank int) int {
 	if p.BankGroups <= 1 {
 		return 0
@@ -147,8 +147,9 @@ func (p *Params) BankGroup(bank int) int {
 }
 
 // RRDWithin returns the ACT-to-ACT spacing for two ACTs in the same bank
-// group (tRRD_L, falling back to tRRD_S when unset). Pointer receiver for
-// the same hot-path reason as BankGroup.
+// group (tRRD_L, falling back to tRRD_S when unset). Pointer receiver: the
+// timing checker calls it per candidate command, and a by-value receiver
+// copies the whole struct.
 func (p *Params) RRDWithin() clock.Time {
 	if p.TRRDL > 0 {
 		return p.TRRDL
@@ -158,7 +159,7 @@ func (p *Params) RRDWithin() clock.Time {
 
 // CCDWithin returns the column-to-column spacing within a bank group
 // (tCCD_L, falling back to tCCD_S when unset). Pointer receiver for the
-// same hot-path reason as BankGroup.
+// same hot-path reason as RRDWithin.
 func (p *Params) CCDWithin() clock.Time {
 	if p.TCCDL > 0 {
 		return p.TCCDL

@@ -14,23 +14,27 @@ import (
 // event loop is pumped while its read queue is kept topped up to depth, so
 // every step selects among ~depth candidates without workload-generation
 // noise. Requests come from a recycled free list. The depth=N shapes
-// readdress uniformly over the banks, a small row set and four cores (a mix
-// of row hits, misses, and conflicts; batches form rarely and most banks
-// are busy). The one-bank shape is S3's: one core sends every request to
-// one row of one bank, so a PAR-BS batch forms every BatchCap requests and
-// one bank is busy. ns/step and allocs/step divide by System.Steps over the
-// timed region; the steady-state hot path allocates nothing, so allocs/step
-// must read 0.
+// readdress uniformly over two ranks of 8 banks, a small row set and four
+// cores (a mix of row hits, misses, and conflicts; batches form rarely and
+// most banks are busy). The ddr4 shape does the same over the default DDR4
+// organization, two ranks of 16 banks in four bank groups: one channel of
+// the paper's multi-core machine. The one-bank shape is S3's: one core
+// sends every request to one row of one bank, so a PAR-BS batch forms every
+// BatchCap requests and one bank is busy. ns/step and allocs/step divide by
+// System.Steps over the timed region; the steady-state hot path allocates
+// nothing, so allocs/step must read 0.
 func BenchmarkSchedulerStep(b *testing.B) {
 	shapes := []struct {
 		name    string
 		depth   int
+		banks   int // per rank, over two ranks
 		oneBank bool
 	}{
-		{"depth=8", 8, false},
-		{"depth=32", 32, false},
-		{"depth=64", 64, false},
-		{"one-bank/depth=8", 8, true},
+		{"depth=8", 8, 8, false},
+		{"depth=32", 32, 8, false},
+		{"depth=64", 64, 8, false},
+		{"ddr4/depth=64", 64, 16, false},
+		{"one-bank/depth=8", 8, 8, true},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -38,7 +42,7 @@ func BenchmarkSchedulerStep(b *testing.B) {
 			p := dram.DDR4_2400()
 			p.Channels = 1
 			p.RanksPerChannel = 2
-			p.BanksPerRank = 8
+			p.BanksPerRank = sh.banks
 			p.RowsPerBank = 1 << 10
 			cfg := NewConfig(p)
 			cfg.QueueDepth = 2 * depth

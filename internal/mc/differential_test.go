@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -304,13 +305,14 @@ func TestSchedulerDifferentialSparseCores(t *testing.T) {
 	}
 }
 
-// TestSchedulerDifferentialWideChannel spreads 80 banks over two ranks, so
-// the busy-bank mask spans two words and rank 1's bit range crosses the
-// word boundary: the demand walk and refresh postponement's rank test both
-// read across it.
+// TestSchedulerDifferentialWideChannel puts 64 banks on each of two ranks,
+// the most a rank's 64-bit bank-state words hold, so bit 63 of each rank's
+// words is in use: the demand sets, the batched timing queries and refresh
+// postponement's busy test all read it. The stream must reach bank 63 of
+// both ranks, or the top bit goes untested.
 func TestSchedulerDifferentialWideChannel(t *testing.T) {
 	p := diffParams()
-	p.BanksPerRank = 40
+	p.BanksPerRank = 64
 	for _, c := range diffConfigs(p) {
 		if c.cfg.RefreshPostpone == 0 {
 			continue
@@ -320,6 +322,15 @@ func TestSchedulerDifferentialWideChannel(t *testing.T) {
 			idx := runStream(t, c.cfg, &diffDefense{every: 7}, specs, false)
 			ref := runStream(t, c.cfg, &diffDefense{every: 7}, specs, true)
 			diffCompare(t, idx, ref)
+			var top [2]bool
+			for _, ev := range idx.trace {
+				if ev.Bank == 63 && ev.Op == int8(opColumn) {
+					top[ev.Rank] = true
+				}
+			}
+			if !top[0] || !top[1] {
+				t.Errorf("column commands reached bank 63 of rank 0: %v, rank 1: %v; want both", top[0], top[1])
+			}
 		})
 	}
 }
@@ -348,14 +359,23 @@ func TestSchedulerDifferentialTWiCe(t *testing.T) {
 	diffCompare(t, idx, ref)
 }
 
-// TestResetRerunIdentity pins machine reuse for the new indexes: a reset
-// system must issue the exact command stream a fresh one does.
+// TestResetRerunIdentity pins machine reuse for the indexes: a system reset
+// in the machine's order (device, controller, RCD) must issue the exact
+// command stream a fresh one does. The first run stops as soon as the RCD
+// holds a pending ARR, so the controller's Reset re-derives an attention bit
+// from the RCD and the RCD's own Reset then leaves that bit stale. The demand
+// sets trust the attention words, so unless the attention loop clears the
+// stale bit, the rerun never opens a row in that bank again.
 func TestResetRerunIdentity(t *testing.T) {
 	p := diffParams()
 	cfg := NewConfig(p)
 	specs := mkStream(5, 800, p, 0.3)
+	const horizon = clock.Millisecond
 
-	run := func(sys *System) []TraceEvent {
+	// run serves the stream until every request completes or stop reports
+	// true after an Advance, and returns the issued commands and the
+	// requests served.
+	run := func(sys *System, stop func(now clock.Time) bool) ([]TraceEvent, int) {
 		var trace []TraceEvent
 		sys.SetTrace(func(ev TraceEvent) { trace = append(trace, ev) })
 		completed, next := 0, 0
@@ -395,30 +415,61 @@ func TestResetRerunIdentity(t *testing.T) {
 			}
 			now = target
 			sys.Advance(now)
+			if stop(now) {
+				break
+			}
 		}
-		return trace
+		return trace, completed
 	}
+	pastHorizon := func(now clock.Time) bool { return now > horizon }
 
-	r := newRig(t, cfg, defense.Nop{})
-	first := run(r.sys)
-	// Reset in the machine's reuse order (device, controller, RCD): the
-	// controller re-derives its attention index before the RCD resets, so
-	// this also exercises the stale-attention self-healing path.
+	first, firstServed := run(newRig(t, cfg, &diffDefense{every: 7}).sys, pastHorizon)
+	if firstServed != len(specs) {
+		t.Fatalf("fresh run served %d of %d requests", firstServed, len(specs))
+	}
+	def := &diffDefense{every: 7}
+	r := newRig(t, cfg, def)
+	arrPending := func(clock.Time) bool {
+		for rk := 0; rk < p.RanksPerChannel; rk++ {
+			for ba := 0; ba < p.BanksPerRank; ba++ {
+				if r.sys.RCD().HasPendingARR(dram.BankID{Rank: rk, Bank: ba}) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if _, served := run(r.sys, arrPending); served == len(specs) {
+		t.Fatal("the cut run served every request before any ARR was filed")
+	}
 	r.dev.Reset()
 	r.sys.Reset()
+	stale := 0
+	for _, ch := range r.sys.chans {
+		for _, w := range ch.attn {
+			stale += bits.OnesCount64(w)
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no attention bit set at the reset: the cut left no ARR pending, so the test covers nothing")
+	}
 	r.sys.RCD().Reset()
+	def.Reset()
 	*r.cnt = stats.Counters{}
-	second := run(r.sys)
-	if len(first) != len(second) {
-		t.Fatalf("trace length after reset: %d, fresh %d", len(second), len(first))
+	second, secondServed := run(r.sys, pastHorizon)
+	if secondServed != firstServed {
+		t.Errorf("rerun served %d of %d requests, fresh run %d", secondServed, len(specs), firstServed)
 	}
 	for i := range first {
+		if i >= len(second) {
+			break
+		}
 		if first[i] != second[i] {
 			t.Fatalf("reset rerun diverges at event %d: fresh %+v, rerun %+v", i, first[i], second[i])
 		}
 	}
-	if len(first) == 0 {
-		t.Fatal("no commands traced")
+	if len(first) != len(second) {
+		t.Fatalf("trace length after reset: %d, fresh %d", len(second), len(first))
 	}
 }
 

@@ -62,12 +62,8 @@ func (ch *channel) doPRE(rk, ba int, t clock.Time) {
 	s := ch.sys
 	id := ch.bankID(rk, ba)
 	must(s.chk.RecordPRE(id, t))
-	i := ch.flat(rk, ba)
 	s.dev.Bank(id).Precharge()
-	b := &ch.banks[i]
-	b.open = -1
-	b.hits = 0
-	ch.onRowClose(i)
+	ch.onRowClose(rk, ba)
 	s.cnt.Precharges++
 }
 
@@ -90,7 +86,7 @@ func (ch *channel) doARR(rk, ba int, t clock.Time) {
 	s := ch.sys
 	id := ch.bankID(rk, ba)
 	row, ok := s.rcd.TakeARR(id)
-	ch.updateAttn(ch.flat(rk, ba), id)
+	ch.updateAttn(id)
 	if !ok {
 		return
 	}
@@ -107,14 +103,13 @@ func (ch *channel) doARR(rk, ba int, t clock.Time) {
 func (ch *channel) doMit(rk, ba int, t clock.Time) {
 	s := ch.sys
 	id := ch.bankID(rk, ba)
-	i := ch.flat(rk, ba)
-	b := &ch.banks[i]
+	b := ch.bank(rk, ba)
 	if len(b.mit) == 0 {
 		return
 	}
 	op := b.mit[0]
 	b.mit = b.mit[1:]
-	ch.updateAttn(i, id)
+	ch.updateAttn(id)
 	must(s.chk.RecordACT(id, t))
 	preAt := s.chk.EarliestPRE(id, t)
 	must(s.chk.RecordPRE(id, preAt))
@@ -131,18 +126,14 @@ func (ch *channel) doACT(q *Request, t clock.Time) {
 	id := q.Addr.BankID()
 	must(s.chk.RecordACT(id, t))
 	must(s.dev.Bank(id).Activate(q.Addr.Row, t))
-	i := ch.flat(q.Addr.Rank, q.Addr.Bank)
-	b := &ch.banks[i]
-	b.open = q.Addr.Row
-	b.hits = 0
-	ch.onRowOpen(i, q.Addr.Row)
+	ch.onRowOpen(q.Addr.Rank, q.Addr.Bank, q.Addr.Row)
 	q.neededACT = true
 	s.cnt.NormalACTs++
 	if s.probes != nil {
 		s.probes.ACT(id.Flat(&s.cfg.DRAM), t)
 	}
 	ch.applyAction(id, q.Core, s.rcd.ObserveACT(id, q.Addr.Row, t), t)
-	ch.updateAttn(i, id)
+	ch.updateAttn(id)
 }
 
 // applyAction queues the mitigation work a defense requested, attributing
@@ -182,7 +173,6 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 		s.cnt.Reads++
 	}
 	must(err)
-	i := ch.flat(q.Addr.Rank, q.Addr.Bank)
 	switch {
 	case !q.neededACT:
 		s.cnt.RowHits++
@@ -193,7 +183,7 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 	}
 	ch.unindex(q) // while the row is still open: the hit counter must see it
 	ch.removeRequest(q)
-	b := &ch.banks[i]
+	b := ch.bank(q.Addr.Rank, q.Addr.Bank)
 	b.hits++
 	closeNow := s.cfg.PagePolicy == ClosedPage ||
 		(s.cfg.PagePolicy == MinimalistOpen && b.hits >= s.cfg.MaxRowHits)
@@ -201,9 +191,7 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 		preAt := s.chk.EarliestPRE(id, t)
 		must(s.chk.RecordPRE(id, preAt))
 		s.dev.Bank(id).Precharge()
-		b.open = -1
-		b.hits = 0
-		ch.onRowClose(i)
+		ch.onRowClose(q.Addr.Rank, q.Addr.Bank)
 		s.cnt.Precharges++
 	}
 	completion := done

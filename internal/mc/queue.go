@@ -1,14 +1,16 @@
 // Per-channel queue state and the incrementally maintained scheduler
 // indexes (DESIGN.md §13). The read and write queues stay the source of
 // truth for admission, backpressure, and PAR-BS batch formation; alongside
-// them the channel keeps per-bank FIFO buckets, a busy-bank bitmask,
-// per-bank open-row hit counters, and an attention set of banks with
-// defense debt. Every index is updated at the event that changes it
-// (enqueue, completion, row open/close, command execution), so the
-// scheduler's per-step cost is O(ranks + busy banks + issuable candidates)
-// instead of O(banks × queue). The reference scheduler in reference_test.go
-// ignores the indexes and re-derives everything by scanning; the
-// differential test pins the two to the same issued-command trace.
+// them the channel keeps per-bank FIFO buckets, per-bank open-row hit
+// counters, and five bank-state words per rank (busy, open, hit, reads,
+// attention; bit b is bank b of the rank). Every index is updated at the
+// event that changes it (enqueue, completion, row open/close, command
+// execution), so the scheduler derives each rank's candidate sets with a
+// few mask operations and its per-step cost is O(ranks + attention banks +
+// candidate banks) instead of O(banks × queue). The reference scheduler in
+// reference_test.go ignores the indexes and re-derives everything by
+// scanning; the differential test pins the two to the same issued-command
+// trace.
 package mc
 
 import (
@@ -53,17 +55,16 @@ type channel struct {
 	wake       clock.Time
 
 	// Incremental scheduler indexes (DESIGN.md §13). Maintained on every
-	// queue/row/command transition; consumed by scheduler.go.
+	// queue/row/command transition; consumed by scheduler.go. The bank-state
+	// words are indexed by rank, with bit b for bank b of the rank.
 	bankqs     []bankq  // per bank: FIFO buckets + open-row hit count
-	busy       []uint64 // bit per bank: some bucket holds a queued request
-	attn       []bool   // per bank: pending ARR or mitigation debt
-	attnCount  int      // number of true entries in attn
+	busy       []uint64 // some bucket holds a queued request
+	open       []uint64 // a row is open
+	hit        []uint64 // bankq.hits > 0: a queued request targets the open row
+	reads      []uint64 // the read bucket is non-empty
+	attn       []uint64 // pending ARR or mitigation debt; step clears stale bits before use
 	markedLeft int      // marked PAR-BS requests still in the read queue
 	admits     int64    // admission stamp counter (Request.stamp source)
-
-	// Per-step scratch, reused across the event loop's per-tREFI refresh
-	// scans so the hot path stays allocation-free.
-	refreshScratch []bool // per rank: refresh due and not postponed
 
 	// PAR-BS batch state, dense by core id: admit grows each slice the
 	// first time a core id appears, and a core without marked requests
@@ -103,7 +104,8 @@ func (ch *channel) admit(q *Request, toWQ bool) {
 	if q.Core >= len(ch.coreRank) {
 		ch.growCores(q.Core + 1)
 	}
-	i := ch.flat(q.Addr.Rank, q.Addr.Bank)
+	rk, bit := q.Addr.Rank, uint64(1)<<q.Addr.Bank
+	i := ch.flat(rk, q.Addr.Bank)
 	bq := &ch.bankqs[i]
 	if toWQ {
 		//twicelint:allocok amortized growth of the reused per-bank write bucket
@@ -111,10 +113,12 @@ func (ch *channel) admit(q *Request, toWQ bool) {
 	} else {
 		//twicelint:allocok amortized growth of the reused per-bank read bucket
 		bq.reads = append(bq.reads, q)
+		ch.reads[rk] |= bit
 	}
-	ch.busy[i>>6] |= 1 << (i & 63)
+	ch.busy[rk] |= bit
 	if ch.banks[i].open == q.Addr.Row {
 		bq.hits++
+		ch.hit[rk] |= bit
 	}
 	if q.marked && !toWQ {
 		// Defensive: a recycled request arriving pre-marked still counts
@@ -128,7 +132,8 @@ func (ch *channel) admit(q *Request, toWQ bool) {
 // It must run while the bank's row state still matches the request's last
 // access (doColumn calls it before any page-policy precharge).
 func (ch *channel) unindex(q *Request) {
-	i := ch.flat(q.Addr.Rank, q.Addr.Bank)
+	rk, bit := q.Addr.Rank, uint64(1)<<q.Addr.Bank
+	i := ch.flat(rk, q.Addr.Bank)
 	bq := &ch.bankqs[i]
 	fifo := bq.reads
 	if q.fromWQ {
@@ -144,12 +149,18 @@ func (ch *channel) unindex(q *Request) {
 		bq.writes = fifo
 	} else {
 		bq.reads = fifo
+		if len(fifo) == 0 {
+			ch.reads[rk] &^= bit
+		}
 	}
 	if len(bq.reads) == 0 && len(bq.writes) == 0 {
-		ch.busy[i>>6] &^= 1 << (i & 63)
+		ch.busy[rk] &^= bit
 	}
 	if ch.banks[i].open == q.Addr.Row {
 		bq.hits--
+		if bq.hits == 0 {
+			ch.hit[rk] &^= bit
+		}
 	}
 	if q.marked && !q.fromWQ {
 		ch.markedLeft--
@@ -168,22 +179,14 @@ func (ch *channel) growCores(n int) {
 	ch.batchSlot = append(ch.batchSlot, make([]int, n*nb-len(ch.batchSlot))...)
 }
 
-// rankBusy reports whether any bank of rank rk holds queued demand. Only
-// refresh postponement asks, and only while a refresh is due.
-func (ch *channel) rankBusy(rk int) bool {
-	bpr := ch.sys.cfg.DRAM.BanksPerRank
-	for i := rk * bpr; i < (rk+1)*bpr; i++ {
-		if ch.busy[i>>6]&(1<<(i&63)) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// onRowOpen recounts the bank's open-row hit counter after an ACT. The scan
-// is bounded by the bank's own bucket occupancy and runs once per row
+// onRowOpen opens row on the bank after an ACT: it records the row, sets
+// the bank's open bit, and recounts its open-row hit counter. The scan is
+// bounded by the bank's own bucket occupancy and runs once per row
 // activation, not per scheduler step.
-func (ch *channel) onRowOpen(i, row int) {
+func (ch *channel) onRowOpen(rk, ba, row int) {
+	i := ch.flat(rk, ba)
+	ch.banks[i].open = row
+	ch.banks[i].hits = 0
 	bq := &ch.bankqs[i]
 	n := 0
 	for _, q := range bq.reads {
@@ -197,24 +200,35 @@ func (ch *channel) onRowOpen(i, row int) {
 		}
 	}
 	bq.hits = n
+	bit := uint64(1) << ba
+	ch.open[rk] |= bit
+	if n > 0 {
+		ch.hit[rk] |= bit
+	} else {
+		ch.hit[rk] &^= bit
+	}
 }
 
-// onRowClose zeroes the bank's open-row hit counter after a precharge.
-func (ch *channel) onRowClose(i int) { ch.bankqs[i].hits = 0 }
+// onRowClose records a precharge: the bank has no open row, so no queued
+// request hits it.
+func (ch *channel) onRowClose(rk, ba int) {
+	i := ch.flat(rk, ba)
+	ch.banks[i].open = -1
+	ch.banks[i].hits = 0
+	ch.bankqs[i].hits = 0
+	ch.open[rk] &^= 1 << ba
+	ch.hit[rk] &^= 1 << ba
+}
 
-// updateAttn re-derives the bank's attention-set membership: it owes an
-// adjacent-row refresh or carries mitigation debt. Called after every event
-// that can file or consume such work (ACT observation, ARR take, mit pop).
-func (ch *channel) updateAttn(i int, id dram.BankID) {
-	has := ch.sys.rcd.HasPendingARR(id) || len(ch.banks[i].mit) > 0
-	if has == ch.attn[i] {
-		return
-	}
-	ch.attn[i] = has
-	if has {
-		ch.attnCount++
+// updateAttn re-derives the bank's attention bit: it owes an adjacent-row
+// refresh or carries mitigation debt. Called after every event that can
+// file or consume such work (ACT observation, ARR take, mit pop), and by the
+// attention loop for a bit the RCD's own Reset left stale.
+func (ch *channel) updateAttn(id dram.BankID) {
+	if ch.sys.rcd.HasPendingARR(id) || len(ch.bank(id.Rank, id.Bank).mit) > 0 {
+		ch.attn[id.Rank] |= 1 << id.Bank
 	} else {
-		ch.attnCount--
+		ch.attn[id.Rank] &^= 1 << id.Bank
 	}
 }
 
@@ -227,10 +241,10 @@ func (ch *channel) resetIndexes() {
 		ch.bankqs[i].hits = 0
 	}
 	clear(ch.busy)
-	for i := range ch.attn {
-		ch.attn[i] = false
-	}
-	ch.attnCount = 0
+	clear(ch.open)
+	clear(ch.hit)
+	clear(ch.reads)
+	clear(ch.attn)
 	ch.markedLeft = 0
 	ch.admits = 0
 }

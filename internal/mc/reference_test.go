@@ -18,9 +18,10 @@ import (
 // refScratch is one channel's reference-scheduler scratch, reused every
 // step so the reference's steady state is allocation-free too.
 type refScratch struct {
-	hit   []bool     // per bank: some queued request hits the open row
-	pre   []bool     // per bank: a conflicting PRE already planned
-	drain []*Request // scheduling pool when writes join the reads
+	hit     []bool     // per bank: some queued request hits the open row
+	pre     []bool     // per bank: a conflicting PRE already planned
+	drain   []*Request // scheduling pool when writes join the reads
+	refresh []bool     // per rank: refresh due and not postponed
 
 	// PAR-BS batch state, kept apart from the channel's dense slices so the
 	// differential test checks batch marking and thread ranking too.
@@ -44,11 +45,12 @@ func newRefScheduler(s *System) *refScheduler {
 	r := &refScheduler{sys: s, scratch: make([]refScratch, len(s.chans))}
 	for i := range r.scratch {
 		r.scratch[i] = refScratch{
-			hit:  make([]bool, nbanks),
-			pre:  make([]bool, nbanks),
-			slot: map[refSlot]int{},
-			load: map[int]int{},
-			rank: map[int]int{},
+			hit:     make([]bool, nbanks),
+			pre:     make([]bool, nbanks),
+			refresh: make([]bool, s.cfg.DRAM.RanksPerChannel),
+			slot:    map[refSlot]int{},
+			load:    map[int]int{},
+			rank:    map[int]int{},
 		}
 	}
 	return r
@@ -86,7 +88,7 @@ func (ch *channel) stepReference(now clock.Time, sc *refScratch) clock.Time {
 		}
 	}
 
-	refreshPending := ch.refreshScratch
+	refreshPending := sc.refresh
 	for i := range refreshPending {
 		refreshPending[i] = false
 	}

@@ -1,12 +1,15 @@
-// The indexed per-channel scheduler. One step costs O(ranks + busy banks +
-// issuable candidates): refresh postponement tests the rank's bits in the
-// busy-bank mask, the attention loop is gated on the attention-set count,
-// and the demand loop walks the mask's set bits, so it visits only banks
-// whose buckets hold queued work. Selection is byte-identical to the naive
-// reference scheduler (reference_test.go): classes 0–2 are considered in the
-// same rank-major bank order (first-considered wins their seq-0 ties), and
-// demand candidates carry demandKey values that order exactly like the
-// reference's pool-position sequence numbers (DESIGN.md §13).
+// The indexed per-channel scheduler. A step makes one pass over the
+// channel's ranks and costs O(ranks + attention banks + candidate banks),
+// with a few comparisons per candidate bank: each rank's attention word
+// gives the banks that owe defense work, refresh postponement tests its
+// busy word, and its column, conflict-PRE and ACT sets come from its
+// bank-state words by mask arithmetic, with one timing-checker query per set
+// for every bank's earliest time. Selection is byte-identical to the naive
+// reference scheduler (reference_test.go): within each of classes 0–2,
+// candidates are considered in the same rank-major bank order
+// (first-considered wins their seq-0 ties), and demand candidates carry
+// unique demandKey values that order exactly like the reference's
+// pool-position sequence numbers (DESIGN.md §13).
 package mc
 
 import (
@@ -61,82 +64,75 @@ func (ch *channel) step(now clock.Time) clock.Time {
 		}
 	}
 
-	refreshPending := ch.refreshScratch
-	for i := range refreshPending {
-		refreshPending[i] = false
+	// Batch formation and the drain toggle feed only the demand keys and
+	// sets, so they run once, before the pass.
+	if s.cfg.Scheduler == PARBS {
+		ch.refreshBatch()
 	}
+	ch.updateDrain()
+	// One pass over the ranks. Within each class, candidates are considered
+	// in rank-major, ascending-bank order, the reference's order, so the
+	// first one considered still wins the seq-0 ties of classes 0–2; demand
+	// keys are unique, so interleaving the classes by rank changes nothing.
 	for rk := 0; rk < p.RanksPerChannel; rk++ {
+		// Attention: banks with pending ARR or mitigation debt. A set bit
+		// whose bank owes nothing is stale (System.Reset re-derives the
+		// words from an RCD the machine resets afterwards); clearing it
+		// before the rank's demand sets read the word keeps the word exact.
+		for word := ch.attn[rk]; word != 0; word &= word - 1 {
+			ba := bits.TrailingZeros64(word)
+			id := ch.bankID(rk, ba)
+			i := ch.flat(rk, ba)
+			b := &ch.banks[i]
+			hasARR := s.rcd.HasPendingARR(id)
+			if !hasARR && len(b.mit) == 0 {
+				ch.updateAttn(id)
+				continue
+			}
+			if b.open >= 0 {
+				// Close the bank once no queued request still hits the
+				// open row, so in-flight accesses are not starved.
+				if ch.bankqs[i].hits == 0 {
+					class := 2
+					if hasARR {
+						class = 1
+					}
+					consider(candidate{t: s.chk.EarliestPRE(id, now), class: class, op: opPRE, rank: rk, bank: ba})
+				}
+				continue
+			}
+			if hasARR {
+				consider(candidate{t: s.chk.EarliestARR(id, now), class: 1, op: opARR, rank: rk, bank: ba})
+				continue
+			}
+			consider(candidate{t: s.chk.EarliestACT(id, now), class: 2, op: opMit, rank: rk, bank: ba})
+		}
+
 		due := ch.refreshDue[rk]
 		if now < due {
 			earliest = clock.Min(earliest, due)
+		} else if pp := s.cfg.RefreshPostpone; pp > 0 && int((now-due)/p.TREFI) < pp && ch.busy[rk] != 0 {
+			// JEDEC postponement: defer the REF while demand for this rank
+			// is pending and the debt stays under the budget; the hard
+			// deadline forces the catch-up burst.
+			earliest = clock.Min(earliest, due+clock.Time(pp)*p.TREFI)
+		} else {
+			// Refresh due: precharge every open bank, then REF, and drain
+			// the rank's demand meanwhile.
+			for m := ch.open[rk]; m != 0; m &= m - 1 {
+				ba := bits.TrailingZeros64(m)
+				consider(candidate{t: s.chk.EarliestPRE(ch.bankID(rk, ba), now), class: 0, op: opPRE, rank: rk, bank: ba})
+			}
+			if ch.open[rk] == 0 {
+				rankID := dram.RankID{Channel: ch.idx, Rank: rk}
+				consider(candidate{t: s.chk.EarliestREF(rankID, now), class: 0, op: opREF, rank: rk})
+			}
 			continue
 		}
-		// JEDEC postponement: defer the REF while demand for this rank is
-		// pending and the debt stays under the budget; the hard deadline
-		// forces the catch-up burst.
-		if pp := s.cfg.RefreshPostpone; pp > 0 {
-			lag := int((now - due) / p.TREFI)
-			if lag < pp && ch.rankBusy(rk) {
-				earliest = clock.Min(earliest, due+clock.Time(pp)*p.TREFI)
-				continue
-			}
-		}
-		refreshPending[rk] = true
-		rankID := dram.RankID{Channel: ch.idx, Rank: rk}
-		allClosed := true
-		base := rk * p.BanksPerRank
-		for ba := 0; ba < p.BanksPerRank; ba++ {
-			if ch.banks[base+ba].open >= 0 {
-				allClosed = false
-				id := ch.bankID(rk, ba)
-				consider(candidate{t: s.chk.EarliestPRE(id, now), class: 0, op: opPRE, rank: rk, bank: ba})
-			}
-		}
-		if allClosed {
-			consider(candidate{t: s.chk.EarliestREF(rankID, now), class: 0, op: opREF, rank: rk})
+		if ch.busy[rk] != 0 {
+			ch.scheduleDemand(rk, now, consider)
 		}
 	}
-
-	// Attention loop: only banks with pending ARR or mitigation debt. The
-	// membership bits are re-derived per bank (a stale-true entry costs one
-	// wasted check, never a wrong candidate); the count only gates whether
-	// the loop runs at all.
-	if ch.attnCount > 0 {
-		for rk := 0; rk < p.RanksPerChannel; rk++ {
-			base := rk * p.BanksPerRank
-			for ba := 0; ba < p.BanksPerRank; ba++ {
-				i := base + ba
-				if !ch.attn[i] {
-					continue
-				}
-				id := ch.bankID(rk, ba)
-				b := &ch.banks[i]
-				hasARR := s.rcd.HasPendingARR(id)
-				if !hasARR && len(b.mit) == 0 {
-					continue
-				}
-				if b.open >= 0 {
-					// Close the bank once no queued request still hits the
-					// open row, so in-flight accesses are not starved.
-					if ch.bankqs[i].hits == 0 {
-						class := 2
-						if hasARR {
-							class = 1
-						}
-						consider(candidate{t: s.chk.EarliestPRE(id, now), class: class, op: opPRE, rank: rk, bank: ba})
-					}
-					continue
-				}
-				if hasARR {
-					consider(candidate{t: s.chk.EarliestARR(id, now), class: 1, op: opARR, rank: rk, bank: ba})
-					continue
-				}
-				consider(candidate{t: s.chk.EarliestACT(id, now), class: 2, op: opMit, rank: rk, bank: ba})
-			}
-		}
-	}
-
-	ch.scheduleDemand(now, refreshPending, consider)
 
 	if best.op != opNone {
 		ch.exec(best)
@@ -150,90 +146,94 @@ func (ch *channel) step(now clock.Time) clock.Time {
 	return earliest
 }
 
-// scheduleDemand emits one candidate per bank with issuable demand work: the
-// minimum-key row hit, the bank's ACT with the minimum-key miss, or the
-// first-in-pool-order conflicting PRE — exactly the candidates that could
-// win the reference's per-request emission (all same-bank candidates of one
-// kind share an issue time, so only the best key matters; a future time
-// contributes to the earliest-work bound without a key at all).
-func (ch *channel) scheduleDemand(now clock.Time, refreshPending []bool, consider func(candidate)) {
+// scheduleDemand emits the demand candidates of rank rk, which has queued
+// work and no refresh pending. The rank's bank-state words give three
+// candidate sets by mask arithmetic, and the timing checker answers each set
+// in one query:
+//
+//   - column: banks with queued hits on the open row, each with its
+//     minimum-key hit;
+//   - conflict PRE: the other open banks, each with the key of its first
+//     conflicting request in pool order;
+//   - ACT: closed banks, each with its minimum-key miss.
+//
+// A bank with defense debt opens no new row, and buffered writes outside a
+// drain burst neither conflict-PRE nor ACT: the sched mask limits both sets.
+// All same-bank candidates of one kind share an issue time, so a bank's best
+// key is the only one that could win the reference's per-request emission.
+// Only banks ready at now get a keyed candidate; a set with none ready
+// contributes its minimum time to the earliest-work bound. Demand keys end in
+// unique stamps, so the order candidates are considered in does not matter.
+func (ch *channel) scheduleDemand(rk int, now clock.Time, consider func(candidate)) {
 	s := ch.sys
-	if s.cfg.Scheduler == PARBS {
-		ch.refreshBatch()
+	busy := ch.busy[rk]
+	rankID := dram.RankID{Channel: ch.idx, Rank: rk}
+	base := rk * s.cfg.DRAM.BanksPerRank
+	// Column accesses to the open row always proceed (they drain the row
+	// so mitigation can precharge) and suppress the conflicting PRE.
+	hit := ch.hit[rk]
+	if hit != 0 {
+		t, ready := s.chk.EarliestColumns(rankID, hit, now)
+		if ready == 0 {
+			consider(candidate{t: t, class: 3, op: opColumn})
+		}
+		for ; ready != 0; ready &= ready - 1 {
+			i := base + bits.TrailingZeros64(ready)
+			q, seq := ch.bestHit(&ch.bankqs[i], ch.banks[i].open)
+			consider(candidate{t: now, class: 3, seq: seq, op: opColumn, req: q})
+		}
 	}
-	ch.updateDrain()
-	bpr := s.cfg.DRAM.BanksPerRank
-	// Set bits ascend in flat (rank-major) bank order, the order the
-	// reference considers banks in.
-	for w, word := range ch.busy {
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			rk, ba := i/bpr, i%bpr
-			if refreshPending[rk] {
-				continue // drain the rank for refresh
+	if busy&^hit == 0 {
+		return // every busy bank has hits: no PRE or ACT candidate
+	}
+	// Banks whose queued requests may open a row: those with reads, or
+	// with any request during a drain burst, and no defense debt.
+	sched := ch.reads[rk]
+	if ch.draining {
+		sched = busy
+	}
+	sched &^= ch.attn[rk]
+	open := ch.open[rk]
+	for pre := open &^ hit & sched; pre != 0; pre &= pre - 1 {
+		ba := bits.TrailingZeros64(pre)
+		bq := &ch.bankqs[base+ba]
+		// The first conflicting request in pool order: the oldest read,
+		// or in a drain burst with no read queued, the oldest write.
+		var first *Request
+		if len(bq.reads) > 0 {
+			first = bq.reads[0]
+		} else {
+			first = bq.writes[0]
+		}
+		first.neededPRE = true
+		t := s.chk.EarliestPRE(ch.bankID(rk, ba), now)
+		consider(candidate{t: t, class: 3, seq: ch.demandKey(first, false), op: opPRE, rank: rk, bank: ba})
+	}
+	act := sched &^ open
+	if act == 0 {
+		return
+	}
+	if s.chk.RankBlockedUntil(rankID) > now {
+		for m := act; m != 0; m &= m - 1 {
+			ba := bits.TrailingZeros64(m)
+			bq, id := &ch.bankqs[base+ba], ch.bankID(rk, ba)
+			for _, q := range bq.reads {
+				ch.countNack(q, id, now)
 			}
-			bq := &ch.bankqs[i]
-			nr, nw := len(bq.reads), len(bq.writes)
-			b := &ch.banks[i]
-			id := ch.bankID(rk, ba)
-			switch {
-			case b.open >= 0 && bq.hits > 0:
-				// Column accesses to the open row always proceed (they drain
-				// the row so mitigation can precharge) and suppress the
-				// conflicting PRE.
-				t := s.chk.EarliestColumn(id, now)
-				if t > now {
-					consider(candidate{t: t, class: 3, op: opColumn})
-					continue
+			if ch.draining {
+				for _, q := range bq.writes {
+					ch.countNack(q, id, now)
 				}
-				q, seq := ch.bestHit(bq, b.open)
-				consider(candidate{t: t, class: 3, seq: seq, op: opColumn, req: q})
-			case b.open >= 0:
-				// Row conflict. Opening a new row waits until the bank's
-				// mitigation debt is paid; otherwise plan one PRE carrying
-				// the key of the first conflicting request in pool order.
-				if s.rcd.HasPendingARR(id) || len(b.mit) > 0 {
-					continue
-				}
-				var first *Request
-				switch {
-				case nr > 0:
-					first = bq.reads[0]
-				case ch.draining && nw > 0:
-					first = bq.writes[0]
-				default:
-					continue // writes outside a drain burst never conflict-PRE
-				}
-				t := s.chk.EarliestPRE(id, now)
-				first.neededPRE = true
-				consider(candidate{t: t, class: 3, seq: ch.demandKey(first, false), op: opPRE, rank: rk, bank: ba})
-			default:
-				// Bank closed: one ACT candidate for the minimum-key miss.
-				if s.rcd.HasPendingARR(id) || len(b.mit) > 0 {
-					continue
-				}
-				if nr == 0 && (!ch.draining || nw == 0) {
-					continue // only non-drain writes queued: not schedulable
-				}
-				if s.chk.RankBlockedUntil(id.RankID()) > now {
-					for _, q := range bq.reads {
-						ch.countNack(q, id, now)
-					}
-					if ch.draining {
-						for _, q := range bq.writes {
-							ch.countNack(q, id, now)
-						}
-					}
-				}
-				t := s.chk.EarliestACT(id, now)
-				if t > now {
-					consider(candidate{t: t, class: 3, op: opACT})
-					continue
-				}
-				q, seq := ch.bestMiss(bq)
-				consider(candidate{t: t, class: 3, seq: seq, op: opACT, req: q})
 			}
 		}
+	}
+	t, ready := s.chk.EarliestACTs(rankID, act, now)
+	if ready == 0 {
+		consider(candidate{t: t, class: 3, op: opACT})
+	}
+	for ; ready != 0; ready &= ready - 1 {
+		q, seq := ch.bestMiss(&ch.bankqs[base+bits.TrailingZeros64(ready)])
+		consider(candidate{t: now, class: 3, seq: seq, op: opACT, req: q})
 	}
 }
 

@@ -65,8 +65,14 @@ func NewConfig(p dram.Params) Config {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
+	case c.Scheduler != FRFCFS && c.Scheduler != PARBS:
+		return fmt.Errorf("mc: unknown scheduler %v", c.Scheduler)
+	case c.PagePolicy != OpenPage && c.PagePolicy != ClosedPage && c.PagePolicy != MinimalistOpen:
+		return fmt.Errorf("mc: unknown page policy %v", c.PagePolicy)
 	case c.QueueDepth < 1:
 		return fmt.Errorf("mc: queue depth must be positive, got %d", c.QueueDepth)
+	case c.WriteQueueDepth < 0:
+		return fmt.Errorf("mc: write queue depth must not be negative, got %d (0 disables buffering)", c.WriteQueueDepth)
 	case c.PagePolicy == MinimalistOpen && c.MaxRowHits < 1:
 		return fmt.Errorf("mc: minimalist-open needs MaxRowHits ≥ 1, got %d", c.MaxRowHits)
 	case c.Scheduler == PARBS && c.BatchCap < 1:
@@ -76,6 +82,9 @@ func (c Config) Validate() error {
 			c.WriteLow, c.WriteHigh, c.WriteQueueDepth)
 	case c.RefreshPostpone < 0 || c.RefreshPostpone > 8:
 		return fmt.Errorf("mc: refresh postponement must lie in [0,8] (JEDEC), got %d", c.RefreshPostpone)
+	case c.DRAM.BanksPerRank > 64:
+		// The scheduler keeps one 64-bit bank-state word per rank.
+		return fmt.Errorf("mc: at most 64 banks per rank, got %d", c.DRAM.BanksPerRank)
 	}
 	return c.DRAM.Validate()
 }
@@ -135,17 +144,20 @@ func New(cfg Config, dev *dram.Device, r *rcd.RCD, cnt *stats.Counters) (*System
 		chans:            make([]*channel, cfg.DRAM.Channels),
 		detectionsByCore: map[int]int64{},
 	}
-	nbanks := cfg.DRAM.RanksPerChannel * cfg.DRAM.BanksPerRank
+	ranks := cfg.DRAM.RanksPerChannel
+	nbanks := ranks * cfg.DRAM.BanksPerRank
 	for c := range s.chans {
 		s.chans[c] = &channel{
-			sys:            s,
-			idx:            c,
-			banks:          make([]bankCtl, nbanks),
-			refreshDue:     make([]clock.Time, cfg.DRAM.RanksPerChannel),
-			bankqs:         make([]bankq, nbanks),
-			busy:           make([]uint64, (nbanks+63)/64),
-			attn:           make([]bool, nbanks),
-			refreshScratch: make([]bool, cfg.DRAM.RanksPerChannel),
+			sys:        s,
+			idx:        c,
+			banks:      make([]bankCtl, nbanks),
+			refreshDue: make([]clock.Time, ranks),
+			bankqs:     make([]bankq, nbanks),
+			busy:       make([]uint64, ranks),
+			open:       make([]uint64, ranks),
+			hit:        make([]uint64, ranks),
+			reads:      make([]uint64, ranks),
+			attn:       make([]uint64, ranks),
 		}
 	}
 	s.Reset()
@@ -203,12 +215,13 @@ func (s *System) Reset() {
 		clear(ch.batchLoad)
 		ch.batchCores = ch.batchCores[:0]
 		ch.resetIndexes()
-		// Re-derive the attention set from the RCD in case the caller resets
-		// it after the controller (the machine owns the order); a bank with
-		// leftover pending ARRs must stay in the set.
+		// Re-derive the attention set from the RCD: a caller that resets
+		// only the controller leaves pending ARRs the banks still owe. A
+		// machine resets the RCD afterwards, and the first step's attention
+		// loop clears the bits that leaves stale.
 		for rk := 0; rk < cfg.DRAM.RanksPerChannel; rk++ {
 			for ba := 0; ba < cfg.DRAM.BanksPerRank; ba++ {
-				ch.updateAttn(ch.flat(rk, ba), ch.bankID(rk, ba))
+				ch.updateAttn(ch.bankID(rk, ba))
 			}
 		}
 	}

@@ -109,6 +109,29 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("PAR-BS with zero batch cap accepted")
 	}
+	// Settings the controller cannot run: each used to run silently as
+	// another one (FR-FCFS, open page, no write buffer, or a rank whose
+	// banks past 64 never schedule).
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"unknown scheduler", func(c *Config) { c.Scheduler = Scheduler(7) }},
+		{"unknown page policy", func(c *Config) { c.PagePolicy = PagePolicy(9) }},
+		{"negative write queue depth", func(c *Config) { c.WriteQueueDepth = -1 }},
+		{"65 banks per rank", func(c *Config) { c.DRAM.BanksPerRank, c.DRAM.BankGroups = 65, 1 }},
+	} {
+		bad = cfg
+		tc.edit(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	ok := cfg
+	ok.DRAM.BanksPerRank = 64
+	if err := ok.Validate(); err != nil {
+		t.Errorf("64 banks per rank rejected: %v", err)
+	}
 }
 
 func TestPolicyStrings(t *testing.T) {

@@ -103,6 +103,28 @@ func TestNegativeCommandTimingRejected(t *testing.T) {
 	}
 }
 
+// TestInvalidControllerRejected pins three controller settings that used to
+// run silently as another one: an unknown scheduler ran as FR-FCFS, an
+// unknown page policy as open page, and a negative write queue depth as no
+// write buffer. Run must refuse them before simulating anything.
+func TestInvalidControllerRejected(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*mc.Config)
+	}{
+		{"scheduler 7", func(c *mc.Config) { c.Scheduler = mc.Scheduler(7) }},
+		{"page policy 9", func(c *mc.Config) { c.PagePolicy = mc.PagePolicy(9) }},
+		{"write queue depth -1", func(c *mc.Config) { c.WriteQueueDepth = -1 }},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig(1)
+		tc.edit(&cfg.MC)
+		if res, err := Run(cfg, defense.Nop{}, s3Workload(t, cfg), DefaultLimits(200)); err == nil {
+			t.Errorf("%s: Run returned no error (served %d of 200 requests)", tc.name, res.Counters.RequestsServed)
+		}
+	}
+}
+
 func TestRunRequiresLimits(t *testing.T) {
 	cfg := scaledConfig()
 	if _, err := Run(cfg, defense.Nop{}, s3Workload(t, cfg), Limits{}); err == nil {

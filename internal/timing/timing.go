@@ -8,6 +8,7 @@ package timing
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/clock"
 	"repro/internal/dram"
@@ -71,6 +72,10 @@ type Checker struct {
 	banks   []bankState
 	ranks   []rankState
 	busFree []clock.Time // per-channel data bus availability
+	// group is each bank's bank group, by bank index within its rank, so
+	// no timing call divides to find it.
+	//twicelint:keep derived from the parameters, fixed at construction
+	group []int
 }
 
 // NewChecker builds a checker for the given configuration. All commands are
@@ -81,6 +86,10 @@ func NewChecker(p dram.Params) *Checker {
 		banks:   make([]bankState, p.TotalBanks()),
 		ranks:   make([]rankState, p.Channels*p.RanksPerChannel),
 		busFree: make([]clock.Time, p.Channels),
+		group:   make([]int, p.BanksPerRank),
+	}
+	for ba := range c.group {
+		c.group[ba] = c.p.BankGroup(ba)
 	}
 	c.Reset()
 	return c
@@ -119,7 +128,7 @@ func (c *Checker) EarliestACT(id dram.BankID, now clock.Time) clock.Time {
 	// tRRD: the long value applies when the previous ACT hit the same bank
 	// group (DDR4 bank-group timing).
 	rrd := c.p.TRRD
-	if c.p.BankGroup(id.Bank) == r.lastACTGroup {
+	if c.group[id.Bank] == r.lastACTGroup {
 		rrd = c.p.RRDWithin()
 	}
 	t = clock.Max(t, r.lastACT+rrd)
@@ -129,6 +138,38 @@ func (c *Checker) EarliestACT(id dram.BankID, now clock.Time) clock.Time {
 		t = clock.Max(t, oldest+c.p.TFAW)
 	}
 	return t
+}
+
+// EarliestACTs answers EarliestACT for every bank of the rank whose bit is
+// set in mask (bit i is bank i of the rank). It returns the minimum of those
+// banks' earliest times and the mask of banks whose earliest time is now; an
+// empty mask returns clock.Never and 0. The rank's ARR block and tFAW window
+// are computed once, so each bank adds only its tRRD term (which depends on
+// its bank group) and its own tRC/tRP and occupancy terms. Each bank's time
+// equals EarliestACT's exactly: both take the maximum of the same terms.
+func (c *Checker) EarliestACTs(id dram.RankID, mask uint64, now clock.Time) (clock.Time, uint64) {
+	rf := id.Flat(&c.p)
+	r := &c.ranks[rf]
+	base := clock.Max(now, r.blockedUntil)
+	if oldest := r.faw[r.fawIdx]; oldest != -clock.Never {
+		base = clock.Max(base, oldest+c.p.TFAW)
+	}
+	off := rf * c.p.BanksPerRank
+	earliest, ready := clock.Never, uint64(0)
+	for ; mask != 0; mask &= mask - 1 {
+		ba := bits.TrailingZeros64(mask)
+		b := &c.banks[off+ba]
+		rrd := c.p.TRRD
+		if c.group[ba] == r.lastACTGroup {
+			rrd = c.p.RRDWithin()
+		}
+		t := clock.Max(clock.Max(clock.Max(base, r.lastACT+rrd), b.nextACT), b.busyUntil)
+		if t == now {
+			ready |= 1 << ba
+		}
+		earliest = clock.Min(earliest, t)
+	}
+	return earliest, ready
 }
 
 // RecordACT registers an ACT issued at time t to the bank. The caller must
@@ -149,7 +190,7 @@ func (c *Checker) RecordACT(id dram.BankID, t clock.Time) error {
 	b.nextPRE = t + c.p.TRAS
 	b.nextCol = t + c.p.TRCD
 	r.lastACT = t
-	r.lastACTGroup = c.p.BankGroup(id.Bank)
+	r.lastACTGroup = c.group[id.Bank]
 	r.faw[r.fawIdx] = t
 	r.fawIdx = (r.fawIdx + 1) % len(r.faw)
 	return nil
@@ -186,7 +227,7 @@ func (c *Checker) EarliestColumn(id dram.BankID, now clock.Time) clock.Time {
 	t = clock.Max(t, b.busyUntil)
 	// tCCD: the long value applies within one bank group.
 	ccd := c.p.TCCD
-	if c.p.BankGroup(id.Bank) == r.lastColGroup {
+	if c.group[id.Bank] == r.lastColGroup {
 		ccd = c.p.CCDWithin()
 	}
 	t = clock.Max(t, r.lastCol+ccd)
@@ -196,6 +237,33 @@ func (c *Checker) EarliestColumn(id dram.BankID, now clock.Time) clock.Time {
 		t = busAt
 	}
 	return t
+}
+
+// EarliestColumns answers EarliestColumn for every bank of the rank whose
+// bit is set in mask, the way EarliestACTs answers EarliestACT: it returns
+// the minimum time and the mask of banks ready at now (clock.Never and 0 for
+// an empty mask). The channel bus term is computed once per call; each bank
+// adds its tCCD term and its own tRCD and occupancy terms.
+func (c *Checker) EarliestColumns(id dram.RankID, mask uint64, now clock.Time) (clock.Time, uint64) {
+	rf := id.Flat(&c.p)
+	r := &c.ranks[rf]
+	base := clock.Max(now, c.busFree[id.Channel]-c.p.TCL)
+	off := rf * c.p.BanksPerRank
+	earliest, ready := clock.Never, uint64(0)
+	for ; mask != 0; mask &= mask - 1 {
+		ba := bits.TrailingZeros64(mask)
+		b := &c.banks[off+ba]
+		ccd := c.p.TCCD
+		if c.group[ba] == r.lastColGroup {
+			ccd = c.p.CCDWithin()
+		}
+		t := clock.Max(clock.Max(clock.Max(base, r.lastCol+ccd), b.nextCol), b.busyUntil)
+		if t == now {
+			ready |= 1 << ba
+		}
+		earliest = clock.Min(earliest, t)
+	}
+	return earliest, ready
 }
 
 // RecordRead registers a RD at time t and returns the completion time at
@@ -223,7 +291,7 @@ func (c *Checker) recordCol(id dram.BankID, t clock.Time) {
 	b, r := c.bank(id), c.rank(id)
 	b.nextCol = t + c.p.CCDWithin()
 	r.lastCol = t
-	r.lastColGroup = c.p.BankGroup(id.Bank)
+	r.lastColGroup = c.group[id.Bank]
 }
 
 // RecordWrite registers a WR at time t and returns the time the write has

@@ -1,6 +1,8 @@
 package timing
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -325,5 +327,183 @@ func TestACTSpacingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBatchedQueriesMatchPerBank drives random legal command sequences (ACT,
+// PRE, RD, WR, REF, ARR) on two ranks of 16 banks and, after every command,
+// asks EarliestACTs and EarliestColumns about random bank masks at random
+// query times. Each answer must equal the per-bank EarliestACT and
+// EarliestColumn answers: the minimum over the mask, and the mask of banks
+// ready at the query time. The variants cover DDR4's four bank groups, no
+// grouping, and unset long timings (tRRD_L = tCCD_L = 0); each must reach
+// time 0's "no previous command" sentinels, a full tFAW window, an
+// ARR-blocked rank and a refreshing rank.
+func TestBatchedQueriesMatchPerBank(t *testing.T) {
+	variants := []struct {
+		name string
+		edit func(*dram.Params)
+	}{
+		{"four-groups", func(*dram.Params) {}},
+		{"no-groups", func(p *dram.Params) { p.BankGroups = 1 }},
+		{"no-long-timings", func(p *dram.Params) { p.TRRDL, p.TCCDL = 0, 0 }},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			p := dram.DDR4_2400()
+			p.Channels = 1
+			p.RanksPerChannel = 2
+			p.BanksPerRank = 16
+			p.RowsPerBank = 1024
+			p.SpareRowsPerBank = 8
+			v.edit(&p)
+			var cov batchCoverage
+			for seed := int64(1); seed <= 20; seed++ {
+				runBatchedProperty(t, p, seed, &cov)
+				if t.Failed() {
+					return
+				}
+			}
+			if cov.atZero == 0 || cov.fawFull == 0 || cov.arrBlocked == 0 || cov.refreshing == 0 || cov.ready == 0 {
+				t.Errorf("queries missed a case: %+v", cov)
+			}
+		})
+	}
+}
+
+// batchCoverage counts the property's queries by the timing state they met.
+type batchCoverage struct {
+	atZero     int // before any command, at time 0
+	fawFull    int // four ACTs within tFAW: the fifth must wait
+	arrBlocked int // the rank inside an ARR block
+	refreshing int // the rank inside tRFC
+	ready      int // at least one bank of the mask ready
+}
+
+// runBatchedProperty issues 300 random legal commands on a fresh checker,
+// comparing batched and per-bank answers before the first and after each.
+func runBatchedProperty(t *testing.T, p dram.Params, seed int64, cov *batchCoverage) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c := NewChecker(p)
+	full := uint64(1)<<p.BanksPerRank - 1
+	now := clock.Time(0)
+	compare := func() {
+		for rk := 0; rk < p.RanksPerChannel; rk++ {
+			for k := 0; k < 6; k++ {
+				var mask uint64
+				switch rng.Intn(5) {
+				case 0:
+					mask = full
+				case 1:
+					mask = 1 << rng.Intn(p.BanksPerRank)
+				case 2:
+					mask = 0
+				default:
+					mask = rng.Uint64() & full
+				}
+				at := now + clock.Time(rng.Int63n(int64(60*clock.Nanosecond))) - 10*clock.Nanosecond
+				if at < 0 || now == 0 {
+					at = 0
+				}
+				checkBatched(t, c, rk, mask, at, cov)
+				// Also query at the ACT minimum, where at least one bank is
+				// ready and the ready mask's equality edge is exercised.
+				if m, _ := c.EarliestACTs(dram.RankID{Rank: rk}, mask, at); m != clock.Never {
+					checkBatched(t, c, rk, mask, m, cov)
+				}
+				if now == 0 {
+					cov.atZero++
+				}
+			}
+		}
+	}
+	compare()
+	for i := 0; i < 300 && !t.Failed(); i++ {
+		// Mostly back-to-back commands, so tRRD, tFAW and tCCD bind.
+		if rng.Intn(10) < 3 {
+			now += clock.Time(rng.Int63n(int64(40 * clock.Nanosecond)))
+		}
+		rk, ba := rng.Intn(p.RanksPerChannel), rng.Intn(p.BanksPerRank)
+		id := b(0, rk, ba)
+		var err error
+		switch k := rng.Intn(100); {
+		case k < 2: // auto-refresh: precharge the rank, then REF
+			for bb := 0; bb < p.BanksPerRank; bb++ {
+				if o := b(0, rk, bb); c.bank(o).rowOpen {
+					now = c.EarliestPRE(o, now)
+					if err = c.RecordPRE(o, now); err != nil {
+						break
+					}
+				}
+			}
+			if err == nil {
+				rank := dram.RankID{Rank: rk}
+				now = c.EarliestREF(rank, now)
+				err = c.RecordREF(rank, now)
+			}
+		case !c.bank(id).rowOpen && k < 6:
+			now = c.EarliestARR(id, now)
+			err = c.RecordARR(id, now)
+		case !c.bank(id).rowOpen:
+			now = c.EarliestACT(id, now)
+			err = c.RecordACT(id, now)
+		case k < 25:
+			now = c.EarliestPRE(id, now)
+			err = c.RecordPRE(id, now)
+		case k < 60:
+			now = c.EarliestColumn(id, now)
+			_, err = c.RecordWrite(id, now)
+		default:
+			now = c.EarliestColumn(id, now)
+			_, err = c.RecordRead(id, now)
+		}
+		if err != nil {
+			t.Fatalf("seed %d, command %d: %v", seed, i, err)
+		}
+		compare()
+	}
+}
+
+// checkBatched compares one batched ACT and one batched column answer with
+// the per-bank answers over the same mask at now.
+func checkBatched(t *testing.T, c *Checker, rk int, mask uint64, now clock.Time, cov *batchCoverage) {
+	t.Helper()
+	rank := dram.RankID{Rank: rk}
+	r := &c.ranks[rank.Flat(&c.p)]
+	if oldest := r.faw[r.fawIdx]; oldest != -clock.Never && oldest+c.p.TFAW > now {
+		cov.fawFull++
+	}
+	if r.blockedUntil > now {
+		cov.arrBlocked++
+	}
+	if r.refReady > now {
+		cov.refreshing++
+	}
+	for _, q := range []struct {
+		name    string
+		batched func(dram.RankID, uint64, clock.Time) (clock.Time, uint64)
+		single  func(dram.BankID, clock.Time) clock.Time
+	}{
+		{"ACT", c.EarliestACTs, c.EarliestACT},
+		{"column", c.EarliestColumns, c.EarliestColumn},
+	} {
+		want, wantReady := clock.Never, uint64(0)
+		for m := mask; m != 0; m &= m - 1 {
+			ba := bits.TrailingZeros64(m)
+			e := q.single(b(0, rk, ba), now)
+			want = clock.Min(want, e)
+			if e <= now {
+				wantReady |= 1 << ba
+			}
+		}
+		got, gotReady := q.batched(rank, mask, now)
+		if got != want || gotReady != wantReady {
+			t.Fatalf("%s rank %d mask %#x at %v: batched (%v, %#x), per bank (%v, %#x)",
+				q.name, rk, mask, now, got, gotReady, want, wantReady)
+		}
+		if wantReady != 0 {
+			cov.ready++
+		}
 	}
 }
