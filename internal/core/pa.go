@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // paTable is the pseudo-associative organization (pa-TWiCe, §6.1): the table
 // is split into sets; each row has a preferred set (row mod #sets) and is
@@ -9,12 +12,27 @@ import "fmt"
 // preferred set is incremented, so later lookups know which non-preferred
 // sets can possibly hold the row. Common-case lookups touch a single set,
 // which is where the energy saving over fa-TWiCe comes from.
+//
+// Slot s*ways+w is way w of set s. The live-slot bitmap is the only record
+// of which slots hold an entry, so set scans, Prune and Snapshot visit live
+// entries only: a table under the S3 attack holds one live entry of its 448
+// quick-scale slots, and its prune, which runs after every auto-refresh,
+// costs what is live rather than the table's capacity. Walking the bitmap
+// in ascending slot order is the set-major order of a set-by-set scan.
 type paTable struct {
-	ways int       //twicelint:keep geometry, fixed at construction
-	sets [][]Entry // sets[s][w]; Row < 0 marks an empty way
-	sb   [][]int   // sb[host][preferred] = entries of `preferred` stored in `host`
-	len  int
-	ops  OpStats
+	ways    int     //twicelint:keep geometry, fixed at construction
+	entries []Entry //twicelint:keep stale slots are unreadable; live is the source of truth
+	live    []uint64
+	// sb[p*nsets+host] is the SB indicator: entries preferring set p that
+	// are stored in host. Laid out by preferred set, so a miss's sweep over
+	// the hosts of one preferred set reads consecutive words.
+	sb []int
+	// hosts[p] counts the host sets whose SB indicator for p is non-zero: a
+	// miss sweeps only while hosts remain, and not at all when nothing of p
+	// is borrowed.
+	hosts []int
+	len   int
+	ops   OpStats
 }
 
 // newPATable builds a pseudo-associative table with enough sets of the given
@@ -24,111 +42,132 @@ func newPATable(capacity, ways int) *paTable {
 	if nsets < 1 {
 		nsets = 1
 	}
+	slots := nsets * ways
 	t := &paTable{
-		ways: ways,
-		sets: make([][]Entry, nsets),
-		sb:   make([][]int, nsets),
-	}
-	for s := range t.sets {
-		t.sets[s] = make([]Entry, ways)
-		t.sb[s] = make([]int, nsets)
+		ways:    ways,
+		entries: make([]Entry, slots),
+		live:    make([]uint64, (slots+63)/64),
+		sb:      make([]int, nsets*nsets),
+		hosts:   make([]int, nsets),
 	}
 	t.Clear()
 	return t
 }
 
-func (t *paTable) preferred(row int) int { return row % len(t.sets) }
+func (t *paTable) preferred(row int) int { return row % len(t.hosts) }
 
-// findInSet scans one set for the row; returns the way index or -1.
+// span returns the live bits of slots [i, min(hi, i's word end)), shifted so
+// that bit 0 is slot i, and the number of slots n it covers.
+func (t *paTable) span(i, hi int) (live uint64, n int) {
+	n = min(hi-i, 64-i&63)
+	return t.live[i>>6] >> (i & 63) & (uint64(1)<<n - 1), n
+}
+
+// findInSet scans the live ways of set s for the row; it returns the slot
+// or -1.
 func (t *paTable) findInSet(s, row int) int {
-	for w := range t.sets[s] {
-		if t.sets[s][w].Row == row {
-			return w
+	hi := (s + 1) * t.ways
+	for i := s * t.ways; i < hi; {
+		live, n := t.span(i, hi)
+		for ; live != 0; live &= live - 1 {
+			if j := i + bits.TrailingZeros64(live); t.entries[j].Row == row {
+				return j
+			}
 		}
+		i += n
 	}
 	return -1
 }
 
-// locate finds the row, probing the preferred set first and then any set
-// whose SB indicator shows borrowed entries for the preferred set. It
-// updates probe statistics when counted is true.
-func (t *paTable) locate(row int, counted bool) (set, way int) {
+// emptyWay returns the first free slot of set s, or -1 if the set is full.
+func (t *paTable) emptyWay(s int) int {
+	hi := (s + 1) * t.ways
+	for i := s * t.ways; i < hi; {
+		live, n := t.span(i, hi)
+		if free := ^live & (uint64(1)<<n - 1); free != 0 {
+			return i + bits.TrailingZeros64(free)
+		}
+		i += n
+	}
+	return -1
+}
+
+// locate finds the row's slot (or -1), probing the preferred set first and
+// then, in ascending set order, each set whose SB indicator shows borrowed
+// entries for the preferred set. It updates probe statistics when counted
+// is true.
+func (t *paTable) locate(row int, counted bool) int {
 	p := t.preferred(row)
 	if counted {
 		t.ops.SetsProbed++
 	}
-	if w := t.findInSet(p, row); w >= 0 {
+	if i := t.findInSet(p, row); i >= 0 {
 		if counted {
 			t.ops.PreferredHits++
 		}
-		return p, w
+		return i
 	}
-	for s := range t.sets {
-		if s == p || t.sb[s][p] == 0 {
+	sb := t.sb[p*len(t.hosts):][:len(t.hosts)]
+	for s, left := 0, t.hosts[p]; left > 0; s++ {
+		if sb[s] == 0 {
 			continue
 		}
+		left--
 		if counted {
 			t.ops.SetsProbed++
 		}
-		if w := t.findInSet(s, row); w >= 0 {
-			return s, w
+		if i := t.findInSet(s, row); i >= 0 {
+			return i
 		}
 	}
-	return -1, -1
+	return -1
 }
 
 //twicelint:hotpath per-ACT table op, reached through the Table interface
 func (t *paTable) Touch(row int) (Entry, bool) {
 	t.ops.Searches++
-	s, w := t.locate(row, true)
-	if s < 0 {
+	i := t.locate(row, true)
+	if i < 0 {
 		return Entry{}, false
 	}
-	t.sets[s][w].ActCnt++
-	return t.sets[s][w], true
+	t.entries[i].ActCnt++
+	return t.entries[i], true
 }
 
 func (t *paTable) Lookup(row int) (Entry, bool) {
-	s, w := t.locate(row, false)
-	if s < 0 {
-		return Entry{}, false
+	if i := t.locate(row, false); i >= 0 {
+		return t.entries[i], true
 	}
-	return t.sets[s][w], true
-}
-
-func (t *paTable) emptyWay(s int) int {
-	for w := range t.sets[s] {
-		if t.sets[s][w].Row < 0 {
-			return w
-		}
-	}
-	return -1
+	return Entry{}, false
 }
 
 func (t *paTable) Insert(row int) error {
-	if s, _ := t.locate(row, false); s >= 0 {
+	if t.locate(row, false) >= 0 {
 		return fmt.Errorf("core: insert of already-tracked row %d", row)
 	}
 	p := t.preferred(row)
-	s, w := p, t.emptyWay(p)
-	if w < 0 {
-		s = -1
-		for q := range t.sets {
+	i := t.emptyWay(p)
+	if i < 0 {
+		for q := range t.hosts {
 			if q == p {
 				continue
 			}
-			if ww := t.emptyWay(q); ww >= 0 {
-				s, w = q, ww
+			if i = t.emptyWay(q); i >= 0 {
+				k := p*len(t.hosts) + q
+				if t.sb[k] == 0 {
+					t.hosts[p]++
+				}
+				t.sb[k]++
 				break
 			}
 		}
-		if s < 0 {
+		if i < 0 {
 			return fmt.Errorf("core: pa table full (%d entries); sizing invariant violated", t.Cap())
 		}
-		t.sb[s][p]++
 		t.ops.Spills++
 	}
-	t.sets[s][w] = Entry{Row: row, ActCnt: 1, Life: 1}
+	t.entries[i] = Entry{Row: row, ActCnt: 1, Life: 1}
+	t.live[i>>6] |= 1 << (i & 63)
 	t.len++
 	t.ops.Inserts++
 	if t.len > t.ops.PeakOccupancy {
@@ -137,34 +176,38 @@ func (t *paTable) Insert(row int) error {
 	return nil
 }
 
-func (t *paTable) invalidate(s, w int) {
-	row := t.sets[s][w].Row
-	if p := t.preferred(row); p != s {
-		t.sb[s][p]--
+func (t *paTable) invalidate(i int) {
+	if s, p := i/t.ways, t.preferred(t.entries[i].Row); p != s {
+		k := p*len(t.hosts) + s
+		t.sb[k]--
+		if t.sb[k] == 0 {
+			t.hosts[p]--
+		}
 	}
-	t.sets[s][w].Row = -1
+	t.live[i>>6] &^= 1 << (i & 63)
 	t.len--
 }
 
 func (t *paTable) Remove(row int) {
-	s, w := t.locate(row, false)
-	if s < 0 {
+	i := t.locate(row, false)
+	if i < 0 {
 		return
 	}
-	t.invalidate(s, w)
+	t.invalidate(i)
 	t.ops.Removes++
 }
 
 func (t *paTable) Prune(thPI int) int {
 	pruned := 0
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			e := &t.sets[s][w]
-			if e.Row < 0 {
-				continue
-			}
+	// The range copies each word before its walk, so invalidate clearing
+	// bits in t.live does not disturb the iteration.
+	entries := t.entries
+	for wi, live := range t.live {
+		for ; live != 0; live &= live - 1 {
+			i := wi<<6 + bits.TrailingZeros64(live)
+			e := &entries[i]
 			if e.ActCnt < thPI*e.Life {
-				t.invalidate(s, w)
+				t.invalidate(i)
 				pruned++
 			} else {
 				e.Life++
@@ -176,31 +219,24 @@ func (t *paTable) Prune(thPI int) int {
 	return pruned
 }
 
-// Clear implements Table: every way emptied, all set-borrowing indicators
+// Clear implements Table: every slot freed, all set-borrowing indicators
 // zeroed, counters reset — storage untouched.
 func (t *paTable) Clear() {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			t.sets[s][w].Row = -1
-		}
-		for p := range t.sb[s] {
-			t.sb[s][p] = 0
-		}
-	}
+	clear(t.live)
+	clear(t.sb)
+	clear(t.hosts)
 	t.len = 0
 	t.ops = OpStats{}
 }
 
 func (t *paTable) Len() int { return t.len }
-func (t *paTable) Cap() int { return len(t.sets) * t.ways }
+func (t *paTable) Cap() int { return len(t.entries) }
 
 func (t *paTable) Snapshot() []Entry {
 	out := make([]Entry, 0, t.len)
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			if t.sets[s][w].Row >= 0 {
-				out = append(out, t.sets[s][w])
-			}
+	for wi, live := range t.live {
+		for ; live != 0; live &= live - 1 {
+			out = append(out, t.entries[wi<<6+bits.TrailingZeros64(live)])
 		}
 	}
 	return out
@@ -209,4 +245,4 @@ func (t *paTable) Snapshot() []Entry {
 func (t *paTable) Ops() OpStats { return t.ops }
 
 // Sets returns the set count (for area/energy reporting).
-func (t *paTable) Sets() int { return len(t.sets) }
+func (t *paTable) Sets() int { return len(t.hosts) }

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Entry is one TWiCe counter-table entry (Figure 3 of the paper): the row it
 // tracks, the activation count accumulated since insertion, and the number of
@@ -67,10 +70,12 @@ type Table interface {
 // CAM over row_addr searched in parallel. The simulator realises it as a
 // dense entry pool with a row index; the CAM cost shows up only in the
 // energy model, not in behaviour. The index is an open-addressed intMap
-// rather than a Go map because Touch runs once per simulated ACT.
+// rather than a Go map because Touch runs once per simulated ACT. A
+// live-slot bitmap says which slots hold an entry, so Prune and Snapshot
+// walk live entries only, in ascending slot order.
 type faTable struct {
-	entries []Entry //twicelint:keep stale slots are unreadable; valid[] is the source of truth
-	valid   []bool
+	entries []Entry //twicelint:keep stale slots are unreadable; live is the source of truth
+	live    []uint64
 	free    []int
 	index   *intMap // row -> slot
 	ops     OpStats
@@ -80,7 +85,7 @@ type faTable struct {
 func newFATable(capacity int) *faTable {
 	t := &faTable{
 		entries: make([]Entry, capacity),
-		valid:   make([]bool, capacity),
+		live:    make([]uint64, (capacity+63)/64),
 		free:    make([]int, 0, capacity),
 		index:   newIntMap(capacity),
 	}
@@ -119,7 +124,7 @@ func (t *faTable) Insert(row int) error {
 	i := t.free[len(t.free)-1]
 	t.free = t.free[:len(t.free)-1]
 	t.entries[i] = Entry{Row: row, ActCnt: 1, Life: 1}
-	t.valid[i] = true
+	t.live[i>>6] |= 1 << (i & 63)
 	t.index.put(row, i)
 	t.ops.Inserts++
 	if n := t.index.len(); n > t.ops.PeakOccupancy {
@@ -142,7 +147,7 @@ func (t *faTable) Remove(row int) {
 		return
 	}
 	t.index.del(row)
-	t.valid[i] = false
+	t.live[i>>6] &^= 1 << (i & 63)
 	//twicelint:allocok free list capacity equals the entry count, fixed at construction
 	t.free = append(t.free, i)
 	t.ops.Removes++
@@ -150,18 +155,22 @@ func (t *faTable) Remove(row int) {
 
 func (t *faTable) Prune(thPI int) int {
 	pruned := 0
-	for i := range t.entries {
-		if !t.valid[i] {
-			continue
-		}
-		e := &t.entries[i]
-		if e.ActCnt < thPI*e.Life {
-			t.index.del(e.Row)
-			t.valid[i] = false
-			t.free = append(t.free, i)
-			pruned++
-		} else {
-			e.Life++
+	// The range copies each word before its walk, so clearing bits in
+	// t.live does not disturb the iteration. Pruned slots join the free
+	// list in ascending order.
+	entries := t.entries
+	for wi, live := range t.live {
+		for ; live != 0; live &= live - 1 {
+			i := wi<<6 + bits.TrailingZeros64(live)
+			e := &entries[i]
+			if e.ActCnt < thPI*e.Life {
+				t.index.del(e.Row)
+				t.live[wi] &^= 1 << (i & 63)
+				t.free = append(t.free, i)
+				pruned++
+			} else {
+				e.Life++
+			}
 		}
 	}
 	t.ops.Prunes++
@@ -173,9 +182,7 @@ func (t *faTable) Prune(thPI int) int {
 // list, in descending slot order, so a cleared table hands out slots in the
 // exact sequence a fresh one would.
 func (t *faTable) Clear() {
-	for i := range t.valid {
-		t.valid[i] = false
-	}
+	clear(t.live)
 	t.free = t.free[:0]
 	for i := len(t.entries) - 1; i >= 0; i-- {
 		t.free = append(t.free, i)
@@ -189,9 +196,9 @@ func (t *faTable) Cap() int { return len(t.entries) }
 
 func (t *faTable) Snapshot() []Entry {
 	out := make([]Entry, 0, t.index.len())
-	for i, v := range t.valid {
-		if v {
-			out = append(out, t.entries[i])
+	for wi, live := range t.live {
+		for ; live != 0; live &= live - 1 {
+			out = append(out, t.entries[wi<<6+bits.TrailingZeros64(live)])
 		}
 	}
 	return out

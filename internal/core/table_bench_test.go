@@ -5,18 +5,19 @@ import (
 	"testing"
 )
 
-// benchTables lists a constructor per organization at the paper's real
-// sizing (bound 556 for DDR4-2400), so the numbers reflect production probe
-// depths. Constructors, not instances: testing reruns each sub-benchmark
-// body while calibrating b.N, and every rerun needs a fresh table.
-func benchTables() []struct {
+// benchTable is one table shape a benchmark runs: a constructor, not an
+// instance, because testing reruns each sub-benchmark body while
+// calibrating b.N, and every rerun needs a fresh table.
+type benchTable struct {
 	name string
 	make func() Table
-} {
-	return []struct {
-		name string
-		make func() Table
-	}{
+}
+
+// benchTables lists a constructor per organization at the paper's real
+// sizing (bound 556 for DDR4-2400), so the numbers reflect production probe
+// depths.
+func benchTables() []benchTable {
+	return []benchTable{
 		{"fa", func() Table { return newFATable(556) }},
 		{"pa", func() Table { return newPATable(556, 64) }},
 		{"sep", func() Table { return newSepTable(124, 432, 4) }},
@@ -81,18 +82,29 @@ func BenchmarkTableInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkTablePrune times one prune pass. A pass walks only live entries,
+// so its cost depends on occupancy: each organization runs half full, and
+// pa-sparse is a quick-scale pa table (bound 386, 64 ways) holding the one
+// entry an S3 run leaves in it. thPI 0 frees no entry and only ages each
+// one, so every pass sees the same occupancy however large b.N grows.
 func BenchmarkTablePrune(b *testing.B) {
-	for _, bt := range benchTables() {
+	shapes := append(benchTables(), benchTable{"pa-sparse", func() Table {
+		tb := newPATable(386, 64)
+		if err := tb.Insert(5000); err != nil {
+			panic(err)
+		}
+		return tb
+	}})
+	for _, bt := range shapes {
 		b.Run(bt.name, func(b *testing.B) {
 			tb := bt.make()
-			fillHalf(b, tb, 4)
+			if tb.Len() == 0 { // pa-sparse comes with its one entry
+				fillHalf(b, tb, 4)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Life grows every pass, so entries eventually prune away;
-				// the measured cost is the full-capacity storage scan, which
-				// does not depend on occupancy.
-				tb.Prune(1)
+				tb.Prune(0)
 			}
 		})
 	}

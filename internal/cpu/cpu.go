@@ -23,13 +23,18 @@ func DefaultConfig() Config {
 	return Config{FreqGHz: 3.6, IPC: 2.0, MLP: 10}
 }
 
-// Validate reports whether the configuration is usable.
+// Frequency and IPC bounds: wide enough for any real core, narrow enough
+// that one instruction lasts at most a millisecond of simulated time.
+const minRate, maxRate = 1e-3, 1e3
+
+// Validate reports whether the configuration is usable. The float checks
+// are written so that NaN fails them.
 func (c Config) Validate() error {
 	switch {
-	case c.FreqGHz <= 0:
-		return fmt.Errorf("cpu: frequency must be positive, got %v", c.FreqGHz)
-	case c.IPC <= 0:
-		return fmt.Errorf("cpu: IPC must be positive, got %v", c.IPC)
+	case !(minRate <= c.FreqGHz && c.FreqGHz <= maxRate):
+		return fmt.Errorf("cpu: frequency %v GHz outside [%g, %g]", c.FreqGHz, minRate, maxRate)
+	case !(minRate <= c.IPC && c.IPC <= maxRate):
+		return fmt.Errorf("cpu: IPC %v outside [%g, %g]", c.IPC, minRate, maxRate)
 	case c.MLP < 1:
 		return fmt.Errorf("cpu: MLP must be at least 1, got %d", c.MLP)
 	}
@@ -75,14 +80,26 @@ func (c *Core) NextEventTime() clock.Time {
 	return c.nextIssue
 }
 
-// gapTime converts an instruction gap to core time.
+// gapTime converts an instruction gap to core time: at least 1 ps, and
+// clock.Never for a gap too long to represent.
 func (c *Core) gapTime(gap int) clock.Time {
 	ps := float64(gap) / c.cfg.IPC * 1000.0 / c.cfg.FreqGHz
-	t := clock.Time(ps)
-	if t < 1 {
-		t = 1
+	switch {
+	case !(ps < float64(clock.Never)):
+		return clock.Never
+	case ps < 1:
+		return 1
 	}
-	return t
+	return clock.Time(ps)
+}
+
+// delay moves the next issue time d later, saturating at clock.Never.
+func (c *Core) delay(d clock.Time) {
+	if d >= clock.Never-c.nextIssue {
+		c.nextIssue = clock.Never
+		return
+	}
+	c.nextIssue += d
 }
 
 // Take produces the core's next access at time now, advancing execution by
@@ -101,7 +118,7 @@ func (c *Core) Take(now clock.Time) workload.Access {
 	if now > c.nextIssue {
 		c.nextIssue = now
 	}
-	c.nextIssue += c.gapTime(a.Gap)
+	c.delay(c.gapTime(a.Gap))
 	return a
 }
 
@@ -116,7 +133,7 @@ func (c *Core) Defer(a workload.Access, retryAt clock.Time) {
 
 // OnHit accounts a cache hit: execution simply absorbs the hit latency.
 func (c *Core) OnHit(latency clock.Time) {
-	c.nextIssue += latency
+	c.delay(latency)
 }
 
 // OnMiss accounts a demand miss entering the memory system: the core keeps

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/clock"
@@ -36,6 +37,56 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := New(0, DefaultConfig(), nil); err == nil {
 		t.Error("nil generator accepted")
+	}
+}
+
+// TestFloatBounds covers the float fields' range checks, NaN and the
+// infinities included, and the gap's saturation at clock.Never. A gap too
+// long to represent must not convert to MinInt64, which the 1 ps floor
+// would turn into a core issuing at full speed.
+func TestFloatBounds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name      string
+		freq, ipc float64
+		gap       int
+		valid     bool
+		want      clock.Time // gapTime(gap), for valid configs
+	}{
+		{"defaults", 3.6, 2, 100, true, 13888},
+		{"zero gap", 3.6, 2, 0, true, 1},
+		{"slowest core", 1e-3, 1e-3, 1000, true, clock.Time(1e12)},
+		{"fastest core", 1e3, 1e3, 1, true, 1},
+		{"gap too long to represent", 1e-3, 1e-3, 1 << 40, true, clock.Never},
+		{"NaN frequency", nan, 2, 100, false, 0},
+		{"infinite frequency", inf, 2, 100, false, 0},
+		{"negative infinite frequency", -inf, 2, 100, false, 0},
+		{"frequency below range", 1e-300, 2, 100, false, 0},
+		{"frequency above range", 1e4, 2, 100, false, 0},
+		{"NaN IPC", 3.6, nan, 100, false, 0},
+		{"infinite IPC", 3.6, inf, 100, false, 0},
+		{"tiny IPC", 3.6, 1e-300, 100, false, 0},
+		{"zero IPC", 3.6, 0, 100, false, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{FreqGHz: c.freq, IPC: c.ipc, MLP: 4}
+			core, err := New(0, cfg, &fixedGen{gap: c.gap})
+			if (err == nil) != c.valid {
+				t.Fatalf("New(%+v) error = %v, want valid %v", cfg, err, c.valid)
+			}
+			if !c.valid {
+				return
+			}
+			if got := core.gapTime(c.gap); got != c.want {
+				t.Errorf("gapTime(%d) = %v, want %v", c.gap, got, c.want)
+			}
+			// Take and OnHit saturate too, rather than wrap past Never.
+			core.Take(clock.Never - 1)
+			core.OnHit(clock.Never)
+			if got := core.NextEventTime(); got != clock.Never {
+				t.Errorf("next issue after a gap from Never-1 and a long hit = %v, want never", got)
+			}
+		})
 	}
 }
 

@@ -34,7 +34,7 @@ var _ defense.Defense = (*PARA)(nil)
 // reproducible; real deployments need a true RNG (§3.4), which is outside a
 // simulator's scope.
 func New(p float64, dp dram.Params, seed int64) (*PARA, error) {
-	if p <= 0 || p >= 1 {
+	if !(0 < p && p < 1) { // NaN fails too
 		return nil, fmt.Errorf("para: probability %v outside (0,1)", p)
 	}
 	pa := &PARA{

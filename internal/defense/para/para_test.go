@@ -14,7 +14,7 @@ func params() dram.Params {
 }
 
 func TestNewRejectsBadProbability(t *testing.T) {
-	for _, p := range []float64{0, -0.1, 1, 1.5} {
+	for _, p := range []float64{0, -0.1, 1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := New(p, params(), 1); err == nil {
 			t.Errorf("probability %v accepted", p)
 		}

@@ -40,9 +40,9 @@ func (c Config) Validate() error {
 	switch {
 	case c.TableSize < 1:
 		return fmt.Errorf("prohit: table size must be positive, got %d", c.TableSize)
-	case c.InsertProb <= 0 || c.InsertProb >= 1:
+	case !(0 < c.InsertProb && c.InsertProb < 1): // NaN fails too
 		return fmt.Errorf("prohit: insert probability %v outside (0,1)", c.InsertProb)
-	case c.RefreshProb <= 0 || c.RefreshProb > 1:
+	case !(0 < c.RefreshProb && c.RefreshProb <= 1):
 		return fmt.Errorf("prohit: refresh probability %v outside (0,1]", c.RefreshProb)
 	}
 	return c.DRAM.Validate()

@@ -1,6 +1,7 @@
 package prohit
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dram"
@@ -20,20 +21,26 @@ func TestConfigValidate(t *testing.T) {
 	if err := NewConfig(dram.DDR4_2400()).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := NewConfig(params())
-	bad.TableSize = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero table accepted")
-	}
-	bad = NewConfig(params())
-	bad.InsertProb = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Error("bad insert probability accepted")
-	}
-	bad = NewConfig(params())
-	bad.RefreshProb = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero refresh probability accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"zero table", func(c *Config) { c.TableSize = 0 }},
+		{"insert probability above 1", func(c *Config) { c.InsertProb = 1.5 }},
+		{"insert probability 1", func(c *Config) { c.InsertProb = 1 }},
+		{"NaN insert probability", func(c *Config) { c.InsertProb = nan }},
+		{"infinite insert probability", func(c *Config) { c.InsertProb = inf }},
+		{"zero refresh probability", func(c *Config) { c.RefreshProb = 0 }},
+		{"NaN refresh probability", func(c *Config) { c.RefreshProb = nan }},
+		{"infinite refresh probability", func(c *Config) { c.RefreshProb = inf }},
+		{"NaN SCF rate", func(c *Config) { c.DRAM.SCFRate = nan }},
+	} {
+		cfg := NewConfig(params())
+		c.mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: accepted %+v", c.name, cfg)
+		}
 	}
 }
 

@@ -112,7 +112,7 @@ func (p Params) Validate() error {
 		return errors.New("dram: row-hammer threshold Nth must be positive")
 	case p.BlastRadius <= 0:
 		return errors.New("dram: blast radius must be positive")
-	case p.SCFRate < 0 || p.SCFRate > 1:
+	case !(0 <= p.SCFRate && p.SCFRate <= 1): // NaN fails too
 		return errors.New("dram: SCF rate must lie in [0,1]")
 	case p.BankGroups > 1 && p.BanksPerRank%p.BankGroups != 0:
 		return fmt.Errorf("dram: bank groups (%d) must divide banks per rank (%d)", p.BankGroups, p.BanksPerRank)

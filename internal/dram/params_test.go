@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -52,6 +53,9 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"zero Nth", func(p *Params) { p.NTh = 0 }},
 		{"zero blast radius", func(p *Params) { p.BlastRadius = 0 }},
 		{"SCF above 1", func(p *Params) { p.SCFRate = 1.5 }},
+		{"negative SCF", func(p *Params) { p.SCFRate = -1e-9 }},
+		{"NaN SCF", func(p *Params) { p.SCFRate = math.NaN() }},
+		{"infinite SCF", func(p *Params) { p.SCFRate = math.Inf(1) }},
 	}
 	for _, m := range mutations {
 		p := base

@@ -121,8 +121,10 @@ type streamResult struct {
 
 // runStream drives one freshly built system through the spec stream with
 // queue-full retry, then drains trailing defense work, returning the full
-// issued-command trace and accounting.
-func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, useRef bool) streamResult {
+// issued-command trace and accounting. Each observe function sees every
+// issued command before it executes, with the queue state it was picked
+// from.
+func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, useRef bool, observe ...func(*System, TraceEvent)) streamResult {
 	t.Helper()
 	dev, err := dram.NewDevice(cfg.DRAM, nil)
 	if err != nil {
@@ -138,7 +140,12 @@ func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, u
 		advance = newRefScheduler(sys).Advance
 	}
 	var res streamResult
-	sys.SetTrace(func(ev TraceEvent) { res.trace = append(res.trace, ev) })
+	sys.SetTrace(func(ev TraceEvent) {
+		res.trace = append(res.trace, ev)
+		for _, o := range observe {
+			o(sys, ev)
+		}
+	})
 
 	// Buffered writes are posted: they complete at enqueue and may sit below
 	// the drain watermark forever, so they count as done when accepted, not
@@ -301,6 +308,56 @@ func TestSchedulerDifferentialSparseCores(t *testing.T) {
 			idx := runStream(t, c.cfg, &diffDefense{every: 7}, specs, false)
 			ref := runStream(t, c.cfg, &diffDefense{every: 7}, specs, true)
 			diffCompare(t, idx, ref)
+		})
+	}
+}
+
+// TestSchedulerDifferentialRankedCores runs four PAR-BS cores with skewed
+// loads, so batches rank them apart, and requires the per-bank picks'
+// early exit to run past a ranked core: a demand ACT or column that issues
+// a settled read (marked, top-ranked) while the first read the pick
+// considered belongs to a core with a non-zero rank. An exit that stopped
+// at that first read, or that took a ranked read for settled, diverges
+// from the reference here.
+func TestSchedulerDifferentialRankedCores(t *testing.T) {
+	p := diffParams()
+	for ci, c := range diffConfigs(p) {
+		if c.cfg.Scheduler != PARBS {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			specs := mkStream(9100+int64(ci), 1500, p, 0.5)
+			rng := rand.New(rand.NewSource(9100 + int64(ci)))
+			for i := range specs {
+				// Core 0 issues half the requests, core 3 a tenth.
+				specs[i].core = [10]int{0, 0, 0, 0, 0, 1, 1, 2, 2, 3}[rng.Intn(10)]
+			}
+			exits := 0
+			observe := func(sys *System, ev TraceEvent) {
+				if ev.Req == 0 || (ev.Op != int8(opACT) && ev.Op != int8(opColumn)) {
+					return
+				}
+				ch := sys.chans[ev.Channel]
+				hit := ev.Op == int8(opColumn)
+				var first *Request
+				for _, q := range ch.bankqs[ch.flat(ev.Rank, ev.Bank)].reads {
+					if hit && q.Addr.Row != ev.Row {
+						continue
+					}
+					if first == nil {
+						first = q
+					}
+					if q.ID == ev.Req && q != first && ch.coreRank[first.Core] != 0 && settled(ch.demandKey(q, hit)) {
+						exits++
+					}
+				}
+			}
+			idx := runStream(t, c.cfg, &diffDefense{every: 7}, specs, false, observe)
+			ref := runStream(t, c.cfg, &diffDefense{every: 7}, specs, true)
+			diffCompare(t, idx, ref)
+			if exits == 0 {
+				t.Error("no pick settled on a later read past a ranked core's first read")
+			}
 		})
 	}
 }

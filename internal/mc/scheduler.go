@@ -240,7 +240,8 @@ func (ch *channel) scheduleDemand(rk int, now clock.Time, consider func(candidat
 // bestHit returns the pool-eligible request targeting the bank's open row
 // with the smallest demand key. Every queued request matching the open row
 // is pool-eligible: reads always, buffered writes via the drain burst or the
-// open-row completion rule.
+// open-row completion rule. The first read with a settled key ends the
+// search.
 func (ch *channel) bestHit(bq *bankq, row int) (*Request, int64) {
 	var best *Request
 	var bestKey int64
@@ -248,7 +249,11 @@ func (ch *channel) bestHit(bq *bankq, row int) (*Request, int64) {
 		if q.Addr.Row != row {
 			continue
 		}
-		if k := ch.demandKey(q, true); best == nil || k < bestKey {
+		k := ch.demandKey(q, true)
+		if settled(k) {
+			return q, k
+		}
+		if best == nil || k < bestKey {
 			best, bestKey = q, k
 		}
 	}
@@ -265,12 +270,17 @@ func (ch *channel) bestHit(bq *bankq, row int) (*Request, int64) {
 
 // bestMiss returns the pool-eligible request with the smallest demand key
 // for a closed bank (every bucketed request is a miss; buffered writes join
-// only during a drain burst).
+// only during a drain burst). The first read with a settled key ends the
+// search.
 func (ch *channel) bestMiss(bq *bankq) (*Request, int64) {
 	var best *Request
 	var bestKey int64
 	for _, q := range bq.reads {
-		if k := ch.demandKey(q, false); best == nil || k < bestKey {
+		k := ch.demandKey(q, false)
+		if settled(k) {
+			return q, k
+		}
+		if best == nil || k < bestKey {
 			best, bestKey = q, k
 		}
 	}
@@ -310,6 +320,16 @@ func (ch *channel) demandKey(q *Request, hit bool) int64 {
 	}
 	return seq | q.stamp
 }
+
+// settled reports whether a read's demand key has no bit set above the
+// stamp except the miss bit: the read is marked (or scheduled FR-FCFS), its
+// core ranks first, and it sits in the read queue. Every other request of
+// the same bank and kind has a larger key: an earlier read with a smaller
+// stamp has a higher bit set (else it would have settled first), a later
+// read has a larger stamp, and a buffered write carries the fromWQ bit. So
+// the first settled read in the bank's stamp-ordered read bucket is its
+// best candidate.
+func settled(k int64) bool { return k&^(1<<61)>>44 == 0 }
 
 // updateDrain toggles the write-drain burst by the watermarks: entered at
 // WriteHigh occupancy (or an idle read queue), left at WriteLow. Matches the

@@ -147,6 +147,10 @@ func (c *Checker) EarliestACT(id dram.BankID, now clock.Time) clock.Time {
 // are computed once, so each bank adds only its tRRD term (which depends on
 // its bank group) and its own tRC/tRP and occupancy terms. Each bank's time
 // equals EarliestACT's exactly: both take the maximum of the same terms.
+//
+// When that rank gate lies past now, no bank is ready and no bank's time is
+// below the gate, so the first bank whose time equals the gate decides the
+// answer: (gate, 0), without visiting the rest of the mask.
 func (c *Checker) EarliestACTs(id dram.RankID, mask uint64, now clock.Time) (clock.Time, uint64) {
 	rf := id.Flat(&c.p)
 	r := &c.ranks[rf]
@@ -154,6 +158,7 @@ func (c *Checker) EarliestACTs(id dram.RankID, mask uint64, now clock.Time) (clo
 	if oldest := r.faw[r.fawIdx]; oldest != -clock.Never {
 		base = clock.Max(base, oldest+c.p.TFAW)
 	}
+	gated := base > now
 	off := rf * c.p.BanksPerRank
 	earliest, ready := clock.Never, uint64(0)
 	for ; mask != 0; mask &= mask - 1 {
@@ -164,6 +169,9 @@ func (c *Checker) EarliestACTs(id dram.RankID, mask uint64, now clock.Time) (clo
 			rrd = c.p.RRDWithin()
 		}
 		t := clock.Max(clock.Max(clock.Max(base, r.lastACT+rrd), b.nextACT), b.busyUntil)
+		if gated && t == base {
+			return base, 0
+		}
 		if t == now {
 			ready |= 1 << ba
 		}
@@ -243,11 +251,14 @@ func (c *Checker) EarliestColumn(id dram.BankID, now clock.Time) clock.Time {
 // bit is set in mask, the way EarliestACTs answers EarliestACT: it returns
 // the minimum time and the mask of banks ready at now (clock.Never and 0 for
 // an empty mask). The channel bus term is computed once per call; each bank
-// adds its tCCD term and its own tRCD and occupancy terms.
+// adds its tCCD term and its own tRCD and occupancy terms. As in
+// EarliestACTs, a bus gate past now answers (gate, 0) at the first bank
+// whose time equals it.
 func (c *Checker) EarliestColumns(id dram.RankID, mask uint64, now clock.Time) (clock.Time, uint64) {
 	rf := id.Flat(&c.p)
 	r := &c.ranks[rf]
 	base := clock.Max(now, c.busFree[id.Channel]-c.p.TCL)
+	gated := base > now
 	off := rf * c.p.BanksPerRank
 	earliest, ready := clock.Never, uint64(0)
 	for ; mask != 0; mask &= mask - 1 {
@@ -258,6 +269,9 @@ func (c *Checker) EarliestColumns(id dram.RankID, mask uint64, now clock.Time) (
 			ccd = c.p.CCDWithin()
 		}
 		t := clock.Max(clock.Max(clock.Max(base, r.lastCol+ccd), b.nextCol), b.busyUntil)
+		if gated && t == base {
+			return base, 0
+		}
 		if t == now {
 			ready |= 1 << ba
 		}

@@ -338,7 +338,10 @@ func TestACTSpacingProperty(t *testing.T) {
 // ready at the query time. The variants cover DDR4's four bank groups, no
 // grouping, and unset long timings (tRRD_L = tCCD_L = 0); each must reach
 // time 0's "no previous command" sentinels, a full tFAW window, an
-// ARR-blocked rank and a refreshing rank.
+// ARR-blocked rank and a refreshing rank. The gate early exits must run too:
+// a bus-gated column set and an ACT set gated by tFAW or an ARR block whose
+// first bank attains the gate, a gated set whose gate a later bank attains,
+// and a gated set where no bank attains the gate.
 func TestBatchedQueriesMatchPerBank(t *testing.T) {
 	variants := []struct {
 		name string
@@ -364,7 +367,8 @@ func TestBatchedQueriesMatchPerBank(t *testing.T) {
 					return
 				}
 			}
-			if cov.atZero == 0 || cov.fawFull == 0 || cov.arrBlocked == 0 || cov.refreshing == 0 || cov.ready == 0 {
+			if cov.atZero == 0 || cov.fawFull == 0 || cov.arrBlocked == 0 || cov.refreshing == 0 || cov.ready == 0 ||
+				cov.busGateFirst == 0 || cov.rankGateFirst == 0 || cov.gateLater == 0 || cov.gateUnmet == 0 {
 				t.Errorf("queries missed a case: %+v", cov)
 			}
 		})
@@ -378,6 +382,11 @@ type batchCoverage struct {
 	arrBlocked int // the rank inside an ARR block
 	refreshing int // the rank inside tRFC
 	ready      int // at least one bank of the mask ready
+	// Gate early exits: the rank or bus gate lies past the query time.
+	busGateFirst  int // column set, bus-gated, first bank of the mask attains the gate
+	rankGateFirst int // ACT set, gated by tFAW or an ARR block, first bank attains the gate
+	gateLater     int // gated set whose gate only a later bank attains
+	gateUnmet     int // gated set where no bank attains the gate
 }
 
 // runBatchedProperty issues 300 random legal commands on a fresh checker,
@@ -480,21 +489,41 @@ func checkBatched(t *testing.T, c *Checker, rk int, mask uint64, now clock.Time,
 	if r.refReady > now {
 		cov.refreshing++
 	}
+	actGate := clock.Max(now, r.blockedUntil)
+	if oldest := r.faw[r.fawIdx]; oldest != -clock.Never {
+		actGate = clock.Max(actGate, oldest+c.p.TFAW)
+	}
 	for _, q := range []struct {
 		name    string
 		batched func(dram.RankID, uint64, clock.Time) (clock.Time, uint64)
 		single  func(dram.BankID, clock.Time) clock.Time
+		gate    clock.Time // the rank or bus term every bank's time is at least
+		first   *int       // coverage counter for a gate the first bank attains
 	}{
-		{"ACT", c.EarliestACTs, c.EarliestACT},
-		{"column", c.EarliestColumns, c.EarliestColumn},
+		{"ACT", c.EarliestACTs, c.EarliestACT, actGate, &cov.rankGateFirst},
+		{"column", c.EarliestColumns, c.EarliestColumn, clock.Max(now, c.busFree[0]-c.p.TCL), &cov.busGateFirst},
 	} {
 		want, wantReady := clock.Never, uint64(0)
-		for m := mask; m != 0; m &= m - 1 {
+		attained := -1 // position in the mask of the first bank at the gate
+		for m, pos := mask, 0; m != 0; m, pos = m&(m-1), pos+1 {
 			ba := bits.TrailingZeros64(m)
 			e := q.single(b(0, rk, ba), now)
 			want = clock.Min(want, e)
 			if e <= now {
 				wantReady |= 1 << ba
+			}
+			if e == q.gate && attained < 0 {
+				attained = pos
+			}
+		}
+		if q.gate > now && mask != 0 {
+			switch attained {
+			case -1:
+				cov.gateUnmet++
+			case 0:
+				*q.first++
+			default:
+				cov.gateLater++
 			}
 		}
 		got, gotReady := q.batched(rank, mask, now)

@@ -29,10 +29,11 @@
 #                        2 vCPUs) and the result must equal bench/golden.json
 #                        byte for byte; unlike the experiments digests, these
 #                        pin multi-core PAR-BS output (mix-high, lbm-stream)
-#   4c. bench smoke    — every sim hot-path, scheduler-step and DRAM bank
-#                        (activate, auto-refresh, remap) benchmark body runs
-#                        once (-benchtime=1x), so a change that breaks only
-#                        benchmark-path code cannot land green
+#   4c. bench smoke    — every sim hot-path, scheduler-step, DRAM bank
+#                        (activate, auto-refresh, remap) and TWiCe table
+#                        (touch, insert, prune, row index) benchmark body
+#                        runs once (-benchtime=1x), so a change that breaks
+#                        only benchmark-path code cannot land green
 #   4d. root benchmarks — every paper table/figure and ablation benchmark in
 #                        bench_test.go runs once (-benchtime 1x, ~17 s on
 #                        2 vCPUs); `go test ./...` only compiles them
@@ -88,8 +89,8 @@ echo "==> (cd bench && go run . -write-golden \$tmp/golden.json) && cmp with ben
 (cd bench && go run . -write-golden "$tmp/golden.json")
 cmp "$tmp/golden.json" bench/golden.json
 
-echo "==> go test -run='^\$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram"
-go test -run='^$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram
+echo "==> go test -run='^\$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram ./internal/core"
+go test -run='^$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram ./internal/core
 
 echo "==> go test -run '^\$' -bench . -benchtime 1x ."
 go test -run '^$' -bench . -benchtime 1x .
