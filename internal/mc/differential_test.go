@@ -126,6 +126,14 @@ type streamResult struct {
 // from.
 func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, useRef bool, observe ...func(*System, TraceEvent)) streamResult {
 	t.Helper()
+	return driveStream(t, cfg, def, specs, useRef, nil, observe...)
+}
+
+// driveStream is runStream with an optional shadow (memo_test.go): when sh
+// is set, it steps the indexed scheduler itself and re-derives the reused
+// answers after every step and every admission.
+func driveStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, useRef bool, sh *shadow, observe ...func(*System, TraceEvent)) streamResult {
+	t.Helper()
 	dev, err := dram.NewDevice(cfg.DRAM, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +146,11 @@ func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, u
 	advance := sys.Advance
 	if useRef {
 		advance = newRefScheduler(sys).Advance
+	}
+	if sh != nil {
+		sh.attach(t, sys)
+		advance = sh.advance
+		observe = append(observe, sh.issued)
 	}
 	var res streamResult
 	sys.SetTrace(func(ev TraceEvent) {
@@ -171,8 +184,12 @@ func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, u
 					pending.Done = func(clock.Time) { completed++ }
 				}
 			}
+			wake := sys.chans[pending.Addr.Channel].wake
 			if !sys.Enqueue(pending, now) {
 				break // full: retry after the controller makes progress
+			}
+			if sh != nil {
+				sh.enqueued(pending.Addr.Channel, wake, now)
 			}
 			if pendingPosted {
 				completed++
@@ -422,7 +439,9 @@ func TestSchedulerDifferentialTWiCe(t *testing.T) {
 // holds a pending ARR, so the controller's Reset re-derives an attention bit
 // from the RCD and the RCD's own Reset then leaves that bit stale. The demand
 // sets trust the attention words, so unless the attention loop clears the
-// stale bit, the rerun never opens a row in that bank again.
+// stale bit, the rerun never opens a row in that bank again. The cut also
+// leaves clean demand sets, cached picks and a settled channel, and Reset
+// must clear all three.
 func TestResetRerunIdentity(t *testing.T) {
 	p := diffParams()
 	cfg := NewConfig(p)
@@ -499,8 +518,29 @@ func TestResetRerunIdentity(t *testing.T) {
 	if _, served := run(r.sys, arrPending); served == len(specs) {
 		t.Fatal("the cut run served every request before any ARR was filed")
 	}
+	// reused counts the channel's clean sets, valid picks and settled flag.
+	reused := func() (clean, picks int, settled bool) {
+		for _, ch := range r.sys.chans {
+			for _, m := range ch.memo {
+				clean += bits.OnesCount8(m.clean)
+			}
+			for i := range ch.bankqs {
+				if ch.bankqs[i].pickEpoch == ch.epoch {
+					picks++
+				}
+			}
+			settled = settled || ch.settled
+		}
+		return clean, picks, settled
+	}
+	if clean, picks, settled := reused(); clean == 0 || picks == 0 || !settled {
+		t.Fatalf("the cut left %d clean sets, %d cached picks, settled %v; want some of each", clean, picks, settled)
+	}
 	r.dev.Reset()
 	r.sys.Reset()
+	if clean, picks, settled := reused(); clean != 0 || picks != 0 || settled {
+		t.Fatalf("after Reset: %d clean sets, %d cached picks, settled %v; want none", clean, picks, settled)
+	}
 	stale := 0
 	for _, ch := range r.sys.chans {
 		for _, w := range ch.attn {

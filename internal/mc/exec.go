@@ -1,8 +1,9 @@
 // Command execution. The scheduler funnels its selected candidate through
 // exec, which is also where every scheduler index is maintained: command
 // effects are the only events that change row state, timing state, or
-// defense debt, so the hooks here keep the queue.go indexes exact no matter
-// which selection path produced the candidate. exec is also the trace point:
+// defense debt, so the hooks here keep the queue.go indexes exact, and
+// dirty the demand-set memo of every rank whose timing a command moved, no
+// matter which selection path produced the candidate. exec is also the trace point:
 // the differential test compares the full issued-command stream against the
 // reference scheduler through SetTrace.
 package mc
@@ -75,6 +76,7 @@ func (ch *channel) doREF(rk int, t clock.Time) {
 		must(s.dev.Bank(ch.bankID(rk, ba)).AutoRefresh(t))
 	}
 	s.rcd.ObserveRefresh(rankID, t)
+	ch.dirty(rk)
 	s.cnt.Refreshes++
 	if s.probes != nil {
 		s.probes.Refresh(ch.idx, t)
@@ -91,6 +93,7 @@ func (ch *channel) doARR(rk, ba int, t clock.Time) {
 		return
 	}
 	must(s.chk.RecordARR(id, t))
+	ch.dirty(rk)
 	n, err := s.dev.Bank(id).AdjacentRowRefresh(row, t)
 	must(err)
 	s.cnt.ARRs++
@@ -113,6 +116,7 @@ func (ch *channel) doMit(rk, ba int, t clock.Time) {
 	must(s.chk.RecordACT(id, t))
 	preAt := s.chk.EarliestPRE(id, t)
 	must(s.chk.RecordPRE(id, preAt))
+	ch.dirty(rk)
 	if op.deviceRefresh {
 		bank := s.dev.Bank(id)
 		must(bank.Activate(op.row, t))
@@ -173,6 +177,7 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 		s.cnt.Reads++
 	}
 	must(err)
+	ch.dirtyColumns()
 	switch {
 	case !q.neededACT:
 		s.cnt.RowHits++

@@ -7,7 +7,10 @@
 // event that changes it (enqueue, completion, row open/close, command
 // execution), so the scheduler derives each rank's candidate sets with a
 // few mask operations and its per-step cost is O(ranks + attention banks +
-// candidate banks) instead of O(banks × queue). The reference scheduler in
+// candidate banks) instead of O(banks × queue). On top of the indexes the
+// channel keeps the answers a step derives from them: each rank's demand-set
+// times and each bank's demand pick, reused until an event changes their
+// inputs (the dirtying rules below). The reference scheduler in
 // reference_test.go ignores the indexes and re-derives everything by
 // scanning; the differential test pins the two to the same issued-command
 // trace.
@@ -41,6 +44,43 @@ type bankq struct {
 	reads  []*Request // bucket of ch.queue requests for this bank
 	writes []*Request // bucket of ch.wqueue requests for this bank
 	hits   int        // queued requests (either bucket) targeting the open row
+
+	// The bank's demand pick (bestHit, the first conflicting request, or
+	// bestMiss, by the bank's row state) and its key, valid while pickEpoch
+	// equals the channel's epoch. A bucket or row change zeroes pickEpoch;
+	// a key change (batch formation, drain toggle) bumps the epoch.
+	pick      *Request
+	pickKey   int64
+	pickEpoch uint64
+}
+
+// Demand sets of a rank, indexing setMemo.t and its clean bits.
+const (
+	setColumn = iota // open banks with queued hits
+	setPRE           // open banks whose queued requests all conflict
+	setACT           // closed banks
+)
+
+// setMemo is one rank's demand-set memo: the earliest time the rank's last
+// evaluation of each set found, and a clean bit per set that stays set until
+// an input of that set changes. A clean time past now is exact: every bank
+// of the set had a time past the evaluation instant, so each time is that
+// bank's own timing term, which nothing has moved since.
+type setMemo struct {
+	t     [3]clock.Time
+	clean uint8
+}
+
+// fresh reports whether set k's stored time is exact and lies past now, so
+// the step can consider it instead of evaluating the set.
+func (m *setMemo) fresh(k int, now clock.Time) bool {
+	return m.clean&(1<<k) != 0 && m.t[k] > now
+}
+
+// store records set k's earliest time from a fresh evaluation.
+func (m *setMemo) store(k int, t clock.Time) {
+	m.t[k] = t
+	m.clean |= 1 << k
 }
 
 // channel owns one memory channel's queue and banks.
@@ -65,6 +105,13 @@ type channel struct {
 	attn       []uint64 // pending ARR or mitigation debt; step clears stale bits before use
 	markedLeft int      // marked PAR-BS requests still in the read queue
 	admits     int64    // admission stamp counter (Request.stamp source)
+
+	// Reused answers (DESIGN.md §13): per rank, the demand-set memo; the
+	// epoch that keeps the banks' cached picks valid; and settled, true
+	// while the channel's last step issued nothing.
+	memo    []setMemo
+	epoch   uint64
+	settled bool
 
 	// PAR-BS batch state, dense by core id: admit grows each slice the
 	// first time a core id appears, and a core without marked requests
@@ -96,8 +143,12 @@ func (ch *channel) flat(rank, bank int) int {
 
 // admit indexes a freshly accepted request: stamps it, appends it to its
 // bank bucket, marks the bank busy, and updates the open-row hit counter.
-// The caller has already appended it to the matching global queue.
-func (ch *channel) admit(q *Request, toWQ bool) {
+// The caller has already appended it to the matching global queue. It
+// reports whether the admission dirtied a demand set: it flipped the bank's
+// busy, reads or hit bit (all three sets of the rank), or it queued behind a
+// closed bank of a rank inside an ARR block (the ACT set, whose evaluation
+// counts the new request's nack).
+func (ch *channel) admit(q *Request, toWQ bool, now clock.Time) bool {
 	q.stamp = ch.admits
 	ch.admits++
 	q.fromWQ = toWQ
@@ -107,17 +158,21 @@ func (ch *channel) admit(q *Request, toWQ bool) {
 	rk, bit := q.Addr.Rank, uint64(1)<<q.Addr.Bank
 	i := ch.flat(rk, q.Addr.Bank)
 	bq := &ch.bankqs[i]
+	bq.pickEpoch = 0
+	flipped := ch.busy[rk]&bit == 0
 	if toWQ {
 		//twicelint:allocok amortized growth of the reused per-bank write bucket
 		bq.writes = append(bq.writes, q)
 	} else {
 		//twicelint:allocok amortized growth of the reused per-bank read bucket
 		bq.reads = append(bq.reads, q)
+		flipped = flipped || ch.reads[rk]&bit == 0
 		ch.reads[rk] |= bit
 	}
 	ch.busy[rk] |= bit
 	if ch.banks[i].open == q.Addr.Row {
 		bq.hits++
+		flipped = flipped || ch.hit[rk]&bit == 0
 		ch.hit[rk] |= bit
 	}
 	if q.marked && !toWQ {
@@ -126,15 +181,26 @@ func (ch *channel) admit(q *Request, toWQ bool) {
 		// scan would see it.
 		ch.markedLeft++
 	}
+	switch {
+	case flipped:
+		ch.dirty(rk)
+	case ch.banks[i].open < 0 && ch.sys.chk.RankBlockedUntil(dram.RankID{Channel: ch.idx, Rank: rk}) > now:
+		ch.memo[rk].clean &^= 1 << setACT
+	default:
+		return false
+	}
+	return true
 }
 
 // unindex removes a completed request from its bank bucket and counters.
 // It must run while the bank's row state still matches the request's last
-// access (doColumn calls it before any page-policy precharge).
+// access (doColumn calls it before any page-policy precharge). A removal
+// that clears the bank's busy, reads or hit bit dirties the rank's sets.
 func (ch *channel) unindex(q *Request) {
 	rk, bit := q.Addr.Rank, uint64(1)<<q.Addr.Bank
 	i := ch.flat(rk, q.Addr.Bank)
 	bq := &ch.bankqs[i]
+	bq.pickEpoch = 0
 	fifo := bq.reads
 	if q.fromWQ {
 		fifo = bq.writes
@@ -145,22 +211,29 @@ func (ch *channel) unindex(q *Request) {
 			break
 		}
 	}
+	flipped := false
 	if q.fromWQ {
 		bq.writes = fifo
 	} else {
 		bq.reads = fifo
 		if len(fifo) == 0 {
 			ch.reads[rk] &^= bit
+			flipped = true
 		}
 	}
 	if len(bq.reads) == 0 && len(bq.writes) == 0 {
 		ch.busy[rk] &^= bit
+		flipped = true
 	}
 	if ch.banks[i].open == q.Addr.Row {
 		bq.hits--
 		if bq.hits == 0 {
 			ch.hit[rk] &^= bit
+			flipped = true
 		}
+	}
+	if flipped {
+		ch.dirty(rk)
 	}
 	if q.marked && !q.fromWQ {
 		ch.markedLeft--
@@ -180,7 +253,8 @@ func (ch *channel) growCores(n int) {
 }
 
 // onRowOpen opens row on the bank after an ACT: it records the row, sets
-// the bank's open bit, and recounts its open-row hit counter. The scan is
+// the bank's open bit, recounts its open-row hit counter, and dirties the
+// rank's sets (the ACT moved its timing and the bank's set membership). The scan is
 // bounded by the bank's own bucket occupancy and runs once per row
 // activation, not per scheduler step.
 func (ch *channel) onRowOpen(rk, ba, row int) {
@@ -188,6 +262,8 @@ func (ch *channel) onRowOpen(rk, ba, row int) {
 	ch.banks[i].open = row
 	ch.banks[i].hits = 0
 	bq := &ch.bankqs[i]
+	bq.pickEpoch = 0
+	ch.dirty(rk)
 	n := 0
 	for _, q := range bq.reads {
 		if q.Addr.Row == row {
@@ -216,6 +292,8 @@ func (ch *channel) onRowClose(rk, ba int) {
 	ch.banks[i].open = -1
 	ch.banks[i].hits = 0
 	ch.bankqs[i].hits = 0
+	ch.bankqs[i].pickEpoch = 0
+	ch.dirty(rk)
 	ch.open[rk] &^= 1 << ba
 	ch.hit[rk] &^= 1 << ba
 }
@@ -223,13 +301,42 @@ func (ch *channel) onRowClose(rk, ba int) {
 // updateAttn re-derives the bank's attention bit: it owes an adjacent-row
 // refresh or carries mitigation debt. Called after every event that can
 // file or consume such work (ACT observation, ARR take, mit pop), and by the
-// attention loop for a bit the RCD's own Reset left stale.
+// attention loop for a bit the RCD's own Reset left stale. A flip changes
+// the rank's PRE and ACT masks, yet it dirties nothing here: every call but
+// the stale-bit clear follows a command that dirties the rank (the ACT opens
+// a row, the ARR and the mitigation dirty it), and a stale bit lives only
+// from System.Reset, which dirties everything, to the channel's first step,
+// whose attention loop clears it before any set of the rank is evaluated.
+// (doARR's call when TakeARR finds nothing cannot flip the bit: the step
+// considers an ARR only for a bank the RCD reports pending.)
 func (ch *channel) updateAttn(id dram.BankID) {
 	if ch.sys.rcd.HasPendingARR(id) || len(ch.bank(id.Rank, id.Bank).mit) > 0 {
 		ch.attn[id.Rank] |= 1 << id.Bank
 	} else {
 		ch.attn[id.Rank] &^= 1 << id.Bank
 	}
+}
+
+// dirty marks every demand set of rank rk for re-evaluation: a row opened or
+// closed, or a REF, ARR, mitigation or queue change moved the rank's
+// timing terms or masks.
+func (ch *channel) dirty(rk int) { ch.memo[rk].clean = 0 }
+
+// dirtyColumns marks every rank's column set for re-evaluation after a
+// column command: the data bus it occupied gates every rank's columns.
+func (ch *channel) dirtyColumns() {
+	for rk := range ch.memo {
+		ch.memo[rk].clean &^= 1 << setColumn
+	}
+}
+
+// rekey invalidates every demand set and cached pick after a drain toggle,
+// which changes the sched mask and the writes' keys.
+func (ch *channel) rekey() {
+	for rk := range ch.memo {
+		ch.memo[rk].clean = 0
+	}
+	ch.epoch++
 }
 
 // resetIndexes returns every index to its just-constructed state, reusing
@@ -239,6 +346,8 @@ func (ch *channel) resetIndexes() {
 		ch.bankqs[i].reads = ch.bankqs[i].reads[:0]
 		ch.bankqs[i].writes = ch.bankqs[i].writes[:0]
 		ch.bankqs[i].hits = 0
+		ch.bankqs[i].pick = nil
+		ch.bankqs[i].pickEpoch = 0
 	}
 	clear(ch.busy)
 	clear(ch.open)
@@ -247,4 +356,12 @@ func (ch *channel) resetIndexes() {
 	clear(ch.attn)
 	ch.markedLeft = 0
 	ch.admits = 0
+	// No set is clean and the channel is not settled, as in a fresh one.
+	// Nothing would reuse them anyway (the first admission to each rank
+	// flips a busy bit, which dirties its sets and wakes the channel), but
+	// Reset's contract is the just-constructed state, and
+	// TestResetRerunIdentity asserts it.
+	clear(ch.memo)
+	ch.epoch = 1
+	ch.settled = false
 }

@@ -13,6 +13,7 @@
 package mc
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/clock"
@@ -135,14 +136,20 @@ func (ch *channel) step(now clock.Time) clock.Time {
 	}
 
 	if best.op != opNone {
+		ch.settled = false
 		ch.exec(best)
 		return now // more work may be issuable at the same instant
 	}
 	if earliest <= now {
-		// Defensive: nothing ran but a candidate claimed readiness — avoid
-		// spinning by nudging past the instant.
-		return now + 1
+		// Every candidate carries an op, so one at or before now became
+		// best; the direct bounds (a refresh due or its postponement
+		// deadline) lie past now, and so does every reused set time. A
+		// time at or before now here is a scheduler bug, and returning it
+		// would spin advanceTo at this instant forever.
+		//twicelint:allocok panic path: the simulation is already dead
+		panic(fmt.Sprintf("mc: internal error: channel %d found work at %v, not after the step at %v, yet nothing to issue", ch.idx, earliest, now))
 	}
+	ch.settled = true
 	return earliest
 }
 
@@ -164,8 +171,16 @@ func (ch *channel) step(now clock.Time) clock.Time {
 // Only banks ready at now get a keyed candidate; a set with none ready
 // contributes its minimum time to the earliest-work bound. Demand keys end in
 // unique stamps, so the order candidates are considered in does not matter.
+//
+// A set whose memo is clean with a time past now contributes that time
+// without being evaluated: nothing in it is ready, and evaluating it again
+// would only repeat the neededPRE marks and nack counts its last evaluation
+// made (nackWindow dedupes the counts, and an admission that would owe a new
+// one dirties the ACT set). Each bank's pick comes from its cache while the
+// cache is valid.
 func (ch *channel) scheduleDemand(rk int, now clock.Time, consider func(candidate)) {
 	s := ch.sys
+	m := &ch.memo[rk]
 	busy := ch.busy[rk]
 	rankID := dram.RankID{Channel: ch.idx, Rank: rk}
 	base := rk * s.cfg.DRAM.BanksPerRank
@@ -173,14 +188,23 @@ func (ch *channel) scheduleDemand(rk int, now clock.Time, consider func(candidat
 	// so mitigation can precharge) and suppress the conflicting PRE.
 	hit := ch.hit[rk]
 	if hit != 0 {
-		t, ready := s.chk.EarliestColumns(rankID, hit, now)
-		if ready == 0 {
-			consider(candidate{t: t, class: 3, op: opColumn})
-		}
-		for ; ready != 0; ready &= ready - 1 {
-			i := base + bits.TrailingZeros64(ready)
-			q, seq := ch.bestHit(&ch.bankqs[i], ch.banks[i].open)
-			consider(candidate{t: now, class: 3, seq: seq, op: opColumn, req: q})
+		if m.fresh(setColumn, now) {
+			consider(candidate{t: m.t[setColumn], class: 3, op: opColumn})
+		} else {
+			t, ready := s.chk.EarliestColumns(rankID, hit, now)
+			m.store(setColumn, t)
+			if ready == 0 {
+				consider(candidate{t: t, class: 3, op: opColumn})
+			}
+			for ; ready != 0; ready &= ready - 1 {
+				i := base + bits.TrailingZeros64(ready)
+				bq := &ch.bankqs[i]
+				if bq.pickEpoch != ch.epoch {
+					bq.pick, bq.pickKey = ch.bestHit(bq, ch.banks[i].open)
+					bq.pickEpoch = ch.epoch
+				}
+				consider(candidate{t: now, class: 3, seq: bq.pickKey, op: opColumn, req: bq.pick})
+			}
 		}
 	}
 	if busy&^hit == 0 {
@@ -194,28 +218,47 @@ func (ch *channel) scheduleDemand(rk int, now clock.Time, consider func(candidat
 	}
 	sched &^= ch.attn[rk]
 	open := ch.open[rk]
-	for pre := open &^ hit & sched; pre != 0; pre &= pre - 1 {
-		ba := bits.TrailingZeros64(pre)
-		bq := &ch.bankqs[base+ba]
-		// The first conflicting request in pool order: the oldest read,
-		// or in a drain burst with no read queued, the oldest write.
-		var first *Request
-		if len(bq.reads) > 0 {
-			first = bq.reads[0]
+	if pre := open &^ hit & sched; pre != 0 {
+		if m.fresh(setPRE, now) {
+			consider(candidate{t: m.t[setPRE], class: 3, op: opPRE})
 		} else {
-			first = bq.writes[0]
+			earliest := clock.Never
+			for ; pre != 0; pre &= pre - 1 {
+				ba := bits.TrailingZeros64(pre)
+				bq := &ch.bankqs[base+ba]
+				if bq.pickEpoch != ch.epoch {
+					// The first conflicting request in pool order: the
+					// oldest read, or in a drain burst with no read
+					// queued, the oldest write. Marking it here marks it
+					// for as long as the pick stays cached.
+					var first *Request
+					if len(bq.reads) > 0 {
+						first = bq.reads[0]
+					} else {
+						first = bq.writes[0]
+					}
+					first.neededPRE = true
+					bq.pick, bq.pickKey = first, ch.demandKey(first, false)
+					bq.pickEpoch = ch.epoch
+				}
+				t := s.chk.EarliestPRE(ch.bankID(rk, ba), now)
+				earliest = clock.Min(earliest, t)
+				consider(candidate{t: t, class: 3, seq: bq.pickKey, op: opPRE, rank: rk, bank: ba})
+			}
+			m.store(setPRE, earliest)
 		}
-		first.neededPRE = true
-		t := s.chk.EarliestPRE(ch.bankID(rk, ba), now)
-		consider(candidate{t: t, class: 3, seq: ch.demandKey(first, false), op: opPRE, rank: rk, bank: ba})
 	}
 	act := sched &^ open
 	if act == 0 {
 		return
 	}
+	if m.fresh(setACT, now) {
+		consider(candidate{t: m.t[setACT], class: 3, op: opACT})
+		return
+	}
 	if s.chk.RankBlockedUntil(rankID) > now {
-		for m := act; m != 0; m &= m - 1 {
-			ba := bits.TrailingZeros64(m)
+		for w := act; w != 0; w &= w - 1 {
+			ba := bits.TrailingZeros64(w)
 			bq, id := &ch.bankqs[base+ba], ch.bankID(rk, ba)
 			for _, q := range bq.reads {
 				ch.countNack(q, id, now)
@@ -228,12 +271,17 @@ func (ch *channel) scheduleDemand(rk int, now clock.Time, consider func(candidat
 		}
 	}
 	t, ready := s.chk.EarliestACTs(rankID, act, now)
+	m.store(setACT, t)
 	if ready == 0 {
 		consider(candidate{t: t, class: 3, op: opACT})
 	}
 	for ; ready != 0; ready &= ready - 1 {
-		q, seq := ch.bestMiss(&ch.bankqs[base+bits.TrailingZeros64(ready)])
-		consider(candidate{t: now, class: 3, seq: seq, op: opACT, req: q})
+		bq := &ch.bankqs[base+bits.TrailingZeros64(ready)]
+		if bq.pickEpoch != ch.epoch {
+			bq.pick, bq.pickKey = ch.bestMiss(bq)
+			bq.pickEpoch = ch.epoch
+		}
+		consider(candidate{t: now, class: 3, seq: bq.pickKey, op: opACT, req: bq.pick})
 	}
 }
 
@@ -333,24 +381,33 @@ func settled(k int64) bool { return k&^(1<<61)>>44 == 0 }
 
 // updateDrain toggles the write-drain burst by the watermarks: entered at
 // WriteHigh occupancy (or an idle read queue), left at WriteLow. Matches the
-// toggle the reference performs inside drainSet.
+// toggle the reference performs inside drainSet. A toggle changes the sched
+// masks and the writes' keys, so it dirties every set and cached pick.
 func (ch *channel) updateDrain() {
-	cfg := &ch.sys.cfg
-	if cfg.WriteQueueDepth == 0 {
-		return
+	if ch.drainFlips() {
+		ch.draining = !ch.draining
+		ch.rekey()
 	}
+}
+
+// drainFlips reports whether updateDrain would toggle the burst now.
+func (ch *channel) drainFlips() bool {
+	cfg := &ch.sys.cfg
 	switch {
-	case ch.draining && len(ch.wqueue) <= cfg.WriteLow:
-		ch.draining = false
-	case !ch.draining && (len(ch.wqueue) >= cfg.WriteHigh || (len(ch.queue) == 0 && len(ch.wqueue) > 0)):
-		ch.draining = true
+	case cfg.WriteQueueDepth == 0:
+		return false
+	case ch.draining:
+		return len(ch.wqueue) <= cfg.WriteLow
+	default:
+		return len(ch.wqueue) >= cfg.WriteHigh || (len(ch.queue) == 0 && len(ch.wqueue) > 0)
 	}
 }
 
 // refreshBatch forms a new PAR-BS batch when the current one has drained:
 // the oldest BatchCap requests per (core, bank) are marked, and cores are
 // ranked by their total marked load (lightest first). The markedLeft counter
-// replaces the reference's per-step queue scan for leftover marks.
+// replaces the reference's per-step queue scan for leftover marks. A batch
+// moves demand keys but no set's time, so it bumps the pick epoch only.
 func (ch *channel) refreshBatch() {
 	if ch.markedLeft > 0 || len(ch.queue) == 0 {
 		return
@@ -369,6 +426,7 @@ func (ch *channel) refreshBatch() {
 		}
 	}
 	ch.rankCores(load)
+	ch.epoch++
 }
 
 // rankCores installs the PAR-BS thread ranking for a fresh batch: cores with

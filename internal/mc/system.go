@@ -158,6 +158,7 @@ func New(cfg Config, dev *dram.Device, r *rcd.RCD, cnt *stats.Counters) (*System
 			hit:        make([]uint64, ranks),
 			reads:      make([]uint64, ranks),
 			attn:       make([]uint64, ranks),
+			memo:       make([]setMemo, ranks),
 		}
 	}
 	s.Reset()
@@ -287,6 +288,7 @@ func (s *System) MaxBankQueueDepth() int64 {
 //twicelint:hotpath request admission runs once per simulated request
 func (s *System) Enqueue(req *Request, now clock.Time) bool {
 	ch := s.chans[req.Addr.Channel]
+	var dirtied bool
 	if req.Write && s.cfg.WriteQueueDepth > 0 {
 		if len(ch.wqueue) >= s.cfg.WriteQueueDepth {
 			return false
@@ -294,26 +296,39 @@ func (s *System) Enqueue(req *Request, now clock.Time) bool {
 		req.Arrival = now
 		//twicelint:allocok amortized growth of the reused write-queue backing array
 		ch.wqueue = append(ch.wqueue, req)
-		ch.admit(req, true)
+		dirtied = ch.admit(req, true, now)
+	} else {
+		if len(ch.queue) >= s.cfg.QueueDepth {
+			return false
+		}
+		req.Arrival = now
+		//twicelint:allocok amortized growth of the reused read-queue backing array
+		ch.queue = append(ch.queue, req)
+		dirtied = ch.admit(req, false, now)
+	}
+	// Wake the channel at now unless the step that wake-up would run
+	// reproduces its last one: that step issued nothing, and since then
+	// only admissions that dirtied no demand set changed the channel. The
+	// step at now would see the same attention banks, refresh state and set
+	// masks, reuse every set it reads (each clean, with a time no earlier
+	// than the wake time the last step returned), issue nothing and return
+	// the same wake time. Of its two toggles, the drain burst is tested
+	// here, and a PAR-BS batch cannot be due: each step forms one first and
+	// only a command retires a mark, so after a step that issued nothing
+	// the read queue is empty or holds a marked request, and a read into an
+	// empty read queue flips its bank's reads bit and wakes the channel.
+	// (Once an admission has woken the channel at now, a later skip at now
+	// changes nothing.)
+	if !ch.settled || dirtied || ch.drainFlips() {
 		ch.wake = clock.Min(ch.wake, now)
 		s.nextWake = clock.Min(s.nextWake, ch.wake)
-		if s.probes != nil {
-			s.probes.Enqueue(len(ch.wqueue))
-			s.probes.BankDepth(s.BankQueueDepth(req.Addr.Channel, req.Addr.Rank, req.Addr.Bank))
-		}
-		return true
 	}
-	if len(ch.queue) >= s.cfg.QueueDepth {
-		return false
-	}
-	req.Arrival = now
-	//twicelint:allocok amortized growth of the reused read-queue backing array
-	ch.queue = append(ch.queue, req)
-	ch.admit(req, false)
-	ch.wake = clock.Min(ch.wake, now)
-	s.nextWake = clock.Min(s.nextWake, ch.wake)
 	if s.probes != nil {
-		s.probes.Enqueue(len(ch.queue))
+		if req.fromWQ {
+			s.probes.Enqueue(len(ch.wqueue))
+		} else {
+			s.probes.Enqueue(len(ch.queue))
+		}
 		s.probes.BankDepth(s.BankQueueDepth(req.Addr.Channel, req.Addr.Rank, req.Addr.Bank))
 	}
 	return true

@@ -48,10 +48,13 @@
 #                        workers record telemetry and traces into one
 #                        collector, so the real concurrency (the cross-cell
 #                        fan-out) runs under the detector
-#   6. fuzz (non-tier-1) — a short trace-reader fuzz burst; new findings
-#                        land in internal/trace/testdata/fuzz as regression
-#                        seeds. Not part of the tier-1 gate: skip with
-#                        SKIP_FUZZ=1.
+#   6. fuzz (non-tier-1) — short fuzz bursts of the trace reader and of
+#                        machine construction (FuzzNewMachine: a fuzzed
+#                        controller, timing and TWiCe config must give an
+#                        error or a machine that runs 300 requests); new
+#                        findings land in internal/trace/testdata/fuzz or
+#                        internal/sim/testdata/fuzz as regression seeds. Not
+#                        part of the tier-1 gate: skip with SKIP_FUZZ=1.
 set -eu
 
 cd "$(dirname "$0")"
@@ -114,6 +117,8 @@ go test -race -run 'TestParallelSerialEquivalence|TestProgressDoesNotChangeCSV' 
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	echo "==> go test -run='^$' -fuzz=FuzzReader -fuzztime=10s ./internal/trace (non-tier-1)"
 	go test -run='^$' -fuzz=FuzzReader -fuzztime=10s ./internal/trace
+	echo "==> go test -run='^$' -fuzz=FuzzNewMachine -fuzztime=10s ./internal/sim (non-tier-1)"
+	go test -run='^$' -fuzz=FuzzNewMachine -fuzztime=10s ./internal/sim
 fi
 
 echo "verify: OK"
