@@ -320,23 +320,6 @@ func BenchmarkTWiCePrune(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScheduler compares FR-FCFS against PAR-BS on the
-// multi-core mix (Table 4 uses PAR-BS).
-func BenchmarkAblationScheduler(b *testing.B) {
-	s := benchScale()
-	for _, sched := range []mc.Scheduler{mc.FRFCFS, mc.PARBS} {
-		b.Run(sched.String(), func(b *testing.B) {
-			cfg := s.MachineConfig()
-			cfg.MC.Scheduler = sched
-			for i := 0; i < b.N; i++ {
-				res, _ := runNamed(b, s, cfg, "mix-high", "TWiCe")
-				b.ReportMetric(res.Counters.AvgLatency().Nanoseconds(), "avg_lat_ns")
-				b.ReportMetric(100*res.Counters.RowHitRate(), "row_hit_pct")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationPagePolicy compares the three row-buffer policies on the
 // multi-core mix (Table 4 uses minimalist-open).
 func BenchmarkAblationPagePolicy(b *testing.B) {
@@ -350,23 +333,6 @@ func BenchmarkAblationPagePolicy(b *testing.B) {
 				b.ReportMetric(res.Counters.AvgLatency().Nanoseconds(), "avg_lat_ns")
 				b.ReportMetric(100*res.Counters.RowHitRate(), "row_hit_pct")
 				b.ReportMetric(float64(res.Counters.NormalACTs), "acts")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationRefreshPostpone measures the latency effect of JEDEC
-// refresh postponement under the memory-intensive mix.
-func BenchmarkAblationRefreshPostpone(b *testing.B) {
-	s := benchScale()
-	for _, pp := range []int{0, 8} {
-		b.Run(fmt.Sprintf("postpone=%d", pp), func(b *testing.B) {
-			cfg := s.MachineConfig()
-			cfg.MC.RefreshPostpone = pp
-			for i := 0; i < b.N; i++ {
-				res, _ := runNamed(b, s, cfg, "mix-high", "TWiCe")
-				b.ReportMetric(res.Counters.AvgLatency().Nanoseconds(), "avg_lat_ns")
-				b.ReportMetric(float64(res.Counters.MaxLatency.Nanoseconds()), "max_lat_ns")
 			}
 		})
 	}

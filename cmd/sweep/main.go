@@ -138,9 +138,6 @@ func runPoint(param, raw string, s experiments.Scale, requests int64, rec *probe
 		if err != nil {
 			return "", err
 		}
-		if v < 1 { // core.Config would quietly run 0 as its default of 1
-			return "", fmt.Errorf("-values: prune-every %d, want >= 1", v)
-		}
 		ccfg := core.NewConfig(cfg.DRAM)
 		ccfg.ThRH = s.ThRH
 		ccfg.PruneEvery = v

@@ -55,12 +55,12 @@ type Config struct {
 	// neighbours are refreshed. The paper derives thRH ≤ Nth/4 for
 	// double-sided safety and uses 32768.
 	ThRH int
-	// Org selects the table organization (default PA).
+	// Org selects the table organization (NewConfig: PA).
 	Org Org
-	// Ways is the pa-TWiCe set width (default 64).
+	// Ways is the pa-TWiCe set width (NewConfig: 64).
 	Ways int
 	// PruneEvery stretches the pruning interval to this many tREFI ticks
-	// (default 1 = the paper's design; >1 is the ablation knob).
+	// (NewConfig: 1 = the paper's design; >1 is the ablation knob).
 	PruneEvery int
 }
 
@@ -70,40 +70,33 @@ func NewConfig(p dram.Params) Config {
 	return Config{DRAM: p, ThRH: 32768, Org: PA, Ways: 64, PruneEvery: 1}
 }
 
-// normalized returns the config with defaults applied.
-func (c Config) normalized() Config {
-	if c.ThRH == 0 {
-		c.ThRH = 32768
-	}
-	if c.Ways == 0 {
-		c.Ways = 64
-	}
-	if c.PruneEvery == 0 {
-		c.PruneEvery = 1
-	}
-	return c
-}
+// maxLifeLimit bounds tREFW/PI at 8× Table 2's 8192: TableBound loops once
+// per life level, so a huge refresh window would stall construction.
+const maxLifeLimit = 1 << 16
 
 // Validate reports whether the configuration yields a sound defense.
 func (c Config) Validate() error {
-	c = c.normalized()
 	if err := c.DRAM.Validate(); err != nil {
 		return err
 	}
-	maxLife := c.MaxLife()
 	switch {
 	case c.ThRH <= 0:
 		return fmt.Errorf("core: thRH must be positive, got %d", c.ThRH)
+	case c.PruneEvery < 1: // before MaxLife, which divides by the interval
+		return fmt.Errorf("core: PruneEvery must be ≥ 1, got %d", c.PruneEvery)
+	}
+	maxLife := c.MaxLife()
+	switch {
 	case maxLife <= 0:
 		return fmt.Errorf("core: refresh window shorter than pruning interval")
+	case maxLife > maxLifeLimit:
+		return fmt.Errorf("core: tREFW/PI (%d) exceeds %d", maxLife, maxLifeLimit)
 	case c.ThRH < maxLife:
 		return fmt.Errorf("core: thRH (%d) below tREFW/PI (%d): thPI would be zero and the table unbounded", c.ThRH, maxLife)
-	case c.PruneEvery < 1:
-		return fmt.Errorf("core: PruneEvery must be ≥ 1, got %d", c.PruneEvery)
 	case c.Org != FA && c.Org != PA && c.Org != Separated:
 		return fmt.Errorf("core: unknown table organization %v", c.Org)
 	case c.Ways < 1:
-		return fmt.Errorf("core: Ways must be positive (0 selects 64), got %d", c.Ways)
+		return fmt.Errorf("core: Ways must be positive, got %d", c.Ways)
 	case 4*c.ThRH > c.DRAM.NTh:
 		return fmt.Errorf("core: thRH (%d) exceeds Nth/4 (%d): double-sided attacks could flip before detection", c.ThRH, c.DRAM.NTh/4)
 	}
@@ -112,7 +105,6 @@ func (c Config) Validate() error {
 
 // PruneInterval returns the pruning interval PI (tREFI × PruneEvery).
 func (c Config) PruneInterval() clock.Time {
-	c = c.normalized()
 	return c.DRAM.TREFI * clock.Time(c.PruneEvery)
 }
 
@@ -125,14 +117,12 @@ func (c Config) MaxLife() int {
 // minimum average per-PI activation rate a row must sustain to remain an
 // aggressor candidate.
 func (c Config) ThPI() int {
-	c = c.normalized()
 	return c.ThRH / c.MaxLife()
 }
 
 // MaxACT returns maxact, the maximum ACTs a bank can receive per PI
 // (Table 2: 165 for PI = tREFI).
 func (c Config) MaxACT() int {
-	c = c.normalized()
 	perTick := c.DRAM.MaxACTsPerRefreshInterval()
 	return perTick * c.PruneEvery
 }
@@ -203,7 +193,6 @@ var _ defense.Defense = (*TWiCe)(nil)
 
 // New builds a TWiCe engine for the configuration.
 func New(cfg Config) (*TWiCe, error) {
-	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -240,7 +229,7 @@ func (t *TWiCe) Name() string { return "TWiCe-" + t.cfg.Org.String() }
 // recorder. Reset leaves the attachment alone — the machine owns it.
 func (t *TWiCe) SetProbes(p *probe.Recorder) { t.probes = p }
 
-// Config returns the engine's normalized configuration.
+// Config returns the engine's configuration.
 func (t *TWiCe) Config() Config { return t.cfg }
 
 // OnActivate implements defense.Defense: allocate or bump the row's counter;

@@ -73,7 +73,9 @@ func TestConfigValidate(t *testing.T) {
 		{"default", func(*Config) {}, true},
 		{"fa", func(c *Config) { c.Org = FA }, true},
 		{"sep", func(c *Config) { c.Org = Separated }, true},
-		{"ways 0 selects 64", func(c *Config) { c.Ways = 0 }, true},
+		{"ways 0", func(c *Config) { c.Ways = 0 }, false},
+		{"thRH 0", func(c *Config) { c.ThRH = 0 }, false},
+		{"PruneEvery 0", func(c *Config) { c.PruneEvery = 0 }, false},
 		{"negative thRH", func(c *Config) { c.ThRH = -1 }, false},
 		{"thRH below maxlife", func(c *Config) { c.ThRH = 8 }, false},                // maxlife 16 → thPI 0
 		{"thRH above a quarter of Nth", func(c *Config) { c.DRAM.NTh = 100 }, false}, // 4·thRH = 256 > 100
@@ -81,6 +83,13 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown org", func(c *Config) { c.Org = Org(9) }, false},
 		{"negative org", func(c *Config) { c.Org = -1 }, false},
 		{"negative ways", func(c *Config) { c.Ways = -4 }, false},
+		// DDR4's tREFI puts maxlife near 2^25, so thRH 2^26 clears it and
+		// Nth/4; only the maxlife bound rejects this window.
+		{"huge refresh window", func(c *Config) {
+			c.DRAM.TREFI = dram.DDR4_2400().TREFI
+			c.DRAM.TREFW = 1 << 48 * clock.Picosecond
+			c.ThRH, c.DRAM.NTh = 1<<26, 1<<28
+		}, false},
 	}
 	for _, tc := range cases {
 		cfg := testConfig(PA)

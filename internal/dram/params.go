@@ -102,8 +102,10 @@ func (p Params) Validate() error {
 		return errors.New("dram: spare row count must be non-negative")
 	case p.TREFW <= 0 || p.TREFI <= 0 || p.TRFC <= 0 || p.TRC <= 0:
 		return errors.New("dram: refresh and cycle timings must be positive")
-	case p.TREFI <= p.TRFC:
-		return fmt.Errorf("dram: tREFI (%v) must exceed tRFC (%v)", p.TREFI, p.TRFC)
+	case p.TREFI-p.TRFC < p.TRC:
+		// maxact ≥ 1 (MaxACTsPerRefreshInterval): a bank can activate
+		// between refreshes, or the controller would only refresh.
+		return fmt.Errorf("dram: tREFI − tRFC (%v) must be at least tRC (%v)", p.TREFI-p.TRFC, p.TRC)
 	case p.TREFW < p.TREFI:
 		return fmt.Errorf("dram: tREFW (%v) must be at least tREFI (%v)", p.TREFW, p.TREFI)
 	case p.TRAS+p.TRP > p.TRC:

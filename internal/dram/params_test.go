@@ -48,6 +48,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"negative spares", func(p *Params) { p.SpareRowsPerBank = -1 }},
 		{"zero tREFW", func(p *Params) { p.TREFW = 0 }},
 		{"tREFI below tRFC", func(p *Params) { p.TREFI = p.TRFC }},
+		{"tREFI 100 ps, tRFC 50 ps", func(p *Params) { p.TREFI, p.TRFC = 100*clock.Picosecond, 50*clock.Picosecond }},
+		{"tREFI one below tRFC + tRC", func(p *Params) { p.TREFI = p.TRFC + p.TRC - 1 }},
 		{"tREFW below tREFI", func(p *Params) { p.TREFW = p.TREFI - 1 }},
 		{"tRAS+tRP over tRC", func(p *Params) { p.TRAS = p.TRC }},
 		{"zero Nth", func(p *Params) { p.NTh = 0 }},

@@ -377,8 +377,8 @@ func Table4(s Scale) string {
 		cfg.Cache.L1.SizeBytes>>10, cfg.Cache.L2.SizeBytes>>10, cfg.Cache.L3.SizeBytes>>20, cfg.Cache.L1.LineBytes)
 	fmt.Fprintf(&b, "memory: %d channels × %d ranks × %d banks DDR4-2400, %d GiB total\n",
 		cfg.DRAM.Channels, cfg.DRAM.RanksPerChannel, cfg.DRAM.BanksPerRank, cfg.DRAM.TotalCapacityBytes()>>30)
-	fmt.Fprintf(&b, "controller: %s scheduling, %s paging, %d-entry queues\n",
-		cfg.MC.Scheduler, cfg.MC.PagePolicy, cfg.MC.QueueDepth)
+	fmt.Fprintf(&b, "controller: PAR-BS scheduling, %s paging, %d-entry queues\n",
+		cfg.MC.PagePolicy, cfg.MC.QueueDepth)
 	fmt.Fprintf(&b, "timing: tREFW %v, tREFI %v, tRFC %v, tRC %v\n",
 		cfg.DRAM.TREFW, cfg.DRAM.TREFI, cfg.DRAM.TRFC, cfg.DRAM.TRC)
 	return b.String()

@@ -17,8 +17,8 @@ import (
 // The differential suite pins the central scheduler invariant: the indexed
 // scheduler (scheduler.go) and the naive reference (reference_test.go) issue
 // byte-identical command streams. Randomized request mixes are run through
-// both implementations across every page policy and both schedulers, with a
-// defense that exercises the ARR/nack/mitigation classes, and the full
+// both implementations across every page policy and two write-buffer sizes,
+// with a defense that exercises the ARR/nack/mitigation classes, and the full
 // issued-command trace plus all end-of-run accounting must match exactly.
 
 // diffParams is a two-rank topology so the rank-level indexes (demand
@@ -160,14 +160,12 @@ func driveStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec,
 		}
 	})
 
-	// Buffered writes are posted: they complete at enqueue and may sit below
-	// the drain watermark forever, so they count as done when accepted, not
-	// via Done (which only fires if the write actually drains).
-	posted := func(sp reqSpec) bool { return sp.write && cfg.WriteQueueDepth > 0 }
+	// Writes are posted: they complete at enqueue and may sit below the
+	// drain watermark forever, so they count as done when accepted, not via
+	// Done (which only fires if the write actually drains).
 	completed := 0
 	next := 0
 	var pending *Request
-	var pendingPosted bool
 	now := clock.Time(0)
 	const retryGap = 50 * clock.Nanosecond
 	for completed < len(specs) {
@@ -179,8 +177,7 @@ func driveStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec,
 				sp := specs[next]
 				next++
 				pending = &Request{ID: sys.NewID(), Addr: sp.addr, Write: sp.write, Core: sp.core}
-				pendingPosted = posted(sp)
-				if !pendingPosted {
+				if !sp.write {
 					pending.Done = func(clock.Time) { completed++ }
 				}
 			}
@@ -191,7 +188,7 @@ func driveStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec,
 			if sh != nil {
 				sh.enqueued(pending.Addr.Channel, wake, now)
 			}
-			if pendingPosted {
+			if pending.Write {
 				completed++
 			}
 			pending = nil
@@ -225,34 +222,26 @@ func driveStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec,
 	return res
 }
 
-// diffConfigs is the matrix: every page policy and both schedulers, with
-// write buffering and refresh postponement toggled across the cases.
+// diffConfigs is the matrix: every page policy with a 16-entry write buffer,
+// plus a 4-entry buffer whose drain burst toggles often.
 func diffConfigs(p dram.Params) []struct {
 	name string
 	cfg  Config
 } {
-	base := NewConfig(p)
-	mk := func(sched Scheduler, pol PagePolicy, wq, postpone int) Config {
-		c := base
-		c.Scheduler = sched
+	mk := func(pol PagePolicy, wq int) Config {
+		c := NewConfig(p)
 		c.PagePolicy = pol
-		c.RefreshPostpone = postpone
-		c.WriteQueueDepth = wq
-		if wq > 0 {
-			c.WriteHigh, c.WriteLow = wq*3/4, wq/4
-		}
+		c.WriteQueueDepth, c.WriteHigh, c.WriteLow = wq, wq*3/4, wq/4
 		return c
 	}
 	return []struct {
 		name string
 		cfg  Config
 	}{
-		{"frfcfs_open_buffered", mk(FRFCFS, OpenPage, 16, 0)},
-		{"frfcfs_closed_unbuffered", mk(FRFCFS, ClosedPage, 0, 2)},
-		{"frfcfs_minopen_buffered", mk(FRFCFS, MinimalistOpen, 16, 2)},
-		{"parbs_open_buffered", mk(PARBS, OpenPage, 16, 2)},
-		{"parbs_closed_buffered", mk(PARBS, ClosedPage, 16, 0)},
-		{"parbs_minopen_unbuffered", mk(PARBS, MinimalistOpen, 0, 0)},
+		{"parbs_open_buffered", mk(OpenPage, 16)},
+		{"parbs_closed_buffered", mk(ClosedPage, 16)},
+		{"parbs_minopen_buffered", mk(MinimalistOpen, 16)},
+		{"parbs_minopen_wq4", mk(MinimalistOpen, 4)},
 	}
 }
 
@@ -314,9 +303,6 @@ func TestSchedulerDifferentialSparseCores(t *testing.T) {
 	p := diffParams()
 	sparse := []int{0, 2, 5, 7}
 	for ci, c := range diffConfigs(p) {
-		if c.cfg.Scheduler != PARBS {
-			continue
-		}
 		t.Run(c.name, func(t *testing.T) {
 			specs := mkStream(7000+int64(ci), 1200, p, 0.4)
 			for i := range specs {
@@ -329,7 +315,7 @@ func TestSchedulerDifferentialSparseCores(t *testing.T) {
 	}
 }
 
-// TestSchedulerDifferentialRankedCores runs four PAR-BS cores with skewed
+// TestSchedulerDifferentialRankedCores runs four cores with skewed
 // loads, so batches rank them apart, and requires the per-bank picks'
 // early exit to run past a ranked core: a demand ACT or column that issues
 // a settled read (marked, top-ranked) while the first read the pick
@@ -339,9 +325,6 @@ func TestSchedulerDifferentialSparseCores(t *testing.T) {
 func TestSchedulerDifferentialRankedCores(t *testing.T) {
 	p := diffParams()
 	for ci, c := range diffConfigs(p) {
-		if c.cfg.Scheduler != PARBS {
-			continue
-		}
 		t.Run(c.name, func(t *testing.T) {
 			specs := mkStream(9100+int64(ci), 1500, p, 0.5)
 			rng := rand.New(rand.NewSource(9100 + int64(ci)))
@@ -381,16 +364,13 @@ func TestSchedulerDifferentialRankedCores(t *testing.T) {
 
 // TestSchedulerDifferentialWideChannel puts 64 banks on each of two ranks,
 // the most a rank's 64-bit bank-state words hold, so bit 63 of each rank's
-// words is in use: the demand sets, the batched timing queries and refresh
-// postponement's busy test all read it. The stream must reach bank 63 of
-// both ranks, or the top bit goes untested.
+// words is in use: the demand sets and the batched timing queries both read
+// it. The stream must reach bank 63 of both ranks, or the top bit goes
+// untested.
 func TestSchedulerDifferentialWideChannel(t *testing.T) {
 	p := diffParams()
 	p.BanksPerRank = 64
 	for _, c := range diffConfigs(p) {
-		if c.cfg.RefreshPostpone == 0 {
-			continue
-		}
 		t.Run(c.name, func(t *testing.T) {
 			specs := mkStream(4242, 1500, p, 0.3)
 			idx := runStream(t, c.cfg, &diffDefense{every: 7}, specs, false)
@@ -456,7 +436,6 @@ func TestResetRerunIdentity(t *testing.T) {
 		sys.SetTrace(func(ev TraceEvent) { trace = append(trace, ev) })
 		completed, next := 0, 0
 		var pending *Request
-		var pendingPosted bool
 		now := clock.Time(0)
 		for completed < len(specs) {
 			for {
@@ -467,15 +446,14 @@ func TestResetRerunIdentity(t *testing.T) {
 					sp := specs[next]
 					next++
 					pending = &Request{ID: sys.NewID(), Addr: sp.addr, Write: sp.write, Core: sp.core}
-					pendingPosted = sp.write && cfg.WriteQueueDepth > 0
-					if !pendingPosted {
+					if !sp.write {
 						pending.Done = func(clock.Time) { completed++ }
 					}
 				}
 				if !sys.Enqueue(pending, now) {
 					break
 				}
-				if pendingPosted {
+				if pending.Write {
 					completed++
 				}
 				pending = nil
@@ -598,54 +576,49 @@ func TestBankQueueDepthAccessors(t *testing.T) {
 }
 
 // TestStepSteadyStateAllocFree pins the hot path at zero allocations per
-// scheduler step in steady state, for both schedulers and both
-// implementations (the reference's scratch is amortized too).
+// scheduler step in steady state, for both implementations (the reference's
+// scratch is amortized too).
 func TestStepSteadyStateAllocFree(t *testing.T) {
-	for _, sched := range []Scheduler{FRFCFS, PARBS} {
-		for _, useRef := range []bool{false, true} {
-			name := fmt.Sprintf("%v/ref=%v", sched, useRef)
-			t.Run(name, func(t *testing.T) {
-				cfg := NewConfig(sysParams())
-				cfg.Scheduler = sched
-				r := newRig(t, cfg, defense.Nop{})
-				advance := r.sys.Advance
-				if useRef {
-					advance = newRefScheduler(r.sys).Advance
-				}
-				var free []*Request
-				r.sys.SetRelease(func(q *Request) { free = append(free, q) })
-				for i := 0; i < 256; i++ {
-					free = append(free, &Request{})
-				}
-				rng := rand.New(rand.NewSource(11))
-				now := clock.Time(0)
-				pump := func() {
-					for k := 0; k < 4 && len(free) > 0; k++ {
-						q := free[len(free)-1]
-						free = free[:len(free)-1]
-						*q = Request{
-							ID:    r.sys.NewID(),
-							Addr:  dram.Addr{Bank: rng.Intn(4), Row: rng.Intn(32), Col: rng.Intn(16)},
-							Write: rng.Intn(4) == 0,
-							Core:  rng.Intn(2),
-						}
-						if !r.sys.Enqueue(q, now) {
-							free = append(free, q)
-							break
-						}
+	for _, useRef := range []bool{false, true} {
+		t.Run(fmt.Sprintf("PAR-BS/ref=%v", useRef), func(t *testing.T) {
+			r := newRig(t, NewConfig(sysParams()), defense.Nop{})
+			advance := r.sys.Advance
+			if useRef {
+				advance = newRefScheduler(r.sys).Advance
+			}
+			var free []*Request
+			r.sys.SetRelease(func(q *Request) { free = append(free, q) })
+			for i := 0; i < 256; i++ {
+				free = append(free, &Request{})
+			}
+			rng := rand.New(rand.NewSource(11))
+			now := clock.Time(0)
+			pump := func() {
+				for k := 0; k < 4 && len(free) > 0; k++ {
+					q := free[len(free)-1]
+					free = free[:len(free)-1]
+					*q = Request{
+						ID:    r.sys.NewID(),
+						Addr:  dram.Addr{Bank: rng.Intn(4), Row: rng.Intn(32), Col: rng.Intn(16)},
+						Write: rng.Intn(4) == 0,
+						Core:  rng.Intn(2),
 					}
-					for i := 0; i < 8; i++ {
-						now = r.sys.NextEvent()
-						advance(now)
+					if !r.sys.Enqueue(q, now) {
+						free = append(free, q)
+						break
 					}
 				}
-				for i := 0; i < 300; i++ { // warmup: grow every queue, bucket, and scratch
-					pump()
+				for i := 0; i < 8; i++ {
+					now = r.sys.NextEvent()
+					advance(now)
 				}
-				if avg := testing.AllocsPerRun(100, pump); avg > 0 {
-					t.Errorf("channel.step allocates %.2f allocs/run in steady state, want 0", avg)
-				}
-			})
-		}
+			}
+			for i := 0; i < 300; i++ { // warmup: grow every queue, bucket, and scratch
+				pump()
+			}
+			if avg := testing.AllocsPerRun(100, pump); avg > 0 {
+				t.Errorf("channel.step allocates %.2f allocs/run in steady state, want 0", avg)
+			}
+		})
 	}
 }

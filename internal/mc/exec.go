@@ -228,16 +228,16 @@ func (ch *channel) countNack(q *Request, id dram.BankID, now clock.Time) {
 	}
 }
 
+// removeRequest splices a completed request out of its queue: the write
+// buffer for a write, the read queue otherwise.
 func (ch *channel) removeRequest(q *Request) {
-	for i, r := range ch.queue {
-		if r == q {
-			ch.queue = append(ch.queue[:i], ch.queue[i+1:]...)
-			return
-		}
+	queue := &ch.queue
+	if q.Write {
+		queue = &ch.wqueue
 	}
-	for i, r := range ch.wqueue {
+	for i, r := range *queue {
 		if r == q {
-			ch.wqueue = append(ch.wqueue[:i], ch.wqueue[i+1:]...)
+			*queue = append((*queue)[:i], (*queue)[i+1:]...)
 			return
 		}
 	}

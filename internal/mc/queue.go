@@ -87,7 +87,7 @@ func (m *setMemo) store(k int, t clock.Time) {
 type channel struct {
 	sys        *System
 	idx        int
-	queue      []*Request   // demand reads (and writes when buffering is off)
+	queue      []*Request   // demand reads
 	wqueue     []*Request   // posted writes awaiting drain
 	draining   bool         // write-drain burst in progress
 	banks      []bankCtl    // rank-major: rank*BanksPerRank + bank
@@ -142,16 +142,15 @@ func (ch *channel) flat(rank, bank int) int {
 // reachable from the Enqueue/Advance hot paths.
 
 // admit indexes a freshly accepted request: stamps it, appends it to its
-// bank bucket, marks the bank busy, and updates the open-row hit counter.
-// The caller has already appended it to the matching global queue. It
-// reports whether the admission dirtied a demand set: it flipped the bank's
-// busy, reads or hit bit (all three sets of the rank), or it queued behind a
-// closed bank of a rank inside an ARR block (the ACT set, whose evaluation
-// counts the new request's nack).
-func (ch *channel) admit(q *Request, toWQ bool, now clock.Time) bool {
+// bank's read or write bucket, marks the bank busy, and updates the open-row
+// hit counter. The caller has already appended it to the matching global
+// queue. It reports whether the admission dirtied a demand set: it flipped
+// the bank's busy, reads or hit bit (all three sets of the rank), or it
+// queued behind a closed bank of a rank inside an ARR block (the ACT set,
+// whose evaluation counts the new request's nack).
+func (ch *channel) admit(q *Request, now clock.Time) bool {
 	q.stamp = ch.admits
 	ch.admits++
-	q.fromWQ = toWQ
 	if q.Core >= len(ch.coreRank) {
 		ch.growCores(q.Core + 1)
 	}
@@ -160,7 +159,7 @@ func (ch *channel) admit(q *Request, toWQ bool, now clock.Time) bool {
 	bq := &ch.bankqs[i]
 	bq.pickEpoch = 0
 	flipped := ch.busy[rk]&bit == 0
-	if toWQ {
+	if q.Write {
 		//twicelint:allocok amortized growth of the reused per-bank write bucket
 		bq.writes = append(bq.writes, q)
 	} else {
@@ -175,7 +174,7 @@ func (ch *channel) admit(q *Request, toWQ bool, now clock.Time) bool {
 		flipped = flipped || ch.hit[rk]&bit == 0
 		ch.hit[rk] |= bit
 	}
-	if q.marked && !toWQ {
+	if q.marked && !q.Write {
 		// Defensive: a recycled request arriving pre-marked still counts
 		// toward the batch-drain check, exactly as the reference's queue
 		// scan would see it.
@@ -202,7 +201,7 @@ func (ch *channel) unindex(q *Request) {
 	bq := &ch.bankqs[i]
 	bq.pickEpoch = 0
 	fifo := bq.reads
-	if q.fromWQ {
+	if q.Write {
 		fifo = bq.writes
 	}
 	for j, r := range fifo {
@@ -212,7 +211,7 @@ func (ch *channel) unindex(q *Request) {
 		}
 	}
 	flipped := false
-	if q.fromWQ {
+	if q.Write {
 		bq.writes = fifo
 	} else {
 		bq.reads = fifo
@@ -235,7 +234,7 @@ func (ch *channel) unindex(q *Request) {
 	if flipped {
 		ch.dirty(rk)
 	}
-	if q.marked && !q.fromWQ {
+	if q.marked && !q.Write {
 		ch.markedLeft--
 	}
 }

@@ -21,7 +21,7 @@ type refScratch struct {
 	hit     []bool     // per bank: some queued request hits the open row
 	pre     []bool     // per bank: a conflicting PRE already planned
 	drain   []*Request // scheduling pool when writes join the reads
-	refresh []bool     // per rank: refresh due and not postponed
+	refresh []bool     // per rank: refresh due
 
 	// PAR-BS batch state, kept apart from the channel's dense slices so the
 	// differential test checks batch marking and thread ranking too.
@@ -93,20 +93,9 @@ func (ch *channel) stepReference(now clock.Time, sc *refScratch) clock.Time {
 		refreshPending[i] = false
 	}
 	for rk := 0; rk < p.RanksPerChannel; rk++ {
-		due := ch.refreshDue[rk]
-		if now < due {
+		if due := ch.refreshDue[rk]; now < due {
 			earliest = clock.Min(earliest, due)
 			continue
-		}
-		// JEDEC postponement: defer the REF while demand for this rank is
-		// pending and the debt stays under the budget; the hard deadline
-		// forces the catch-up burst.
-		if pp := s.cfg.RefreshPostpone; pp > 0 {
-			lag := int((now - due) / p.TREFI)
-			if lag < pp && ch.rankHasDemand(rk) {
-				earliest = clock.Min(earliest, due+clock.Time(pp)*p.TREFI)
-				continue
-			}
 		}
 		refreshPending[rk] = true
 		rankID := dram.RankID{Channel: ch.idx, Rank: rk}
@@ -166,22 +155,6 @@ func (ch *channel) stepReference(now clock.Time, sc *refScratch) clock.Time {
 	return earliest
 }
 
-// rankHasDemand reports whether any queued request (read or buffered write)
-// targets the rank.
-func (ch *channel) rankHasDemand(rk int) bool {
-	for _, q := range ch.queue {
-		if q.Addr.Rank == rk {
-			return true
-		}
-	}
-	for _, q := range ch.wqueue {
-		if q.Addr.Rank == rk {
-			return true
-		}
-	}
-	return false
-}
-
 // queuedHit reports whether any queued request targets the bank's open row.
 func (ch *channel) queuedHit(id dram.BankID, row int) bool {
 	for _, q := range ch.queue {
@@ -202,9 +175,6 @@ func (ch *channel) queuedHit(id dram.BankID, row int) bool {
 // or an idle read queue, left at the low watermark).
 func (ch *channel) drainSet(sc *refScratch) []*Request {
 	cfg := ch.sys.cfg
-	if cfg.WriteQueueDepth == 0 {
-		return ch.queue
-	}
 	switch {
 	case ch.draining && len(ch.wqueue) <= cfg.WriteLow:
 		ch.draining = false
@@ -241,9 +211,7 @@ func (ch *channel) drainSet(sc *refScratch) []*Request {
 // one candidate per pool request.
 func (ch *channel) scheduleDemandRef(now clock.Time, refreshPending []bool, sc *refScratch, consider func(candidate)) {
 	s := ch.sys
-	if s.cfg.Scheduler == PARBS {
-		ch.refreshBatchRef(sc)
-	}
+	ch.refreshBatchRef(sc)
 	pool := ch.drainSet(sc)
 	// A bank's conflicting PRE is only allowed when no queued request hits
 	// the open row; precompute per-bank hit presence.
@@ -299,23 +267,20 @@ func (ch *channel) demandSeq(sc *refScratch, q *Request, hit bool, queueIdx int)
 	var seq int64
 	// During a drain burst, buffered writes count as first-class work so a
 	// steady read stream cannot starve the write buffer into backpressure.
-	marked := q.marked || (ch.draining && q.Write)
-	if ch.sys.cfg.Scheduler == PARBS && !marked {
+	if !q.marked && !(ch.draining && q.Write) {
 		seq |= 1 << 50
 	}
 	if !hit {
 		seq |= 1 << 45
 	}
-	if ch.sys.cfg.Scheduler == PARBS {
-		seq |= int64(sc.rank[q.Core]) << 25
-	}
+	seq |= int64(sc.rank[q.Core]) << 25
 	return seq | int64(queueIdx)
 }
 
 // refreshBatchRef is the naive batch formation: it re-scans the queue for
 // leftover marks instead of trusting markedLeft (which it still maintains,
-// since exec's unindex decrements it for either scheduler), counts marks in
-// maps, and ranks the batch's cores with a sort on (load, core id).
+// since exec's unindex decrements it), counts marks in maps, and ranks the
+// batch's cores with a sort on (load, core id).
 func (ch *channel) refreshBatchRef(sc *refScratch) {
 	for _, q := range ch.queue {
 		if q.marked {

@@ -25,13 +25,12 @@ type Request struct {
 	neededPRE  bool       // the request had to close another row first
 
 	// Index state maintained by the channel's queue indexes (queue.go).
-	// stamp is the channel admission sequence number; together with fromWQ
+	// stamp is the channel admission sequence number; together with Write
 	// it reproduces the pool-position ordering of the naive scheduler (reads
 	// in arrival order, then buffered writes in arrival order) without
 	// rebuilding the pool, so the indexed scheduler's demand tie-break is
 	// byte-identical to the reference (DESIGN.md §13).
-	stamp  int64
-	fromWQ bool // queued in the write buffer rather than the read queue
+	stamp int64
 }
 
 // String renders the request for diagnostics.
@@ -41,32 +40,6 @@ func (r *Request) String() string {
 		op = "WR"
 	}
 	return fmt.Sprintf("req%d %s %v core%d", r.ID, op, r.Addr, r.Core)
-}
-
-// Scheduler selects the memory scheduling policy.
-type Scheduler int
-
-// Scheduling policies.
-const (
-	// FRFCFS is first-ready, first-come-first-served: row hits first,
-	// then oldest.
-	FRFCFS Scheduler = iota
-	// PARBS is parallelism-aware batch scheduling (Mutlu & Moscibroda,
-	// ISCA 2008), the policy in the paper's Table 4: requests are grouped
-	// into batches; within a batch, row hits first, then lighter threads.
-	PARBS
-)
-
-// String names the policy.
-func (s Scheduler) String() string {
-	switch s {
-	case FRFCFS:
-		return "FR-FCFS"
-	case PARBS:
-		return "PAR-BS"
-	default:
-		return fmt.Sprintf("Scheduler(%d)", int(s))
-	}
 }
 
 // PagePolicy selects the row-buffer management policy.

@@ -1,10 +1,9 @@
 // The indexed per-channel scheduler. A step makes one pass over the
 // channel's ranks and costs O(ranks + attention banks + candidate banks),
 // with a few comparisons per candidate bank: each rank's attention word
-// gives the banks that owe defense work, refresh postponement tests its
-// busy word, and its column, conflict-PRE and ACT sets come from its
-// bank-state words by mask arithmetic, with one timing-checker query per set
-// for every bank's earliest time. Selection is byte-identical to the naive
+// gives the banks that owe defense work, and its column, conflict-PRE and
+// ACT sets come from its bank-state words by mask arithmetic, with one
+// timing-checker query per set for every bank's earliest time. Selection is byte-identical to the naive
 // reference scheduler (reference_test.go): within each of classes 0–2,
 // candidates are considered in the same rank-major bank order
 // (first-considered wins their seq-0 ties), and demand candidates carry
@@ -67,9 +66,7 @@ func (ch *channel) step(now clock.Time) clock.Time {
 
 	// Batch formation and the drain toggle feed only the demand keys and
 	// sets, so they run once, before the pass.
-	if s.cfg.Scheduler == PARBS {
-		ch.refreshBatch()
-	}
+	ch.refreshBatch()
 	ch.updateDrain()
 	// One pass over the ranks. Within each class, candidates are considered
 	// in rank-major, ascending-bank order, the reference's order, so the
@@ -109,14 +106,8 @@ func (ch *channel) step(now clock.Time) clock.Time {
 			consider(candidate{t: s.chk.EarliestACT(id, now), class: 2, op: opMit, rank: rk, bank: ba})
 		}
 
-		due := ch.refreshDue[rk]
-		if now < due {
+		if due := ch.refreshDue[rk]; now < due {
 			earliest = clock.Min(earliest, due)
-		} else if pp := s.cfg.RefreshPostpone; pp > 0 && int((now-due)/p.TREFI) < pp && ch.busy[rk] != 0 {
-			// JEDEC postponement: defer the REF while demand for this rank
-			// is pending and the debt stays under the budget; the hard
-			// deadline forces the catch-up burst.
-			earliest = clock.Min(earliest, due+clock.Time(pp)*p.TREFI)
 		} else {
 			// Refresh due: precharge every open bank, then REF, and drain
 			// the rank's demand meanwhile.
@@ -142,10 +133,10 @@ func (ch *channel) step(now clock.Time) clock.Time {
 	}
 	if earliest <= now {
 		// Every candidate carries an op, so one at or before now became
-		// best; the direct bounds (a refresh due or its postponement
-		// deadline) lie past now, and so does every reused set time. A
-		// time at or before now here is a scheduler bug, and returning it
-		// would spin advanceTo at this instant forever.
+		// best; the direct bound (a refresh due) lies past now, and so
+		// does every reused set time. A time at or before now here is a
+		// scheduler bug, and returning it would spin advanceTo at this
+		// instant forever.
 		//twicelint:allocok panic path: the simulation is already dead
 		panic(fmt.Sprintf("mc: internal error: channel %d found work at %v, not after the step at %v, yet nothing to issue", ch.idx, earliest, now))
 	}
@@ -342,41 +333,37 @@ func (ch *channel) bestMiss(bq *bankq) (*Request, int64) {
 	return best, bestKey
 }
 
-// demandKey orders demand candidates: PAR-BS prioritises marked requests and
-// lighter threads; both schedulers serve row hits before misses and then go
-// oldest-first. The key compares identically to the reference scheduler's
-// pool-position seq: the (fromWQ, stamp) low bits reproduce "reads in
-// admission order, then buffered writes in admission order" — queue removals
-// keep each queue in stamp order, and the fromWQ bit puts the whole read
-// queue ahead of the write buffer, exactly like pool concatenation.
+// demandKey orders demand candidates the PAR-BS way: marked requests first,
+// then row hits before misses, then lighter threads, then oldest-first. The
+// key compares identically to the reference scheduler's pool-position seq:
+// the (write, stamp) low bits reproduce "reads in admission order, then
+// buffered writes in admission order" — queue removals keep each queue in
+// stamp order, and the write bit puts the whole read queue ahead of the
+// write buffer, exactly like pool concatenation.
 func (ch *channel) demandKey(q *Request, hit bool) int64 {
 	var seq int64
 	// During a drain burst, buffered writes count as first-class work so a
 	// steady read stream cannot starve the write buffer into backpressure.
-	marked := q.marked || (ch.draining && q.Write)
-	if ch.sys.cfg.Scheduler == PARBS && !marked {
+	if !q.marked && !(ch.draining && q.Write) {
 		seq |= 1 << 62
 	}
 	if !hit {
 		seq |= 1 << 61
 	}
-	if ch.sys.cfg.Scheduler == PARBS {
-		seq |= int64(ch.coreRank[q.Core]) << 45
-	}
-	if q.fromWQ {
+	seq |= int64(ch.coreRank[q.Core]) << 45
+	if q.Write {
 		seq |= 1 << 44
 	}
 	return seq | q.stamp
 }
 
 // settled reports whether a read's demand key has no bit set above the
-// stamp except the miss bit: the read is marked (or scheduled FR-FCFS), its
-// core ranks first, and it sits in the read queue. Every other request of
-// the same bank and kind has a larger key: an earlier read with a smaller
-// stamp has a higher bit set (else it would have settled first), a later
-// read has a larger stamp, and a buffered write carries the fromWQ bit. So
-// the first settled read in the bank's stamp-ordered read bucket is its
-// best candidate.
+// stamp except the miss bit: the read is marked, its core ranks first, and
+// it sits in the read queue. Every other request of the same bank and kind
+// has a larger key: an earlier read with a smaller stamp has a higher bit
+// set (else it would have settled first), a later read has a larger stamp,
+// and a buffered write carries the write bit. So the first settled read in
+// the bank's stamp-ordered read bucket is its best candidate.
 func settled(k int64) bool { return k&^(1<<61)>>44 == 0 }
 
 // updateDrain toggles the write-drain burst by the watermarks: entered at
@@ -393,14 +380,10 @@ func (ch *channel) updateDrain() {
 // drainFlips reports whether updateDrain would toggle the burst now.
 func (ch *channel) drainFlips() bool {
 	cfg := &ch.sys.cfg
-	switch {
-	case cfg.WriteQueueDepth == 0:
-		return false
-	case ch.draining:
+	if ch.draining {
 		return len(ch.wqueue) <= cfg.WriteLow
-	default:
-		return len(ch.wqueue) >= cfg.WriteHigh || (len(ch.queue) == 0 && len(ch.wqueue) > 0)
 	}
+	return len(ch.wqueue) >= cfg.WriteHigh || (len(ch.queue) == 0 && len(ch.wqueue) > 0)
 }
 
 // refreshBatch forms a new PAR-BS batch when the current one has drained:

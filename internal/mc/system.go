@@ -1,7 +1,7 @@
-// Package mc implements the memory controller: per-channel request queues,
-// FR-FCFS and PAR-BS command scheduling, open/closed/minimalist-open page
-// policies, auto-refresh pacing, and the RCD-mediated adjacent-row-refresh
-// protocol with negative acknowledgements.
+// Package mc implements the memory controller of the paper's Table 4:
+// per-channel read queues and write buffers, PAR-BS command scheduling,
+// open/closed/minimalist-open page policies, auto-refresh pacing, and the
+// RCD-mediated adjacent-row-refresh protocol with negative acknowledgements.
 //
 // The package is split by responsibility: queue.go holds the per-channel
 // queue state and the incrementally maintained scheduler indexes,
@@ -25,22 +25,14 @@ import (
 type Config struct {
 	DRAM       dram.Params
 	QueueDepth int        // per-channel read queue entries
-	Scheduler  Scheduler  // FRFCFS or PARBS
 	PagePolicy PagePolicy // open, closed, or minimalist-open
 	MaxRowHits int        // minimalist-open hit budget before precharge
 	BatchCap   int        // PAR-BS per-(core,bank) marking cap
 
-	// RefreshPostpone allows deferring up to this many auto-refresh
-	// commands per rank while demand traffic is pending (JEDEC permits 8);
-	// the debt is repaid back-to-back once the rank idles or the budget is
-	// exhausted. 0 = strict tREFI pacing.
-	RefreshPostpone int
-
 	// Write buffering: writes are posted into a separate queue and drained
 	// in bursts so they stay off the read critical path. Draining starts at
 	// WriteHigh occupancy (or when the read queue is empty) and stops at
-	// WriteLow. WriteQueueDepth 0 disables buffering (writes share the read
-	// queue).
+	// WriteLow.
 	WriteQueueDepth int
 	WriteHigh       int
 	WriteLow        int
@@ -52,7 +44,6 @@ func NewConfig(p dram.Params) Config {
 	return Config{
 		DRAM:            p,
 		QueueDepth:      64,
-		Scheduler:       PARBS,
 		PagePolicy:      MinimalistOpen,
 		MaxRowHits:      4,
 		BatchCap:        5,
@@ -65,23 +56,17 @@ func NewConfig(p dram.Params) Config {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.Scheduler != FRFCFS && c.Scheduler != PARBS:
-		return fmt.Errorf("mc: unknown scheduler %v", c.Scheduler)
 	case c.PagePolicy != OpenPage && c.PagePolicy != ClosedPage && c.PagePolicy != MinimalistOpen:
 		return fmt.Errorf("mc: unknown page policy %v", c.PagePolicy)
 	case c.QueueDepth < 1:
 		return fmt.Errorf("mc: queue depth must be positive, got %d", c.QueueDepth)
-	case c.WriteQueueDepth < 0:
-		return fmt.Errorf("mc: write queue depth must not be negative, got %d (0 disables buffering)", c.WriteQueueDepth)
 	case c.PagePolicy == MinimalistOpen && c.MaxRowHits < 1:
 		return fmt.Errorf("mc: minimalist-open needs MaxRowHits ≥ 1, got %d", c.MaxRowHits)
-	case c.Scheduler == PARBS && c.BatchCap < 1:
+	case c.BatchCap < 1:
 		return fmt.Errorf("mc: PAR-BS needs BatchCap ≥ 1, got %d", c.BatchCap)
-	case c.WriteQueueDepth > 0 && !(0 <= c.WriteLow && c.WriteLow < c.WriteHigh && c.WriteHigh <= c.WriteQueueDepth):
-		return fmt.Errorf("mc: write watermarks must satisfy 0 ≤ low (%d) < high (%d) ≤ depth (%d)",
+	case !(0 <= c.WriteLow && c.WriteLow < c.WriteHigh && c.WriteHigh <= c.WriteQueueDepth):
+		return fmt.Errorf("mc: write buffer must satisfy 0 ≤ low (%d) < high (%d) ≤ depth (%d)",
 			c.WriteLow, c.WriteHigh, c.WriteQueueDepth)
-	case c.RefreshPostpone < 0 || c.RefreshPostpone > 8:
-		return fmt.Errorf("mc: refresh postponement must lie in [0,8] (JEDEC), got %d", c.RefreshPostpone)
 	case c.DRAM.BanksPerRank > 64:
 		// The scheduler keeps one 64-bit bank-state word per rank.
 		return fmt.Errorf("mc: at most 64 banks per rank, got %d", c.DRAM.BanksPerRank)
@@ -281,22 +266,20 @@ func (s *System) MaxBankQueueDepth() int64 {
 	return max
 }
 
-// Enqueue adds a request to its channel's queue (writes go to the write
-// buffer when buffering is enabled). It returns false if the target queue is
-// full (the caller must retry after progress).
+// Enqueue adds a request to its channel's read queue, or a write to its
+// write buffer. It returns false if the target queue is full (the caller
+// must retry after progress).
 //
 //twicelint:hotpath request admission runs once per simulated request
 func (s *System) Enqueue(req *Request, now clock.Time) bool {
 	ch := s.chans[req.Addr.Channel]
-	var dirtied bool
-	if req.Write && s.cfg.WriteQueueDepth > 0 {
+	if req.Write {
 		if len(ch.wqueue) >= s.cfg.WriteQueueDepth {
 			return false
 		}
 		req.Arrival = now
 		//twicelint:allocok amortized growth of the reused write-queue backing array
 		ch.wqueue = append(ch.wqueue, req)
-		dirtied = ch.admit(req, true, now)
 	} else {
 		if len(ch.queue) >= s.cfg.QueueDepth {
 			return false
@@ -304,8 +287,8 @@ func (s *System) Enqueue(req *Request, now clock.Time) bool {
 		req.Arrival = now
 		//twicelint:allocok amortized growth of the reused read-queue backing array
 		ch.queue = append(ch.queue, req)
-		dirtied = ch.admit(req, false, now)
 	}
+	dirtied := ch.admit(req, now)
 	// Wake the channel at now unless the step that wake-up would run
 	// reproduces its last one: that step issued nothing, and since then
 	// only admissions that dirtied no demand set changed the channel. The
@@ -324,7 +307,7 @@ func (s *System) Enqueue(req *Request, now clock.Time) bool {
 		s.nextWake = clock.Min(s.nextWake, ch.wake)
 	}
 	if s.probes != nil {
-		if req.fromWQ {
+		if req.Write {
 			s.probes.Enqueue(len(ch.wqueue))
 		} else {
 			s.probes.Enqueue(len(ch.queue))

@@ -109,17 +109,18 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("PAR-BS with zero batch cap accepted")
 	}
-	// Settings the controller cannot run: each used to run silently as
-	// another one (FR-FCFS, open page, no write buffer, or a rank whose
-	// banks past 64 never schedule).
+	// Settings the controller cannot run: the first three used to run
+	// silently as another one (open page, no write buffer, or a rank whose
+	// banks past 64 never schedule), and without a write buffer a write has
+	// nowhere to wait.
 	for _, tc := range []struct {
 		name string
 		edit func(*Config)
 	}{
-		{"unknown scheduler", func(c *Config) { c.Scheduler = Scheduler(7) }},
 		{"unknown page policy", func(c *Config) { c.PagePolicy = PagePolicy(9) }},
 		{"negative write queue depth", func(c *Config) { c.WriteQueueDepth = -1 }},
 		{"65 banks per rank", func(c *Config) { c.DRAM.BanksPerRank, c.DRAM.BankGroups = 65, 1 }},
+		{"write queue depth 0", func(c *Config) { c.WriteQueueDepth = 0 }},
 	} {
 		bad = cfg
 		tc.edit(&bad)
@@ -135,14 +136,11 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestPolicyStrings(t *testing.T) {
-	if FRFCFS.String() != "FR-FCFS" || PARBS.String() != "PAR-BS" {
-		t.Error("scheduler names wrong")
-	}
 	if OpenPage.String() != "open" || ClosedPage.String() != "closed" || MinimalistOpen.String() != "minimalist-open" {
 		t.Error("page policy names wrong")
 	}
-	if Scheduler(7).String() == "" || PagePolicy(7).String() == "" {
-		t.Error("unknown enum names empty")
+	if PagePolicy(7).String() == "" {
+		t.Error("unknown page policy name empty")
 	}
 }
 
@@ -226,7 +224,6 @@ func TestClosedPagePrechargesEveryAccess(t *testing.T) {
 func TestConflictAccounting(t *testing.T) {
 	cfg := NewConfig(sysParams())
 	cfg.PagePolicy = OpenPage
-	cfg.Scheduler = FRFCFS
 	r := newRig(t, cfg, defense.Nop{})
 	a := req(r, dram.Addr{Row: 1, Col: 0}, false, 0)
 	b := req(r, dram.Addr{Row: 2, Col: 0}, false, 0)
@@ -241,14 +238,14 @@ func TestConflictAccounting(t *testing.T) {
 	}
 }
 
-func TestFRFCFSServesHitFirst(t *testing.T) {
+func TestPARBSServesHitFirst(t *testing.T) {
 	cfg := NewConfig(sysParams())
 	cfg.PagePolicy = OpenPage
-	cfg.Scheduler = FRFCFS
 	r := newRig(t, cfg, defense.Nop{})
 
 	// Open row 1 first, then queue a conflicting (older) and a hitting
-	// (younger) request: FR-FCFS serves the hit first.
+	// (younger) request: both join one batch, and within it the row hit
+	// goes first.
 	warm := req(r, dram.Addr{Row: 1, Col: 0}, false, 0)
 	if got := r.run(t, []*Request{warm}, clock.Millisecond); got != 1 {
 		t.Fatal("warm-up failed")
@@ -508,7 +505,6 @@ func TestWritesArePosted(t *testing.T) {
 
 func TestPARBSMarksBatches(t *testing.T) {
 	cfg := NewConfig(sysParams())
-	cfg.Scheduler = PARBS
 	cfg.BatchCap = 2
 	r := newRig(t, cfg, defense.Nop{})
 	// Core 0 floods one bank; core 1 sends a single request. PAR-BS caps
@@ -615,19 +611,6 @@ func TestWriteBufferBackpressure(t *testing.T) {
 	}
 }
 
-func TestWriteBufferDisablable(t *testing.T) {
-	cfg := NewConfig(sysParams())
-	cfg.WriteQueueDepth = 0 // writes share the read queue
-	r := newRig(t, cfg, defense.Nop{})
-	q := req(r, dram.Addr{Row: 5}, true, 0)
-	if got := r.run(t, []*Request{q}, clock.Millisecond); got != 1 {
-		t.Fatal("write did not complete with buffering disabled")
-	}
-	if r.sys.WriteQueueLen(0) != 0 {
-		t.Error("write buffer used despite being disabled")
-	}
-}
-
 func TestWriteWatermarkValidation(t *testing.T) {
 	cfg := NewConfig(sysParams())
 	cfg.WriteQueueDepth = 8
@@ -640,81 +623,5 @@ func TestWriteWatermarkValidation(t *testing.T) {
 	cfg.WriteLow = 1
 	if err := cfg.Validate(); err == nil {
 		t.Error("high watermark above depth accepted")
-	}
-}
-
-func TestRefreshPostponement(t *testing.T) {
-	// With postponement enabled and steady demand, refreshes defer but the
-	// debt never exceeds the budget, and the long-run refresh count is
-	// conserved (postponed REFs are repaid back-to-back).
-	p := sysParams()
-	strict := NewConfig(p)
-	lazy := NewConfig(p)
-	lazy.RefreshPostpone = 8
-
-	runWithStream := func(cfg Config) (refreshes int64) {
-		r := newRig(t, cfg, defense.Nop{})
-		now := clock.Time(0)
-		horizon := 40 * p.TREFI
-		issued := 0
-		for now < horizon {
-			if r.sys.HasSpace(0) {
-				q := req(r, dram.Addr{Row: issued % 64, Col: issued % 16}, false, 0)
-				if r.sys.Enqueue(q, now) {
-					issued++
-				}
-			}
-			now = r.sys.NextEvent()
-			r.sys.Advance(now)
-		}
-		return r.cnt.Refreshes
-	}
-	sRef := runWithStream(strict)
-	lRef := runWithStream(lazy)
-	if sRef == 0 || lRef == 0 {
-		t.Fatalf("no refreshes: strict=%d lazy=%d", sRef, lRef)
-	}
-	// Conservation: over 40 tREFI the lazy controller may carry up to 8
-	// unpaid refreshes but no more.
-	if diff := sRef - lRef; diff < 0 || diff > 8 {
-		t.Errorf("refresh debt = %d, want within [0, 8]", diff)
-	}
-}
-
-func TestRefreshPostponeValidation(t *testing.T) {
-	cfg := NewConfig(sysParams())
-	cfg.RefreshPostpone = 9
-	if err := cfg.Validate(); err == nil {
-		t.Error("postponement above the JEDEC limit accepted")
-	}
-	cfg.RefreshPostpone = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative postponement accepted")
-	}
-}
-
-func TestPostponedRefreshCatchesUpWhenIdle(t *testing.T) {
-	p := sysParams()
-	cfg := NewConfig(p)
-	cfg.RefreshPostpone = 4
-	r := newRig(t, cfg, defense.Nop{})
-	// Saturate with demand for ~6 tREFI so refreshes postpone...
-	now := clock.Time(0)
-	issued := 0
-	for now < 6*p.TREFI {
-		if r.sys.HasSpace(0) {
-			q := req(r, dram.Addr{Row: issued % 64}, false, 0)
-			if r.sys.Enqueue(q, now) {
-				issued++
-			}
-		}
-		now = r.sys.NextEvent()
-		r.sys.Advance(now)
-	}
-	// ...then go idle: the debt must be repaid promptly.
-	r.drain(now + 2*p.TREFI)
-	want := int64((now + 2*p.TREFI - p.TREFI) / p.TREFI) // scheduled so far
-	if got := r.cnt.Refreshes; got < want-1 {
-		t.Errorf("refreshes = %d after idle catch-up, want ≈ %d", got, want)
 	}
 }

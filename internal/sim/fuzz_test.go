@@ -22,7 +22,7 @@ import (
 func FuzzNewMachine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, channels, ranks, banks, groups uint8, rows uint16,
 		tREFW, tREFI, tRFC, tRC, tRCD, tRP, tRAS, tCL, tWR, tCCD, tCCDL, tRRD, tRRDL, tFAW, tBL int64,
-		nth int32, queue, wq, wqHigh, wqLow, sched, policy, postpone uint8,
+		nth int32, queue, wq, wqHigh, wqLow, policy uint8,
 		thRH int32, ways int8, org, work uint8) {
 		cfg := DefaultConfig(2)
 		p := &cfg.DRAM
@@ -41,19 +41,14 @@ func FuzzNewMachine(f *testing.F) {
 		cfg.MC.QueueDepth = int(queue)
 		cfg.MC.WriteQueueDepth = int(wq % 65)
 		cfg.MC.WriteHigh, cfg.MC.WriteLow = int(wqHigh%65), int(wqLow%65)
-		cfg.MC.Scheduler = mc.Scheduler(sched % 3)
 		cfg.MC.PagePolicy = mc.PagePolicy(policy % 4)
-		cfg.MC.RefreshPostpone = int(postpone % 10)
 		cfg.Cache.L1.SizeBytes, cfg.Cache.L2.SizeBytes, cfg.Cache.L3.SizeBytes = 4<<10, 16<<10, 64<<10
 
 		ccfg := core.NewConfig(*p)
 		ccfg.ThRH, ccfg.Ways, ccfg.Org = int(thRH), int(ways), core.Org(org%4)
-		if ccfg.Validate() == nil {
-			// TableBound walks maxLife levels, and the tables hold about
-			// TableBound entries per bank.
-			if ccfg.MaxLife() > 1<<16 || ccfg.TableBound() > (1<<19)/p.TotalBanks() {
-				t.Skip("TWiCe tables too large for a fuzz input")
-			}
+		// The tables hold about TableBound entries per bank.
+		if ccfg.Validate() == nil && ccfg.TableBound() > (1<<19)/p.TotalBanks() {
+			t.Skip("TWiCe tables too large for a fuzz input")
 		}
 		def, err := core.New(ccfg)
 		if err != nil {

@@ -374,6 +374,7 @@ func (m *Machine) Run(lim Limits) (*Result, error) {
 	for _, b := range m.dev.Banks() {
 		res.Flips = append(res.Flips, b.Flips()...)
 	}
+	res.Counters.BitFlips = int64(len(res.Flips))
 	if m.hier != nil {
 		res.L3 = m.hier.L3Stats()
 	}

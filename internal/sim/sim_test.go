@@ -79,6 +79,25 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestShortestRefreshIntervalServes runs DDR4 at the shortest refresh
+// interval dram.Params.Validate accepts, tREFI = tRFC + tRC (395 ns): one
+// bank activation fits between two refreshes (maxact 1), so the machine must
+// validate and still serve S1 and S3.
+func TestShortestRefreshIntervalServes(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.DRAM.TREFI = cfg.DRAM.TRFC + cfg.DRAM.TRC
+	cfg.MC = mc.NewConfig(cfg.DRAM)
+	for _, w := range []workload.Workload{s1Workload(t, cfg), s3Workload(t, cfg)} {
+		res, err := Run(cfg, defense.Nop{}, w, DefaultLimits(2000))
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if res.Counters.RequestsServed < 2000 {
+			t.Errorf("%s: served %d of 2000 requests in %v", w.Name, res.Counters.RequestsServed, res.SimTime)
+		}
+	}
+}
+
 // TestNegativeCommandTimingRejected pins the fix for a silent stall: a
 // negative tRRD (or tCCD), added to the timing checker's "no previous
 // command" sentinel, overflowed to clock.Never, so no ACT (or column) was
@@ -103,17 +122,17 @@ func TestNegativeCommandTimingRejected(t *testing.T) {
 	}
 }
 
-// TestInvalidControllerRejected pins three controller settings that used to
-// run silently as another one: an unknown scheduler ran as FR-FCFS, an
-// unknown page policy as open page, and a negative write queue depth as no
-// write buffer. Run must refuse them before simulating anything.
+// TestInvalidControllerRejected pins three controller settings the
+// controller cannot run: an unknown page policy (it used to run as open
+// page), and a write buffer of depth 0 or -1 (the controller has no
+// unbuffered write path). Run must refuse them before simulating anything.
 func TestInvalidControllerRejected(t *testing.T) {
 	cases := []struct {
 		name string
 		edit func(*mc.Config)
 	}{
-		{"scheduler 7", func(c *mc.Config) { c.Scheduler = mc.Scheduler(7) }},
 		{"page policy 9", func(c *mc.Config) { c.PagePolicy = mc.PagePolicy(9) }},
+		{"write queue depth 0", func(c *mc.Config) { c.WriteQueueDepth = 0 }},
 		{"write queue depth -1", func(c *mc.Config) { c.WriteQueueDepth = -1 }},
 	}
 	for _, tc := range cases {
@@ -140,6 +159,9 @@ func TestHammerWithoutDefenseFlipsBits(t *testing.T) {
 	}
 	if len(res.Flips) == 0 {
 		t.Fatalf("no bit flips under an undefended hammer (ACTs=%d)", res.Counters.NormalACTs)
+	}
+	if got := res.Counters.BitFlips; got != int64(len(res.Flips)) {
+		t.Errorf("Counters.BitFlips = %d, want %d (len(Flips))", got, len(res.Flips))
 	}
 	f := res.Flips[0]
 	phys := 5000 // identity remap is not guaranteed; victim within ±1 of aggressor's home

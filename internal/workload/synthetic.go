@@ -140,6 +140,7 @@ func (g *s3Gen) Next() Access {
 // beyond the paper's synthetics, used to contrast TRR with TWiCe.
 type manySidedGen struct {
 	m          *mc.AddrMap
+	name       string
 	aggressors []int
 	i          int
 }
@@ -153,45 +154,25 @@ func ManySided(m *mc.AddrMap, base, n int) Workload {
 	}
 	return Workload{
 		Name:        fmt.Sprintf("many-sided-%d", n),
-		Gens:        []Generator{&manySidedGen{m: m, aggressors: rows}},
+		Gens:        []Generator{&manySidedGen{m: m, name: "many-sided-rowhammer", aggressors: rows}},
 		BypassCache: true,
 	}
 }
 
-func (g *manySidedGen) Name() string { return "many-sided-rowhammer" }
+// DoubleSided builds a double-sided row-hammer attack around victim row:
+// the two-aggressor many-sided hammer, alternating between the rows that
+// sandwich the victim so every access forces a fresh activation (a row
+// conflict with the sibling aggressor). This is the strongest practical
+// attack shape and an extension beyond the paper's S3.
+func DoubleSided(m *mc.AddrMap, victim int) Workload {
+	g := &manySidedGen{m: m, name: "double-sided-rowhammer", aggressors: []int{victim - 1, victim + 1}}
+	return Workload{Name: "double-sided", Gens: []Generator{g}, BypassCache: true}
+}
+
+func (g *manySidedGen) Name() string { return g.name }
 
 func (g *manySidedGen) Next() Access {
 	row := g.aggressors[g.i]
 	g.i = (g.i + 1) % len(g.aggressors)
-	return Access{Addr: g.m.Compose(dram.Addr{Row: row}), Gap: 1}
-}
-
-// doubleSidedGen hammers the two rows sandwiching a victim, alternating so
-// every access forces a fresh activation (a row conflict with the sibling
-// aggressor). This is the strongest practical attack shape and an extension
-// beyond the paper's S3.
-type doubleSidedGen struct {
-	m      *mc.AddrMap
-	victim int
-	turn   bool
-}
-
-// DoubleSided builds a double-sided row-hammer attack around victim row.
-func DoubleSided(m *mc.AddrMap, victim int) Workload {
-	return Workload{
-		Name:        "double-sided",
-		Gens:        []Generator{&doubleSidedGen{m: m, victim: victim}},
-		BypassCache: true,
-	}
-}
-
-func (g *doubleSidedGen) Name() string { return "double-sided-rowhammer" }
-
-func (g *doubleSidedGen) Next() Access {
-	row := g.victim - 1
-	if g.turn {
-		row = g.victim + 1
-	}
-	g.turn = !g.turn
 	return Access{Addr: g.m.Compose(dram.Addr{Row: row}), Gap: 1}
 }
