@@ -32,16 +32,21 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/probe"
 )
 
+// experimentNames lists the experiments -only can select.
+var experimentNames = []string{"table1", "table2", "table3", "table4", "fig7a", "fig7b", "area"}
+
 func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or paper")
-	only := flag.String("only", "", "run a single experiment: table1,table2,table3,table4,fig7a,fig7b,area")
-	requests := flag.Int64("requests", 0, "override demand requests per cell")
+	only := flag.String("only", "", "run a single experiment: "+strings.Join(experimentNames, ","))
+	requests := flag.Int64("requests", 0, "override demand requests per cell (0 = the scale's budget)")
 	csvDir := flag.String("csv", "", "directory to also write fig7a.csv / fig7b.csv into")
 	par := flag.Int("parallel", 0, "worker goroutines per experiment grid (0 = all CPUs, 1 = serial)")
 	progressFlag := flag.Bool("progress", false, "report completed/total grid cells and ETA on stderr")
@@ -52,6 +57,9 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	if err := checkFlags(*only, *requests); err != nil {
+		fail(err)
+	}
 
 	s, err := experiments.ScaleByName(*scaleFlag)
 	if err != nil {
@@ -217,6 +225,18 @@ func main() {
 		fmt.Println("paper: CRA/CBT high adversarial drop; PARA small but undetecting; TWiCe smallest + detects")
 		fmt.Println()
 	}
+}
+
+// checkFlags rejects an -only name outside experimentNames and a negative
+// -requests, so a mistyped run fails before it prints anything.
+func checkFlags(only string, requests int64) error {
+	if only != "" && !slices.Contains(experimentNames, only) {
+		return fmt.Errorf("-only %s: want one of %s", only, strings.Join(experimentNames, ","))
+	}
+	if requests < 0 {
+		return fmt.Errorf("-requests %d: want >= 0 (0 keeps the scale's budget)", requests)
+	}
+	return nil
 }
 
 // writeCSV exports cells into dir/name when a CSV directory was given,

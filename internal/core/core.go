@@ -6,7 +6,9 @@
 // threshold thRH.
 //
 // Three physical organizations are provided (fa-TWiCe, pa-TWiCe, and the
-// separated table of §6.2); all share identical counting behaviour.
+// separated table of §6.2); all share identical counting behaviour. One
+// table implementation backs them all: fa-TWiCe is a pa table with a single
+// set, and the separated table is two of those.
 package core
 
 import (
@@ -218,7 +220,7 @@ func newTable(cfg Config, bound int) Table {
 		narrow, wide := cfg.SeparatedSizing()
 		return newSepTable(narrow, wide, cfg.ThPI())
 	default:
-		return newFATable(bound)
+		return newPATable(bound, bound) // fa: one set of bound ways
 	}
 }
 

@@ -13,6 +13,11 @@ import (
 // sets can possibly hold the row. Common-case lookups touch a single set,
 // which is where the energy saving over fa-TWiCe comes from.
 //
+// A table of one set whose ways are the whole capacity is the
+// fully-associative organization (fa-TWiCe): its search scans the live
+// entries, the CAM's parallel match done one entry at a time, and nothing
+// is ever borrowed. The separated table's two sub-tables are such tables.
+//
 // Slot s*ways+w is way w of set s. The live-slot bitmap is the only record
 // of which slots hold an entry, so set scans, Prune and Snapshot visit live
 // entries only: a table under the S3 attack holds one live entry of its 448
@@ -36,11 +41,13 @@ type paTable struct {
 }
 
 // newPATable builds a pseudo-associative table with enough sets of the given
-// way count to hold capacity entries.
+// way count to hold capacity entries. With ways = capacity it is one set of
+// exactly capacity slots, 0 included: the separated table's narrow
+// sub-table is empty at thPI = 1, and every fresh row must then spill.
 func newPATable(capacity, ways int) *paTable {
-	nsets := (capacity + ways - 1) / ways
-	if nsets < 1 {
-		nsets = 1
+	nsets := 1
+	if capacity > ways {
+		nsets = (capacity + ways - 1) / ways
 	}
 	slots := nsets * ways
 	t := &paTable{
@@ -143,6 +150,7 @@ func (t *paTable) Lookup(row int) (Entry, bool) {
 
 func (t *paTable) Insert(row int) error {
 	if t.locate(row, false) >= 0 {
+		//twicelint:allocok cold error path: caller bug, not steady state
 		return fmt.Errorf("core: insert of already-tracked row %d", row)
 	}
 	p := t.preferred(row)
@@ -162,6 +170,7 @@ func (t *paTable) Insert(row int) error {
 			}
 		}
 		if i < 0 {
+			//twicelint:allocok cold error path: sizing invariant violation
 			return fmt.Errorf("core: pa table full (%d entries); sizing invariant violated", t.Cap())
 		}
 		t.ops.Spills++
@@ -174,6 +183,14 @@ func (t *paTable) Insert(row int) error {
 		t.ops.PeakOccupancy = t.len
 	}
 	return nil
+}
+
+// set overwrites the stored entry for a tracked row; the separated table
+// uses it to move an entry between sub-tables without resetting its counts.
+func (t *paTable) set(row int, e Entry) {
+	if i := t.locate(row, false); i >= 0 {
+		t.entries[i] = e
+	}
 }
 
 func (t *paTable) invalidate(i int) {
@@ -243,6 +260,3 @@ func (t *paTable) Snapshot() []Entry {
 }
 
 func (t *paTable) Ops() OpStats { return t.ops }
-
-// Sets returns the set count (for area/energy reporting).
-func (t *paTable) Sets() int { return len(t.hosts) }

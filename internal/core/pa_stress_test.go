@@ -57,7 +57,7 @@ func TestPASetBorrowingStress(t *testing.T) {
 func TestPARandomOpsMatchFA(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		fa := newFATable(48)
+		fa := newPATable(48, 48)
 		pa := newPATable(48, 4)
 		for op := 0; op < 2000; op++ {
 			row := rng.Intn(64)

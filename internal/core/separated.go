@@ -8,11 +8,12 @@ import "fmt"
 // activation. Only rows that have proven they can survive a pruning interval
 // pay for a full-width counter, cutting table storage by ~13%.
 //
-// Counting behaviour is identical to faTable; the split is purely a storage
-// optimization, which the equivalence property tests verify.
+// Each sub-table is fully associative, a one-set paTable. Counting
+// behaviour is identical to the other organizations; the split is purely a
+// storage optimization, which the equivalence property tests verify.
 type sepTable struct {
-	narrow *faTable // entries with ActCnt < graduate
-	wide   *faTable // entries with ActCnt ≥ graduate
+	narrow *paTable // entries with ActCnt < graduate
+	wide   *paTable // entries with ActCnt ≥ graduate
 	// graduate is the activation count at which an entry moves to the wide
 	// sub-table. The paper uses thPI (= 4), matching the 2-bit counter.
 	graduate int //twicelint:keep policy constant, fixed at construction
@@ -23,8 +24,8 @@ type sepTable struct {
 // sizings (124 and 429+ for the default parameters); graduate is thPI.
 func newSepTable(narrowCap, wideCap, graduate int) *sepTable {
 	return &sepTable{
-		narrow:   newFATable(narrowCap),
-		wide:     newFATable(wideCap),
+		narrow:   newPATable(narrowCap, narrowCap),
+		wide:     newPATable(wideCap, wideCap),
 		graduate: graduate,
 	}
 }
@@ -49,10 +50,8 @@ func (t *sepTable) Touch(row int) (Entry, bool) {
 			//twicelint:allocok panic path: sizing invariant violation is fatal
 			panic(fmt.Sprintf("core: separated wide sub-table overflow: %v", err))
 		}
-		we, _ := t.wide.Lookup(row)
-		we.ActCnt, we.Life = e.ActCnt, e.Life
-		t.wide.set(row, we)
-		return we, true
+		t.wide.set(row, e)
+		return e, true
 	}
 	return e, true
 }
@@ -126,7 +125,3 @@ func (t *sepTable) Snapshot() []Entry {
 }
 
 func (t *sepTable) Ops() OpStats { return t.ops }
-
-// NarrowLen and WideLen expose sub-table occupancy for tests and reports.
-func (t *sepTable) NarrowLen() int { return t.narrow.Len() }
-func (t *sepTable) WideLen() int   { return t.wide.Len() }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // benchTable is one table shape a benchmark runs: a constructor, not an
 // instance, because testing reruns each sub-benchmark body while
@@ -18,7 +15,7 @@ type benchTable struct {
 // depths.
 func benchTables() []benchTable {
 	return []benchTable{
-		{"fa", func() Table { return newFATable(556) }},
+		{"fa", func() Table { return newPATable(556, 556) }},
 		{"pa", func() Table { return newPATable(556, 64) }},
 		{"sep", func() Table { return newSepTable(124, 432, 4) }},
 	}
@@ -152,44 +149,4 @@ func TestClearNoAllocs(t *testing.T) {
 			}
 		})
 	}
-}
-
-// BenchmarkIntMapVsBuiltinMap quantifies the index swap in isolation at the
-// row-index access pattern (lookup-heavy, occasional delete).
-func BenchmarkIntMapVsBuiltinMap(b *testing.B) {
-	const capacity = 556
-	keys := make([]int, capacity)
-	for i := range keys {
-		keys[i] = i * 131
-	}
-	b.Run(fmt.Sprintf("intMap-%d", capacity), func(b *testing.B) {
-		m := newIntMap(capacity)
-		for i, k := range keys {
-			m.put(k, i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var sink int
-		for i := 0; i < b.N; i++ {
-			if v, ok := m.get(keys[i%capacity]); ok {
-				sink += v
-			}
-		}
-		_ = sink
-	})
-	b.Run(fmt.Sprintf("builtin-%d", capacity), func(b *testing.B) {
-		m := make(map[int]int, capacity)
-		for i, k := range keys {
-			m[k] = i
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var sink int
-		for i := 0; i < b.N; i++ {
-			if v, ok := m[keys[i%capacity]]; ok {
-				sink += v
-			}
-		}
-		_ = sink
-	})
 }

@@ -78,7 +78,7 @@ func entriesEqual(a, b []Entry) bool {
 // that the spill path is exercised constantly.
 func tableFactories() map[string]func() Table {
 	return map[string]func() Table{
-		"fa":  func() Table { return newFATable(48) },
+		"fa":  func() Table { return newPATable(48, 48) },
 		"pa":  func() Table { return newPATable(48, 8) },
 		"sep": func() Table { return newSepTable(16, 96, 4) },
 	}
@@ -87,9 +87,8 @@ func tableFactories() map[string]func() Table {
 // TestTableDifferentialVsMapReference drives every organization through a
 // long randomized ACT/prune/remove stream — including stretches that hold
 // the table near full — and checks each observable against the map-based
-// reference model, step by step. This is the behavioural backstop for the
-// open-addressed index swap: any divergence between intMap and a builtin map
-// surfaces here as a counting difference.
+// reference model, step by step: any organization whose bookkeeping
+// diverges from a builtin map surfaces here as a counting difference.
 func TestTableDifferentialVsMapReference(t *testing.T) {
 	names := []string{"fa", "pa", "sep"}
 	for _, name := range names {

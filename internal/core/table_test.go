@@ -6,7 +6,7 @@ import (
 )
 
 func TestFATableBasics(t *testing.T) {
-	tb := newFATable(4)
+	tb := newPATable(4, 4)
 	if tb.Cap() != 4 || tb.Len() != 0 {
 		t.Fatal("fresh table geometry wrong")
 	}
@@ -32,7 +32,7 @@ func TestFATableBasics(t *testing.T) {
 }
 
 func TestFATableFull(t *testing.T) {
-	tb := newFATable(2)
+	tb := newPATable(2, 2)
 	if err := tb.Insert(1); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,39 @@ func TestFATableFull(t *testing.T) {
 	}
 }
 
+// TestOneSetCapacityIsExact pins the one-set tables' capacity: an fa table
+// of capacity n holds exactly n entries, 0 included, and a separated table
+// whose narrow sub-table is empty (thPI = 1) spills its first fresh row into
+// the wide one.
+func TestOneSetCapacityIsExact(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 64, 65, 556} {
+		tb := newPATable(n, n)
+		if tb.Cap() != n {
+			t.Fatalf("fa table of capacity %d has Cap() %d", n, tb.Cap())
+		}
+		for r := 0; r < n; r++ {
+			if err := tb.Insert(r); err != nil {
+				t.Fatalf("capacity %d: insert of row %d: %v", n, r, err)
+			}
+		}
+		if err := tb.Insert(n); err == nil {
+			t.Errorf("capacity %d: entry %d accepted", n, n+1)
+		}
+	}
+	sep := newSepTable(0, 8, 1)
+	if sep.Cap() != 8 {
+		t.Fatalf("newSepTable(0, 8, 1).Cap() = %d, want 8", sep.Cap())
+	}
+	if err := sep.Insert(1); err != nil {
+		t.Fatal(err)
+	}
+	if spills := sep.Ops().Spills; spills != 1 || sep.NarrowLen() != 0 || sep.WideLen() != 1 {
+		t.Errorf("first insert: %d spills, narrow/wide %d/%d; want 1 spill, 0/1", spills, sep.NarrowLen(), sep.WideLen())
+	}
+}
+
 func TestFAPrune(t *testing.T) {
-	tb := newFATable(8)
+	tb := newPATable(8, 8)
 	for _, r := range []int{1, 2, 3} {
 		if err := tb.Insert(r); err != nil {
 			t.Fatal(err)
@@ -202,7 +233,7 @@ func TestSeparatedPrune(t *testing.T) {
 
 func TestSnapshotIsCopy(t *testing.T) {
 	for name, tb := range map[string]Table{
-		"fa":  newFATable(8),
+		"fa":  newPATable(8, 8),
 		"pa":  newPATable(8, 4),
 		"sep": newSepTable(4, 4, 4),
 	} {
@@ -243,7 +274,7 @@ func TestTableBoundDegenerateThPI(t *testing.T) {
 // organizations under random operations.
 func TestTouchMatchesLookupPlusIncrement(t *testing.T) {
 	f := func(rows []uint8) bool {
-		fa, pa, sep := newFATable(64), newPATable(64, 8), newSepTable(16, 48, 4)
+		fa, pa, sep := newPATable(64, 64), newPATable(64, 8), newSepTable(16, 48, 4)
 		for _, r := range rows {
 			row := int(r % 32)
 			for _, tb := range []Table{fa, pa, sep} {

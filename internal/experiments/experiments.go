@@ -12,7 +12,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/detutil"
 	"repro/internal/energy"
 	"repro/internal/mc"
 	"repro/internal/parallel"
@@ -241,41 +240,22 @@ func Figure7a(s Scale) ([]Cell, error) {
 	return cells, nil
 }
 
-// averageRows appends the per-defense Average row Figure 7(a) shows. Rows
-// follow the DefenseNames display order — the order the figure's bars use —
-// with any defense outside that set appended in sorted order.
+// averageRows returns the per-defense Average row Figure 7(a) shows, in the
+// DefenseNames display order (the order of the figure's bars).
 func averageRows(cells []Cell) []Cell {
-	byDefense := map[string][]Cell{}
-	for _, c := range cells {
-		byDefense[c.Defense] = append(byDefense[c.Defense], c)
-	}
-	display := DefenseNames()
-	order := make([]string, 0, len(byDefense))
-	for _, n := range display {
-		if _, ok := byDefense[n]; ok {
-			order = append(order, n)
-		}
-	}
-	shown := make(map[string]bool, len(display))
-	for _, n := range display {
-		shown[n] = true
-	}
-	for _, n := range detutil.SortedKeys(byDefense) {
-		if !shown[n] {
-			order = append(order, n)
-		}
-	}
 	var out []Cell
-	for _, n := range order {
+	for _, n := range DefenseNames() {
 		var sum float64
-		for _, c := range byDefense[n] {
-			sum += c.Ratio
+		count := 0
+		for _, c := range cells {
+			if c.Defense == n {
+				sum += c.Ratio
+				count++
+			}
 		}
-		out = append(out, Cell{
-			Workload: "Average",
-			Defense:  n,
-			Ratio:    sum / float64(len(byDefense[n])),
-		})
+		if count > 0 {
+			out = append(out, Cell{Workload: "Average", Defense: n, Ratio: sum / float64(count)})
+		}
 	}
 	return out
 }
@@ -313,54 +293,25 @@ func Table2(s Scale) analysis.Derived {
 // Table3 returns the timing/energy constants (the paper's measurements).
 func Table3() energy.Model { return energy.Table3() }
 
-// Table3Measured runs an S3 attack under each table organization and
-// aggregates Table 3's constants over the simulated command mix, reproducing
-// the §7.1 overheads. The three org cells (fa, pa, separated) are
-// independent and run on the scale's worker pool; the returned breakdown is
-// the paper's default (pa) organization, with all three available through
-// Table3MeasuredAll.
+// Table3Measured runs an S3 attack under the paper's default table
+// organization (pa-TWiCe) and aggregates Table 3's constants over the
+// simulated command mix, reproducing the §7.1 overheads.
 func Table3Measured(s Scale) (energy.Breakdown, error) {
-	all, err := Table3MeasuredAll(s)
+	cfg := s.MachineConfig()
+	def, err := s.NewDefense("TWiCe", cfg.DRAM)
 	if err != nil {
 		return energy.Breakdown{}, err
 	}
-	return all[core.NewConfig(s.MachineConfig().DRAM).Org], nil
-}
-
-// Table3MeasuredAll runs the §7.1 measurement for every table organization
-// and returns the breakdowns keyed by organization.
-func Table3MeasuredAll(s Scale) (map[core.Org]energy.Breakdown, error) {
-	type measured struct {
-		org core.Org
-		bd  energy.Breakdown
-	}
-	cfg := s.MachineConfig()
-	names := []string{"TWiCe-fa", "TWiCe", "TWiCe-sep"}
-	ms, err := parallel.Map(parallel.Runner{Workers: s.Parallel}, len(names), func(_, i int) (measured, error) {
-		def, err := s.NewDefense(names[i], cfg.DRAM)
-		if err != nil {
-			return measured{}, err
-		}
-		w, err := s.NewWorkload("S3", AttackRow)
-		if err != nil {
-			return measured{}, err
-		}
-		res, err := sim.Run(cfg, def, w, sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
-		if err != nil {
-			return measured{}, err
-		}
-		tw := def.(*core.TWiCe)
-		org := tw.Config().Org
-		return measured{org, energy.Table3().Aggregate(res.Counters, tw.Ops(), org, cfg.DRAM.BanksPerRank)}, nil
-	})
+	w, err := s.NewWorkload("S3", AttackRow)
 	if err != nil {
-		return nil, err
+		return energy.Breakdown{}, err
 	}
-	out := make(map[core.Org]energy.Breakdown, len(ms))
-	for _, m := range ms {
-		out[m.org] = m.bd
+	res, err := sim.Run(cfg, def, w, sim.Limits{MaxRequests: s.Requests, MaxTime: 10 * clock.Second})
+	if err != nil {
+		return energy.Breakdown{}, err
 	}
-	return out, nil
+	tw := def.(*core.TWiCe)
+	return energy.Table3().Aggregate(res.Counters, tw.Ops(), tw.Config().Org, cfg.DRAM.BanksPerRank), nil
 }
 
 // AreaReport reproduces the §6.2/§7.1 storage figures.

@@ -65,9 +65,10 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 // Interface method calls resolve to the abstract interface method, which
 // has no body and therefore no index entry, so dynamic dispatch drops out
 // of the graph by construction: hot leaf implementations reached through an
-// interface (the Table impls, intMap) carry their own //twicelint:hotpath
-// annotation instead. Function literals nested in the body need no edge —
-// their statements are part of this body and are walked in place.
+// interface (core's paTable.Touch and sepTable.Touch, behind core.Table)
+// carry their own //twicelint:hotpath annotation instead. Function literals
+// nested in the body need no edge — their statements are part of this body
+// and are walked in place.
 func (fi *funcInfo) callees() []string {
 	seen := map[string]bool{}
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {

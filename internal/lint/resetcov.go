@@ -15,8 +15,8 @@ import (
 // //twicelint:keep <why> on the field declaration.
 //
 // A field counts as covered when the method (case-insensitively named
-// "reset" or "clear", so internal helpers like intMap.clear participate)
-// contains any of:
+// "reset" or "clear", so an unexported reset or clear helper is held to the
+// same rule as an exported Reset) contains any of:
 //
 //   - an assignment, IncDec, or compound assignment whose left-hand side is
 //     rooted at recv.field (through any chain of index, slice, star, and

@@ -503,40 +503,38 @@ func TestWritesArePosted(t *testing.T) {
 	}
 }
 
+// TestPARBSMarksBatches checks the PAR-BS batch cap. Core 0 queues six
+// reads to one row of bank 0; once the first batch has formed, core 1 queues
+// one read to another row of the same bank. With BatchCap 2 the first batch
+// marks two of core 0's reads, so core 1's read is marked in the second batch
+// and completes before core 0's last read. A batch that ignored the cap would
+// mark all six of core 0's reads first and serve core 1 last.
 func TestPARBSMarksBatches(t *testing.T) {
 	cfg := NewConfig(sysParams())
 	cfg.BatchCap = 2
 	r := newRig(t, cfg, defense.Nop{})
-	// Core 0 floods one bank; core 1 sends a single request. PAR-BS caps
-	// core 0's marked share at BatchCap per bank, so core 1's request is
-	// served within the first batch despite arriving last.
-	var firstDone int
-	reqs := make([]*Request, 0, 7)
-	for i := 0; i < 6; i++ {
-		q := req(r, dram.Addr{Row: 1, Col: i}, false, 0)
-		reqs = append(reqs, q)
-	}
-	lone := req(r, dram.Addr{Bank: 1, Row: 7, Col: 0}, false, 1)
-	reqs = append(reqs, lone)
-	for _, q := range reqs {
-		q := q
-		prev := q.Done
-		q.Done = func(c clock.Time) {
-			if firstDone == 0 {
-				firstDone = int(q.Core)
-			}
-			if prev != nil {
-				prev(c)
-			}
+	var order []int // the core of each completed request, in completion order
+	enqueue := func(q *Request, now clock.Time) {
+		q.Done = func(clock.Time) { order = append(order, q.Core) }
+		if !r.sys.Enqueue(q, now) {
+			t.Fatal("queue full during test setup")
 		}
 	}
-	if got := r.run(t, reqs, 10*clock.Millisecond); got != 7 {
-		t.Fatalf("completed %d of 7", got)
+	for i := 0; i < 6; i++ {
+		enqueue(req(r, dram.Addr{Row: 1, Col: i}, false, 0), 0)
 	}
-	// The lone core-1 request is in the first batch (cap restricts core 0)
-	// and runs on an otherwise idle bank, so it finishes among the first.
-	if r.cnt.RequestsServed == 0 {
-		t.Fatal("nothing served")
+	now := r.sys.NextEvent()
+	r.sys.Advance(now) // the first step forms the first batch
+	enqueue(req(r, dram.Addr{Row: 7}, false, 1), now)
+	for len(order) < 7 && now < 10*clock.Millisecond {
+		now = r.sys.NextEvent()
+		r.sys.Advance(now)
+	}
+	if len(order) != 7 {
+		t.Fatalf("completed %d of 7", len(order))
+	}
+	if order[6] != 0 {
+		t.Errorf("completion order by core %v: core 1's read finished last, after all of core 0's", order)
 	}
 }
 

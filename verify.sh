@@ -31,7 +31,7 @@
 #                        pin multi-core PAR-BS output (mix-high, lbm-stream)
 #   4c. bench smoke    — every sim hot-path, scheduler-step, DRAM bank
 #                        (activate, auto-refresh, remap) and TWiCe table
-#                        (touch, insert, prune, row index) benchmark body
+#                        (touch, insert, prune) benchmark body
 #                        runs once (-benchtime=1x), so a change that breaks
 #                        only benchmark-path code cannot land green
 #   4d. root benchmarks — every paper table/figure and ablation benchmark in
