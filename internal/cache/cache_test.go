@@ -164,14 +164,13 @@ func TestHierarchyDefaultsValid(t *testing.T) {
 	}
 }
 
-func testHierarchy(t *testing.T, prefetch bool) *Hierarchy {
+func testHierarchy(t *testing.T) *Hierarchy {
 	t.Helper()
 	cfg := HierarchyConfig{
-		Cores:    2,
-		L1:       Config{SizeBytes: 512, LineBytes: 64, Ways: 2, Latency: 1 * clock.Nanosecond},
-		L2:       Config{SizeBytes: 2048, LineBytes: 64, Ways: 2, Latency: 3 * clock.Nanosecond},
-		L3:       Config{SizeBytes: 8192, LineBytes: 64, Ways: 4, Latency: 10 * clock.Nanosecond},
-		Prefetch: prefetch,
+		Cores: 2,
+		L1:    Config{SizeBytes: 512, LineBytes: 64, Ways: 2, Latency: 1 * clock.Nanosecond},
+		L2:    Config{SizeBytes: 2048, LineBytes: 64, Ways: 2, Latency: 3 * clock.Nanosecond},
+		L3:    Config{SizeBytes: 8192, LineBytes: 64, Ways: 4, Latency: 10 * clock.Nanosecond},
 	}
 	h, err := NewHierarchy(cfg)
 	if err != nil {
@@ -180,13 +179,25 @@ func testHierarchy(t *testing.T, prefetch bool) *Hierarchy {
 	return h
 }
 
+// fills returns the memory accesses of res that are not prefetches: the
+// demand or write-allocate fill and any writebacks.
+func fills(res Result) []MemAccess {
+	var out []MemAccess
+	for _, m := range res.Mem {
+		if !m.Prefetch {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 func TestHierarchyMissGoesToMemory(t *testing.T) {
-	h := testHierarchy(t, false)
+	h := testHierarchy(t)
 	res := h.Access(0, 0x10000, false)
 	if res.HitLevel != 0 {
 		t.Fatalf("cold access hit level %d", res.HitLevel)
 	}
-	if len(res.Mem) != 1 || res.Mem[0].Addr != 0x10000 || !res.Mem[0].Demand {
+	if f := fills(res); len(f) != 1 || f[0].Addr != 0x10000 || !f[0].Demand {
 		t.Fatalf("memory accesses = %+v", res.Mem)
 	}
 	if res.Latency != 14*clock.Nanosecond {
@@ -195,7 +206,7 @@ func TestHierarchyMissGoesToMemory(t *testing.T) {
 }
 
 func TestHierarchyHitLevels(t *testing.T) {
-	h := testHierarchy(t, false)
+	h := testHierarchy(t)
 	h.Access(0, 0x10000, false)
 	if res := h.Access(0, 0x10000, false); res.HitLevel != 1 || len(res.Mem) != 0 {
 		t.Errorf("second access: level=%d mem=%v", res.HitLevel, res.Mem)
@@ -207,15 +218,15 @@ func TestHierarchyHitLevels(t *testing.T) {
 }
 
 func TestHierarchyWriteMissIsPosted(t *testing.T) {
-	h := testHierarchy(t, false)
+	h := testHierarchy(t)
 	res := h.Access(0, 0x2000, true)
-	if len(res.Mem) != 1 || res.Mem[0].Demand {
+	if f := fills(res); len(f) != 1 || f[0].Addr != 0x2000 || f[0].Demand {
 		t.Errorf("write miss accesses = %+v, want non-demand fill", res.Mem)
 	}
 }
 
 func TestHierarchyDirtyEvictionReachesMemory(t *testing.T) {
-	h := testHierarchy(t, false)
+	h := testHierarchy(t)
 	// Dirty a line, then blow through every level's capacity so the victim
 	// cascades to memory as a write.
 	h.Access(0, 0, true)
@@ -234,7 +245,7 @@ func TestHierarchyDirtyEvictionReachesMemory(t *testing.T) {
 }
 
 func TestPrefetcherIssuesNextLine(t *testing.T) {
-	h := testHierarchy(t, true)
+	h := testHierarchy(t)
 	res := h.Access(0, 0x4000, false)
 	var sawPrefetch bool
 	for _, m := range res.Mem {
@@ -255,7 +266,7 @@ func TestPrefetcherIssuesNextLine(t *testing.T) {
 }
 
 func TestPrefetcherSkipsResidentLines(t *testing.T) {
-	h := testHierarchy(t, true)
+	h := testHierarchy(t)
 	h.Access(0, 0x4000, false) // prefetches 0x4040
 	before := h.Prefetches()
 	h.Access(0, 0x4080, false) // next line 0x40c0: fresh prefetch
@@ -267,7 +278,7 @@ func TestPrefetcherSkipsResidentLines(t *testing.T) {
 
 func TestStreamingHitsAfterWarmup(t *testing.T) {
 	// With the prefetcher on, a forward stream should mostly hit in L2.
-	h := testHierarchy(t, true)
+	h := testHierarchy(t)
 	memAccesses := 0
 	for i := 0; i < 64; i++ {
 		res := h.Access(0, uint64(i*64), false)

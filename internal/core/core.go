@@ -185,8 +185,8 @@ type TWiCe struct {
 	detections int64
 
 	// probes, when non-nil, receives table telemetry (prune-tick occupancy,
-	// insert spills). The nil check is the whole detached cost; the spill
-	// delta read sits on the insert path only, never on steady-state Touch.
+	// insert spills). The nil check, made only on a spill or a prune, is the
+	// whole detached cost.
 	//twicelint:keep attachment is machine-owned; Reset must not detach it
 	probes *probe.Recorder
 }
@@ -241,30 +241,24 @@ func (t *TWiCe) Config() Config { return t.cfg }
 //twicelint:hotpath the per-ACT TWiCe kernel; AllocsPerRun pins it at zero
 func (t *TWiCe) OnActivate(bank dram.BankID, row int, now clock.Time) defense.Action {
 	i := bank.Flat(&t.cfg.DRAM)
-	tb := t.tables[i]
-	e, ok := tb.Touch(row)
-	if !ok {
-		var spillsBefore int64
+	e, spilled, err := t.tables[i].Count(row)
+	switch {
+	case err != nil:
+		// Under real DRAM pacing (≤ maxact ACTs per tREFI) the sizing
+		// theorem makes overflow unreachable. A caller that outruns the
+		// physical activation rate can still fill a table (or, in the
+		// separated table, the wide sub-table a row graduates into), and
+		// the row is then untracked; degrade safely by refreshing its
+		// neighbours immediately, which preserves soundness (no unmonitored
+		// accumulation) at the cost of a spurious ARR.
+		//twicelint:allocok overflow degrade path is unreachable under the §4.4 sizing theorem
+		return defense.Action{ARRAggressors: []int{row}}
+	case spilled:
 		if t.probes != nil {
-			spillsBefore = tb.Ops().Spills
-		}
-		if err := tb.Insert(row); err != nil {
-			// Under real DRAM pacing (≤ maxact ACTs per tREFI) the sizing
-			// theorem makes overflow unreachable. A caller that outruns the
-			// physical activation rate can still get here; degrade safely by
-			// refreshing the untrackable row's neighbours immediately, which
-			// preserves soundness (no unmonitored accumulation) at the cost
-			// of a spurious ARR.
-			//twicelint:allocok overflow degrade path is unreachable under the §4.4 sizing theorem
-			return defense.Action{ARRAggressors: []int{row}}
-		}
-		if t.probes != nil && tb.Ops().Spills > spillsBefore {
 			t.probes.Spill(i, now)
 		}
-		return defense.Action{}
-	}
-	if e.ActCnt >= t.cfg.ThRH {
-		tb.Remove(row)
+	case e.ActCnt > 1 && e.ActCnt >= t.cfg.ThRH: // the inserting ACT (ActCnt 1) never detects
+		t.tables[i].Remove(row)
 		t.detections++
 		//twicelint:allocok detection is a rare event; the one-element aggressor list is the API
 		return defense.Action{ARRAggressors: []int{row}, Detected: true}

@@ -109,32 +109,41 @@ func TestOrgString(t *testing.T) {
 	}
 }
 
+// TestDetectionAtThreshold checks that a row is flagged on its thRH-th ACT,
+// at thRH 1 too (maxlife 1: tREFW < 2·tREFI), where the ACT that inserts
+// the row, which never detects, makes it the second.
 func TestDetectionAtThreshold(t *testing.T) {
-	for _, org := range []Org{FA, PA, Separated} {
-		tw, err := New(testConfig(org))
-		if err != nil {
-			t.Fatal(err)
-		}
-		thRH := tw.Config().ThRH
-		var detected int
-		for i := 0; i < thRH; i++ {
-			a := tw.OnActivate(bank0(), 7, 0)
-			if a.Detected {
-				detected = i + 1
-				if len(a.ARRAggressors) != 1 || a.ARRAggressors[0] != 7 {
-					t.Errorf("%v: ARR aggressors = %v, want [7]", org, a.ARRAggressors)
+	one := testConfig(PA)
+	one.DRAM.TREFW, one.ThRH = one.DRAM.TREFI, 1
+	for _, base := range []Config{testConfig(PA), one} {
+		for _, org := range []Org{FA, PA, Separated} {
+			cfg := base
+			cfg.Org = org
+			tw, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := max(cfg.ThRH, 2)
+			var detected int
+			for i := 1; i <= want; i++ {
+				a := tw.OnActivate(bank0(), 7, 0)
+				if a.Detected {
+					detected = i
+					if len(a.ARRAggressors) != 1 || a.ARRAggressors[0] != 7 {
+						t.Errorf("thRH %d %v: ARR aggressors = %v, want [7]", cfg.ThRH, org, a.ARRAggressors)
+					}
 				}
 			}
-		}
-		if detected != thRH {
-			t.Errorf("%v: detected at ACT %d, want exactly thRH = %d", org, detected, thRH)
-		}
-		// Entry deallocated on detection: the row restarts from scratch.
-		if _, ok := tw.TableFor(bank0()).Lookup(7); ok {
-			t.Errorf("%v: entry still tracked after detection", org)
-		}
-		if tw.Detections() != 1 {
-			t.Errorf("%v: detections = %d, want 1", org, tw.Detections())
+			if detected != want {
+				t.Errorf("thRH %d %v: detected at ACT %d, want %d", cfg.ThRH, org, detected, want)
+			}
+			// Entry deallocated on detection: the row restarts from scratch.
+			if _, ok := lookup(tw.TableFor(bank0()), 7); ok {
+				t.Errorf("thRH %d %v: entry still tracked after detection", cfg.ThRH, org)
+			}
+			if tw.Detections() != 1 {
+				t.Errorf("thRH %d %v: detections = %d, want 1", cfg.ThRH, org, tw.Detections())
+			}
 		}
 	}
 }
@@ -167,14 +176,14 @@ func TestPruneRule(t *testing.T) {
 	}
 	tw.OnRefreshTick(bank0(), 0)
 	tb := tw.TableFor(bank0())
-	e1, ok1 := tb.Lookup(1)
+	e1, ok1 := lookup(tb, 1)
 	if !ok1 {
 		t.Fatal("row meeting thPI was pruned")
 	}
 	if e1.Life != 2 {
 		t.Errorf("survivor life = %d, want 2", e1.Life)
 	}
-	if _, ok := tb.Lookup(2); ok {
+	if _, ok := lookup(tb, 2); ok {
 		t.Error("row below thPI survived the prune")
 	}
 	// Second interval: the survivor now needs 2·thPI cumulative.
@@ -182,7 +191,7 @@ func TestPruneRule(t *testing.T) {
 		tw.OnActivate(bank0(), 1, 0)
 	}
 	tw.OnRefreshTick(bank0(), 0)
-	if _, ok := tb.Lookup(1); ok {
+	if _, ok := lookup(tb, 1); ok {
 		t.Error("row below cumulative thPI·life survived the second prune")
 	}
 }
@@ -442,12 +451,12 @@ func TestPruneEveryStretchesInterval(t *testing.T) {
 	tw.OnActivate(bank0(), 1, 0)
 	for i := 0; i < 3; i++ {
 		tw.OnRefreshTick(bank0(), 0)
-		if _, ok := tw.TableFor(bank0()).Lookup(1); !ok {
+		if _, ok := lookup(tw.TableFor(bank0()), 1); !ok {
 			t.Fatalf("pruned at tick %d, before PruneEvery = 4", i+1)
 		}
 	}
 	tw.OnRefreshTick(bank0(), 0)
-	if _, ok := tw.TableFor(bank0()).Lookup(1); ok {
+	if _, ok := lookup(tw.TableFor(bank0()), 1); ok {
 		t.Error("cold row survived the stretched pruning interval")
 	}
 }
@@ -476,33 +485,127 @@ func TestMultiBankIndependence(t *testing.T) {
 	}
 }
 
+// TestOverflowDegradesToImmediateARR fills each organization's table to
+// Cap() (pa's whole sets, past TableBound) by outrunning DRAM pacing. The
+// engine must not lose protection: an untrackable row gets an immediate
+// conservative ARR rather than going unmonitored, whether it is a fresh row
+// or, in the separated table, a row graduating into a full wide sub-table.
 func TestOverflowDegradesToImmediateARR(t *testing.T) {
-	// A caller that outruns DRAM pacing can fill the table; the engine must
-	// not lose protection — untrackable rows get an immediate conservative
-	// ARR rather than going unmonitored.
-	cfg := testConfig(FA)
-	tw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	fill := func(t *testing.T, org Org) *TWiCe {
+		tw, err := New(testConfig(org))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := tw.TableFor(bank0())
+		for r := 0; r < tb.Cap(); r++ {
+			if a := tw.OnActivate(bank0(), r, 0); !a.Empty() {
+				t.Fatalf("unexpected action while filling: %+v", a)
+			}
+		}
+		if tb.Len() != tb.Cap() {
+			t.Fatalf("filled table holds %d of %d entries", tb.Len(), tb.Cap())
+		}
+		return tw
 	}
-	bound := cfg.TableBound()
-	for r := 0; r < bound; r++ {
-		if a := tw.OnActivate(bank0(), r, 0); !a.Empty() {
-			t.Fatalf("unexpected action while filling: %+v", a)
+	overflow := func(t *testing.T, tw *TWiCe, row int) {
+		a := tw.OnActivate(bank0(), row, 0)
+		if len(a.ARRAggressors) != 1 || a.ARRAggressors[0] != row || a.Detected {
+			t.Errorf("overflow action = %+v, want an immediate ARR for row %d and no detection", a, row)
+		}
+		if _, ok := lookup(tw.TableFor(bank0()), row); ok {
+			t.Errorf("row %d still tracked after the overflow", row)
 		}
 	}
-	a := tw.OnActivate(bank0(), bound+1, 0)
-	if len(a.ARRAggressors) != 1 || a.ARRAggressors[0] != bound+1 {
-		t.Errorf("overflow action = %+v, want immediate ARR for the row", a)
+	for _, org := range []Org{FA, PA, Separated} {
+		t.Run(org.String(), func(t *testing.T) {
+			tw := fill(t, org)
+			overflow(t, tw, tw.TableFor(bank0()).Cap())
+		})
 	}
-	if a.Detected {
-		t.Error("overflow must not count as an attack detection")
-	}
+	t.Run("sep graduation", func(t *testing.T) {
+		tw := fill(t, Separated) // the narrow sub-table takes rows 0–14
+		for i := 2; i < tw.Config().ThPI(); i++ {
+			if a := tw.OnActivate(bank0(), 0, 0); !a.Empty() {
+				t.Fatalf("ACT %d of narrow row 0: %+v", i, a)
+			}
+		}
+		overflow(t, tw, 0) // the thPI-th ACT graduates row 0
+	})
 }
 
 func TestNameIncludesOrg(t *testing.T) {
 	tw, _ := New(testConfig(PA))
 	if tw.Name() != "TWiCe-pa" {
 		t.Errorf("Name() = %q", tw.Name())
+	}
+}
+
+// pinStream drives one seeded stream of acts ACTs into bank 0 of tw, with
+// a refresh tick after every maxact ACTs, and returns the ARRs requested. A
+// quarter of the ACTs hammer row 7, half go to rows that all prefer pa set
+// 0 (multiples of the pa set count sets), and the rest to random rows.
+func pinStream(tw *TWiCe, sets, acts int) (arrs int64) {
+	rng := rand.New(rand.NewSource(25))
+	maxact := tw.Config().MaxACT()
+	for i := 1; i <= acts; i++ {
+		row := 7
+		switch r := rng.Intn(8); {
+		case r >= 6:
+			row = rng.Intn(1 << 16)
+		case r >= 2:
+			row = rng.Intn(256) * sets
+		}
+		arrs += int64(len(tw.OnActivate(bank0(), row, 0).ARRAggressors))
+		if i%maxact == 0 {
+			tw.OnRefreshTick(bank0(), 0)
+		}
+	}
+	return arrs
+}
+
+// TestEngineOpStatsPinned pins the energy model's inputs: the whole Ops()
+// of TWiCe-fa, TWiCe-pa and TWiCe-sep, the detections and the ARRs after
+// one seeded stream, at the test parameters and at Table 2's. No golden
+// digest covers SetsProbed, PreferredHits or Spills, and the table-level
+// reference test covers pa only. The stream spills in pa and sep and
+// detects in every organization.
+func TestEngineOpStatsPinned(t *testing.T) {
+	type want struct {
+		ops        OpStats
+		detections int64
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want [3]want // fa, pa, sep; every ARR is a detection's
+	}{
+		{"test", testConfig(PA), [3]want{
+			{OpStats{Searches: 400000, SetsProbed: 400000, PreferredHits: 100594, Inserts: 299406, Spills: 0, Removes: 1446, Prunes: 20000, EntriesPruned: 297959, PeakOccupancy: 21}, 1446},
+			{OpStats{Searches: 400000, SetsProbed: 441594, PreferredHits: 100281, Inserts: 299406, Spills: 58337, Removes: 1446, Prunes: 20000, EntriesPruned: 297959, PeakOccupancy: 21}, 1446},
+			{OpStats{Searches: 400000, SetsProbed: 400000, PreferredHits: 0, Inserts: 299406, Spills: 14300, Removes: 1446, Prunes: 20000, EntriesPruned: 297959, PeakOccupancy: 21}, 1446},
+		}},
+		{"table2", NewConfig(dram.DDR4_2400()), [3]want{
+			{OpStats{Searches: 400000, SetsProbed: 400000, PreferredHits: 129101, Inserts: 270899, Spills: 0, Removes: 3, Prunes: 2424, EntriesPruned: 270867, PeakOccupancy: 128}, 3},
+			{OpStats{Searches: 400000, SetsProbed: 425714, PreferredHits: 128277, Inserts: 270899, Spills: 27181, Removes: 3, Prunes: 2424, EntriesPruned: 270867, PeakOccupancy: 128}, 3},
+			{OpStats{Searches: 400000, SetsProbed: 400000, PreferredHits: 0, Inserts: 270899, Spills: 33, Removes: 3, Prunes: 2424, EntriesPruned: 270867, PeakOccupancy: 128}, 3},
+		}},
+	} {
+		sets := (c.cfg.TableBound() + c.cfg.Ways - 1) / c.cfg.Ways
+		for i, org := range []Org{FA, PA, Separated} {
+			cfg := c.cfg
+			cfg.Org = org
+			tw, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrs := pinStream(tw, sets, 400000)
+			w := c.want[i]
+			if ops := tw.Ops(); ops != w.ops {
+				t.Errorf("%s %v: Ops()\n got  %+v\n want %+v", c.name, org, ops, w.ops)
+			}
+			if d := tw.Detections(); d != w.detections || arrs != w.detections {
+				t.Errorf("%s %v: %d detections, %d ARRs; want %d of each", c.name, org, d, arrs, w.detections)
+			}
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // paTable is the pseudo-associative organization (pa-TWiCe, §6.1): the table
 // is split into sets; each row has a preferred set (row mod #sets) and is
@@ -70,20 +67,25 @@ func (t *paTable) span(i, hi int) (live uint64, n int) {
 	return t.live[i>>6] >> (i & 63) & (uint64(1)<<n - 1), n
 }
 
-// findInSet scans the live ways of set s for the row; it returns the slot
-// or -1.
-func (t *paTable) findInSet(s, row int) int {
+// scan walks the live ways of set s for the row. It returns the row's slot,
+// or -1, and the set's lowest free way, or -1, which is complete only when
+// the row was not found: a miss's one walk also finds where to insert.
+func (t *paTable) scan(s, row int) (at, free int) {
+	free = -1
 	hi := (s + 1) * t.ways
 	for i := s * t.ways; i < hi; {
 		live, n := t.span(i, hi)
+		if f := ^live & (uint64(1)<<n - 1); free < 0 && f != 0 {
+			free = i + bits.TrailingZeros64(f)
+		}
 		for ; live != 0; live &= live - 1 {
 			if j := i + bits.TrailingZeros64(live); t.entries[j].Row == row {
-				return j
+				return j, free
 			}
 		}
 		i += n
 	}
-	return -1
+	return -1, free
 }
 
 // emptyWay returns the first free slot of set s, or -1 if the set is full.
@@ -101,18 +103,18 @@ func (t *paTable) emptyWay(s int) int {
 
 // locate finds the row's slot (or -1), probing the preferred set first and
 // then, in ascending set order, each set whose SB indicator shows borrowed
-// entries for the preferred set. It updates probe statistics when counted
-// is true.
-func (t *paTable) locate(row int, counted bool) int {
+// entries for the preferred set; on a miss, free is the preferred set's
+// lowest free way (or -1). It updates probe statistics when counted is true.
+func (t *paTable) locate(row int, counted bool) (at, free int) {
 	p := t.preferred(row)
 	if counted {
 		t.ops.SetsProbed++
 	}
-	if i := t.findInSet(p, row); i >= 0 {
+	if at, free = t.scan(p, row); at >= 0 {
 		if counted {
 			t.ops.PreferredHits++
 		}
-		return i
+		return at, free
 	}
 	sb := t.sb[p*len(t.hosts):][:len(t.hosts)]
 	for s, left := 0, t.hosts[p]; left > 0; s++ {
@@ -123,44 +125,33 @@ func (t *paTable) locate(row int, counted bool) int {
 		if counted {
 			t.ops.SetsProbed++
 		}
-		if i := t.findInSet(s, row); i >= 0 {
-			return i
+		if i, _ := t.scan(s, row); i >= 0 {
+			return i, free
 		}
 	}
-	return -1
+	return -1, free
 }
 
+// Count implements Table with one search per ACT. A miss inserts into the
+// free way its scan of the preferred set found; when that set is full, it
+// borrows the lowest free way of the lowest-numbered set with room and
+// raises that host's SB indicator for the preferred set.
+//
 //twicelint:hotpath per-ACT table op, reached through the Table interface
-func (t *paTable) Touch(row int) (Entry, bool) {
+func (t *paTable) Count(row int) (e Entry, spilled bool, err error) {
 	t.ops.Searches++
-	i := t.locate(row, true)
-	if i < 0 {
-		return Entry{}, false
+	i, free := t.locate(row, true)
+	if i >= 0 {
+		t.entries[i].ActCnt++
+		return t.entries[i], false, nil
 	}
-	t.entries[i].ActCnt++
-	return t.entries[i], true
-}
-
-func (t *paTable) Lookup(row int) (Entry, bool) {
-	if i := t.locate(row, false); i >= 0 {
-		return t.entries[i], true
-	}
-	return Entry{}, false
-}
-
-func (t *paTable) Insert(row int) error {
-	if t.locate(row, false) >= 0 {
-		//twicelint:allocok cold error path: caller bug, not steady state
-		return fmt.Errorf("core: insert of already-tracked row %d", row)
-	}
-	p := t.preferred(row)
-	i := t.emptyWay(p)
-	if i < 0 {
+	if free < 0 {
+		p := t.preferred(row)
 		for q := range t.hosts {
 			if q == p {
 				continue
 			}
-			if i = t.emptyWay(q); i >= 0 {
+			if free = t.emptyWay(q); free >= 0 {
 				k := p*len(t.hosts) + q
 				if t.sb[k] == 0 {
 					t.hosts[p]++
@@ -169,28 +160,25 @@ func (t *paTable) Insert(row int) error {
 				break
 			}
 		}
-		if i < 0 {
-			//twicelint:allocok cold error path: sizing invariant violation
-			return fmt.Errorf("core: pa table full (%d entries); sizing invariant violated", t.Cap())
+		if free < 0 {
+			return Entry{}, false, errTableFull
 		}
 		t.ops.Spills++
+		spilled = true
 	}
-	t.entries[i] = Entry{Row: row, ActCnt: 1, Life: 1}
-	t.live[i>>6] |= 1 << (i & 63)
-	t.len++
+	e = Entry{Row: row, ActCnt: 1, Life: 1}
+	t.put(free, e)
 	t.ops.Inserts++
-	if t.len > t.ops.PeakOccupancy {
-		t.ops.PeakOccupancy = t.len
-	}
-	return nil
+	t.ops.PeakOccupancy = max(t.ops.PeakOccupancy, t.len)
+	return e, spilled, nil
 }
 
-// set overwrites the stored entry for a tracked row; the separated table
-// uses it to move an entry between sub-tables without resetting its counts.
-func (t *paTable) set(row int, e Entry) {
-	if i := t.locate(row, false); i >= 0 {
-		t.entries[i] = e
-	}
+// put stores e in the free slot i; the separated table also moves a
+// graduating entry with it.
+func (t *paTable) put(i int, e Entry) {
+	t.entries[i] = e
+	t.live[i>>6] |= 1 << (i & 63)
+	t.len++
 }
 
 func (t *paTable) invalidate(i int) {
@@ -206,7 +194,7 @@ func (t *paTable) invalidate(i int) {
 }
 
 func (t *paTable) Remove(row int) {
-	i := t.locate(row, false)
+	i, _ := t.locate(row, false)
 	if i < 0 {
 		return
 	}

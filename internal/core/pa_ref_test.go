@@ -203,10 +203,61 @@ func (t *paRef) Snapshot() []Entry {
 
 func (t *paRef) Ops() OpStats { return t.ops }
 
+// checkPAOp applies op to the pa table and to the set-scanning reference —
+// Count against the reference's Touch, then its Insert on a miss — and
+// fails t at the first difference in a return value, Len, the Snapshot in
+// order or the whole OpStats.
+func checkPAOp(t testing.TB, step int, got *paTable, ref *paRef, op tableOp) {
+	t.Helper()
+	what := ""
+	switch op.kind {
+	case opCount:
+		what = fmt.Sprintf("Count(%d)", op.row)
+		spills := ref.Ops().Spills
+		e, spilled, err := got.Count(op.row)
+		re, ok := ref.Touch(op.row)
+		var rerr error
+		if !ok {
+			if rerr = ref.Insert(op.row); rerr == nil {
+				re, _ = ref.Lookup(op.row)
+			}
+		}
+		if e != re || spilled != (ref.Ops().Spills > spills) || (err == nil) != (rerr == nil) {
+			t.Fatalf("step %d: %s = %+v,%v,%v, reference %+v, spills %d -> %d, %v",
+				step, what, e, spilled, err, re, spills, ref.Ops().Spills, rerr)
+		}
+	case opRemove:
+		what = fmt.Sprintf("Remove(%d)", op.row)
+		got.Remove(op.row)
+		ref.Remove(op.row)
+	case opPrune:
+		what = fmt.Sprintf("Prune(%d)", op.thPI)
+		if n, rn := got.Prune(op.thPI), ref.Prune(op.thPI); n != rn {
+			t.Fatalf("step %d: %s = %d, reference %d", step, what, n, rn)
+		}
+	case opLookup:
+		what = fmt.Sprintf("Lookup(%d)", op.row)
+		e, ok := got.Lookup(op.row)
+		re, rok := ref.Lookup(op.row)
+		if ok != rok || e != re {
+			t.Fatalf("step %d: %s = %+v,%v, reference %+v,%v", step, what, e, ok, re, rok)
+		}
+	}
+	if got.Len() != ref.Len() {
+		t.Fatalf("step %d: after %s Len = %d, reference %d", step, what, got.Len(), ref.Len())
+	}
+	if s, rs := got.Snapshot(), ref.Snapshot(); !entriesEqual(s, rs) {
+		t.Fatalf("step %d: after %s Snapshot\n got %+v\n ref %+v", step, what, s, rs)
+	}
+	if got.Ops() != ref.Ops() {
+		t.Fatalf("step %d: after %s Ops\n got %+v\n ref %+v", step, what, got.Ops(), ref.Ops())
+	}
+}
+
 // TestPADifferentialVsSetScanReference drives paTable and the set-scanning
-// reference through the same random Touch/Insert/Remove/Lookup/Prune stream
-// and, after every operation, compares each return value, Len, the Snapshot
-// in order, and the whole OpStats. The row domains overflow preferred sets,
+// reference through the same random Count/Remove/Lookup/Prune stream and,
+// after every operation, compares each return value, Len, the Snapshot in
+// order, and the whole OpStats. The row domains overflow preferred sets,
 // so entries borrow constantly; in the "set0" domain every row prefers set
 // 0, so one preferred set borrows from all the others.
 func TestPADifferentialVsSetScanReference(t *testing.T) {
@@ -235,6 +286,11 @@ func TestPADifferentialVsSetScanReference(t *testing.T) {
 
 func runPADifferential(t *testing.T, capacity, ways int, set0 bool, domainMult int, seed int64) {
 	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("seed %d", seed) // checkPAOp's messages name the step only
+		}
+	}()
 	rng := rand.New(rand.NewSource(seed))
 	got, ref := newPATable(capacity, ways), newPARef(capacity, ways)
 	sets := got.Sets()
@@ -246,60 +302,23 @@ func runPADifferential(t *testing.T, capacity, ways int, set0 bool, domainMult i
 	}
 	var spilled, borrowedHit, full bool
 	for step := 0; step < 6000; step++ {
-		r := row()
-		what := ""
+		op := tableOp{row: row()}
 		// About one prune per 2×capacity operations, so the table fills
 		// between prunes.
-		switch op := rng.Intn(200 * capacity); {
-		case op < 100:
-			thPI := 1 + rng.Intn(4)
-			what = fmt.Sprintf("Prune(%d)", thPI)
-			if n, rn := got.Prune(thPI), ref.Prune(thPI); n != rn {
-				t.Fatalf("seed %d step %d: %s = %d, reference %d", seed, step, what, n, rn)
-			}
-		case op%100 < 55: // an ACT: touch, insert on miss
-			what = fmt.Sprintf("Touch(%d)", r)
-			e, ok := got.Touch(r)
-			re, rok := ref.Touch(r)
-			if ok != rok || e != re {
-				t.Fatalf("seed %d step %d: %s = %+v,%v, reference %+v,%v", seed, step, what, e, ok, re, rok)
-			}
-			if ok && got.preferred(r) != got.locate(r, false)/ways {
+		switch r := rng.Intn(200 * capacity); {
+		case r < 100:
+			op.kind, op.thPI = opPrune, 1+rng.Intn(4)
+		case r%100 < 70: // an ACT
+			op.kind = opCount
+			if i, _ := got.locate(op.row, false); i >= 0 && i/ways != got.preferred(op.row) {
 				borrowedHit = true
 			}
-			if !ok {
-				err, rerr := got.Insert(r), ref.Insert(r)
-				if fmt.Sprint(err) != fmt.Sprint(rerr) {
-					t.Fatalf("seed %d step %d: Insert(%d) = %v, reference %v", seed, step, r, err, rerr)
-				}
-			}
-		case op%100 < 70: // insert without a touch, tracked rows included
-			what = fmt.Sprintf("Insert(%d)", r)
-			err, rerr := got.Insert(r), ref.Insert(r)
-			if fmt.Sprint(err) != fmt.Sprint(rerr) {
-				t.Fatalf("seed %d step %d: %s = %v, reference %v", seed, step, what, err, rerr)
-			}
-		case op%100 < 85:
-			what = fmt.Sprintf("Remove(%d)", r)
-			got.Remove(r)
-			ref.Remove(r)
+		case r%100 < 85:
+			op.kind = opRemove
 		default:
-			what = fmt.Sprintf("Lookup(%d)", r)
-			e, ok := got.Lookup(r)
-			re, rok := ref.Lookup(r)
-			if ok != rok || e != re {
-				t.Fatalf("seed %d step %d: %s = %+v,%v, reference %+v,%v", seed, step, what, e, ok, re, rok)
-			}
+			op.kind = opLookup
 		}
-		if got.Len() != ref.Len() {
-			t.Fatalf("seed %d step %d: after %s Len = %d, reference %d", seed, step, what, got.Len(), ref.Len())
-		}
-		if s, rs := got.Snapshot(), ref.Snapshot(); !entriesEqual(s, rs) {
-			t.Fatalf("seed %d step %d: after %s Snapshot\n got %+v\n ref %+v", seed, step, what, s, rs)
-		}
-		if got.Ops() != ref.Ops() {
-			t.Fatalf("seed %d step %d: after %s Ops\n got %+v\n ref %+v", seed, step, what, got.Ops(), ref.Ops())
-		}
+		checkPAOp(t, step, got, ref, op)
 		spilled = spilled || got.Ops().Spills > 0
 		full = full || got.Len() == got.Cap()
 	}

@@ -19,11 +19,7 @@ func TestPASetBorrowingStress(t *testing.T) {
 	for i := range rows {
 		rows[i] = i * sets * 8 // multiples of sets → preferred set 0
 	}
-	for _, r := range rows {
-		if err := tb.Insert(r); err != nil {
-			t.Fatalf("insert %d: %v", r, err)
-		}
-	}
+	count(t, tb, rows...)
 	for _, r := range rows {
 		if _, ok := tb.Lookup(r); !ok {
 			t.Fatalf("row %d lost after borrowing", r)
@@ -46,13 +42,11 @@ func TestPASetBorrowingStress(t *testing.T) {
 	}
 	// Refill: freed capacity must be reusable.
 	for i := 0; i < 8; i++ {
-		if err := tb.Insert(1 + i*sets); err != nil {
-			t.Fatalf("refill insert: %v", err)
-		}
+		count(t, tb, 1+i*sets)
 	}
 }
 
-// TestPARandomOpsMatchFA drives random insert/touch/remove/prune sequences
+// TestPARandomOpsMatchFA drives random count/remove/prune sequences
 // through pa and fa tables and requires identical visible state throughout.
 func TestPARandomOpsMatchFA(t *testing.T) {
 	f := func(seed int64) bool {
@@ -69,15 +63,10 @@ func TestPARandomOpsMatchFA(t *testing.T) {
 				fa.Prune(3)
 				pa.Prune(3)
 			default:
-				ef, okF := fa.Touch(row)
-				ep, okP := pa.Touch(row)
-				if okF != okP || ef != ep {
+				ef, _, errF := fa.Count(row)
+				ep, _, errP := pa.Count(row)
+				if ef != ep || (errF == nil) != (errP == nil) {
 					return false
-				}
-				if !okF && fa.Len() < 48 {
-					if errF, errP := fa.Insert(row), pa.Insert(row); (errF == nil) != (errP == nil) {
-						return false
-					}
 				}
 			}
 			if fa.Len() != pa.Len() {

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // sepTable is the separated-table organization (§6.2): a small sub-table of
 // narrow entries (2-bit act_cnt) absorbs freshly inserted rows, and entries
 // graduate to the wide sub-table (15-bit act_cnt) on their thPI-th
@@ -12,8 +10,8 @@ import "fmt"
 // behaviour is identical to the other organizations; the split is purely a
 // storage optimization, which the equivalence property tests verify.
 type sepTable struct {
-	narrow *paTable // entries with ActCnt < graduate
-	wide   *paTable // entries with ActCnt ≥ graduate
+	narrow *paTable // fresh entries with ActCnt < graduate
+	wide   *paTable // graduated entries, and fresh ones spilled from a full narrow
 	// graduate is the activation count at which an entry moves to the wide
 	// sub-table. The paper uses thPI (= 4), matching the 2-bit counter.
 	graduate int //twicelint:keep policy constant, fixed at construction
@@ -30,65 +28,52 @@ func newSepTable(narrowCap, wideCap, graduate int) *sepTable {
 	}
 }
 
+// Count implements Table with one search of each sub-table. A narrow entry
+// that reaches graduate moves, counts kept, into the free wide slot the wide
+// search found. A fresh row takes the narrow sub-table's free slot or, when
+// more than narrowCap fresh rows are live in one PI, spills into the wide
+// one's (§6.2's accounting leaves exactly maxact/thPI wide slots spare for
+// this).
+//
 //twicelint:hotpath per-ACT table op, reached through the Table interface
-func (t *sepTable) Touch(row int) (Entry, bool) {
+func (t *sepTable) Count(row int) (e Entry, spilled bool, err error) {
 	t.ops.Searches++
 	t.ops.SetsProbed++ // both sub-tables are searched concurrently (one CAM cycle)
-	if e, ok := t.wide.Touch(row); ok {
-		return e, true
+	w, wideFree := t.wide.locate(row, false)
+	if w >= 0 {
+		t.wide.entries[w].ActCnt++
+		return t.wide.entries[w], false, nil
 	}
-	e, ok := t.narrow.Touch(row)
-	if !ok {
-		return Entry{}, false
-	}
-	if e.ActCnt >= t.graduate {
-		// Graduate: move narrow -> wide preserving counts. The sizing
-		// theorem bounds wide occupancy, so a full wide table is an
-		// invariant violation, not an operational condition.
-		t.narrow.Remove(row)
-		if err := t.wide.Insert(row); err != nil {
-			//twicelint:allocok panic path: sizing invariant violation is fatal
-			panic(fmt.Sprintf("core: separated wide sub-table overflow: %v", err))
+	n, narrowFree := t.narrow.locate(row, false)
+	if n >= 0 {
+		t.narrow.entries[n].ActCnt++
+		if e = t.narrow.entries[n]; e.ActCnt < t.graduate {
+			return e, false, nil
 		}
-		t.wide.set(row, e)
-		return e, true
-	}
-	return e, true
-}
-
-func (t *sepTable) Lookup(row int) (Entry, bool) {
-	if e, ok := t.wide.Lookup(row); ok {
-		return e, true
-	}
-	return t.narrow.Lookup(row)
-}
-
-func (t *sepTable) Insert(row int) error {
-	if _, ok := t.Lookup(row); ok {
-		return fmt.Errorf("core: insert of already-tracked row %d", row)
-	}
-	// Fresh rows prefer the narrow sub-table; when more than narrowCap
-	// fresh rows are live in one PI the remainder borrow wide slots (§6.2's
-	// accounting leaves exactly maxact/thPI wide slots spare for this). The
-	// spill decision checks occupancy up front rather than trying the narrow
-	// insert and catching its error, because constructing that error would
-	// put an allocation on the per-ACT path whenever the narrow table runs
-	// full (the already-tracked case was excluded by the Lookup above).
-	if t.narrow.Len() < t.narrow.Cap() {
-		if err := t.narrow.Insert(row); err != nil {
-			return fmt.Errorf("core: separated narrow sub-table: %w", err)
+		// The sizing theorem bounds wide occupancy, so only a caller that
+		// outruns DRAM pacing finds the wide sub-table full; the row is then
+		// dropped, as a fresh row that finds no slot is.
+		t.narrow.invalidate(n)
+		if wideFree < 0 {
+			return Entry{}, false, errTableFull
 		}
-	} else {
-		if err := t.wide.Insert(row); err != nil {
-			return fmt.Errorf("core: separated table full: %w", err)
-		}
+		t.wide.put(wideFree, e)
+		return e, false, nil
+	}
+	e = Entry{Row: row, ActCnt: 1, Life: 1}
+	switch {
+	case narrowFree >= 0:
+		t.narrow.put(narrowFree, e)
+	case wideFree >= 0:
+		t.wide.put(wideFree, e)
 		t.ops.Spills++
+		spilled = true
+	default:
+		return Entry{}, false, errTableFull
 	}
 	t.ops.Inserts++
-	if n := t.Len(); n > t.ops.PeakOccupancy {
-		t.ops.PeakOccupancy = n
-	}
-	return nil
+	t.ops.PeakOccupancy = max(t.ops.PeakOccupancy, t.Len())
+	return e, spilled, nil
 }
 
 func (t *sepTable) Remove(row int) {

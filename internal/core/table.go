@@ -1,5 +1,7 @@
 package core
 
+import "errors"
+
 // Entry is one TWiCe counter-table entry (Figure 3 of the paper): the row it
 // tracks, the activation count accumulated since insertion, and the number of
 // consecutive pruning intervals the entry has stayed valid.
@@ -24,22 +26,22 @@ type OpStats struct {
 	PeakOccupancy int // high-water mark of valid entries
 }
 
+// errTableFull is Count's error: the row has no free slot. The engine
+// answers it with an immediate ARR for the row.
+var errTableFull = errors.New("core: TWiCe table full; sizing invariant violated")
+
 // Table is one per-bank TWiCe counter table. Implementations differ only in
 // physical organization (pseudo-associative SRAM, whose one-set form is the
 // fully-associative CAM, and separated sub-tables); their visible counting
 // behaviour must be identical, which the equivalence property tests enforce.
 type Table interface {
-	// Touch searches for the row and, if tracked, increments its activation
-	// count, returning the post-increment entry. It returns false for
-	// untracked rows.
-	Touch(row int) (Entry, bool)
-	// Lookup returns the entry for row without side effects (test and
-	// report hook; does not count as a search in the energy model).
-	Lookup(row int) (Entry, bool)
-	// Insert adds a fresh entry (ActCnt 1, Life 1) for an untracked row.
-	// It fails only if the table is full — which the sizing theorem
-	// (§4.4) guarantees cannot happen for a correctly sized table.
-	Insert(row int) error
+	// Count records one ACT of row: a tracked row's activation count is
+	// incremented, and an untracked row gets a fresh entry (ActCnt 1,
+	// Life 1). It returns the post-ACT entry and whether that fresh entry
+	// was stored outside the row's preferred location. It fails only when
+	// the row has no room, which the sizing theorem (§4.4) rules out for a
+	// correctly sized table; the row is then left untracked.
+	Count(row int) (e Entry, spilled bool, err error)
 	// Remove invalidates the entry for row, if present.
 	Remove(row int)
 	// Prune applies the end-of-interval rule: entries with

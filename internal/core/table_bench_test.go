@@ -27,51 +27,45 @@ func fillHalf(b testing.TB, tb Table, thPI int) []int {
 	rows := make([]int, 0, tb.Cap()/2)
 	for i := 0; i < tb.Cap()/2; i++ {
 		row := i * 131
-		if err := tb.Insert(row); err != nil {
-			b.Fatal(err)
-		}
-		for j := 1; j < thPI; j++ {
-			tb.Touch(row)
+		for j := 0; j < thPI; j++ {
+			if _, _, err := tb.Count(row); err != nil {
+				b.Fatal(err)
+			}
 		}
 		rows = append(rows, row)
 	}
 	return rows
 }
 
-func BenchmarkTableTouch(b *testing.B) {
+// BenchmarkTableCount times one ACT's table call on a half-full table: hit
+// bumps a tracked row, and miss inserts a fresh one. The misses fill the
+// table to three quarters before it is refilled to half, untimed, so the
+// miss path never finds the table full.
+func BenchmarkTableCount(b *testing.B) {
 	for _, bt := range benchTables() {
-		b.Run(bt.name, func(b *testing.B) {
+		b.Run(bt.name+"/hit", func(b *testing.B) {
 			tb := bt.make()
 			rows := fillHalf(b, tb, 4)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Alternate hits and misses: both paths run per simulated ACT.
-				if i&1 == 0 {
-					tb.Touch(rows[i%len(rows)])
-				} else {
-					tb.Touch(rows[i%len(rows)] + 1)
-				}
+				tb.Count(rows[i%len(rows)])
 			}
 		})
-	}
-}
-
-func BenchmarkTableInsert(b *testing.B) {
-	for _, bt := range benchTables() {
-		b.Run(bt.name, func(b *testing.B) {
+		b.Run(bt.name+"/miss", func(b *testing.B) {
 			tb := bt.make()
-			n := tb.Cap() / 2
+			fillHalf(b, tb, 4)
+			n := tb.Cap() / 4
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				row := (i % n) * 257
 				if i%n == 0 && i > 0 {
 					b.StopTimer()
 					tb.Clear()
+					fillHalf(b, tb, 4)
 					b.StartTimer()
 				}
-				if err := tb.Insert(row); err != nil {
+				if _, _, err := tb.Count(1<<20 + i%n*257); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -87,7 +81,7 @@ func BenchmarkTableInsert(b *testing.B) {
 func BenchmarkTablePrune(b *testing.B) {
 	shapes := append(benchTables(), benchTable{"pa-sparse", func() Table {
 		tb := newPATable(386, 64)
-		if err := tb.Insert(5000); err != nil {
+		if _, _, err := tb.Count(5000); err != nil {
 			panic(err)
 		}
 		return tb
@@ -107,9 +101,10 @@ func BenchmarkTablePrune(b *testing.B) {
 	}
 }
 
-// TestTouchSteadyStateZeroAllocs pins the core-layer half of the tentpole:
-// the per-ACT Touch path (hit and miss) must never reach the heap once the
-// table is built, for every organization.
+// TestTouchSteadyStateZeroAllocs pins the per-ACT table call, Count, at
+// zero allocations once the table is built, for every organization: a miss
+// that inserts, hits (the separated table's thPI-th graduates the row) and
+// the Remove a detection adds.
 func TestTouchSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -120,12 +115,16 @@ func TestTouchSteadyStateZeroAllocs(t *testing.T) {
 			rows := fillHalf(t, tb, 4)
 			i := 0
 			allocs := testing.AllocsPerRun(1000, func() {
-				tb.Touch(rows[i%len(rows)])
-				tb.Touch(rows[i%len(rows)] + 1) // miss path
+				tb.Count(rows[i%len(rows)])
+				row := rows[i%len(rows)] + 1
+				for j := 0; j < 4; j++ {
+					tb.Count(row) // insert, two hits, then sep's graduation
+				}
+				tb.Remove(row)
 				i++
 			})
 			if allocs != 0 {
-				t.Fatalf("Table.Touch allocates %v per run, want 0", allocs)
+				t.Fatalf("Table.Count allocates %v per run, want 0", allocs)
 			}
 		})
 	}

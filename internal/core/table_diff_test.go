@@ -8,9 +8,10 @@ import (
 
 // refModel is the reference counting model the differential test pits each
 // organization against: a plain builtin map applying the TWiCe rules
-// literally. Organizations may reject an Insert the model would accept (the
-// separated table's sub-table split), so the model mirrors the table's
-// accept/reject decisions and only the accepted state is compared.
+// literally. A table refuses a Count the model would accept when it is full
+// (or, separated, when a graduating row finds its wide sub-table full), so
+// the model mirrors the table's refusals and only the accepted state is
+// compared.
 type refModel map[int]Entry
 
 func (m refModel) touch(row int) (Entry, bool) {
@@ -70,17 +71,83 @@ func entriesEqual(a, b []Entry) bool {
 	return true
 }
 
-// tableFactories builds each organization against the same stream. fa and pa
-// are sized below the row domain so the stream regularly runs them full; the
-// separated table's wide sub-table must instead cover the whole domain,
-// because graduation into a full wide sub-table is a sizing-theorem violation
-// that (correctly) panics — its narrow sub-table still stays small enough
-// that the spill path is exercised constantly.
+// tableFactories builds each organization against the same stream, all of
+// 48 slots and sized below the row domain, so the stream regularly runs
+// them full. A row that graduates into the separated table's full wide
+// sub-table is dropped like a fresh row that finds no slot, and its narrow
+// sub-table is small enough that the spill path runs constantly.
 func tableFactories() map[string]func() Table {
 	return map[string]func() Table{
 		"fa":  func() Table { return newPATable(48, 48) },
 		"pa":  func() Table { return newPATable(48, 8) },
-		"sep": func() Table { return newSepTable(16, 96, 4) },
+		"sep": func() Table { return newSepTable(16, 32, 4) },
+	}
+}
+
+// Table operations of a differential stream.
+const (
+	opCount = iota
+	opRemove
+	opPrune
+	opLookup
+	opSnapshot
+)
+
+type tableOp struct {
+	kind int
+	row  int // opCount, opRemove, opLookup
+	thPI int // opPrune
+}
+
+// checkOp applies op to tb and to the reference model and fails t at the
+// first observable difference: Count's entry, spill flag and error, Prune's
+// count, Lookup's answer, the Snapshot and, after every op, Len. The model
+// mirrors a Count the table refuses, and only a full table may refuse a
+// fresh row.
+func checkOp(t testing.TB, step int, tb Table, ref refModel, op tableOp) {
+	t.Helper()
+	switch op.kind {
+	case opCount:
+		spills := tb.Ops().Spills
+		e, spilled, err := tb.Count(op.row)
+		re, tracked := ref.touch(op.row)
+		if !tracked {
+			re = Entry{Row: op.row, ActCnt: 1, Life: 1}
+			ref[op.row] = re
+		}
+		switch sep, isSep := tb.(*sepTable); {
+		case err != nil:
+			// The separated table also drops a graduating row when its
+			// wide sub-table is full.
+			if tracked && !(isSep && re.ActCnt == sep.graduate) || !tracked && tb.Len() != tb.Cap() {
+				t.Fatalf("step %d: Count(%d) = %v with %d of %d slots used (tracked %v)", step, op.row, err, tb.Len(), tb.Cap(), tracked)
+			}
+			delete(ref, op.row)
+		case e != re:
+			t.Fatalf("step %d: Count(%d) = %+v, reference %+v", step, op.row, e, re)
+		case spilled != (tb.Ops().Spills > spills) || spilled && tracked:
+			t.Fatalf("step %d: Count(%d) spilled = %v, Spills %d -> %d, tracked %v", step, op.row, spilled, spills, tb.Ops().Spills, tracked)
+		}
+	case opRemove:
+		tb.Remove(op.row)
+		delete(ref, op.row)
+	case opPrune:
+		if got, want := tb.Prune(op.thPI), ref.prune(op.thPI); got != want {
+			t.Fatalf("step %d: Prune(%d) = %d, reference %d", step, op.thPI, got, want)
+		}
+	case opLookup:
+		e, ok := lookup(tb, op.row)
+		re, rok := ref[op.row]
+		if ok != rok || (ok && e != re) {
+			t.Fatalf("step %d: Lookup(%d) = %+v,%v, reference %+v,%v", step, op.row, e, ok, re, rok)
+		}
+	case opSnapshot:
+		if got, want := sortedSnapshot(tb), ref.sorted(); !entriesEqual(got, want) {
+			t.Fatalf("step %d: snapshot diverged\n table %+v\n ref   %+v", step, got, want)
+		}
+	}
+	if tb.Len() != len(ref) {
+		t.Fatalf("step %d: Len = %d, reference %d", step, tb.Len(), len(ref))
 	}
 }
 
@@ -99,48 +166,20 @@ func TestTableDifferentialVsMapReference(t *testing.T) {
 			ref := refModel{}
 			const domain = 96 // < 2×cap so collisions and full tables are common
 			for step := 0; step < 60000; step++ {
-				row := rng.Intn(domain)
-				switch op := rng.Intn(100); {
-				case op < 65: // an ACT: touch, insert on miss (TWiCe's usage)
-					e, ok := tb.Touch(row)
-					re, rok := ref.touch(row)
-					if ok != rok {
-						t.Fatalf("step %d: Touch(%d) hit=%v, reference %v", step, row, ok, rok)
-					}
-					if ok && e != re {
-						t.Fatalf("step %d: Touch(%d) = %+v, reference %+v", step, row, e, re)
-					}
-					if !ok {
-						if err := tb.Insert(row); err == nil {
-							ref[row] = Entry{Row: row, ActCnt: 1, Life: 1}
-						} else if tb.Len() == 0 {
-							t.Fatalf("step %d: empty table rejected Insert(%d): %v", step, row, err)
-						}
-					}
-				case op < 75:
-					tb.Remove(row)
-					delete(ref, row)
-				case op < 85:
-					e, ok := tb.Lookup(row)
-					re, rok := ref[row]
-					if ok != rok || (ok && e != re) {
-						t.Fatalf("step %d: Lookup(%d) = %+v,%v, reference %+v,%v", step, row, e, ok, re, rok)
-					}
-				case op < 92:
-					thPI := 1 + rng.Intn(4)
-					got := tb.Prune(thPI)
-					want := ref.prune(thPI)
-					if got != want {
-						t.Fatalf("step %d: Prune(%d) = %d, reference %d", step, thPI, got, want)
-					}
+				op := tableOp{row: rng.Intn(domain)}
+				switch r := rng.Intn(100); {
+				case r < 65: // an ACT
+					op.kind = opCount
+				case r < 75:
+					op.kind = opRemove
+				case r < 85:
+					op.kind = opLookup
+				case r < 92:
+					op.kind, op.thPI = opPrune, 1+rng.Intn(4)
 				default:
-					if got, want := sortedSnapshot(tb), ref.sorted(); !entriesEqual(got, want) {
-						t.Fatalf("step %d: snapshot diverged\n table %+v\n ref   %+v", step, got, want)
-					}
+					op.kind = opSnapshot
 				}
-				if tb.Len() != len(ref) {
-					t.Fatalf("step %d: Len = %d, reference %d", step, tb.Len(), len(ref))
-				}
+				checkOp(t, step, tb, ref, op)
 			}
 
 			// Clear must return the table to fresh-equivalent state: same
@@ -155,10 +194,10 @@ func TestTableDifferentialVsMapReference(t *testing.T) {
 			}
 			fresh := factory()
 			for i := 0; i < 24; i++ {
-				if err := tb.Insert(i * 7); err != nil {
+				if _, _, err := tb.Count(i * 7); err != nil {
 					t.Fatal(err)
 				}
-				if err := fresh.Insert(i * 7); err != nil {
+				if _, _, err := fresh.Count(i * 7); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -205,4 +244,39 @@ func TestResetReusesTablesAndDropsOps(t *testing.T) {
 			t.Errorf("%v: Detections changed across Reset: %d -> %d", org, det, tw.Detections())
 		}
 	}
+}
+
+// FuzzTableOps decodes its input into a stream of Count, Remove and Prune
+// ops over rows [0, 96) and runs it through every organization against the
+// map reference model, and through the pa table against the set-scanning
+// reference, OpStats included. Each op is two bytes: the first picks Prune
+// (0 mod 8), Remove (1) or Count (2–7), the second the row, or a Prune's
+// thPI (1–4).
+func FuzzTableOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := make([]tableOp, 0, len(data)/2)
+		for i := 0; i+1 < len(data); i += 2 {
+			op := tableOp{kind: opCount, row: int(data[i+1]) % 96}
+			switch data[i] % 8 {
+			case 0:
+				op = tableOp{kind: opPrune, thPI: 1 + int(data[i+1])%4}
+			case 1:
+				op.kind = opRemove
+			}
+			ops = append(ops, op)
+		}
+		for _, name := range []string{"fa", "pa", "sep"} {
+			t.Logf("%s against the map reference", name)
+			tb, ref := tableFactories()[name](), refModel{}
+			for i, op := range ops {
+				checkOp(t, i, tb, ref, op)
+			}
+			checkOp(t, len(ops), tb, ref, tableOp{kind: opSnapshot})
+		}
+		t.Log("pa against the set-scanning reference")
+		got, ref := newPATable(48, 8), newPARef(48, 8)
+		for i, op := range ops {
+			checkPAOp(t, i, got, ref, op)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -10,19 +11,15 @@ func TestFATableBasics(t *testing.T) {
 	if tb.Cap() != 4 || tb.Len() != 0 {
 		t.Fatal("fresh table geometry wrong")
 	}
-	if _, ok := tb.Touch(5); ok {
-		t.Fatal("touch of untracked row succeeded")
+	e, spilled, err := tb.Count(5)
+	if err != nil || spilled || e != (Entry{Row: 5, ActCnt: 1, Life: 1}) {
+		t.Fatalf("first Count = %+v, %v, %v; want a fresh entry", e, spilled, err)
 	}
-	if err := tb.Insert(5); err != nil {
-		t.Fatal(err)
+	if got, ok := tb.Lookup(5); !ok || got != e {
+		t.Fatalf("fresh entry = %+v", got)
 	}
-	e, ok := tb.Lookup(5)
-	if !ok || e.ActCnt != 1 || e.Life != 1 {
-		t.Fatalf("fresh entry = %+v", e)
-	}
-	e, ok = tb.Touch(5)
-	if !ok || e.ActCnt != 2 {
-		t.Fatalf("touched entry = %+v", e)
+	if e, _, err = tb.Count(5); err != nil || e.ActCnt != 2 {
+		t.Fatalf("counted entry = %+v, %v", e, err)
 	}
 	tb.Remove(5)
 	if tb.Len() != 0 {
@@ -33,20 +30,22 @@ func TestFATableBasics(t *testing.T) {
 
 func TestFATableFull(t *testing.T) {
 	tb := newPATable(2, 2)
-	if err := tb.Insert(1); err != nil {
-		t.Fatal(err)
+	for _, r := range []int{1, 2} {
+		if _, _, err := tb.Count(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := tb.Insert(1); err == nil {
-		t.Error("duplicate insert accepted")
+	if _, _, err := tb.Count(3); !errors.Is(err, errTableFull) {
+		t.Errorf("Count of a third row into a full table = %v, want errTableFull", err)
 	}
-	if err := tb.Insert(2); err != nil {
-		t.Fatal(err)
+	if _, ok := tb.Lookup(3); ok || tb.Len() != 2 {
+		t.Errorf("refused row tracked, Len %d", tb.Len())
 	}
-	if err := tb.Insert(3); err == nil {
-		t.Error("insert into full table accepted")
+	if e, _, err := tb.Count(1); err != nil || e.ActCnt != 2 {
+		t.Errorf("full table counts a tracked row as %+v, %v", e, err)
 	}
 	tb.Remove(1)
-	if err := tb.Insert(3); err != nil {
+	if _, _, err := tb.Count(3); err != nil {
 		t.Errorf("insert after free failed: %v", err)
 	}
 }
@@ -62,11 +61,11 @@ func TestOneSetCapacityIsExact(t *testing.T) {
 			t.Fatalf("fa table of capacity %d has Cap() %d", n, tb.Cap())
 		}
 		for r := 0; r < n; r++ {
-			if err := tb.Insert(r); err != nil {
+			if _, _, err := tb.Count(r); err != nil {
 				t.Fatalf("capacity %d: insert of row %d: %v", n, r, err)
 			}
 		}
-		if err := tb.Insert(n); err == nil {
+		if _, _, err := tb.Count(n); err == nil {
 			t.Errorf("capacity %d: entry %d accepted", n, n+1)
 		}
 	}
@@ -74,25 +73,27 @@ func TestOneSetCapacityIsExact(t *testing.T) {
 	if sep.Cap() != 8 {
 		t.Fatalf("newSepTable(0, 8, 1).Cap() = %d, want 8", sep.Cap())
 	}
-	if err := sep.Insert(1); err != nil {
-		t.Fatal(err)
+	if _, spilled, err := sep.Count(1); err != nil || !spilled {
+		t.Fatalf("first Count: spilled %v, %v; want a spill", spilled, err)
 	}
 	if spills := sep.Ops().Spills; spills != 1 || sep.NarrowLen() != 0 || sep.WideLen() != 1 {
 		t.Errorf("first insert: %d spills, narrow/wide %d/%d; want 1 spill, 0/1", spills, sep.NarrowLen(), sep.WideLen())
 	}
 }
 
-func TestFAPrune(t *testing.T) {
-	tb := newPATable(8, 8)
-	for _, r := range []int{1, 2, 3} {
-		if err := tb.Insert(r); err != nil {
-			t.Fatal(err)
+// count applies Count to each row in turn and fails t on an error.
+func count(t *testing.T, tb Table, rows ...int) {
+	t.Helper()
+	for _, r := range rows {
+		if _, _, err := tb.Count(r); err != nil {
+			t.Fatalf("Count(%d): %v", r, err)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		tb.Touch(1) // row 1: 4 ACTs
-	}
-	tb.Touch(2) // row 2: 2 ACTs
+}
+
+func TestFAPrune(t *testing.T) {
+	tb := newPATable(8, 8)
+	count(t, tb, 1, 2, 3, 1, 1, 1, 2) // row 1: 4 ACTs; row 2: 2; row 3: 1
 	pruned := tb.Prune(4)
 	if pruned != 2 {
 		t.Errorf("pruned %d entries, want 2", pruned)
@@ -113,8 +114,8 @@ func TestPASetBorrowing(t *testing.T) {
 		t.Fatalf("sets = %d, want 2", tb.Sets())
 	}
 	for _, r := range []int{0, 2, 4} { // third must borrow set 1
-		if err := tb.Insert(r); err != nil {
-			t.Fatal(err)
+		if _, spilled, err := tb.Count(r); err != nil || spilled != (r == 4) {
+			t.Fatalf("Count(%d): spilled %v, %v", r, spilled, err)
 		}
 	}
 	// All three rows must remain findable.
@@ -122,21 +123,25 @@ func TestPASetBorrowing(t *testing.T) {
 		if _, ok := tb.Lookup(r); !ok {
 			t.Errorf("row %d lost after borrowing", r)
 		}
-		if _, ok := tb.Touch(r); !ok {
-			t.Errorf("row %d untouchable after borrowing", r)
+		if e, _, err := tb.Count(r); err != nil || e.ActCnt != 2 {
+			t.Errorf("row %d counted as %+v, %v after borrowing", r, e, err)
 		}
 	}
-	// Removing the borrowed entry clears the SB indicator: after removal a
-	// lookup of another missing even row must probe only the preferred set.
+	// A miss probes the preferred set and the set borrowing from it, then
+	// borrows there too.
 	before := tb.Ops().SetsProbed
-	tb.Touch(6) // miss: probes preferred set + the borrowing set
-	probesWithBorrow := tb.Ops().SetsProbed - before
-	if probesWithBorrow != 2 {
-		t.Errorf("miss with borrow probed %d sets, want 2", probesWithBorrow)
+	if _, spilled, err := tb.Count(6); err != nil || !spilled {
+		t.Fatalf("Count(6): spilled %v, %v; want a borrow", spilled, err)
 	}
+	if got := tb.Ops().SetsProbed - before; got != 2 {
+		t.Errorf("miss with borrow probed %d sets, want 2", got)
+	}
+	// Removing the borrowed entries clears the SB indicator: the next miss
+	// of an even row probes only the preferred set.
 	tb.Remove(4)
+	tb.Remove(6)
 	before = tb.Ops().SetsProbed
-	tb.Touch(6) // miss: SB indicator is zero again, only preferred probed
+	count(t, tb, 8)
 	if got := tb.Ops().SetsProbed - before; got != 1 {
 		t.Errorf("miss after unborrow probed %d sets, want 1", got)
 	}
@@ -144,50 +149,40 @@ func TestPASetBorrowing(t *testing.T) {
 
 func TestPAPreferredHitEnergyPath(t *testing.T) {
 	tb := newPATable(16, 4)
-	if err := tb.Insert(1); err != nil {
-		t.Fatal(err)
-	}
-	tb.Touch(1)
+	count(t, tb, 1, 1) // a miss that inserts, then a hit
 	ops := tb.Ops()
+	if ops.Searches != 2 || ops.SetsProbed != 2 {
+		t.Errorf("%d searches probed %d sets, want 2 and 2 (common-case single-set search)", ops.Searches, ops.SetsProbed)
+	}
 	if ops.PreferredHits != 1 {
 		t.Errorf("preferred hits = %d, want 1", ops.PreferredHits)
-	}
-	if ops.SetsProbed != 1 {
-		t.Errorf("sets probed = %d, want 1 (common-case single-set search)", ops.SetsProbed)
 	}
 }
 
 func TestPAFull(t *testing.T) {
 	tb := newPATable(4, 2)
-	for r := 0; r < 4; r++ {
-		if err := tb.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tb.Insert(9); err == nil {
+	count(t, tb, 0, 1, 2, 3)
+	if _, _, err := tb.Count(9); err == nil {
 		t.Error("insert into full pa table accepted")
 	}
-	if err := tb.Insert(0); err == nil {
-		t.Error("duplicate insert accepted")
+	if e, _, err := tb.Count(0); err != nil || e.ActCnt != 2 {
+		t.Errorf("full pa table counts a tracked row as %+v, %v", e, err)
 	}
 }
 
 func TestSeparatedGraduation(t *testing.T) {
 	tb := newSepTable(4, 4, 4)
-	if err := tb.Insert(1); err != nil {
-		t.Fatal(err)
-	}
+	count(t, tb, 1)
 	if tb.NarrowLen() != 1 || tb.WideLen() != 0 {
 		t.Fatal("fresh entry not in narrow sub-table")
 	}
-	tb.Touch(1)
-	tb.Touch(1)
+	count(t, tb, 1, 1)
 	if tb.NarrowLen() != 1 {
 		t.Fatal("entry graduated early")
 	}
-	e, ok := tb.Touch(1) // 4th ACT: graduates
-	if !ok || e.ActCnt != 4 {
-		t.Fatalf("post-graduation entry = %+v", e)
+	e, _, err := tb.Count(1) // 4th ACT: graduates
+	if err != nil || e.ActCnt != 4 {
+		t.Fatalf("post-graduation entry = %+v, %v", e, err)
 	}
 	if tb.NarrowLen() != 0 || tb.WideLen() != 1 {
 		t.Errorf("narrow/wide = %d/%d after graduation, want 0/1", tb.NarrowLen(), tb.WideLen())
@@ -201,8 +196,8 @@ func TestSeparatedGraduation(t *testing.T) {
 func TestSeparatedSpillsIntoWide(t *testing.T) {
 	tb := newSepTable(2, 4, 4)
 	for r := 0; r < 4; r++ {
-		if err := tb.Insert(r); err != nil {
-			t.Fatalf("insert %d: %v", r, err)
+		if _, spilled, err := tb.Count(r); err != nil || spilled != (r >= 2) {
+			t.Fatalf("Count(%d): spilled %v, %v", r, spilled, err)
 		}
 	}
 	if tb.NarrowLen() != 2 || tb.WideLen() != 2 {
@@ -217,11 +212,7 @@ func TestSeparatedSpillsIntoWide(t *testing.T) {
 
 func TestSeparatedPrune(t *testing.T) {
 	tb := newSepTable(4, 4, 4)
-	_ = tb.Insert(1)
-	for i := 0; i < 3; i++ {
-		tb.Touch(1)
-	}
-	_ = tb.Insert(2) // stays narrow with 1 ACT
+	count(t, tb, 1, 1, 1, 1, 2) // row 1 graduates; row 2 stays narrow with 1 ACT
 	pruned := tb.Prune(4)
 	if pruned != 1 {
 		t.Errorf("pruned = %d, want 1 (the cold narrow entry)", pruned)
@@ -237,13 +228,13 @@ func TestSnapshotIsCopy(t *testing.T) {
 		"pa":  newPATable(8, 4),
 		"sep": newSepTable(4, 4, 4),
 	} {
-		_ = tb.Insert(1)
+		count(t, tb, 1)
 		snap := tb.Snapshot()
 		if len(snap) != 1 {
 			t.Fatalf("%s: snapshot len %d", name, len(snap))
 		}
 		snap[0].ActCnt = 999
-		if e, _ := tb.Lookup(1); e.ActCnt == 999 {
+		if e, _ := lookup(tb, 1); e.ActCnt == 999 {
 			t.Errorf("%s: snapshot aliases table storage", name)
 		}
 	}
@@ -270,24 +261,28 @@ func TestTableBoundDegenerateThPI(t *testing.T) {
 	}
 }
 
-// TestTouchMatchesLookupPlusIncrement cross-checks Touch semantics across
-// organizations under random operations.
+// TestTouchMatchesLookupPlusIncrement cross-checks Count, an ACT's touch of
+// its row, across organizations under random rows: each returns the entry
+// Lookup held before plus one ACT, or a fresh entry, and all three agree.
 func TestTouchMatchesLookupPlusIncrement(t *testing.T) {
 	f := func(rows []uint8) bool {
-		fa, pa, sep := newPATable(64, 64), newPATable(64, 8), newSepTable(16, 48, 4)
+		tables := []Table{newPATable(64, 64), newPATable(64, 8), newSepTable(16, 48, 4)}
 		for _, r := range rows {
 			row := int(r % 32)
-			for _, tb := range []Table{fa, pa, sep} {
-				if _, ok := tb.Touch(row); !ok {
-					if err := tb.Insert(row); err != nil {
-						return false
-					}
+			var es []Entry
+			for _, tb := range tables {
+				want, ok := lookup(tb, row)
+				want.ActCnt++
+				if !ok {
+					want = Entry{Row: row, ActCnt: 1, Life: 1}
 				}
+				e, _, err := tb.Count(row)
+				if got, _ := lookup(tb, row); err != nil || e != want || got != e {
+					return false
+				}
+				es = append(es, e)
 			}
-			ef, _ := fa.Lookup(row)
-			ep, _ := pa.Lookup(row)
-			es, _ := sep.Lookup(row)
-			if ef != ep || ef != es {
+			if es[0] != es[1] || es[0] != es[2] {
 				return false
 			}
 		}

@@ -65,7 +65,7 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 // Interface method calls resolve to the abstract interface method, which
 // has no body and therefore no index entry, so dynamic dispatch drops out
 // of the graph by construction: hot leaf implementations reached through an
-// interface (core's paTable.Touch and sepTable.Touch, behind core.Table)
+// interface (core's paTable.Count and sepTable.Count, behind core.Table)
 // carry their own //twicelint:hotpath annotation instead. Function literals
 // nested in the body need no edge — their statements are part of this body
 // and are walked in place.

@@ -31,7 +31,7 @@
 #                        pin multi-core PAR-BS output (mix-high, lbm-stream)
 #   4c. bench smoke    — every sim hot-path, scheduler-step, DRAM bank
 #                        (activate, auto-refresh, remap) and TWiCe table
-#                        (touch, insert, prune) benchmark body
+#                        (count, prune) benchmark body
 #                        runs once (-benchtime=1x), so a change that breaks
 #                        only benchmark-path code cannot land green
 #   4d. root benchmarks — every paper table/figure and ablation benchmark in
@@ -48,13 +48,14 @@
 #                        workers record telemetry and traces into one
 #                        collector, so the real concurrency (the cross-cell
 #                        fan-out) runs under the detector
-#   6. fuzz (non-tier-1) — short fuzz bursts of the trace reader and of
+#   6. fuzz (non-tier-1) — short fuzz bursts of the trace reader, of
 #                        machine construction (FuzzNewMachine: a fuzzed
 #                        controller, timing and TWiCe config must give an
-#                        error or a machine that runs 300 requests); new
-#                        findings land in internal/trace/testdata/fuzz or
-#                        internal/sim/testdata/fuzz as regression seeds. Not
-#                        part of the tier-1 gate: skip with SKIP_FUZZ=1.
+#                        error or a machine that runs 300 requests) and of
+#                        the TWiCe tables (FuzzTableOps: a fuzzed op stream
+#                        must match the reference models); new findings land
+#                        in the package's testdata/fuzz as regression seeds.
+#                        Not part of the tier-1 gate: skip with SKIP_FUZZ=1.
 set -eu
 
 cd "$(dirname "$0")"
@@ -119,6 +120,8 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run='^$' -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	echo "==> go test -run='^$' -fuzz=FuzzNewMachine -fuzztime=10s ./internal/sim (non-tier-1)"
 	go test -run='^$' -fuzz=FuzzNewMachine -fuzztime=10s ./internal/sim
+	echo "==> go test -run='^$' -fuzz=FuzzTableOps -fuzztime=10s ./internal/core (non-tier-1)"
+	go test -run='^$' -fuzz=FuzzTableOps -fuzztime=10s ./internal/core
 fi
 
 echo "verify: OK"
