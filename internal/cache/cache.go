@@ -59,10 +59,11 @@ type line struct {
 	lru   int64
 }
 
-// Cache is one set-associative write-back, write-allocate cache.
+// Cache is one set-associative write-back, write-allocate cache. Its lines
+// are one flat array: set s holds lines[s*Ways : (s+1)*Ways].
 type Cache struct {
 	cfg   Config //twicelint:keep geometry, fixed at construction
-	sets  [][]line
+	lines []line
 	mask  uint64 //twicelint:keep derived set-index mask, fixed at construction
 	shift uint   //twicelint:keep derived block shift, fixed at construction
 	tick  int64
@@ -75,26 +76,18 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	c := &Cache{
+	return &Cache{
 		cfg:   cfg,
-		sets:  make([][]line, nsets),
+		lines: make([]line, nsets*cfg.Ways),
 		mask:  uint64(nsets - 1),
 		shift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c, nil
+	}, nil
 }
 
 // Reset invalidates every line and zeroes the LRU clock and counters,
 // returning the cache to its just-constructed state without reallocating.
 func (c *Cache) Reset() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = line{}
-		}
-	}
+	clear(c.lines)
 	c.tick = 0
 	c.stats = Stats{}
 }
@@ -102,86 +95,69 @@ func (c *Cache) Reset() {
 // Stats returns the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// lookup scans the set of lineAddr once. It returns the line holding
+// lineAddr and true, or the way to allocate and false: the last invalid
+// way, else the least recently used line.
+func (c *Cache) lookup(lineAddr uint64) (*line, bool) {
+	ways := uint64(c.cfg.Ways)
+	base := (lineAddr & c.mask) * ways
+	set := c.lines[base : base+ways]
+	v := &set[0]
+	for i := range set {
+		l := &set[i]
+		if l.valid && l.tag == lineAddr {
+			return l, true
+		}
+		if !l.valid || (v.valid && l.lru < v.lru) {
+			v = l
+		}
+	}
+	return v, false
+}
+
+// install allocates lineAddr into way v, stamped now, and returns the
+// evicted line's base address when it was dirty (a writeback).
+func (c *Cache) install(v *line, lineAddr uint64, dirty bool) (victim uint64, hasVictim bool) {
+	if v.valid && v.dirty {
+		victim = v.tag << c.shift
+		hasVictim = true
+		c.stats.Writebacks++
+	}
+	*v = line{valid: true, dirty: dirty, tag: lineAddr, lru: c.tick}
+	return victim, hasVictim
+}
+
 // Access looks up the line containing addr, allocating it on miss. It
 // returns whether the access hit and, when the allocation evicted a dirty
 // line, that victim's base address.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, hasVictim bool) {
 	c.tick++
 	lineAddr := addr >> c.shift
-	set := c.sets[lineAddr&c.mask]
-	var lruIdx int
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].lru = c.tick
-			if write {
-				set[i].dirty = true
-			}
-			c.stats.Hits++
-			return true, 0, false
-		}
-		if !set[i].valid {
-			lruIdx = i
-		} else if set[lruIdx].valid && set[i].lru < set[lruIdx].lru {
-			lruIdx = i
-		}
+	l, resident := c.lookup(lineAddr)
+	if resident {
+		l.lru = c.tick
+		l.dirty = l.dirty || write
+		c.stats.Hits++
+		return true, 0, false
 	}
 	c.stats.Misses++
-	v := &set[lruIdx]
-	if v.valid && v.dirty {
-		victim = v.tag << c.shift
-		hasVictim = true
-		c.stats.Writebacks++
-	}
-	v.valid = true
-	v.dirty = write
-	v.tag = lineAddr
-	v.lru = c.tick
+	victim, hasVictim = c.install(l, lineAddr, write)
 	return false, victim, hasVictim
 }
 
-// Contains reports whether the line holding addr is resident (no side
-// effects; test and prefetch-filter hook).
-func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> c.shift
-	set := c.sets[lineAddr&c.mask]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return true
-		}
-	}
-	return false
-}
-
 // Fill inserts the line containing addr without counting a demand access
-// (prefetch fills and writeback allocations). It returns a dirty victim like
-// Access. A resident line absorbs the fill (and the dirty bit, if set).
-func (c *Cache) Fill(addr uint64, dirty bool) (victim uint64, hasVictim bool) {
+// (prefetch fills and writeback allocations) and reports whether the line
+// was already resident. A resident line absorbs the fill: it keeps its LRU
+// stamp and takes the dirty bit, if set. Otherwise the fill allocates and
+// returns a dirty victim like Access.
+func (c *Cache) Fill(addr uint64, dirty bool) (resident bool, victim uint64, hasVictim bool) {
 	c.tick++
 	lineAddr := addr >> c.shift
-	set := c.sets[lineAddr&c.mask]
-	lruIdx := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			if dirty {
-				set[i].dirty = true
-			}
-			return 0, false // already resident
-		}
-		if !set[i].valid {
-			lruIdx = i
-		} else if set[lruIdx].valid && set[i].lru < set[lruIdx].lru {
-			lruIdx = i
-		}
+	l, resident := c.lookup(lineAddr)
+	if resident {
+		l.dirty = l.dirty || dirty
+		return true, 0, false
 	}
-	v := &set[lruIdx]
-	if v.valid && v.dirty {
-		victim = v.tag << c.shift
-		hasVictim = true
-		c.stats.Writebacks++
-	}
-	v.valid = true
-	v.dirty = dirty
-	v.tag = lineAddr
-	v.lru = c.tick
-	return victim, hasVictim
+	victim, hasVictim = c.install(l, lineAddr, dirty)
+	return false, victim, hasVictim
 }

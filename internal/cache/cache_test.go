@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -106,14 +109,16 @@ func TestCleanEvictionSilent(t *testing.T) {
 
 func TestFillSemantics(t *testing.T) {
 	c, _ := New(smallCfg())
-	if _, has := c.Fill(0x40, false); has {
-		t.Error("fill into empty cache evicted")
+	if resident, _, has := c.Fill(0x40, false); resident || has {
+		t.Errorf("fill into empty cache: resident=%v evicted=%v", resident, has)
 	}
 	if !c.Contains(0x40) {
 		t.Error("fill did not allocate")
 	}
-	// Fill of a resident line with dirty=true marks it dirty.
-	c.Fill(0x40, true)
+	// Fill of a resident line with dirty=true reports it and marks it dirty.
+	if resident, _, _ := c.Fill(0x40, true); !resident {
+		t.Error("fill of a resident line reported it absent")
+	}
 	c.Access(0x40+512, false)
 	_, victim, has := c.Access(0x40+1024, false)
 	if !has || victim != 0x40 {
@@ -179,26 +184,16 @@ func testHierarchy(t *testing.T) *Hierarchy {
 	return h
 }
 
-// fills returns the memory accesses of res that are not prefetches: the
-// demand or write-allocate fill and any writebacks.
-func fills(res Result) []MemAccess {
-	var out []MemAccess
-	for _, m := range res.Mem {
-		if !m.Prefetch {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 func TestHierarchyMissGoesToMemory(t *testing.T) {
 	h := testHierarchy(t)
 	res := h.Access(0, 0x10000, false)
 	if res.HitLevel != 0 {
 		t.Fatalf("cold access hit level %d", res.HitLevel)
 	}
-	if f := fills(res); len(f) != 1 || f[0].Addr != 0x10000 || !f[0].Demand {
-		t.Fatalf("memory accesses = %+v", res.Mem)
+	// The next-line prefetch, a non-demand read, goes out before the demand
+	// fill.
+	if want := []MemAccess{{Addr: 0x10040}, {Addr: 0x10000, Demand: true}}; !slices.Equal(res.Mem, want) {
+		t.Fatalf("memory accesses = %+v, want %+v", res.Mem, want)
 	}
 	if res.Latency != 14*clock.Nanosecond {
 		t.Errorf("latency = %v, want 14ns (1+3+10)", res.Latency)
@@ -220,8 +215,8 @@ func TestHierarchyHitLevels(t *testing.T) {
 func TestHierarchyWriteMissIsPosted(t *testing.T) {
 	h := testHierarchy(t)
 	res := h.Access(0, 0x2000, true)
-	if f := fills(res); len(f) != 1 || f[0].Addr != 0x2000 || f[0].Demand {
-		t.Errorf("write miss accesses = %+v, want non-demand fill", res.Mem)
+	if want := []MemAccess{{Addr: 0x2040}, {Addr: 0x2000}}; !slices.Equal(res.Mem, want) {
+		t.Errorf("write miss accesses = %+v, want the prefetch then a non-demand fill %+v", res.Mem, want)
 	}
 }
 
@@ -244,35 +239,44 @@ func TestHierarchyDirtyEvictionReachesMemory(t *testing.T) {
 	}
 }
 
+// The prefetcher runs on every L1 miss, L2 hits included, and its request
+// is the non-demand read of the next line.
 func TestPrefetcherIssuesNextLine(t *testing.T) {
 	h := testHierarchy(t)
 	res := h.Access(0, 0x4000, false)
-	var sawPrefetch bool
-	for _, m := range res.Mem {
-		if m.Prefetch && m.Addr == 0x4040 {
-			sawPrefetch = true
-		}
-	}
-	if !sawPrefetch {
+	if !slices.Contains(res.Mem, MemAccess{Addr: 0x4040}) {
 		t.Fatalf("no next-line prefetch in %+v", res.Mem)
 	}
-	if h.Prefetches() != 1 {
-		t.Errorf("prefetches = %d", h.Prefetches())
-	}
-	// The prefetched line now hits in L2.
-	if res := h.Access(0, 0x4040, false); res.HitLevel != 2 {
+	// The prefetched line now hits in L2, and that hit prefetches the line
+	// after it.
+	res = h.Access(0, 0x4040, false)
+	if res.HitLevel != 2 {
 		t.Errorf("prefetched line hit level %d, want 2", res.HitLevel)
+	}
+	if want := []MemAccess{{Addr: 0x4080}}; !slices.Equal(res.Mem, want) {
+		t.Errorf("L2 hit sent %+v, want the prefetch %+v", res.Mem, want)
 	}
 }
 
 func TestPrefetcherSkipsResidentLines(t *testing.T) {
 	h := testHierarchy(t)
-	h.Access(0, 0x4000, false) // prefetches 0x4040
-	before := h.Prefetches()
-	h.Access(0, 0x4080, false) // next line 0x40c0: fresh prefetch
-	h.Access(0, 0x4000, false) // L1 hit: no prefetch at all
-	if got := h.Prefetches(); got != before+1 {
-		t.Errorf("prefetches = %d, want %d", got, before+1)
+	h.Access(0, 0x4000, false) // prefetches 0x4040 into L2 and L3
+	h.Access(0, 0x4080, false) // demand-fills 0x4080, prefetches 0x40c0
+	// An L1 miss whose next line is already in L2 prefetches nothing.
+	if res := h.Access(0, 0x4040, false); res.HitLevel != 2 || len(res.Mem) != 0 {
+		t.Errorf("next line in L2: level=%d mem=%+v, want level 2 and no memory access", res.HitLevel, res.Mem)
+	}
+	// An L1 hit runs no prefetch.
+	if res := h.Access(0, 0x4000, false); res.HitLevel != 1 || len(res.Mem) != 0 {
+		t.Errorf("L1 hit: level=%d mem=%+v, want level 1 and no memory access", res.HitLevel, res.Mem)
+	}
+	// A next line only L3 holds is prefetched on chip: core 1's misses pull
+	// 0x4040 and then 0x4080 from L3 into its L2 without memory traffic.
+	if res := h.Access(1, 0x4000, false); res.HitLevel != 3 || len(res.Mem) != 0 {
+		t.Errorf("core 1 L3 hit: level=%d mem=%+v, want level 3 and no memory access", res.HitLevel, res.Mem)
+	}
+	if res := h.Access(1, 0x4040, false); res.HitLevel != 2 || len(res.Mem) != 0 {
+		t.Errorf("core 1 prefetched line: level=%d mem=%+v, want level 2 and no memory access", res.HitLevel, res.Mem)
 	}
 }
 
@@ -290,5 +294,76 @@ func TestStreamingHitsAfterWarmup(t *testing.T) {
 	}
 	if memAccesses > 4 {
 		t.Errorf("demand memory accesses on a stream = %d, want ≤ 4 (prefetcher covers the rest)", memAccesses)
+	}
+}
+
+// TestCacheDifferentialVsSetScanReference pins the flat cache to the
+// set-scanning cache it replaced (cacheRef, kept verbatim). Seeded random
+// streams of Access and Fill, clean and dirty, with an occasional Reset, run
+// over 1, 2 and 4 ways by 1, 2 and 8 sets, on line addresses drawn from a
+// pool three times the capacity. After every op the return values, Stats and
+// the residency of every pool address must agree; the reference's resident
+// answer is its Contains taken before its Fill.
+func TestCacheDifferentialVsSetScanReference(t *testing.T) {
+	const ops = 20000
+	for _, ways := range []int{1, 2, 4} {
+		for _, sets := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%dway-%dset", ways, sets), func(t *testing.T) {
+				cfg := Config{SizeBytes: 64 * ways * sets, LineBytes: 64, Ways: ways, Latency: clock.Nanosecond}
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := newCacheRef(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seed := int64(100*ways + sets)
+				rng := rand.New(rand.NewSource(seed))
+				// Lines spread over a wide address range so tags differ in
+				// their high bits, not only in the set index.
+				pool := make([]uint64, 3*ways*sets)
+				for i := range pool {
+					pool[i] = (uint64(rng.Int63n(1<<24))*uint64(len(pool)) + uint64(i)) * 64
+				}
+				for op := 0; op < ops; op++ {
+					addr := pool[rng.Intn(len(pool))] + uint64(rng.Intn(64))
+					var what string
+					switch r := rng.Intn(1000); {
+					case r < 2:
+						what = "Reset"
+						c.Reset()
+						ref.Reset()
+					case r < 500:
+						write := rng.Intn(3) == 0
+						what = fmt.Sprintf("Access(%#x, write=%v)", addr, write)
+						hit, v, has := c.Access(addr, write)
+						rhit, rv, rhas := ref.Access(addr, write)
+						if hit != rhit || v != rv || has != rhas {
+							t.Fatalf("seed %d op %d %s = (%v, %#x, %v), reference (%v, %#x, %v)",
+								seed, op, what, hit, v, has, rhit, rv, rhas)
+						}
+					default:
+						dirty := rng.Intn(2) == 0
+						what = fmt.Sprintf("Fill(%#x, dirty=%v)", addr, dirty)
+						resident, v, has := c.Fill(addr, dirty)
+						rresident := ref.Contains(addr)
+						rv, rhas := ref.Fill(addr, dirty)
+						if resident != rresident || v != rv || has != rhas {
+							t.Fatalf("seed %d op %d %s = (%v, %#x, %v), reference (%v, %#x, %v)",
+								seed, op, what, resident, v, has, rresident, rv, rhas)
+						}
+					}
+					if got, want := c.Stats(), ref.Stats(); got != want {
+						t.Fatalf("seed %d op %d %s: stats %+v, reference %+v", seed, op, what, got, want)
+					}
+					for _, p := range pool {
+						if got, want := c.Contains(p), ref.Contains(p); got != want {
+							t.Fatalf("seed %d op %d %s: line %#x resident %v, reference %v", seed, op, what, p, got, want)
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,4 +1,8 @@
 package cache
 
-// Prefetches returns the number of prefetch fills issued.
-func (h *Hierarchy) Prefetches() int64 { return h.prefetches }
+// Contains reports whether the line holding addr is resident, without side
+// effects.
+func (c *Cache) Contains(addr uint64) bool {
+	_, resident := c.lookup(addr >> c.shift)
+	return resident
+}

@@ -6,12 +6,12 @@ import (
 	"repro/internal/clock"
 )
 
-// MemAccess is one cache-line request the hierarchy sends to main memory.
+// MemAccess is one cache-line request the hierarchy sends to main memory:
+// a demand fill, a write-miss fill, a prefetch or a dirty writeback.
 type MemAccess struct {
-	Addr     uint64
-	Write    bool
-	Demand   bool // the core waits on this access (demand read fill)
-	Prefetch bool // generated by the linear prefetcher
+	Addr   uint64
+	Write  bool
+	Demand bool // the core waits on this access (demand read fill)
 }
 
 // Result describes the outcome of one core access.
@@ -72,8 +72,6 @@ type Hierarchy struct {
 	l1  []*Cache
 	l2  []*Cache
 	l3  *Cache
-
-	prefetches int64
 }
 
 // NewHierarchy builds the hierarchy.
@@ -108,7 +106,6 @@ func (h *Hierarchy) Reset() {
 		h.l2[i].Reset()
 	}
 	h.l3.Reset()
-	h.prefetches = 0
 }
 
 // L3Stats returns the shared L3 counters.
@@ -166,34 +163,33 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 func (h *Hierarchy) writeInto(level, core int, addr uint64, res *Result) {
 	switch level {
 	case 2:
-		if v, has := h.l2[core].Fill(addr, true); has {
+		if _, v, has := h.l2[core].Fill(addr, true); has {
 			h.writeInto(3, core, v, res)
 		}
 	default:
-		if v, has := h.l3.Fill(addr, true); has {
+		if _, v, has := h.l3.Fill(addr, true); has {
 			res.Mem = append(res.Mem, MemAccess{Addr: v, Write: true})
 		}
 	}
 }
 
-// prefetchNext implements the linear next-line prefetcher: on an L2 demand
-// miss, pull the next line into L2 (from L3 if resident, otherwise from
-// memory).
+// prefetchNext implements the linear next-line prefetcher: on every L1
+// miss, L2 hits included, pull the next line into L2 (from L3 if resident,
+// otherwise from memory). A next line already in L2 is left alone.
 func (h *Hierarchy) prefetchNext(core int, addr uint64, res *Result) {
 	next := addr + uint64(h.cfg.L1.LineBytes)
-	l2 := h.l2[core]
-	if l2.Contains(next) {
+	resident, v, has := h.l2[core].Fill(next, false)
+	if resident {
 		return
 	}
-	h.prefetches++
-	if v, has := l2.Fill(next, false); has {
+	if has {
 		h.writeInto(3, core, v, res)
 	}
-	if h.l3.Contains(next) {
-		return // served on-chip; no memory traffic
-	}
-	if v, has := h.l3.Fill(next, false); has {
+	resident, v, has = h.l3.Fill(next, false)
+	if has {
 		res.Mem = append(res.Mem, MemAccess{Addr: v, Write: true})
 	}
-	res.Mem = append(res.Mem, MemAccess{Addr: next, Prefetch: true})
+	if !resident { // served on-chip when L3 holds it
+		res.Mem = append(res.Mem, MemAccess{Addr: next})
+	}
 }

@@ -52,8 +52,6 @@ type Core struct {
 	deferred    *workload.Access // access that could not enter the MC queue
 
 	instructions int64
-	accesses     int64
-	stallRetries int64
 }
 
 // New builds a core over the given generator.
@@ -109,11 +107,9 @@ func (c *Core) Take(now clock.Time) workload.Access {
 	if c.deferred != nil {
 		a = *c.deferred
 		c.deferred = nil
-		c.stallRetries++
 	} else {
 		a = c.gen.Next()
 		c.instructions += int64(a.Gap)
-		c.accesses++
 	}
 	if now > c.nextIssue {
 		c.nextIssue = now

@@ -18,11 +18,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from
 const goldenPath = "testdata/golden.json"
 
 // goldenDigests are SHA-256 digests of one tinyScale Figure 7(b) grid's
-// exports: the cells CSV, the telemetry CSV, and the Perfetto trace.
+// exports (the cells CSV, the telemetry CSV, and the Perfetto trace) and of
+// one cache-fronted grid's cells CSV followed by its telemetry CSV.
 type goldenDigests struct {
 	CellsCSV     string `json:"fig7b_cells_csv"`
 	TelemetryCSV string `json:"fig7b_telemetry_csv"`
 	Trace        string `json:"fig7b_trace"`
+	Cached       string `json:"cached_cells_telemetry_csv"`
 }
 
 // sha256Of digests whatever write emits.
@@ -60,6 +62,22 @@ func TestGoldenDigests(t *testing.T) {
 		TelemetryCSV: sha256Of(t, col.WriteCSV),
 		Trace:        sha256Of(t, col.WriteTrace),
 	}
+	// Every Figure 7(b) cell bypasses the caches, so a second grid pins the
+	// cache hierarchy, its prefetcher and the multi-core scheduler:
+	// mix-high and specrate:lbm under TWiCe on the same collector.
+	cached, err := s.runGrid([]cellJob{
+		{label: "mix-high", workload: "mix-high", defense: "TWiCe"},
+		{label: "specrate-lbm", workload: "specrate:lbm", defense: "TWiCe"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Cached = sha256Of(t, func(w io.Writer) error {
+		if err := WriteCellsCSV(w, cached); err != nil {
+			return err
+		}
+		return col.WriteCSV(w)
+	})
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -82,6 +100,6 @@ func TestGoldenDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("Figure 7(b) export digests changed:\n  got  %+v\n  want %+v", got, want)
+		t.Errorf("export digests changed:\n  got  %+v\n  want %+v", got, want)
 	}
 }

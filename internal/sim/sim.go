@@ -117,15 +117,14 @@ type Machine struct {
 	dev   *dram.Device
 	amap  *mc.AddrMap
 	sys   *mc.System
-	hier  *cache.Hierarchy
 	cores []*cpu.Core
 	cnt   *stats.Counters
 
-	// hierPool keeps the last-built cache hierarchy across Reuse calls so a
-	// workload with the same core count gets it back Reset instead of paying
-	// for a fresh ~16 MB L3 allocation (hier is nil while a cache-bypassing
-	// workload runs, but the pooled hierarchy survives for the next user).
-	hierPool *cache.Hierarchy
+	// hier is the last-built cache hierarchy. It survives Reuse calls, so
+	// a workload with the same core count gets it back Reset instead of
+	// paying for a fresh ~16 MB L3 allocation; a cache-bypassing workload
+	// leaves it untouched for the next user.
+	hier *cache.Hierarchy
 
 	// served counts completed memory requests against Limits.MaxRequests.
 	served int64
@@ -221,10 +220,9 @@ func (m *Machine) Reuse(def defense.Defense, w workload.Workload) error {
 	m.wireDefenseProbes()
 	*m.cnt = stats.Counters{}
 	m.served = 0
-	m.hier = nil
 	if !w.BypassCache {
-		if m.hierPool != nil && m.hierPool.Cores() == w.Cores() {
-			m.hierPool.Reset()
+		if m.hier != nil && m.hier.Cores() == w.Cores() {
+			m.hier.Reset()
 		} else {
 			hcfg := m.cfg.Cache
 			hcfg.Cores = w.Cores()
@@ -232,9 +230,8 @@ func (m *Machine) Reuse(def defense.Defense, w workload.Workload) error {
 			if err != nil {
 				return err
 			}
-			m.hierPool = h
+			m.hier = h
 		}
-		m.hier = m.hierPool
 	}
 	return m.buildCores()
 }
@@ -375,7 +372,7 @@ func (m *Machine) Run(lim Limits) (*Result, error) {
 		res.Flips = append(res.Flips, b.Flips()...)
 	}
 	res.Counters.BitFlips = int64(len(res.Flips))
-	if m.hier != nil {
+	if !m.w.BypassCache {
 		res.L3 = m.hier.L3Stats()
 	}
 	return res, nil
@@ -400,12 +397,9 @@ func (m *Machine) coreStep(c *cpu.Core, now clock.Time) {
 		m.cnt.CacheMisses++
 	}
 	for _, ma := range res.Mem {
-		switch {
-		case ma.Demand:
+		if ma.Demand {
 			m.submit(c, ma.Addr, false, now)
-		case ma.Prefetch:
-			m.submitBestEffort(c.ID, ma.Addr, false, now)
-		default: // writeback or non-blocking fill
+		} else { // writeback, prefetch or write-miss fill
 			m.submitBestEffort(c.ID, ma.Addr, ma.Write, now)
 		}
 	}

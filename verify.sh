@@ -30,8 +30,9 @@
 #                        byte for byte; unlike the experiments digests, these
 #                        pin multi-core PAR-BS output (mix-high, lbm-stream)
 #   4c. bench smoke    — every sim hot-path, scheduler-step, DRAM bank
-#                        (activate, auto-refresh, remap) and TWiCe table
-#                        (count, prune) benchmark body
+#                        (activate, auto-refresh, remap), TWiCe table
+#                        (count, prune) and cache hierarchy (stream, random
+#                        access) benchmark body
 #                        runs once (-benchtime=1x), so a change that breaks
 #                        only benchmark-path code cannot land green
 #   4d. root benchmarks — every paper table/figure and ablation benchmark in
@@ -93,8 +94,8 @@ echo "==> (cd bench && go run . -write-golden \$tmp/golden.json) && cmp with ben
 (cd bench && go run . -write-golden "$tmp/golden.json")
 cmp "$tmp/golden.json" bench/golden.json
 
-echo "==> go test -run='^\$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram ./internal/core"
-go test -run='^$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram ./internal/core
+echo "==> go test -run='^\$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram ./internal/core ./internal/cache"
+go test -run='^$' -bench=. -benchtime=1x ./internal/sim ./internal/mc ./internal/dram ./internal/core ./internal/cache
 
 echo "==> go test -run '^\$' -bench . -benchtime 1x ."
 go test -run '^$' -bench . -benchtime 1x .
