@@ -280,6 +280,48 @@ func TestPrefetcherSkipsResidentLines(t *testing.T) {
 	}
 }
 
+// TestHierarchyAccessZeroAllocs requires Access to allocate nothing,
+// Result.Mem included, on a stream that sends every kind of memory access:
+// demand fills, write-miss fills, prefetches and dirty writebacks, the
+// latter from L1 victims cascading through L2 and L3. The lines cycle
+// through four times the L3's capacity, every third access a store.
+func TestHierarchyAccessZeroAllocs(t *testing.T) {
+	h := testHierarchy(t)
+	var i uint64
+	var kinds [4]int // demand, fill, prefetch, writeback
+	access := func() {
+		core, line := int(i%2), (i*5)%512
+		res := h.Access(core, line*64, i%3 == 0)
+		i++
+		for _, m := range res.Mem {
+			switch {
+			case m.Demand:
+				kinds[0]++
+			case m.Write:
+				kinds[3]++
+			case m.Addr == line*64:
+				kinds[1]++
+			default:
+				kinds[2]++
+			}
+		}
+	}
+	// One run of 2,000 accesses, so that a single allocation shows: the
+	// count AllocsPerRun returns is rounded down to whole allocations per run.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for range 2000 {
+			access()
+		}
+	}); allocs != 0 {
+		t.Fatalf("2,000 accesses allocate %v times, want 0", allocs)
+	}
+	for k, name := range []string{"demand fills", "write-miss fills", "prefetches", "writebacks"} {
+		if kinds[k] == 0 {
+			t.Errorf("the stream sent no %s", name)
+		}
+	}
+}
+
 func TestStreamingHitsAfterWarmup(t *testing.T) {
 	// With the prefetcher on, a forward stream should mostly hit in L2.
 	h := testHierarchy(t)

@@ -23,9 +23,17 @@ type Result struct {
 	// determined by the controller and added by the caller).
 	Latency clock.Time
 	// Mem lists the memory accesses generated: at most one demand fill,
-	// plus dirty writebacks and prefetches.
+	// plus dirty writebacks and prefetches. It is backed by storage the
+	// hierarchy reuses, so it is valid until the next Access on the same
+	// hierarchy: consume it, or copy it, before calling Access again.
 	Mem []MemAccess
 }
+
+// maxMemPerAccess bounds the memory accesses one Access generates: a
+// writeback at the end of the L1 victim's cascade, of the L2 victim's, of
+// the prefetch's L2 victim's and of the L3 victims of the prefetch and the
+// demand miss, then the prefetch and the demand fill.
+const maxMemPerAccess = 7
 
 // HierarchyConfig describes the full hierarchy. Every hierarchy runs Table
 // 4's linear next-line prefetcher into L2.
@@ -72,6 +80,7 @@ type Hierarchy struct {
 	l1  []*Cache
 	l2  []*Cache
 	l3  *Cache
+	mem [maxMemPerAccess]MemAccess //twicelint:keep backing array of Result.Mem; every Access starts it empty
 }
 
 // NewHierarchy builds the hierarchy.
@@ -114,9 +123,9 @@ func (h *Hierarchy) L3Stats() Stats { return h.l3.Stats() }
 // Access runs one core access through the hierarchy. Dirty victims cascade
 // into the next level (write-back); lines are filled on miss (write-
 // allocate); the demand fill of a read miss is the only access the core
-// waits for.
+// waits for. The result's Mem is overwritten by the next Access.
 func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
-	res := Result{Latency: h.cfg.L1.Latency}
+	res := Result{Latency: h.cfg.L1.Latency, Mem: h.mem[:0]}
 	l1, l2 := h.l1[core], h.l2[core]
 
 	hit1, v1, hasV1 := l1.Access(addr, write)

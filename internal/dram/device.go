@@ -34,11 +34,22 @@ type Bank struct {
 	p     *Params     //twicelint:keep device parameters, fixed at construction
 	remap *RemapTable //twicelint:keep fuse data survives power cycles; RemapTable has no reset
 
-	// disturb[phys] counts neighbour ACTs since the row's last refresh or
-	// own activation. A count rises only by one, in hammer, so a row records
-	// its flip on the increment that takes it to NTh+1 and never again until
-	// a refresh zeroes it.
-	disturb []int32
+	// A row's disturbance count is the number of neighbour ACTs since the
+	// row's last refresh or own activation. A count rises only by one, in
+	// hammer, so a row records its flip on the increment that takes it to
+	// NTh+1 and never again until a refresh zeroes it.
+	//
+	// Counts are stored per 64-row group (the rows of one dirty word), and
+	// only for the groups a run disturbs: slot[g] is 0 while group g has
+	// never been disturbed (every count in it is zero), and otherwise the
+	// 1-based number of its 64 counts in counts, so row phys counts at
+	// counts[(slot[phys>>6]-1)<<6 | phys&63]. hammer appends a group the
+	// first time it raises one of its counts. A group keeps its slot for the
+	// bank's lifetime, Reset included, so a recycled bank allocates nothing
+	// for the groups it disturbed before; the slab never grows past one
+	// slot per group, the dense array's size.
+	slot   []int32 //twicelint:keep group slots survive Reset; their counts are zeroed through the dirty bitmap
+	counts []int32
 	// dirty holds one bit per physical row (bit phys&63 of word phys>>6),
 	// set whenever hammer raises that row's count. A clear bit means the
 	// row's count is zero, so the refresh sweep and Reset zero only the
@@ -64,13 +75,13 @@ func NewBank(id BankID, p *Params, remap *RemapTable) *Bank {
 	if remap == nil {
 		remap = NewRemapTable(p.RowsPerBank, p.SpareRowsPerBank)
 	}
-	n := remap.PhysicalRows()
+	groups := (remap.PhysicalRows() + 63) / 64
 	b := &Bank{
-		id:      id,
-		p:       p,
-		remap:   remap,
-		disturb: make([]int32, n),
-		dirty:   make([]uint64, (n+63)/64),
+		id:    id,
+		p:     p,
+		remap: remap,
+		slot:  make([]int32, groups),
+		dirty: make([]uint64, groups),
 	}
 	b.Reset()
 	return b
@@ -117,25 +128,32 @@ func (b *Bank) Activate(logicalRow int, now clock.Time) error {
 //
 //twicelint:hotpath disturbance accounting runs on every ACT and ARR
 func (b *Bank) hammer(phys int, now clock.Time) {
-	b.disturb[phys] = 0
+	if s := b.slot[phys>>6]; s != 0 { // an unstored group counts zero already
+		b.counts[int(s-1)<<6|phys&63] = 0
+	}
 	lo := phys - b.p.BlastRadius
 	if lo < 0 {
 		lo = 0
 	}
 	hi := phys + b.p.BlastRadius
-	if last := len(b.disturb) - 1; hi > last {
+	if last := b.remap.PhysicalRows() - 1; hi > last {
 		hi = last
 	}
 	for n := lo; n <= hi; n++ {
 		if n == phys {
 			continue
 		}
-		b.disturb[n]++
-		b.dirty[n>>6] |= 1 << (n & 63)
-		if b.disturb[n] > b.hwm {
-			b.hwm = b.disturb[n]
+		s := b.slot[n>>6]
+		if s == 0 {
+			s = b.addGroup(n >> 6)
 		}
-		if int(b.disturb[n]) == b.p.NTh+1 {
+		c := &b.counts[int(s-1)<<6|n&63]
+		*c++
+		b.dirty[n>>6] |= 1 << (n & 63)
+		if *c > b.hwm {
+			b.hwm = *c
+		}
+		if int(*c) == b.p.NTh+1 {
 			b.stats.Flips++
 			//twicelint:allocok flip records are rare events (each physical row flips at most once)
 			b.flips = append(b.flips, Flip{
@@ -143,10 +161,31 @@ func (b *Bank) hammer(phys int, now clock.Time) {
 				PhysRow: n,
 				Logical: b.remap.Logical(n),
 				Time:    now,
-				Disturb: int(b.disturb[n]),
+				Disturb: int(*c),
 			})
 		}
 	}
+}
+
+// addGroup stores 64 zeroed counts for group g at the end of the slab and
+// returns the group's new slot. A full slab grows by a quarter plus four
+// slots, about as append grows a large slice, so a run that stores most
+// groups holds little more than it uses; its capacity stops at one slot per
+// group, the size of a dense array.
+func (b *Bank) addGroup(g int) int32 {
+	if len(b.counts) == cap(b.counts) {
+		slots := len(b.counts) >> 6
+		//twicelint:allocok at most 23 growths per bank lifetime at the default geometry: slots survive Reset, so a recycled bank stops growing
+		grown := make([]int32, len(b.counts), min(slots+slots/4+4, len(b.slot))<<6)
+		copy(grown, b.counts)
+		b.counts = grown
+	}
+	// The slab never shrinks, so the 64 counts past its length have never
+	// been written since make zeroed them.
+	b.counts = b.counts[:len(b.counts)+64]
+	s := int32(len(b.counts) >> 6) //twicelint:checked at most len(b.slot); 2^31 groups would need a 16 GiB dirty bitmap
+	b.slot[g] = s
+	return s
 }
 
 // Precharge closes the open row. Precharging an already-idle bank is legal
@@ -165,7 +204,7 @@ func (b *Bank) AutoRefresh(now clock.Time) error {
 		//twicelint:allocok cold error path: protocol violation, not steady state
 		return fmt.Errorf("dram: auto-refresh with row %d open in %v", b.openRow, b.id)
 	}
-	n := len(b.disturb)
+	n := b.remap.PhysicalRows()
 	count := b.p.RowsPerRefresh() // at most n: the window holds at least one tick
 	lo, hi := b.refreshPtr, b.refreshPtr+count
 	if hi > n {
@@ -182,8 +221,9 @@ func (b *Bank) AutoRefresh(now clock.Time) error {
 
 // refreshRows zeroes the disturbance counts of the physical rows [lo, hi)
 // and clears their dirty bits, one bitmap word at a time. A word's rows are
-// zeroed with one clear when any of them is dirty and skipped otherwise:
-// the clean rows among them already count zero.
+// zeroed with one clear when any of them is dirty (a dirty row's group is
+// stored) and skipped otherwise: the clean rows among them already count
+// zero.
 func (b *Bank) refreshRows(lo, hi int) {
 	for lo < hi {
 		w := lo >> 6
@@ -191,7 +231,8 @@ func (b *Bank) refreshRows(lo, hi int) {
 		first, last := lo&63, (end-1)&63
 		mask := ^uint64(0) << first & (^uint64(0) >> (63 - last))
 		if b.dirty[w]&mask != 0 {
-			clear(b.disturb[lo:end])
+			base := int(b.slot[w]-1) << 6
+			clear(b.counts[base+first : base+last+1])
 			b.dirty[w] &^= mask
 		}
 		lo = end
@@ -260,7 +301,13 @@ func (b *Bank) RefreshLogicalNeighbors(aggressorLogical int, now clock.Time) (in
 }
 
 // Disturbance returns the disturbance count of a physical row (test hook).
-func (b *Bank) Disturbance(phys int) int { return int(b.disturb[phys]) }
+func (b *Bank) Disturbance(phys int) int {
+	s := b.slot[phys>>6]
+	if s == 0 {
+		return 0
+	}
+	return int(b.counts[int(s-1)<<6|phys&63])
+}
 
 // DisturbHighWater returns the highest disturbance count any row of the bank
 // has ever reached (refreshes clear counters but not the high-water mark).
@@ -269,10 +316,12 @@ func (b *Bank) DisturbHighWater() int { return int(b.hwm) }
 // Reset restores the bank to its just-constructed state while keeping its
 // storage and remap table: disturbance counters and dirty bits cleared (only
 // the 64-row groups the bitmap marks are zeroed, so a reset costs what the
-// last run disturbed), the refresh pointer rewound, recorded flips dropped
-// (the backing array is reused), and the activity counters zeroed. The remap
-// table is fuse data — it survives, which is what makes a reset bank
-// byte-identical to a fresh bank built from the same generation sequence.
+// last run disturbed; every group keeps its slot), the refresh pointer
+// rewound, recorded flips dropped (the backing array is reused), and the
+// activity counters zeroed. A stored group of zeros reads like an unstored
+// one, so only the storage differs from a fresh bank. The remap table is
+// fuse data — it survives, which is what makes a reset bank byte-identical
+// to a fresh bank built from the same generation sequence.
 func (b *Bank) Reset() {
 	// Every dirty bit is set together with a count of at least 1, so a
 	// high-water mark of 0 means a clear bitmap and nothing to walk. A
@@ -282,7 +331,8 @@ func (b *Bank) Reset() {
 	if b.hwm > 0 {
 		for w, word := range b.dirty {
 			if word != 0 {
-				clear(b.disturb[w<<6 : min(len(b.disturb), (w+1)<<6)])
+				base := int(b.slot[w]-1) << 6
+				clear(b.counts[base : base+64])
 				b.dirty[w] = 0
 			}
 		}

@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,12 +12,15 @@ import (
 
 // refBank is the dense reference model of a Bank's reliability state: every
 // refresh walks each row of its range, and flips are tracked with an
-// explicit per-row mark instead of being read off the count.
+// explicit per-row mark instead of being read off the count. touched marks
+// the 64-row groups whose counts hammer has raised since construction, the
+// groups a Bank must store.
 type refBank struct {
 	p       *Params
 	remap   *RemapTable
 	disturb []int
 	flipped []bool
+	touched []bool
 	ptr     int
 	hwm     int
 	flips   []Flip
@@ -25,7 +29,8 @@ type refBank struct {
 
 func newRefBank(p *Params, remap *RemapTable) *refBank {
 	n := remap.PhysicalRows()
-	return &refBank{p: p, remap: remap, disturb: make([]int, n), flipped: make([]bool, n)}
+	return &refBank{p: p, remap: remap, disturb: make([]int, n), flipped: make([]bool, n),
+		touched: make([]bool, (n+63)/64)}
 }
 
 func (r *refBank) hammer(phys int, now clock.Time) {
@@ -36,6 +41,7 @@ func (r *refBank) hammer(phys int, now clock.Time) {
 			continue
 		}
 		r.disturb[n]++
+		r.touched[n>>6] = true
 		r.hwm = max(r.hwm, r.disturb[n])
 		if r.disturb[n] > r.p.NTh && !r.flipped[n] {
 			r.flipped[n] = true
@@ -79,19 +85,24 @@ func (r *refBank) autoRefresh() {
 	r.stats.RowsRefreshed += int64(r.p.RowsPerRefresh())
 }
 
+// reset clears everything but touched: a Bank keeps storing the groups it
+// disturbed before a reset.
 func (r *refBank) reset() {
+	touched := r.touched
 	*r = *newRefBank(r.p, r.remap)
+	r.touched = touched
 }
 
 // TestDisturbanceConservation checks the bookkeeping behind the whole
 // reliability model against refBank: after every activation, ARR,
 // logical-neighbour refresh, auto-refresh and reset of a random stream, each
 // row's disturbance, the recorded flips, the activity counters and the
-// high-water mark must match. The streams hammer a few hot rows, some of
-// them remapped to spares, at a small NTh, so rows flip, are refreshed and
-// flip again. Two geometries: 72 rows refreshed one per tick, whose bitmap
-// ends in a partial word, and 200 rows refreshed 67 per tick, so a tick's
-// range spans several words and wraps past the last row mid-tick.
+// high-water mark must match, and the bank must store counts for exactly
+// the 64-row groups disturbed since it was built. The streams hammer a few
+// hot rows, some of them remapped to spares, at a small NTh, so rows flip,
+// are refreshed and flip again. Two geometries: 72 rows refreshed one per tick, and 200 rows
+// refreshed 67 per tick, so a tick's range spans several words and wraps
+// past the last row mid-tick. Both end in a partial 64-row group.
 func TestDisturbanceConservation(t *testing.T) {
 	wide := smallParams()
 	wide.RowsPerBank, wide.SpareRowsPerBank = 192, 8
@@ -196,6 +207,18 @@ func diffRef(b *Bank, ref *refBank) string {
 	}
 	if b.DisturbHighWater() != ref.hwm {
 		return fmt.Sprintf("high-water mark %d, reference %d", b.DisturbHighWater(), ref.hwm)
+	}
+	var touched []int
+	for g, ok := range ref.touched {
+		if ok {
+			touched = append(touched, g)
+		}
+	}
+	if got := b.StoredGroups(); !slices.Equal(got, touched) {
+		return fmt.Sprintf("stored groups %v, disturbed %v", got, touched)
+	}
+	if n, _ := b.Slab(); n != 64*len(touched) {
+		return fmt.Sprintf("slab holds %d counts for %d groups", n, len(touched))
 	}
 	return ""
 }

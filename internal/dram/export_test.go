@@ -3,6 +3,21 @@ package dram
 // OpenRow returns the logical row currently open in the bank, or -1.
 func (b *Bank) OpenRow() int { return b.openRow }
 
+// StoredGroups returns, in ascending order, the 64-row groups whose
+// disturbance counts the bank stores.
+func (b *Bank) StoredGroups() []int {
+	var groups []int
+	for g, s := range b.slot {
+		if s != 0 {
+			groups = append(groups, g)
+		}
+	}
+	return groups
+}
+
+// Slab returns the length and capacity, in counts, of the bank's count slab.
+func (b *Bank) Slab() (length, capacity int) { return len(b.counts), cap(b.counts) }
+
 // TotalFlips sums observed row-hammer flips across all banks.
 func (d *Device) TotalFlips() int64 { return d.TotalStats().Flips }
 

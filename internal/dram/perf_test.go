@@ -163,11 +163,18 @@ func BenchmarkRemapLogical100Remapped(b *testing.B) {
 // TestActivateSteadyStateZeroAllocs pins the tentpole win of this layer: once
 // a bank is warm, the ACT → hammer → flip-check path must not touch the heap.
 // A flip record append still may (and must) allocate, so the threshold is set
-// high enough that no flips occur during the measured runs.
+// high enough that no flips occur during the measured runs. Warm means the
+// groups the measured rows disturb are stored: one pass over the same rows
+// stores them first.
 func TestActivateSteadyStateZeroAllocs(t *testing.T) {
 	p := benchParams()
 	bank := NewBank(BankID{0, 0, 0}, &p, remapTableWithN(p, 100))
 	row := 0
+	for i := 0; i <= 1000; i++ {
+		activateRows(t, bank, []int{row})
+		row = (row + 7919) % p.RowsPerBank
+	}
+	row = 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		if err := bank.Activate(row, 0); err != nil {
 			t.Fatal(err)
@@ -204,6 +211,86 @@ func TestAutoRefreshSteadyStateZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("Bank.AutoRefresh on a %s bank allocates %v per run, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestSlabNeverExceedsDense activates every logical row of a full-size bank
+// whose 1,024 spares all hold remapped rows, so every 64-row group is
+// disturbed, and then runs a window of auto-refreshes, a reset and a second
+// pass: the count slab's length and capacity must never exceed the dense
+// array it replaces, one count per physical row.
+func TestSlabNeverExceedsDense(t *testing.T) {
+	p := benchParams()
+	remap := remapTableWithN(p, p.SpareRowsPerBank)
+	bank := NewBank(BankID{0, 0, 0}, &p, remap)
+	dense := remap.PhysicalRows()
+	if dense%64 != 0 {
+		t.Fatalf("%d physical rows; the geometry should fill its last group", dense)
+	}
+	check := func(when string, args ...any) {
+		t.Helper()
+		if n, c := bank.Slab(); n > dense || c > dense {
+			t.Fatalf(when+": slab length %d, capacity %d, above the dense %d", append(args, n, c, dense)...)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for row := 0; row < p.RowsPerBank; row++ {
+			activateRows(t, bank, []int{row})
+			check("pass %d, row %d", pass, row)
+		}
+		if n, _ := bank.Slab(); n != dense {
+			t.Fatalf("pass %d: slab length %d after disturbing every group, want %d", pass, n, dense)
+		}
+		for tick := 0; tick < p.RefreshTicksPerWindow(); tick++ {
+			if err := bank.AutoRefresh(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("pass %d, refresh window", pass)
+		bank.Reset()
+		check("pass %d, reset", pass)
+	}
+}
+
+// TestRecycledBankZeroAllocs pins the machine-reuse path at zero
+// allocations: once a pass over a row set has stored the groups it
+// disturbs, every later pass (activations, adjacent-row refreshes, an
+// auto-refresh and a reset over the same rows) allocates nothing, because a
+// reset keeps the groups' slots. The rows include a remapped one, whose
+// physical home is a spare, and a pair straddling a group boundary.
+func TestRecycledBankZeroAllocs(t *testing.T) {
+	p := quickBankParams()
+	remap := remapTableWithN(p, 100)
+	bank := NewBank(BankID{0, 0, 0}, &p, remap)
+	rows := append([]int{63, 64, remap.Remapped()[0]}, hotRows...)
+	pass := func() {
+		activateRows(t, bank, rows)
+		for _, row := range rows {
+			if _, err := bank.AdjacentRowRefresh(row, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bank.AutoRefresh(0); err != nil {
+			t.Fatal(err)
+		}
+		bank.Reset()
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+		t.Fatalf("a recycled bank allocates %v per pass, want 0", allocs)
+	}
+}
+
+// BenchmarkNewDevice builds the default 64-bank DDR4_2400 device with seeded
+// remap tables (1,024 remapped rows a bank at the default fault rate), the
+// device share of a machine's construction.
+func BenchmarkNewDevice(b *testing.B) {
+	p := DDR4_2400()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewDevice(p, rand.New(rand.NewSource(int64(i)))); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -2,8 +2,9 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // RemapTable records the row-sparing decisions made at device test time:
@@ -73,26 +74,31 @@ func GenerateRemapTable(p Params, rng *rand.Rand) *RemapTable {
 	// element moves per bank, which dominated machine construction at the
 	// default fault rate (n = 1024 spares per bank). The rejection loop below
 	// draws from the rng in exactly the order the incremental version did, so
-	// generated layouts are unchanged.
-	taken := make([]bool, p.RowsPerBank)
+	// generated layouts are unchanged; TestGenerateRemapTableMatchesReference
+	// pins them. Accepted rows are marked in a bitmap (16 KiB a bank at the
+	// default geometry).
+	taken := make([]uint64, (p.RowsPerBank+63)/64)
 	t.spareLogical = make([]int, 0, n)
 	for len(t.spareLogical) < n {
 		r := rng.Intn(p.RowsPerBank)
-		if !taken[r] {
-			taken[r] = true
+		if bit := uint64(1) << (r & 63); taken[r>>6]&bit == 0 {
+			taken[r>>6] |= bit
 			t.spareLogical = append(t.spareLogical, r)
 		}
 	}
-	perm := make([]int, n) // acceptance indices, sorted by logical row
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(i, j int) bool { return t.spareLogical[perm[i]] < t.spareLogical[perm[j]] })
+	// Sort row<<k | spare: the rows are distinct, so this orders the spares
+	// by the row they serve, and each value carries its spare in its low k
+	// bits.
+	k := bits.Len(uint(n))
 	t.remappedLogical = make([]int, n)
+	for s, r := range t.spareLogical {
+		t.remappedLogical[s] = r<<k | s
+	}
+	slices.Sort(t.remappedLogical)
 	t.remappedPhys = make([]int, n)
-	for i, s := range perm {
-		t.remappedLogical[i] = t.spareLogical[s]
-		t.remappedPhys[i] = t.rows + s
+	for i, v := range t.remappedLogical {
+		t.remappedLogical[i] = v >> k
+		t.remappedPhys[i] = t.rows + v&(1<<k-1)
 	}
 	return t
 }

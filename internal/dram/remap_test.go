@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -96,9 +97,10 @@ func TestGenerateRemapTableDeterministic(t *testing.T) {
 }
 
 func TestGenerateRemapTableRate(t *testing.T) {
-	// With SCF 1e-5 and 64Kbit rows the expected faulty-row count per
-	// 131072-row bank is ~0.65 × 131072 / ... : perRow = 1e-5 * 65536 = 0.655,
-	// capped by spares (1024). The generator must respect the spare budget.
+	// With SCF 1e-5 and 64 Kibit rows a row is faulty with probability
+	// 1e-5 × 65536 ≈ 0.655, so a 131,072-row bank expects ~85,900 faulty
+	// rows, far above its 1,024 spares. The generator must respect the spare
+	// budget.
 	p := DDR4_2400()
 	rt := GenerateRemapTable(p, rand.New(rand.NewSource(1)))
 	if rt.Count() > p.SpareRowsPerBank {
@@ -106,6 +108,65 @@ func TestGenerateRemapTableRate(t *testing.T) {
 	}
 	if rt.Count() == 0 {
 		t.Error("expected a nonzero number of remapped rows at SCF 1e-5")
+	}
+}
+
+// TestGenerateRemapTableMatchesReference pins GenerateRemapTable to the
+// implementation it replaced (generateRemapTableRef): for seeds 1–20 at four
+// fault rates, both tables must agree on Remapped, Count, Physical of every
+// logical row and Logical of every physical row, and both must leave the rng
+// at the same point, so every later bank's layout stays the same too. The
+// rates give no faulty rows; an expected count of 0.6, so the fractional
+// draw decides between 0 and 1; an expected ~100; and the DDR4_2400 default,
+// whose ~85,900 expected rows are capped at the 1,024 spares.
+func TestGenerateRemapTableMatchesReference(t *testing.T) {
+	def := DDR4_2400()
+	rowCells := float64(def.RowBytes()*8) * float64(def.RowsPerBank)
+	for _, tc := range []struct {
+		name string
+		scf  float64
+		n    func(int) bool // the count every seed must produce
+	}{
+		{"zero", 0, func(n int) bool { return n == 0 }},
+		{"fractional", 0.6 / rowCells, func(n int) bool { return n <= 1 }},
+		{"hundred", 100.4 / rowCells, func(n int) bool { return n == 100 || n == 101 }},
+		{"default", def.SCFRate, func(n int) bool { return n == def.SpareRowsPerBank }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := def
+			p.SCFRate = tc.scf
+			counts := map[int]int{}
+			for seed := int64(1); seed <= 20; seed++ {
+				rng, refRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got, want := GenerateRemapTable(p, rng), generateRemapTableRef(p, refRng)
+				if !tc.n(got.Count()) {
+					t.Fatalf("seed %d: Count = %d, outside this rate's range", seed, got.Count())
+				}
+				counts[got.Count()]++
+				if got.Count() != want.Count() {
+					t.Fatalf("seed %d: Count = %d, reference %d", seed, got.Count(), want.Count())
+				}
+				if !slices.Equal(got.Remapped(), want.Remapped()) {
+					t.Fatalf("seed %d: Remapped = %v, reference %v", seed, got.Remapped(), want.Remapped())
+				}
+				for l := 0; l < p.RowsPerBank; l++ {
+					if g, w := got.Physical(l), want.Physical(l); g != w {
+						t.Fatalf("seed %d: Physical(%d) = %d, reference %d", seed, l, g, w)
+					}
+				}
+				for ph := 0; ph < want.PhysicalRows(); ph++ {
+					if g, w := got.Logical(ph), want.Logical(ph); g != w {
+						t.Fatalf("seed %d: Logical(%d) = %d, reference %d", seed, ph, g, w)
+					}
+				}
+				if g, w := rng.Int63(), refRng.Int63(); g != w {
+					t.Fatalf("seed %d: next draw %d, reference %d: the rng was drawn in another order", seed, g, w)
+				}
+			}
+			if tc.name == "fractional" && (counts[0] == 0 || counts[1] == 0) {
+				t.Errorf("fractional rate: counts %v over 20 seeds, want both 0 and 1", counts)
+			}
+		})
 	}
 }
 

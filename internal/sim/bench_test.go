@@ -33,9 +33,12 @@ func benchDefense(b *testing.B, cfg Config) *core.TWiCe {
 
 // BenchmarkSimRunAllocs measures the single-run hot path end to end — the
 // event loop, the controller's per-step scans, and the request submit path —
-// with a fresh machine per op and allocation reporting. Its bytes/op against
-// BenchmarkSimRunReusedAllocs/detached is what machine recycling saves per
-// grid cell. End-to-end throughput is measured by the bench/ module.
+// with a fresh machine per op and allocation reporting. A fresh machine
+// also stores the disturbance counts of the row groups its run disturbs
+// for the first time, which a recycled one keeps from its earlier runs.
+// Its bytes/op against BenchmarkSimRunReusedAllocs/detached is what machine
+// recycling saves per grid cell. End-to-end throughput is measured by the
+// bench/ module.
 func BenchmarkSimRunAllocs(b *testing.B) {
 	const requests = 20000
 	cfg := benchConfig(1)
@@ -61,8 +64,9 @@ func BenchmarkSimRunAllocs(b *testing.B) {
 // run as BenchmarkSimRunAllocs, but through a CellRunner that recycles one
 // machine across ops the way the experiment grids recycle one machine per
 // worker. The detached case's delta against BenchmarkSimRunAllocs is the
-// per-cell cost of machine construction (device disturb arrays, caches,
-// controller queues) that reuse eliminates. The probed case attaches a fresh
+// per-cell cost of machine construction (device slot indexes, dirty bitmaps
+// and remap tables, controller queues, tables) and of the first run's
+// disturbance slabs, which reuse eliminates. The probed case attaches a fresh
 // probe.Recorder per op, as the -telemetry grids attach one per cell, so its
 // delta against detached is the whole observability tax, recorder
 // construction included.

@@ -30,7 +30,8 @@
 #                        byte for byte; unlike the experiments digests, these
 #                        pin multi-core PAR-BS output (mix-high, lbm-stream)
 #   4c. bench smoke    — every sim hot-path, scheduler-step, DRAM bank
-#                        (activate, auto-refresh, remap), TWiCe table
+#                        (activate, auto-refresh, remap), DRAM device
+#                        construction (BenchmarkNewDevice), TWiCe table
 #                        (count, prune) and cache hierarchy (stream, random
 #                        access) benchmark body
 #                        runs once (-benchtime=1x), so a change that breaks
