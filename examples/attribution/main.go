@@ -32,7 +32,10 @@ func main() {
 		base := uint64(i) * (mem / 4)
 		w.Gens = append(w.Gens, workload.NewSPECLike(prof, base, mem/4, int64(i+1)))
 	}
-	attacker := twice.WorkloadS3(cfg, 5000)
+	attacker, err := twice.WorkloadS3(cfg, 5000)
+	if err != nil {
+		log.Fatal(err)
+	}
 	w.Gens = append(w.Gens, attacker.Gens[0])
 
 	tcfg := twice.NewTWiCeConfig(cfg.DRAM)

@@ -43,16 +43,20 @@ func main() {
 	}
 	defenses := []twice.Defense{para1, para2, cbt, tw}
 
-	workloads := map[string]func() twice.Workload{
-		"S1": func() twice.Workload { return twice.WorkloadS1(cfg, 1) },
-		"S2": func() twice.Workload { return twice.WorkloadS2(cfg, 512) },
-		"S3": func() twice.Workload { return twice.WorkloadS3(cfg, 5000) },
+	workloads := map[string]func() (twice.Workload, error){
+		"S1": func() (twice.Workload, error) { return twice.WorkloadS1(cfg, 1) },
+		"S2": func() (twice.Workload, error) { return twice.WorkloadS2(cfg, 512) },
+		"S3": func() (twice.Workload, error) { return twice.WorkloadS3(cfg, 5000) },
 	}
 
 	fmt.Printf("%-6s %-12s %14s %12s %8s %6s\n", "wl", "defense", "extra ACTs", "ratio", "detect", "flips")
 	for _, wname := range []string{"S1", "S2", "S3"} {
 		for _, def := range defenses {
-			res, err := twice.Run(cfg, def, workloads[wname](), twice.Requests(250000))
+			w, err := workloads[wname]()
+			if err != nil {
+				log.Fatal(err)
+			}
+			res, err := twice.Run(cfg, def, w, twice.Requests(250000))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -29,7 +29,10 @@ func main() {
 	}
 
 	// Hammer row 5000 of bank 0 as fast as DRAM timing allows.
-	attack := twice.WorkloadS3(cfg, 5000)
+	attack, err := twice.WorkloadS3(cfg, 5000)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	res, err := twice.Run(cfg, def, attack, twice.Requests(300000))
 	if err != nil {
@@ -46,7 +49,11 @@ func main() {
 	fmt.Printf("  bit flips: %d (the attack fails)\n", len(res.Flips))
 
 	// The same attack with no defense flips bits.
-	undefended, err := twice.Run(cfg, twice.NoDefense(), twice.WorkloadS3(cfg, 5000), twice.Requests(300000))
+	attack, err = twice.WorkloadS3(cfg, 5000)
+	if err != nil {
+		log.Fatal(err)
+	}
+	undefended, err := twice.Run(cfg, twice.NoDefense(), attack, twice.Requests(300000))
 	if err != nil {
 		log.Fatal(err)
 	}

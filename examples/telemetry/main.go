@@ -36,8 +36,14 @@ func main() {
 	// Core 0 rotates a 16-sided hammer (each aggressor stays above thPI per
 	// tREFI, so its entry is never pruned); core 1 sprays uniform-random
 	// benign traffic whose rows are pruned at the first checkpoint.
-	attack := twice.WorkloadManySided(cfg, 5000, 16)
-	noise := twice.WorkloadS1(cfg, 42)
+	attack, err := twice.WorkloadManySided(cfg, 5000, 16)
+	if err != nil {
+		log.Fatal(err)
+	}
+	noise, err := twice.WorkloadS1(cfg, 42)
+	if err != nil {
+		log.Fatal(err)
+	}
 	w := twice.Workload{
 		Name:        "16-sided+uniform-noise",
 		BypassCache: true,

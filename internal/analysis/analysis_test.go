@@ -19,7 +19,7 @@ func TestDeriveMatchesTable2(t *testing.T) {
 		t.Errorf("PI = %v", d.PruneInterval)
 	}
 	if d.TableBound != 556 {
-		t.Errorf("bound = %d, want 556 (paper: 553)", d.TableBound)
+		t.Errorf("bound = %d, want 556 (the paper's 553 is this bound at maxact 164)", d.TableBound)
 	}
 	if d.NarrowEntries != 124 || d.WideEntries != 432 {
 		t.Errorf("separated sizing = %d/%d", d.NarrowEntries, d.WideEntries)

@@ -133,9 +133,12 @@ func (c Config) MaxACT() int {
 // entries: maxact fresh entries plus, for each life n ≥ 2, the survivors
 // bounded by one PI's activation budget spread over counters needing
 // (n−1)·thPI ACTs each, with sub-counter leftovers carried to the next life
-// level. For the Table 2 parameters this yields 556 entries — the paper
-// reports 553 with slightly different leftover accounting; both round to the
-// same 9×64 pa-TWiCe geometry and ~2.7 KB table.
+// level. For the Table 2 parameters (maxact 165) this yields 556 entries,
+// which a legal stream reaches exactly. The paper reports 553, which this
+// recurrence gives at maxact 164 = ⌊(tREFI − tRFC) / 45.32 ns⌋, with
+// tRAS + tRP (32 + 13.32 ns) in place of our 45 ns tRC; that reading is a
+// hypothesis (EXPERIMENTS.md, deviation 1). Both round to the same 9×64
+// pa-TWiCe geometry and ~2.7 KB table.
 func (c Config) TableBound() int {
 	return tableBound(c.MaxACT(), c.ThPI(), c.MaxLife())
 }

@@ -51,7 +51,7 @@ func TestTable2Derivations(t *testing.T) {
 		t.Errorf("maxact = %d, want 165", got)
 	}
 	if got := cfg.TableBound(); got != 556 {
-		t.Errorf("table bound = %d, want 556 (paper: 553 with different leftover accounting)", got)
+		t.Errorf("table bound = %d, want 556 (the paper's 553 is this bound at maxact 164)", got)
 	}
 	narrow, wide := cfg.SeparatedSizing()
 	if narrow != 124 {
@@ -395,7 +395,8 @@ func boundWitness(t *testing.T, tw *TWiCe, rowStride int) int {
 // TestTableBoundNeverExceeded pins TableBound as tight: a stream that never
 // exceeds maxact ACTs per PI fills the table to exactly TableBound for every
 // organization, and pa's set borrowing holds it even when every row prefers
-// one set. At Table 2's parameters that is 556 entries (the paper: 553).
+// one set. At Table 2's parameters that is 556 entries (the paper's 553 is
+// the same bound at maxact 164; EXPERIMENTS.md, deviation 1).
 func TestTableBoundNeverExceeded(t *testing.T) {
 	for j, base := range []Config{testConfig(PA), NewConfig(dram.DDR4_2400())} {
 		want := []int{36, 556}[j]

@@ -57,8 +57,10 @@ type Table interface {
 	Ops() OpStats
 	// Clear empties the table and zeroes its operation counters without
 	// releasing storage, leaving it indistinguishable from a freshly
-	// constructed table. Machine reuse and TWiCe.Reset depend on that
-	// just-constructed equivalence (including free-slot ordering, so that
-	// post-clear insertions land in the same slots a fresh table would use).
+	// constructed table. TWiCe.Reset depends on that just-constructed
+	// equivalence (including free-slot ordering, so that post-clear
+	// insertions land in the same slots a fresh table would use); machine
+	// reuse does not clear tables, since every grid cell builds a fresh
+	// defense.
 	Clear()
 }

@@ -104,7 +104,9 @@ func BenchmarkTablePrune(b *testing.B) {
 // TestTouchSteadyStateZeroAllocs pins the per-ACT table call, Count, at
 // zero allocations once the table is built, for every organization: a miss
 // that inserts, hits (the separated table's thPI-th graduates the row) and
-// the Remove a detection adds.
+// the Remove a detection adds. One run of 1,000 such rounds, so that a
+// single allocation shows: AllocsPerRun rounds down to whole allocations per
+// run.
 func TestTouchSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -113,25 +115,25 @@ func TestTouchSteadyStateZeroAllocs(t *testing.T) {
 		t.Run(bt.name, func(t *testing.T) {
 			tb := bt.make()
 			rows := fillHalf(t, tb, 4)
-			i := 0
-			allocs := testing.AllocsPerRun(1000, func() {
-				tb.Count(rows[i%len(rows)])
-				row := rows[i%len(rows)] + 1
-				for j := 0; j < 4; j++ {
-					tb.Count(row) // insert, two hits, then sep's graduation
+			allocs := testing.AllocsPerRun(1, func() {
+				for i := range 1000 {
+					tb.Count(rows[i%len(rows)])
+					row := rows[i%len(rows)] + 1
+					for j := 0; j < 4; j++ {
+						tb.Count(row) // insert, two hits, then sep's graduation
+					}
+					tb.Remove(row)
 				}
-				tb.Remove(row)
-				i++
 			})
 			if allocs != 0 {
-				t.Fatalf("Table.Count allocates %v per run, want 0", allocs)
+				t.Fatalf("1,000 Count rounds allocate %v times, want 0", allocs)
 			}
 		})
 	}
 }
 
-// TestClearNoAllocs pins the reuse path: clearing a table for the next grid
-// cell must not allocate either.
+// TestClearNoAllocs pins Clear, which reuses a table's storage, at zero
+// allocations: one run of 100 clears, so that a single allocation shows.
 func TestClearNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -140,11 +142,13 @@ func TestClearNoAllocs(t *testing.T) {
 		t.Run(bt.name, func(t *testing.T) {
 			tb := bt.make()
 			fillHalf(t, tb, 4)
-			allocs := testing.AllocsPerRun(100, func() {
-				tb.Clear()
+			allocs := testing.AllocsPerRun(1, func() {
+				for range 100 {
+					tb.Clear()
+				}
 			})
 			if allocs != 0 {
-				t.Fatalf("Table.Clear allocates %v per run, want 0", allocs)
+				t.Fatalf("100 Table.Clear calls allocate %v times, want 0", allocs)
 			}
 		})
 	}

@@ -49,7 +49,8 @@ type Core struct {
 
 	nextIssue   clock.Time
 	outstanding int
-	deferred    *workload.Access // access that could not enter the MC queue
+	deferred    workload.Access // access that could not enter the MC queue, valid while hasDeferred
+	hasDeferred bool
 
 	instructions int64
 }
@@ -104,9 +105,8 @@ func (c *Core) delay(d clock.Time) {
 // the access's instruction gap. Callers must respect NextEventTime.
 func (c *Core) Take(now clock.Time) workload.Access {
 	var a workload.Access
-	if c.deferred != nil {
-		a = *c.deferred
-		c.deferred = nil
+	if c.hasDeferred {
+		a, c.hasDeferred = c.deferred, false
 	} else {
 		a = c.gen.Next()
 		c.instructions += int64(a.Gap)
@@ -121,7 +121,7 @@ func (c *Core) Take(now clock.Time) workload.Access {
 // Defer hands back an access that could not be accepted (full MC queue); the
 // core retries it no earlier than retryAt.
 func (c *Core) Defer(a workload.Access, retryAt clock.Time) {
-	c.deferred = &a
+	c.deferred, c.hasDeferred = a, true
 	if retryAt > c.nextIssue {
 		c.nextIssue = retryAt
 	}

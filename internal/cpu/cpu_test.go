@@ -145,6 +145,30 @@ func TestDeferRetriesSameAccess(t *testing.T) {
 	}
 }
 
+// TestDeferTakeZeroAllocs pins a queue-full deferral and its retry at zero
+// allocations on a warm core: the core keeps the deferred access by value.
+func TestDeferTakeZeroAllocs(t *testing.T) {
+	c, _ := New(0, Config{FreqGHz: 1, IPC: 1, MLP: 4}, &fixedGen{gap: 1})
+	now := clock.Time(0)
+	round := func() {
+		a := c.Take(now)
+		now += clock.Nanosecond
+		c.Defer(a, now)
+		if b := c.Take(now); b != a {
+			t.Fatalf("retried access %+v, want %+v", b, a)
+		}
+	}
+	round() // warm
+	const n = 1000
+	if avg := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			round()
+		}
+	}); avg != 0 {
+		t.Errorf("%v allocations over %d Defer+Take rounds, want 0", avg, n)
+	}
+}
+
 func TestHitLatencyAbsorbed(t *testing.T) {
 	cfg := Config{FreqGHz: 1, IPC: 1, MLP: 4}
 	c, _ := New(0, cfg, &fixedGen{gap: 1})

@@ -57,9 +57,9 @@ type Defense interface {
 	// OnRefreshTick observes one auto-refresh command on the bank's rank at
 	// the given time (the tREFI cadence; TWiCe prunes its table here).
 	OnRefreshTick(bank dram.BankID, now clock.Time)
-	// Reset clears all state, as after a refresh-window rollover in schemes
-	// that need it (CBT resets its tree every tREFW; TWiCe does not need
-	// resets but must tolerate them).
+	// Reset clears all state, leaving the defense as freshly built. No
+	// simulator path calls it: every grid cell builds a fresh defense, and
+	// CBT's per-tREFW tree reset happens inside OnRefreshTick.
 	Reset()
 }
 

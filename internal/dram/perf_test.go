@@ -165,7 +165,8 @@ func BenchmarkRemapLogical100Remapped(b *testing.B) {
 // A flip record append still may (and must) allocate, so the threshold is set
 // high enough that no flips occur during the measured runs. Warm means the
 // groups the measured rows disturb are stored: one pass over the same rows
-// stores them first.
+// stores them first. One run of 1,000 activations, so that a single
+// allocation shows: AllocsPerRun rounds down to whole allocations per run.
 func TestActivateSteadyStateZeroAllocs(t *testing.T) {
 	p := benchParams()
 	bank := NewBank(BankID{0, 0, 0}, &p, remapTableWithN(p, 100))
@@ -174,22 +175,25 @@ func TestActivateSteadyStateZeroAllocs(t *testing.T) {
 		activateRows(t, bank, []int{row})
 		row = (row + 7919) % p.RowsPerBank
 	}
-	row = 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := bank.Activate(row, 0); err != nil {
-			t.Fatal(err)
+	allocs := testing.AllocsPerRun(1, func() {
+		row := 0
+		for range 1000 {
+			if err := bank.Activate(row, 0); err != nil {
+				t.Fatal(err)
+			}
+			bank.Precharge()
+			row = (row + 7919) % p.RowsPerBank
 		}
-		bank.Precharge()
-		row = (row + 7919) % p.RowsPerBank
 	})
 	if allocs != 0 {
-		t.Fatalf("Bank.Activate allocates %v per run, want 0", allocs)
+		t.Fatalf("1,000 Bank.Activate calls allocate %v times, want 0", allocs)
 	}
 }
 
 // TestAutoRefreshSteadyStateZeroAllocs pins the refresh sweep at zero
 // allocations on a clean bank and on a disturbed one, where it has dirty
-// rows to clear on every tick.
+// rows to clear on every tick: one run of 100 ticks each, so that a single
+// allocation shows.
 func TestAutoRefreshSteadyStateZeroAllocs(t *testing.T) {
 	p := quickBankParams()
 	clean := NewBank(BankID{0, 0, 0}, &p, nil)
@@ -203,14 +207,16 @@ func TestAutoRefreshSteadyStateZeroAllocs(t *testing.T) {
 		{"clean", clean, nil},
 		{"dirty", dirty, hotRows},
 	} {
-		allocs := testing.AllocsPerRun(100, func() {
-			activateRows(t, tc.bank, tc.hot)
-			if err := tc.bank.AutoRefresh(0); err != nil {
-				t.Fatal(err)
+		allocs := testing.AllocsPerRun(1, func() {
+			for range 100 {
+				activateRows(t, tc.bank, tc.hot)
+				if err := tc.bank.AutoRefresh(0); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("Bank.AutoRefresh on a %s bank allocates %v per run, want 0", tc.name, allocs)
+			t.Fatalf("100 Bank.AutoRefresh ticks on a %s bank allocate %v times, want 0", tc.name, allocs)
 		}
 	}
 }

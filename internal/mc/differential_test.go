@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/clock"
@@ -129,6 +130,11 @@ func runStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec, u
 	return driveStream(t, cfg, def, specs, useRef, nil, observe...)
 }
 
+// stallHorizon bounds a stream run's simulated time: every stream here is
+// served within 100 µs, so a run still short of its requests at 10 ms has
+// stopped serving them.
+const stallHorizon = 10 * clock.Millisecond
+
 // driveStream is runStream with an optional shadow (memo_test.go): when sh
 // is set, it steps the indexed scheduler itself and re-derives the reused
 // answers after every step and every admission.
@@ -143,9 +149,10 @@ func driveStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec,
 	if err != nil {
 		t.Fatal(err)
 	}
-	advance := sys.Advance
+	enqueue, advance := sys.Enqueue, sys.Advance
 	if useRef {
-		advance = newRefScheduler(sys).Advance
+		ref := newRefScheduler(sys)
+		enqueue, advance = ref.Enqueue, ref.Advance
 	}
 	if sh != nil {
 		sh.attach(t, sys)
@@ -182,7 +189,7 @@ func driveStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec,
 				}
 			}
 			wake := sys.chans[pending.Addr.Channel].wake
-			if !sys.Enqueue(pending, now) {
+			if !enqueue(pending, now) {
 				break // full: retry after the controller makes progress
 			}
 			if sh != nil {
@@ -204,6 +211,9 @@ func driveStream(t *testing.T, cfg Config, def defense.Defense, specs []reqSpec,
 		}
 		now = target
 		advance(now)
+		if now > stallHorizon {
+			t.Fatalf("stream stalled: %d of %d requests served by %v", completed, len(specs), now)
+		}
 	}
 	// Drain trailing mitigation work (queued ARRs, victim refreshes) so the
 	// traces also cover post-completion defense scheduling.
@@ -414,14 +424,13 @@ func TestSchedulerDifferentialTWiCe(t *testing.T) {
 }
 
 // TestResetRerunIdentity pins machine reuse for the indexes: a system reset
-// in the machine's order (device, controller, RCD) must issue the exact
-// command stream a fresh one does. The first run stops as soon as the RCD
-// holds a pending ARR, so the controller's Reset re-derives an attention bit
-// from the RCD and the RCD's own Reset then leaves that bit stale. The demand
-// sets trust the attention words, so unless the attention loop clears the
-// stale bit, the rerun never opens a row in that bank again. The cut also
-// leaves clean demand sets, cached picks and a settled channel, and Reset
-// must clear all three.
+// in the machine's order (device, then controller, whose Reset also clears
+// its RCD) must issue the exact command stream a fresh one does. The first
+// run stops as soon as the RCD holds a pending ARR, with its bank's
+// attention bit set. The demand sets trust the attention words, so a Reset
+// that kept the ARR, or cleared it but left the bit, would never open a row
+// in that bank again. The cut also leaves clean demand sets, cached picks
+// and a settled channel, and Reset must clear all three.
 func TestResetRerunIdentity(t *testing.T) {
 	p := diffParams()
 	cfg := NewConfig(p)
@@ -514,21 +523,25 @@ func TestResetRerunIdentity(t *testing.T) {
 	if clean, picks, settled := reused(); clean == 0 || picks == 0 || !settled {
 		t.Fatalf("the cut left %d clean sets, %d cached picks, settled %v; want some of each", clean, picks, settled)
 	}
+	attn := func() (n int) {
+		for _, ch := range r.sys.chans {
+			for _, w := range ch.attn {
+				n += bits.OnesCount64(w)
+			}
+		}
+		return n
+	}
+	if attn() == 0 {
+		t.Fatal("no attention bit set at the cut, so the test covers nothing")
+	}
 	r.dev.Reset()
 	r.sys.Reset()
 	if clean, picks, settled := reused(); clean != 0 || picks != 0 || settled {
 		t.Fatalf("after Reset: %d clean sets, %d cached picks, settled %v; want none", clean, picks, settled)
 	}
-	stale := 0
-	for _, ch := range r.sys.chans {
-		for _, w := range ch.attn {
-			stale += bits.OnesCount64(w)
-		}
+	if pending, n := arrPending(0), attn(); pending || n != 0 {
+		t.Fatalf("after Reset: ARR pending %v, %d attention bits set; want none", pending, n)
 	}
-	if stale == 0 {
-		t.Fatal("no attention bit set at the reset: the cut left no ARR pending, so the test covers nothing")
-	}
-	r.sys.RCD().Reset()
 	def.Reset()
 	*r.cnt = stats.Counters{}
 	second, secondServed := run(r.sys, pastHorizon)
@@ -577,14 +590,18 @@ func TestBankQueueDepthAccessors(t *testing.T) {
 
 // TestStepSteadyStateAllocFree pins the hot path at zero allocations per
 // scheduler step in steady state, for both implementations (the reference's
-// scratch is amortized too).
+// queues and scratch are amortized too). One run of 100 pumps, so that a
+// single allocation shows: AllocsPerRun rounds down to whole allocations per
+// run.
 func TestStepSteadyStateAllocFree(t *testing.T) {
 	for _, useRef := range []bool{false, true} {
 		t.Run(fmt.Sprintf("PAR-BS/ref=%v", useRef), func(t *testing.T) {
-			r := newRig(t, NewConfig(sysParams()), defense.Nop{})
-			advance := r.sys.Advance
+			cfg := NewConfig(sysParams())
+			r := newRig(t, cfg, defense.Nop{})
+			enqueue, advance := r.sys.Enqueue, r.sys.Advance
 			if useRef {
-				advance = newRefScheduler(r.sys).Advance
+				ref := newRefScheduler(r.sys)
+				enqueue, advance = ref.Enqueue, ref.Advance
 			}
 			var free []*Request
 			r.sys.SetRelease(func(q *Request) { free = append(free, q) })
@@ -603,7 +620,7 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 						Write: rng.Intn(4) == 0,
 						Core:  rng.Intn(2),
 					}
-					if !r.sys.Enqueue(q, now) {
+					if !enqueue(q, now) {
 						free = append(free, q)
 						break
 					}
@@ -613,11 +630,25 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 					advance(now)
 				}
 			}
-			for i := 0; i < 300; i++ { // warmup: grow every queue, bucket, and scratch
+			for i := 0; i < 300; i++ { // warmup: grow every queue and scratch
 				pump()
 			}
-			if avg := testing.AllocsPerRun(100, pump); avg > 0 {
-				t.Errorf("channel.step allocates %.2f allocs/run in steady state, want 0", avg)
+			// A bucket grows by amortized appends until it has held the most
+			// requests its bank ever queued, which the warmup need not reach;
+			// grow each to its queue's depth, the most it can hold.
+			for _, ch := range r.sys.chans {
+				for i := range ch.bankqs {
+					bq := &ch.bankqs[i]
+					bq.reads = slices.Grow(bq.reads, cfg.QueueDepth-len(bq.reads))
+					bq.writes = slices.Grow(bq.writes, cfg.WriteQueueDepth-len(bq.writes))
+				}
+			}
+			if allocs := testing.AllocsPerRun(1, func() {
+				for range 100 {
+					pump()
+				}
+			}); allocs != 0 {
+				t.Errorf("100 pumps allocate %v times in steady state, want 0", allocs)
 			}
 		})
 	}

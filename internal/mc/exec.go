@@ -187,7 +187,6 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 		s.cnt.RowMisses++
 	}
 	ch.unindex(q) // while the row is still open: the hit counter must see it
-	ch.removeRequest(q)
 	b := ch.bank(q.Addr.Rank, q.Addr.Bank)
 	b.hits++
 	closeNow := s.cfg.PagePolicy == ClosedPage ||
@@ -205,7 +204,7 @@ func (ch *channel) doColumn(q *Request, t clock.Time) {
 	}
 	s.cnt.AddLatency(completion - q.Arrival)
 	if s.probes != nil {
-		s.probes.Dequeue(ch.idx, len(ch.queue)+len(ch.wqueue), completion-q.Arrival, completion)
+		s.probes.Dequeue(ch.idx, ch.nreads+ch.nwrites, completion-q.Arrival, completion)
 	}
 	if q.Done != nil {
 		q.Done(completion)
@@ -224,21 +223,6 @@ func (ch *channel) countNack(q *Request, id dram.BankID, now clock.Time) {
 		s.cnt.Nacks++
 		if s.probes != nil {
 			s.probes.Nack(ch.idx, now)
-		}
-	}
-}
-
-// removeRequest splices a completed request out of its queue: the write
-// buffer for a write, the read queue otherwise.
-func (ch *channel) removeRequest(q *Request) {
-	queue := &ch.queue
-	if q.Write {
-		queue = &ch.wqueue
-	}
-	for i, r := range *queue {
-		if r == q {
-			*queue = append((*queue)[:i], (*queue)[i+1:]...)
-			return
 		}
 	}
 }

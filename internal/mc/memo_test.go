@@ -14,7 +14,10 @@ import (
 // changes the output only in the write-drain toggle state of ROADMAP item 8,
 // so the differential tests alone can pass with a memo that is wrong. The
 // shadow instead re-derives every answer the memo would reuse, after every
-// step and every admission, and fails on the first difference.
+// step and every admission, and fails on the first difference. It checks
+// the facts the step trusts without re-deriving them the same way: the
+// channel's read and write counts against its buckets, and each attention
+// bit against the RCD and the bank's mitigation debt.
 
 // shadow steps the indexed scheduler the way System.Advance does and checks
 // its reused answers as it goes: every clean demand set whose stored time
@@ -135,11 +138,28 @@ func (sh *shadow) enter(ch *channel, now clock.Time) {
 }
 
 // check re-derives every answer of the channel that a later step could
-// reuse and fails on any difference.
+// reuse, and every count and attention bit it trusts, and fails on any
+// difference.
 func (sh *shadow) check(ch *channel) {
 	t, s := sh.t, sh.sys
 	t.Helper()
 	now := sh.last[ch.idx]
+	reads, writes := 0, 0
+	for i := range ch.bankqs {
+		reads += len(ch.bankqs[i].reads)
+		writes += len(ch.bankqs[i].writes)
+	}
+	if ch.nreads != reads || ch.nwrites != writes {
+		t.Fatalf("channel %d after the step at %v: counts %d reads, %d writes; buckets hold %d, %d", ch.idx, now, ch.nreads, ch.nwrites, reads, writes)
+	}
+	for rk := range ch.attn {
+		for ba := 0; ba < s.cfg.DRAM.BanksPerRank; ba++ {
+			owes := s.rcd.HasPendingARR(ch.bankID(rk, ba)) || len(ch.bank(rk, ba).mit) > 0
+			if set := ch.attn[rk]&(1<<ba) != 0; set != owes {
+				t.Fatalf("channel %d rank %d bank %d after the step at %v: attention bit %v, bank owes defense work %v", ch.idx, rk, ba, now, set, owes)
+			}
+		}
+	}
 	for rk := range ch.memo {
 		m := &ch.memo[rk]
 		rankID := dram.RankID{Channel: ch.idx, Rank: rk}

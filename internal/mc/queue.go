@@ -1,19 +1,18 @@
 // Per-channel queue state and the incrementally maintained scheduler
-// indexes (DESIGN.md §13). The read and write queues stay the source of
-// truth for admission, backpressure, and PAR-BS batch formation; alongside
-// them the channel keeps per-bank FIFO buckets, per-bank open-row hit
-// counters, and five bank-state words per rank (busy, open, hit, reads,
-// attention; bit b is bank b of the rank). Every index is updated at the
-// event that changes it (enqueue, completion, row open/close, command
-// execution), so the scheduler derives each rank's candidate sets with a
-// few mask operations and its per-step cost is O(ranks + attention banks +
-// candidate banks) instead of O(banks × queue). On top of the indexes the
-// channel keeps the answers a step derives from them: each rank's demand-set
-// times and each bank's demand pick, reused until an event changes their
-// inputs (the dirtying rules below). The reference scheduler in
-// reference_test.go ignores the indexes and re-derives everything by
-// scanning; the differential test pins the two to the same issued-command
-// trace.
+// indexes (DESIGN.md §13). The channel's only demand queue is its per-bank
+// FIFO buckets, with a count of queued reads and of buffered writes; beside
+// them it keeps per-bank open-row hit counters and five bank-state words
+// per rank (busy, open, hit, reads, attention; bit b is bank b of the
+// rank). Every index is updated at the event that changes it (enqueue,
+// completion, row open/close, command execution), so the scheduler derives
+// each rank's candidate sets with a few mask operations and its per-step
+// cost is O(ranks + attention banks + candidate banks) instead of O(banks ×
+// queue). On top of the indexes the channel keeps the answers a step
+// derives from them: each rank's demand-set times and each bank's demand
+// pick, reused until an event changes their inputs (the dirtying rules
+// below). The reference scheduler in reference_test.go keeps its own
+// queues and re-derives everything by scanning; the differential test pins
+// the two to the same issued-command trace.
 package mc
 
 import (
@@ -35,14 +34,13 @@ type bankCtl struct {
 	mit  []mitOp
 }
 
-// bankq is one bank's slice of the channel's demand queues: the requests of
-// the read queue and the write buffer that target this bank, each in
-// admission (stamp) order, plus the count of queued requests hitting the
-// bank's currently open row. The buckets hold the same *Request pointers as
-// the global queues; membership changes in lockstep (admit/unindex).
+// bankq is one bank's share of the channel's demand queue: its queued reads
+// and its buffered writes, each in admission (stamp) order, plus the count
+// of queued requests hitting the bank's currently open row. A request joins
+// its bucket in admit and leaves it in unindex.
 type bankq struct {
-	reads  []*Request // bucket of ch.queue requests for this bank
-	writes []*Request // bucket of ch.wqueue requests for this bank
+	reads  []*Request // queued reads for this bank
+	writes []*Request // buffered writes for this bank
 	hits   int        // queued requests (either bucket) targeting the open row
 
 	// The bank's demand pick (bestHit, the first conflicting request, or
@@ -87,8 +85,8 @@ func (m *setMemo) store(k int, t clock.Time) {
 type channel struct {
 	sys        *System
 	idx        int
-	queue      []*Request   // demand reads
-	wqueue     []*Request   // posted writes awaiting drain
+	nreads     int          // queued reads, across the read buckets
+	nwrites    int          // buffered writes awaiting drain, across the write buckets
 	draining   bool         // write-drain burst in progress
 	banks      []bankCtl    // rank-major: rank*BanksPerRank + bank
 	refreshDue []clock.Time // per rank
@@ -102,7 +100,7 @@ type channel struct {
 	open       []uint64 // a row is open
 	hit        []uint64 // bankq.hits > 0: a queued request targets the open row
 	reads      []uint64 // the read bucket is non-empty
-	attn       []uint64 // pending ARR or mitigation debt; step clears stale bits before use
+	attn       []uint64 // pending ARR or mitigation debt
 	markedLeft int      // marked PAR-BS requests still in the read queue
 	admits     int64    // admission stamp counter (Request.stamp source)
 
@@ -141,13 +139,12 @@ func (ch *channel) flat(rank, bank int) int {
 // indexed quantity, which is what keeps every scheduler read O(1). All are
 // reachable from the Enqueue/Advance hot paths.
 
-// admit indexes a freshly accepted request: stamps it, appends it to its
-// bank's read or write bucket, marks the bank busy, and updates the open-row
-// hit counter. The caller has already appended it to the matching global
-// queue. It reports whether the admission dirtied a demand set: it flipped
-// the bank's busy, reads or hit bit (all three sets of the rank), or it
-// queued behind a closed bank of a rank inside an ARR block (the ACT set,
-// whose evaluation counts the new request's nack).
+// admit queues a freshly accepted request: stamps it, appends it to its
+// bank's read or write bucket, counts it, marks the bank busy, and updates
+// the open-row hit counter. It reports whether the admission dirtied a
+// demand set: it flipped the bank's busy, reads or hit bit (all three sets
+// of the rank), or it queued behind a closed bank of a rank inside an ARR
+// block (the ACT set, whose evaluation counts the new request's nack).
 func (ch *channel) admit(q *Request, now clock.Time) bool {
 	q.stamp = ch.admits
 	ch.admits++
@@ -162,9 +159,11 @@ func (ch *channel) admit(q *Request, now clock.Time) bool {
 	if q.Write {
 		//twicelint:allocok amortized growth of the reused per-bank write bucket
 		bq.writes = append(bq.writes, q)
+		ch.nwrites++
 	} else {
 		//twicelint:allocok amortized growth of the reused per-bank read bucket
 		bq.reads = append(bq.reads, q)
+		ch.nreads++
 		flipped = flipped || ch.reads[rk]&bit == 0
 		ch.reads[rk] |= bit
 	}
@@ -191,7 +190,7 @@ func (ch *channel) admit(q *Request, now clock.Time) bool {
 	return true
 }
 
-// unindex removes a completed request from its bank bucket and counters.
+// unindex removes a completed request from its bank bucket and counts.
 // It must run while the bank's row state still matches the request's last
 // access (doColumn calls it before any page-policy precharge). A removal
 // that clears the bank's busy, reads or hit bit dirties the rank's sets.
@@ -213,8 +212,10 @@ func (ch *channel) unindex(q *Request) {
 	flipped := false
 	if q.Write {
 		bq.writes = fifo
+		ch.nwrites--
 	} else {
 		bq.reads = fifo
+		ch.nreads--
 		if len(fifo) == 0 {
 			ch.reads[rk] &^= bit
 			flipped = true
@@ -299,15 +300,12 @@ func (ch *channel) onRowClose(rk, ba int) {
 
 // updateAttn re-derives the bank's attention bit: it owes an adjacent-row
 // refresh or carries mitigation debt. Called after every event that can
-// file or consume such work (ACT observation, ARR take, mit pop), and by the
-// attention loop for a bit the RCD's own Reset left stale. A flip changes
-// the rank's PRE and ACT masks, yet it dirties nothing here: every call but
-// the stale-bit clear follows a command that dirties the rank (the ACT opens
-// a row, the ARR and the mitigation dirty it), and a stale bit lives only
-// from System.Reset, which dirties everything, to the channel's first step,
-// whose attention loop clears it before any set of the rank is evaluated.
-// (doARR's call when TakeARR finds nothing cannot flip the bit: the step
-// considers an ARR only for a bank the RCD reports pending.)
+// file or consume such work (ACT observation, ARR take, mit pop). A flip
+// changes the rank's PRE and ACT masks, yet it dirties nothing here: every
+// call follows a command that dirties the rank (the ACT opens a row, the
+// ARR and the mitigation dirty it). (doARR's call when TakeARR finds
+// nothing cannot flip the bit: the step considers an ARR only for a bank
+// the RCD reports pending.)
 func (ch *channel) updateAttn(id dram.BankID) {
 	if ch.sys.rcd.HasPendingARR(id) || len(ch.bank(id.Rank, id.Bank).mit) > 0 {
 		ch.attn[id.Rank] |= 1 << id.Bank
@@ -353,6 +351,7 @@ func (ch *channel) resetIndexes() {
 	clear(ch.hit)
 	clear(ch.reads)
 	clear(ch.attn)
+	ch.nreads, ch.nwrites = 0, 0
 	ch.markedLeft = 0
 	ch.admits = 0
 	// No set is clean and the channel is not settled, as in a fresh one.

@@ -1,10 +1,11 @@
 // The naive reference scheduler, kept as the behavioural ground truth for
-// the indexed one (scheduler.go). It re-derives every scheduling fact by
-// scanning the full queues each step — O(banks × queue) — and deliberately
-// ignores the incremental indexes (which exec still maintains underneath
-// it), so the randomized differential test genuinely cross-checks the
-// indexes against first principles rather than against themselves. A
-// refScheduler drives a System with it in place of System.Advance.
+// the indexed one (scheduler.go). It keeps its own admission-ordered read
+// queue and write buffer per channel, re-derives every scheduling fact by
+// scanning them each step — O(banks × queue) — and deliberately ignores the
+// buckets and bank-state words (which exec still maintains underneath it),
+// so the randomized differential test genuinely cross-checks the indexes
+// against first principles rather than against themselves. A refScheduler
+// drives a System with it in place of System.Enqueue and System.Advance.
 package mc
 
 import (
@@ -15,9 +16,13 @@ import (
 	"repro/internal/dram"
 )
 
-// refScratch is one channel's reference-scheduler scratch, reused every
-// step so the reference's steady state is allocation-free too.
+// refScratch is one channel's reference-scheduler state: its queues and
+// the scratch reused every step, so the reference's steady state is
+// allocation-free too.
 type refScratch struct {
+	queue  []*Request // queued reads, in admission order
+	wqueue []*Request // buffered writes, in admission order
+
 	hit     []bool     // per bank: some queued request hits the open row
 	pre     []bool     // per bank: a conflicting PRE already planned
 	drain   []*Request // scheduling pool when writes join the reads
@@ -54,6 +59,21 @@ func newRefScheduler(s *System) *refScheduler {
 		}
 	}
 	return r
+}
+
+// Enqueue is System.Enqueue that also appends an accepted request to the
+// reference's own queue for it.
+func (r *refScheduler) Enqueue(req *Request, now clock.Time) bool {
+	if !r.sys.Enqueue(req, now) {
+		return false
+	}
+	sc := &r.scratch[req.Addr.Channel]
+	if req.Write {
+		sc.wqueue = append(sc.wqueue, req)
+	} else {
+		sc.queue = append(sc.queue, req)
+	}
+	return true
 }
 
 // Advance is System.Advance with the reference step in place of the indexed
@@ -124,7 +144,7 @@ func (ch *channel) stepReference(now clock.Time, sc *refScratch) clock.Time {
 			if b.open >= 0 {
 				// Close the bank once no queued request still hits the open
 				// row, so in-flight accesses are not starved.
-				if !ch.queuedHit(id, b.open) {
+				if !sc.queuedHit(id, b.open) {
 					class := 2
 					if hasARR {
 						class = 1
@@ -144,6 +164,9 @@ func (ch *channel) stepReference(now clock.Time, sc *refScratch) clock.Time {
 	ch.scheduleDemandRef(now, refreshPending, sc, consider)
 
 	if best.op != opNone {
+		if best.op == opColumn {
+			sc.remove(best.req) // before exec releases the request
+		}
 		ch.exec(best)
 		return now // more work may be issuable at the same instant
 	}
@@ -155,14 +178,24 @@ func (ch *channel) stepReference(now clock.Time, sc *refScratch) clock.Time {
 	return earliest
 }
 
+// remove splices a request whose column command issued out of its queue.
+func (sc *refScratch) remove(q *Request) {
+	queue := &sc.queue
+	if q.Write {
+		queue = &sc.wqueue
+	}
+	i := slices.Index(*queue, q)
+	*queue = slices.Delete(*queue, i, i+1)
+}
+
 // queuedHit reports whether any queued request targets the bank's open row.
-func (ch *channel) queuedHit(id dram.BankID, row int) bool {
-	for _, q := range ch.queue {
+func (sc *refScratch) queuedHit(id dram.BankID, row int) bool {
+	for _, q := range sc.queue {
 		if q.Addr.Bank == id.Bank && q.Addr.Rank == id.Rank && q.Addr.Row == row {
 			return true
 		}
 	}
-	for _, q := range ch.wqueue {
+	for _, q := range sc.wqueue {
 		if q.Addr.Bank == id.Bank && q.Addr.Rank == id.Rank && q.Addr.Row == row {
 			return true
 		}
@@ -176,21 +209,21 @@ func (ch *channel) queuedHit(id dram.BankID, row int) bool {
 func (ch *channel) drainSet(sc *refScratch) []*Request {
 	cfg := ch.sys.cfg
 	switch {
-	case ch.draining && len(ch.wqueue) <= cfg.WriteLow:
+	case ch.draining && len(sc.wqueue) <= cfg.WriteLow:
 		ch.draining = false
-	case !ch.draining && (len(ch.wqueue) >= cfg.WriteHigh || (len(ch.queue) == 0 && len(ch.wqueue) > 0)):
+	case !ch.draining && (len(sc.wqueue) >= cfg.WriteHigh || (len(sc.queue) == 0 && len(sc.wqueue) > 0)):
 		ch.draining = true
 	}
 	if !ch.draining {
 		// Outside a burst, writes whose row is already open still complete
 		// (they cost one cheap column command and would otherwise strand a
 		// bank that was activated for them during the previous burst).
-		out := ch.queue
+		out := sc.queue
 		copied := false
-		for _, q := range ch.wqueue {
+		for _, q := range sc.wqueue {
 			if ch.bank(q.Addr.Rank, q.Addr.Bank).open == q.Addr.Row {
 				if !copied {
-					out = append(sc.drain[:0], ch.queue...)
+					out = append(sc.drain[:0], sc.queue...)
 					copied = true
 				}
 				out = append(out, q)
@@ -201,8 +234,8 @@ func (ch *channel) drainSet(sc *refScratch) []*Request {
 		}
 		return out
 	}
-	out := append(sc.drain[:0], ch.queue...)
-	out = append(out, ch.wqueue...)
+	out := append(sc.drain[:0], sc.queue...)
+	out = append(out, sc.wqueue...)
 	sc.drain = out[:0]
 	return out
 }
@@ -282,17 +315,17 @@ func (ch *channel) demandSeq(sc *refScratch, q *Request, hit bool, queueIdx int)
 // since exec's unindex decrements it), counts marks in maps, and ranks the
 // batch's cores with a sort on (load, core id).
 func (ch *channel) refreshBatchRef(sc *refScratch) {
-	for _, q := range ch.queue {
+	for _, q := range sc.queue {
 		if q.marked {
 			return
 		}
 	}
-	if len(ch.queue) == 0 {
+	if len(sc.queue) == 0 {
 		return
 	}
 	clear(sc.slot)
 	clear(sc.load)
-	for _, q := range ch.queue {
+	for _, q := range sc.queue {
 		k := refSlot{q.Core, q.Addr.Rank, q.Addr.Bank}
 		if sc.slot[k] < ch.sys.cfg.BatchCap {
 			sc.slot[k]++

@@ -73,21 +73,13 @@ func (ch *channel) step(now clock.Time) clock.Time {
 	// first one considered still wins the seq-0 ties of classes 0–2; demand
 	// keys are unique, so interleaving the classes by rank changes nothing.
 	for rk := 0; rk < p.RanksPerChannel; rk++ {
-		// Attention: banks with pending ARR or mitigation debt. A set bit
-		// whose bank owes nothing is stale (System.Reset re-derives the
-		// words from an RCD the machine resets afterwards); clearing it
-		// before the rank's demand sets read the word keeps the word exact.
+		// Attention: banks with pending ARR or mitigation debt.
 		for word := ch.attn[rk]; word != 0; word &= word - 1 {
 			ba := bits.TrailingZeros64(word)
 			id := ch.bankID(rk, ba)
 			i := ch.flat(rk, ba)
-			b := &ch.banks[i]
 			hasARR := s.rcd.HasPendingARR(id)
-			if !hasARR && len(b.mit) == 0 {
-				ch.updateAttn(id)
-				continue
-			}
-			if b.open >= 0 {
+			if ch.banks[i].open >= 0 {
 				// Close the bank once no queued request still hits the
 				// open row, so in-flight accesses are not starved.
 				if ch.bankqs[i].hits == 0 {
@@ -381,31 +373,37 @@ func (ch *channel) updateDrain() {
 func (ch *channel) drainFlips() bool {
 	cfg := &ch.sys.cfg
 	if ch.draining {
-		return len(ch.wqueue) <= cfg.WriteLow
+		return ch.nwrites <= cfg.WriteLow
 	}
-	return len(ch.wqueue) >= cfg.WriteHigh || (len(ch.queue) == 0 && len(ch.wqueue) > 0)
+	return ch.nwrites >= cfg.WriteHigh || (ch.nreads == 0 && ch.nwrites > 0)
 }
 
 // refreshBatch forms a new PAR-BS batch when the current one has drained:
-// the oldest BatchCap requests per (core, bank) are marked, and cores are
-// ranked by their total marked load (lightest first). The markedLeft counter
-// replaces the reference's per-step queue scan for leftover marks. A batch
-// moves demand keys but no set's time, so it bumps the pick epoch only.
+// the oldest BatchCap reads per (core, bank) are marked, walking each read
+// bucket in stamp order, and cores are ranked by their total marked load
+// (lightest first). The markedLeft counter replaces the reference's
+// per-step queue scan for leftover marks. A batch moves demand keys but no
+// set's time, so it bumps the pick epoch only.
 func (ch *channel) refreshBatch() {
-	if ch.markedLeft > 0 || len(ch.queue) == 0 {
+	if ch.markedLeft > 0 || ch.nreads == 0 {
 		return
 	}
 	perSlot, load := ch.batchSlot, ch.batchLoad
 	clear(perSlot)
 	clear(load)
-	nb := len(ch.banks)
-	for _, q := range ch.queue {
-		k := q.Core*nb + ch.flat(q.Addr.Rank, q.Addr.Bank)
-		if perSlot[k] < ch.sys.cfg.BatchCap {
-			perSlot[k]++
-			q.marked = true
-			ch.markedLeft++
-			load[q.Core]++
+	nb, bpr := len(ch.banks), ch.sys.cfg.DRAM.BanksPerRank
+	for rk, w := range ch.reads {
+		for ; w != 0; w &= w - 1 {
+			i := rk*bpr + bits.TrailingZeros64(w)
+			for _, q := range ch.bankqs[i].reads {
+				k := q.Core*nb + i
+				if perSlot[k] < ch.sys.cfg.BatchCap {
+					perSlot[k]++
+					q.marked = true
+					ch.markedLeft++
+					load[q.Core]++
+				}
+			}
 		}
 	}
 	ch.rankCores(load)

@@ -1,7 +1,8 @@
 // Package mc implements the memory controller of the paper's Table 4:
-// per-channel read queues and write buffers, PAR-BS command scheduling,
-// open/closed/minimalist-open page policies, auto-refresh pacing, and the
-// RCD-mediated adjacent-row-refresh protocol with negative acknowledgements.
+// per-channel read queues and write buffers (kept as per-bank buckets),
+// PAR-BS command scheduling, open/closed/minimalist-open page policies,
+// auto-refresh pacing, and the RCD-mediated adjacent-row-refresh protocol
+// with negative acknowledgements.
 //
 // The package is split by responsibility: queue.go holds the per-channel
 // queue state and the incrementally maintained scheduler indexes,
@@ -80,7 +81,7 @@ type System struct {
 	cfg   Config       //twicelint:keep controller configuration, fixed at construction
 	dev   *dram.Device //twicelint:keep wiring; the device resets itself (machine owns the order)
 	chk   *timing.Checker
-	rcd   *rcd.RCD        //twicelint:keep wiring; the RCD resets itself (machine owns the order)
+	rcd   *rcd.RCD
 	cnt   *stats.Counters //twicelint:keep wiring; counters are reset by the machine that owns them
 	chans []*channel
 	ids   int64
@@ -168,17 +169,18 @@ func (s *System) SetTrace(fn func(TraceEvent)) { s.trace = fn }
 // does not touch the attachment — the machine owns it.
 func (s *System) SetProbes(p *probe.Recorder) { s.probes = p }
 
-// Reset returns the controller and its timing checker to their
-// just-constructed state while reusing queues, scratch, and bank arrays. The
-// device, RCD, and counters objects were handed to New by the caller and are
-// the caller's to reset. New ends with Reset, so a reset system schedules
-// the same command stream a fresh one would.
+// Reset returns the controller, its timing checker and its RCD's pending
+// ARRs to their just-constructed state while reusing queues, scratch, and
+// bank arrays. With the RCD and the mitigation debt cleared, no bank owes
+// defense work, so every attention word is 0 and exact. The device, the
+// RCD's hosted defense and the counters were handed to New by the caller
+// and are the caller's to reset. New ends with Reset, so a reset system
+// schedules the same command stream a fresh one would.
 func (s *System) Reset() {
 	s.chk.Reset()
+	s.rcd.Reset()
 	cfg := s.cfg
 	for c, ch := range s.chans {
-		ch.queue = ch.queue[:0]
-		ch.wqueue = ch.wqueue[:0]
 		ch.draining = false
 		for b := range ch.banks {
 			ch.banks[b].open = -1
@@ -201,15 +203,6 @@ func (s *System) Reset() {
 		clear(ch.batchLoad)
 		ch.batchCores = ch.batchCores[:0]
 		ch.resetIndexes()
-		// Re-derive the attention set from the RCD: a caller that resets
-		// only the controller leaves pending ARRs the banks still owe. A
-		// machine resets the RCD afterwards, and the first step's attention
-		// loop clears the bits that leaves stale.
-		for rk := 0; rk < cfg.DRAM.RanksPerChannel; rk++ {
-			for ba := 0; ba < cfg.DRAM.BanksPerRank; ba++ {
-				ch.updateAttn(ch.bankID(rk, ba))
-			}
-		}
 	}
 	s.ids = 0
 	s.steps = 0
@@ -273,21 +266,14 @@ func (s *System) MaxBankQueueDepth() int64 {
 //twicelint:hotpath request admission runs once per simulated request
 func (s *System) Enqueue(req *Request, now clock.Time) bool {
 	ch := s.chans[req.Addr.Channel]
+	full := ch.nreads >= s.cfg.QueueDepth
 	if req.Write {
-		if len(ch.wqueue) >= s.cfg.WriteQueueDepth {
-			return false
-		}
-		req.Arrival = now
-		//twicelint:allocok amortized growth of the reused write-queue backing array
-		ch.wqueue = append(ch.wqueue, req)
-	} else {
-		if len(ch.queue) >= s.cfg.QueueDepth {
-			return false
-		}
-		req.Arrival = now
-		//twicelint:allocok amortized growth of the reused read-queue backing array
-		ch.queue = append(ch.queue, req)
+		full = ch.nwrites >= s.cfg.WriteQueueDepth
 	}
+	if full {
+		return false
+	}
+	req.Arrival = now
 	dirtied := ch.admit(req, now)
 	// Wake the channel at now unless the step that wake-up would run
 	// reproduces its last one: that step issued nothing, and since then
@@ -308,9 +294,9 @@ func (s *System) Enqueue(req *Request, now clock.Time) bool {
 	}
 	if s.probes != nil {
 		if req.Write {
-			s.probes.Enqueue(len(ch.wqueue))
+			s.probes.Enqueue(ch.nwrites)
 		} else {
-			s.probes.Enqueue(len(ch.queue))
+			s.probes.Enqueue(ch.nreads)
 		}
 		s.probes.BankDepth(s.BankQueueDepth(req.Addr.Channel, req.Addr.Rank, req.Addr.Bank))
 	}

@@ -340,7 +340,8 @@ func (r *Recorder) Totals() EventTotals { return r.totals }
 // MaxOccupancy returns the highest post-prune table occupancy observed on
 // any bank — the value the §4.4 bound must dominate: core.Config.TableBound,
 // 556 entries for the paper's DDR4-2400 parameters, which a legal stream
-// reaches exactly (the paper reports 553).
+// reaches exactly (the paper's 553 is the same bound at maxact 164, not
+// 165; EXPERIMENTS.md, deviation 1).
 func (r *Recorder) MaxOccupancy() int { return r.maxOcc }
 
 // OccupancySeries returns the recorded occupancy trajectory (shared storage;

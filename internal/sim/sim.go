@@ -65,6 +65,10 @@ func (c Config) Validate() error {
 	if ctl != c.DRAM {
 		return errors.New("sim: MC.DRAM differs from DRAM in organization or timing; rebuild MC with mc.NewConfig(DRAM)")
 	}
+	// The address map takes only power-of-two geometries within 63 bits.
+	if _, err := mc.NewAddrMap(c.DRAM); err != nil {
+		return err
+	}
 	if err := c.Cache.Validate(); err != nil {
 		return err
 	}
@@ -126,18 +130,17 @@ type Machine struct {
 	// leaves it untouched for the next user.
 	hier *cache.Hierarchy
 
-	// served counts completed memory requests against Limits.MaxRequests.
-	served int64
+	// runStart is Counters.RequestsServed when the current Run started.
+	runStart int64
 	// free pools completed requests for reuse: the controller hands each
 	// request back (mc.System.SetRelease) once its completion callback has
 	// run, so steady state allocates no request objects at all. The pool
 	// is bounded by the number of requests in flight.
 	free []*mc.Request
-	// demandDone/bestEffortDone are the completion callbacks, built once
-	// per machine instead of once per request: the demand closure per core
-	// (it must credit the issuing core), the best-effort one shared.
-	demandDone     []func(clock.Time)
-	bestEffortDone func(clock.Time)
+	// demandDone holds the demand completion callbacks, one per core (each
+	// credits its issuing core), built once per machine instead of once per
+	// request. Best-effort requests carry none.
+	demandDone []func(clock.Time)
 
 	// rec is the attached telemetry recorder, nil when detached. The machine
 	// fans the attachment out to the controller, the RCD, and the hosted
@@ -169,7 +172,6 @@ func NewMachine(cfg Config, def defense.Defense, w workload.Workload) (*Machine,
 	if m.sys, err = mc.New(cfg.MC, dev, rcd.New(cfg.DRAM, nil), m.cnt); err != nil {
 		return nil, err
 	}
-	m.bestEffortDone = func(clock.Time) { m.served++ }
 	m.sys.SetRelease(m.release)
 	if err := m.Reuse(def, w); err != nil {
 		return nil, err
@@ -188,10 +190,7 @@ func (m *Machine) buildCores() error {
 			return err
 		}
 		m.cores[i] = c
-		m.demandDone[i] = func(clock.Time) {
-			c.OnComplete()
-			m.served++
-		}
+		m.demandDone[i] = func(clock.Time) { c.OnComplete() }
 	}
 	return nil
 }
@@ -200,10 +199,11 @@ func (m *Machine) buildCores() error {
 // resetting every stateful component in place: device disturbance counts,
 // remap tables (fuse data — they survive untouched, which is why reuse is
 // only valid within one Config, whose Seed generated them), the timing
-// checker, controller queues and scratch, the RCD, counters, caches, and the
-// request pool. NewMachine arms a fresh machine through Reuse too, and the
-// reuse equivalence test pins that a recycled machine behaves byte for byte
-// like a fresh one.
+// checker, controller queues and scratch and the RCD (all three through the
+// controller's Reset), counters, and caches. The request pool keeps its
+// requests, each cleared as it is reused. NewMachine arms a fresh machine
+// through Reuse too, and the reuse equivalence test pins that a recycled
+// machine behaves byte for byte like a fresh one.
 func (m *Machine) Reuse(def defense.Defense, w workload.Workload) error {
 	if err := w.Validate(); err != nil {
 		return err
@@ -215,11 +215,9 @@ func (m *Machine) Reuse(def defense.Defense, w workload.Workload) error {
 	m.def = def
 	m.dev.Reset()
 	m.sys.Reset()
-	m.sys.RCD().Reset()
 	m.sys.RCD().SetDefense(def)
 	m.wireDefenseProbes()
 	*m.cnt = stats.Counters{}
-	m.served = 0
 	if !w.BypassCache {
 		if m.hier != nil && m.hier.Cores() == w.Cores() {
 			m.hier.Reset()
@@ -276,7 +274,7 @@ func (m *Machine) SetRecorder(rec *probe.Recorder) {
 	}
 	rec.Attach(m.cfg.DRAM.Channels, m.cfg.DRAM.TotalBanks(), m.cfg.DRAM.TREFI)
 	rec.AddGauge("disturb_high_water", m.maxDisturbHighWater)
-	rec.AddGauge("requests_served", func() int64 { return m.served })
+	rec.AddGauge("requests_served", m.served)
 	rec.AddGauge("max_bank_queue_depth", m.sys.MaxBankQueueDepth)
 }
 
@@ -301,6 +299,9 @@ func (m *Machine) maxDisturbHighWater() int64 {
 	return hw
 }
 
+// served counts the memory requests completed since Run started.
+func (m *Machine) served() int64 { return m.cnt.RequestsServed - m.runStart }
+
 // retryDelay spaces queue-full retries.
 const retryDelay = 100 * clock.Nanosecond
 
@@ -316,15 +317,15 @@ func (m *Machine) Run(lim Limits) (*Result, error) {
 		lim.MaxRequests = 1<<62 - 1
 	}
 
-	m.served = 0
+	m.runStart = m.cnt.RequestsServed
 	now := clock.Time(0)
-	for m.served < lim.MaxRequests && now < lim.MaxTime {
+	for m.served() < lim.MaxRequests && now < lim.MaxTime {
 		next := m.sys.NextEvent()
 		for _, c := range m.cores {
 			next = clock.Min(next, c.NextEventTime())
 		}
 		if next == clock.Never {
-			return nil, fmt.Errorf("sim: deadlock at %v (served %d)", now, m.served)
+			return nil, fmt.Errorf("sim: deadlock at %v (served %d)", now, m.served())
 		}
 		now = next
 		if now >= lim.MaxTime {
@@ -421,7 +422,7 @@ func (m *Machine) submit(c *cpu.Core, addr uint64, write bool, now clock.Time) {
 // real prefetchers do and is harmless for write data in a reliability model.
 // Completions still count toward the run's request budget.
 func (m *Machine) submitBestEffort(coreID int, addr uint64, write bool, now clock.Time) {
-	req := m.newRequest(addr, write, coreID, m.bestEffortDone)
+	req := m.newRequest(addr, write, coreID, nil)
 	if !m.sys.Enqueue(req, now) {
 		m.release(req)
 	}

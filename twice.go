@@ -9,12 +9,13 @@
 //
 //	cfg := twice.DefaultConfig(16)            // the paper's Table 4 machine
 //	def, _ := twice.NewTWiCe(cfg.DRAM)        // thRH = 32768, pa-TWiCe
-//	w := twice.WorkloadS3(cfg, 5000)          // hammer row 5000
+//	w, _ := twice.WorkloadS3(cfg, 5000)       // hammer row 5000
 //	res, _ := twice.Run(cfg, def, w, twice.Requests(1_000_000))
 //	fmt.Println(res.Counters.AdditionalACTRatio(), res.Counters.Detections)
 package twice
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/analysis"
@@ -153,32 +154,45 @@ func NewTRR(p DRAMParams) (Defense, error) { return trr.New(trr.NewConfig(p)) }
 func NoDefense() Defense { return defense.Nop{} }
 
 // WorkloadS1 returns the paper's S1 synthetic: uniform random accesses.
-func WorkloadS1(cfg Config, seed int64) Workload {
-	return workload.S1(mustMap(cfg), cfg.DRAM, seed)
+func WorkloadS1(cfg Config, seed int64) (Workload, error) {
+	return synthetic(cfg, func(m *mc.AddrMap) Workload { return workload.S1(m, cfg.DRAM, seed) })
 }
 
 // WorkloadS2 returns the paper's S2 synthetic: the CBT-adversarial pattern,
 // tuned against a counter tree with the given top threshold.
-func WorkloadS2(cfg Config, cbtThreshold int) Workload {
-	return workload.S2(mustMap(cfg), cfg.DRAM, cbtThreshold)
+func WorkloadS2(cfg Config, cbtThreshold int) (Workload, error) {
+	return synthetic(cfg, func(m *mc.AddrMap) Workload { return workload.S2(m, cfg.DRAM, cbtThreshold) })
 }
 
 // WorkloadS3 returns the paper's S3 synthetic: a single-row hammer on the
 // given row of bank 0.
-func WorkloadS3(cfg Config, row int) Workload {
-	return workload.S3(mustMap(cfg), cfg.DRAM, row)
+func WorkloadS3(cfg Config, row int) (Workload, error) {
+	return synthetic(cfg, func(m *mc.AddrMap) Workload { return workload.S3(m, cfg.DRAM, row) })
 }
 
 // WorkloadDoubleSided returns a double-sided hammer around victim row (an
 // extension beyond the paper's S3).
-func WorkloadDoubleSided(cfg Config, victim int) Workload {
-	return workload.DoubleSided(mustMap(cfg), victim)
+func WorkloadDoubleSided(cfg Config, victim int) (Workload, error) {
+	return synthetic(cfg, func(m *mc.AddrMap) Workload { return workload.DoubleSided(m, victim) })
 }
 
 // WorkloadManySided returns an n-sided hammer (the TRRespass pattern): n
 // aggressor rows spaced two apart from base, rotating every access.
-func WorkloadManySided(cfg Config, base, n int) Workload {
-	return workload.ManySided(mustMap(cfg), base, n)
+func WorkloadManySided(cfg Config, base, n int) (Workload, error) {
+	if n < 1 {
+		return Workload{}, fmt.Errorf("twice: a many-sided hammer needs at least 1 aggressor, got %d", n)
+	}
+	return synthetic(cfg, func(m *mc.AddrMap) Workload { return workload.ManySided(m, base, n) })
+}
+
+// synthetic builds a workload over cfg's address map, or returns the map's
+// error for a geometry it cannot address (which Config.Validate rejects).
+func synthetic(cfg Config, build func(*mc.AddrMap) Workload) (Workload, error) {
+	m, err := mc.NewAddrMap(cfg.DRAM)
+	if err != nil {
+		return Workload{}, err
+	}
+	return build(m), nil
 }
 
 // WorkloadSPECRate returns n copies of a SPEC CPU2006-like application.
@@ -224,13 +238,3 @@ func Table3Energy() EnergyModel { return energy.Table3() }
 
 // AreaModel computes the TWiCe table storage footprint.
 func AreaModel(cfg TWiCeConfig) Area { return energy.AreaModel(cfg) }
-
-func mustMap(cfg Config) *mc.AddrMap {
-	m, err := mc.NewAddrMap(cfg.DRAM)
-	if err != nil {
-		// Config.Validate accepts only power-of-two geometries, so this is
-		// unreachable for validated configs; fail loudly for broken ones.
-		panic("twice: invalid DRAM geometry: " + err.Error())
-	}
-	return m
-}

@@ -25,7 +25,11 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, def, WorkloadS3(cfg, 5000), Requests(100000))
+	w, err := WorkloadS3(cfg, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(cfg, def, w, Requests(100000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,24 +63,78 @@ func TestDefenseConstructors(t *testing.T) {
 	}
 }
 
+// constructor is one facade workload call.
+type constructor struct {
+	name  string
+	build func() (Workload, error)
+}
+
+// synthetics lists each address-mapped facade workload over cfg.
+func synthetics(cfg Config) []constructor {
+	return []constructor{
+		{"S1", func() (Workload, error) { return WorkloadS1(cfg, 1) }},
+		{"S2", func() (Workload, error) { return WorkloadS2(cfg, 1000) }},
+		{"S3", func() (Workload, error) { return WorkloadS3(cfg, 42) }},
+		{"double-sided", func() (Workload, error) { return WorkloadDoubleSided(cfg, 42) }},
+		{"many-sided", func() (Workload, error) { return WorkloadManySided(cfg, 1000, 8) }},
+	}
+}
+
 func TestWorkloadConstructors(t *testing.T) {
 	cfg := DefaultConfig(4)
-	for _, w := range []Workload{
-		WorkloadS1(cfg, 1),
-		WorkloadS2(cfg, 1000),
-		WorkloadS3(cfg, 42),
-		WorkloadDoubleSided(cfg, 42),
-		WorkloadMICA(4, cfg, 1),
-	} {
+	for _, c := range synthetics(cfg) {
+		w, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		if err := w.Validate(); err != nil {
 			t.Errorf("%s: %v", w.Name, err)
 		}
+	}
+	if err := WorkloadMICA(4, cfg, 1).Validate(); err != nil {
+		t.Error(err)
 	}
 	if _, err := WorkloadSPECRate("mcf", 4, cfg, 1); err != nil {
 		t.Error(err)
 	}
 	if _, err := WorkloadMixHigh(4, cfg, 1); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWorkloadConstructorsReturnErrors gives the address-mapped
+// constructors inputs they cannot build: a geometry the address map refuses
+// (a row count that is not a power of two, matched in MC.DRAM, which
+// Config.Validate must reject too), and a many-sided hammer without an
+// aggressor row, which workload.ManySided cannot build (n < 0 panics at
+// construction, n = 0 at the first access). Each returns an error, and none
+// panics.
+func TestWorkloadConstructorsReturnErrors(t *testing.T) {
+	bad := DefaultConfig(1)
+	bad.DRAM.RowsPerBank = 100000
+	bad.MC.DRAM = bad.DRAM
+	if err := bad.Validate(); err == nil {
+		t.Error("Config.Validate accepted RowsPerBank = 100000")
+	}
+	cases := synthetics(bad)
+	for i := range cases {
+		cases[i].name = "RowsPerBank=100000/" + cases[i].name
+	}
+	cases = append(cases,
+		constructor{"many-sided/n=0", func() (Workload, error) { return WorkloadManySided(scaled(), 1000, 0) }},
+		constructor{"many-sided/n=-1", func() (Workload, error) { return WorkloadManySided(scaled(), 1000, -1) }},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if _, err := c.build(); err == nil {
+				t.Error("no error")
+			}
+		})
 	}
 }
 
@@ -96,7 +154,11 @@ func TestDeriveThroughFacade(t *testing.T) {
 func TestTraceRoundTripThroughFacade(t *testing.T) {
 	cfg := scaled()
 	var buf bytes.Buffer
-	if err := RecordTrace(&buf, WorkloadS3(cfg, 123), 5000); err != nil {
+	attack, err := WorkloadS3(cfg, 123)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RecordTrace(&buf, attack, 5000); err != nil {
 		t.Fatal(err)
 	}
 	w, err := WorkloadFromTrace("replayed-attack", bytes.NewReader(buf.Bytes()), true)
@@ -132,7 +194,10 @@ func TestWorkloadFromTraceRejectsGarbage(t *testing.T) {
 
 func TestManySidedThroughFacade(t *testing.T) {
 	cfg := scaled()
-	w := WorkloadManySided(cfg, 1000, 8)
+	w, err := WorkloadManySided(cfg, 1000, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
