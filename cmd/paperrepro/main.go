@@ -4,7 +4,7 @@
 // Usage:
 //
 //	paperrepro [-scale quick|paper] [-only table1|table2|table3|table4|fig7a|fig7b|area]
-//	           [-parallel N] [-progress] [-telemetry dir] [-debug-addr host:port]
+//	           [-parallel N] [-progress] [-telemetry dir]
 //	           [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // The quick scale (default) shrinks the refresh window and every threshold
@@ -20,12 +20,10 @@
 // <dir>/<experiment>.trace.json (Chrome trace-event format, one process per
 // grid cell × channel; open at ui.perfetto.dev), also byte-identical at any
 // worker count; -timeline-windows K keeps only the last K tREFI windows per
-// cell. -debug-addr serves expvar (including live grid progress counters)
-// and net/http/pprof for poking at a long paper-scale run.
+// cell.
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"os"
@@ -53,7 +51,6 @@ func main() {
 	telemetryDir := flag.String("telemetry", "", "directory to write per-experiment telemetry CSV/JSONL into")
 	timelineDir := flag.String("timeline", "", "directory to write per-experiment Chrome trace-event timelines into")
 	timelineWindows := flag.Int("timeline-windows", 0, "flight-recorder mode: keep only the last K tREFI windows per cell (0 = full trace)")
-	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -76,40 +73,16 @@ func main() {
 	}
 	s.Telemetry = col
 
-	var cellsDone, cellsTotal expvar.Int
-	if *debugAddr != "" {
-		expvar.Publish("grid_cells_done", &cellsDone)
-		expvar.Publish("grid_cells_total", &cellsTotal)
-		_, addr, err := probe.ServeDebug(*debugAddr)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "paperrepro: debug server on http://%s/debug/vars and /debug/pprof/\n", addr)
-	}
 	// instrument points one grid experiment's progress hook at the stderr
-	// meter and the expvar counters; the returned finish func ends the meter
-	// line. Telemetry and trace attachment are independent — they ride on
-	// s.Telemetry.
+	// meter; the returned finish func ends the meter line. Telemetry and
+	// trace attachment are independent — they ride on s.Telemetry.
 	instrument := func(s *experiments.Scale, label string) func() {
-		if !*progressFlag && *debugAddr == "" {
+		if !*progressFlag {
 			return func() {}
 		}
-		var p *probe.Progress
-		if *progressFlag {
-			p = probe.NewProgress(os.Stderr, label, time.Now)
-		}
-		s.Progress = func(done, total int) {
-			cellsDone.Set(int64(done))
-			cellsTotal.Set(int64(total))
-			if p != nil {
-				p.Update(done, total)
-			}
-		}
-		return func() {
-			if p != nil {
-				p.Finish()
-			}
-		}
+		p := probe.NewProgress(os.Stderr, label, time.Now)
+		s.Progress = p.Update
+		return p.Finish
 	}
 	// export writes the collector's per-cell telemetry and trace after one
 	// grid experiment (no-op without -telemetry and -timeline). runGrid

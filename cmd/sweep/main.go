@@ -100,6 +100,17 @@ func main() {
 	}
 }
 
+// twiceEdits maps each TWiCe sweep parameter to its one edit of the
+// point's TWiCe config, whose DRAM parameters the machine then runs on.
+var twiceEdits = map[string]func(c *core.Config, v int){
+	"thrh": func(c *core.Config, v int) {
+		c.ThRH = v
+		c.DRAM.NTh = 4 * v // keep the config sound at every point
+	},
+	"prune-every":  func(c *core.Config, v int) { c.PruneEvery = v },
+	"blast-radius": func(c *core.Config, v int) { c.DRAM.BlastRadius = v },
+}
+
 // runPoint simulates one sweep point and returns its CSV row (with trailing
 // newline). Each point builds its own config, defense, and workload, so
 // points share no mutable state and may run on any worker. rec, when
@@ -109,56 +120,30 @@ func runPoint(param, raw string, s experiments.Scale, requests int64, rec *probe
 
 	var def defense.Defense
 	tableEntries := 0
-	switch param {
-	case "thrh":
+	edit, isTWiCe := twiceEdits[param]
+	switch {
+	case isTWiCe:
 		v, err := strconv.Atoi(raw)
 		if err != nil {
 			return "", err
 		}
-		cfg.DRAM.NTh = 4 * v // keep the config sound at every point
 		ccfg := core.NewConfig(cfg.DRAM)
-		ccfg.ThRH = v
+		ccfg.ThRH = s.ThRH
+		edit(&ccfg, v)
 		tw, err := core.New(ccfg)
 		if err != nil {
 			return "", err
 		}
+		cfg.DRAM = ccfg.DRAM
 		def, tableEntries = tw, ccfg.TableBound()
-	case "para-p":
+	case param == "para-p":
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			return "", err
 		}
-		pa, err := para.New(v, cfg.DRAM, s.Seed+3)
-		if err != nil {
+		if def, err = para.New(v, cfg.DRAM, s.Seed+3); err != nil {
 			return "", err
 		}
-		def = pa
-	case "prune-every":
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			return "", err
-		}
-		ccfg := core.NewConfig(cfg.DRAM)
-		ccfg.ThRH = s.ThRH
-		ccfg.PruneEvery = v
-		tw, err := core.New(ccfg)
-		if err != nil {
-			return "", err
-		}
-		def, tableEntries = tw, ccfg.TableBound()
-	case "blast-radius":
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			return "", err
-		}
-		cfg.DRAM.BlastRadius = v
-		ccfg := core.NewConfig(cfg.DRAM)
-		ccfg.ThRH = s.ThRH
-		tw, err := core.New(ccfg)
-		if err != nil {
-			return "", err
-		}
-		def, tableEntries = tw, ccfg.TableBound()
 	default:
 		return "", fmt.Errorf("unknown parameter %q", param)
 	}

@@ -20,7 +20,6 @@
 // Chrome trace-event / Perfetto JSON timeline of every run (open it at
 // ui.perfetto.dev); -timeline-windows K switches it to flight-recorder mode,
 // keeping only the last K tREFI windows unless a detection pins the ring.
-// -debug-addr serves expvar and net/http/pprof while the simulations run.
 package main
 
 import (
@@ -55,7 +54,6 @@ func main() {
 	telemetryDir := flag.String("telemetry", "", "directory to write run telemetry CSV/JSONL into")
 	timelineFile := flag.String("timeline", "", "write a Chrome trace-event / Perfetto JSON timeline to this file")
 	timelineWindows := flag.Int("timeline-windows", 0, "flight-recorder mode: keep only the last K tREFI windows (0 = full trace; first detection pins the ring)")
-	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	list := flag.Bool("list", false, "list workloads and defenses, then exit")
@@ -111,13 +109,6 @@ func main() {
 		}
 	}
 
-	if *debugAddr != "" {
-		_, addr, err := probe.ServeDebug(*debugAddr)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "twicesim: debug server on http://%s/debug/vars and /debug/pprof/\n", addr)
-	}
 	col, err := probe.NewCollector(*telemetryDir != "", *timelineFile != "", *timelineWindows)
 	if err != nil {
 		fail(err)

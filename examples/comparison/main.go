@@ -19,29 +19,19 @@ func main() {
 	cfg = twice.ScaleWindow(cfg, clock.Millisecond, 8192)
 
 	// Defenses, with TWiCe's threshold scaled like the window (thRH 2048
-	// here corresponds to the paper's 32768 over 64 ms).
+	// here corresponds to the paper's 32768 over 64 ms). Each run builds
+	// its own, so no run inherits state an earlier one left in a defense.
 	tcfg := twice.NewTWiCeConfig(cfg.DRAM)
 	tcfg.ThRH = 2048
-	tw, err := twice.NewTWiCeWith(tcfg)
-	if err != nil {
-		log.Fatal(err)
+	defenses := []func() (twice.Defense, error){
+		func() (twice.Defense, error) { return twice.NewPARA(0.001, cfg.DRAM, 11) },
+		func() (twice.Defense, error) { return twice.NewPARA(0.002, cfg.DRAM, 13) },
+		// CBT's top threshold scales with the 64×-shortened window
+		// (32768/64 = 512): its split cascade depends on the threshold-to-
+		// window-activations ratio, so this keeps its dynamics faithful.
+		func() (twice.Defense, error) { return twice.NewCBTThreshold(cfg.DRAM, 512) },
+		func() (twice.Defense, error) { return twice.NewTWiCeWith(tcfg) },
 	}
-	para1, err := twice.NewPARA(0.001, cfg.DRAM, 11)
-	if err != nil {
-		log.Fatal(err)
-	}
-	para2, err := twice.NewPARA(0.002, cfg.DRAM, 13)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// CBT's top threshold scales with the 64×-shortened window
-	// (32768/64 = 512): its split cascade depends on the threshold-to-
-	// window-activations ratio, so this keeps its dynamics faithful.
-	cbt, err := twice.NewCBTThreshold(cfg.DRAM, 512)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defenses := []twice.Defense{para1, para2, cbt, tw}
 
 	workloads := map[string]func() (twice.Workload, error){
 		"S1": func() (twice.Workload, error) { return twice.WorkloadS1(cfg, 1) },
@@ -51,7 +41,11 @@ func main() {
 
 	fmt.Printf("%-6s %-12s %14s %12s %8s %6s\n", "wl", "defense", "extra ACTs", "ratio", "detect", "flips")
 	for _, wname := range []string{"S1", "S2", "S3"} {
-		for _, def := range defenses {
+		for _, newDef := range defenses {
+			def, err := newDef()
+			if err != nil {
+				log.Fatal(err)
+			}
 			w, err := workloads[wname]()
 			if err != nil {
 				log.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"slices"
 )
 
 // RemapTable records the row-sparing decisions made at device test time:
@@ -86,19 +85,19 @@ func GenerateRemapTable(p Params, rng *rand.Rand) *RemapTable {
 			t.spareLogical = append(t.spareLogical, r)
 		}
 	}
-	// Sort row<<k | spare: the rows are distinct, so this orders the spares
-	// by the row they serve, and each value carries its spare in its low k
-	// bits.
-	k := bits.Len(uint(n))
-	t.remappedLogical = make([]int, n)
-	for s, r := range t.spareLogical {
-		t.remappedLogical[s] = r<<k | s
+	// The probe slices list the accepted rows in ascending order, so a
+	// row's position there is its rank in the bitmap: the rows accepted in
+	// the words below its own plus those below it in its word.
+	below := make([]int, len(taken))
+	for w := 1; w < len(taken); w++ {
+		below[w] = below[w-1] + bits.OnesCount64(taken[w-1])
 	}
-	slices.Sort(t.remappedLogical)
+	t.remappedLogical = make([]int, n)
 	t.remappedPhys = make([]int, n)
-	for i, v := range t.remappedLogical {
-		t.remappedLogical[i] = v >> k
-		t.remappedPhys[i] = t.rows + v&(1<<k-1)
+	for s, r := range t.spareLogical {
+		i := below[r>>6] + bits.OnesCount64(taken[r>>6]&(uint64(1)<<(r&63)-1))
+		t.remappedLogical[i] = r
+		t.remappedPhys[i] = t.rows + s
 	}
 	return t
 }

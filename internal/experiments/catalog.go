@@ -156,8 +156,7 @@ func AllWorkloads() []string {
 // NewWorkload builds the named workload on the scale's machine. row is the
 // aggressor row of S3 and the victim row of double-sided; the other
 // workloads ignore it. The core count and the row arrive from command
-// flags, so both are checked here: the address map masks row bits, and an
-// out-of-range row would silently hammer a different row.
+// flags, so both are checked here, the row by workload.CheckRow.
 func (s Scale) NewWorkload(name string, row int) (workload.Workload, error) {
 	key, app := name, ""
 	if a, ok := strings.CutPrefix(name, specRate); ok {
@@ -168,12 +167,13 @@ func (s Scale) NewWorkload(name string, row int) (workload.Workload, error) {
 			continue
 		}
 		p := s.MachineConfig().DRAM
-		lo, hi := w.span/2, p.RowsPerBank-w.span/2
-		switch {
-		case s.Cores < 1:
+		if s.Cores < 1 {
 			return workload.Workload{}, fmt.Errorf("experiments: %s: %d cores, want at least 1", name, s.Cores)
-		case w.span > 0 && (row < lo || row >= hi):
-			return workload.Workload{}, fmt.Errorf("experiments: %s: row %d outside [%d, %d)", name, row, lo, hi)
+		}
+		if w.span > 0 {
+			if err := workload.CheckRow(row, w.span/2, w.span/2, p.RowsPerBank); err != nil {
+				return workload.Workload{}, fmt.Errorf("experiments: %s: %w", name, err)
+			}
 		}
 		amap, err := mc.NewAddrMap(p)
 		if err != nil {

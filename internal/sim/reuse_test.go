@@ -8,6 +8,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/defense"
+	"repro/internal/dram"
 	"repro/internal/workload"
 )
 
@@ -38,12 +39,30 @@ func captureState(t *testing.T, m *Machine, res *Result, tw *core.TWiCe) machine
 	return st
 }
 
-// reuseCell describes one grid cell of the equivalence test.
+// reuseCell describes one grid cell of the equivalence test. before, when
+// set, runs on the recycled machine ahead of the cell, to leave state the
+// reuse must clear.
 type reuseCell struct {
-	name string
-	def  func(t *testing.T, cfg Config) defense.Defense
-	w    func(t *testing.T, cfg Config) workload.Workload
-	lim  Limits
+	name   string
+	def    func(t *testing.T, cfg Config) defense.Defense
+	w      func(t *testing.T, cfg Config) workload.Workload
+	lim    Limits
+	before func(m *Machine)
+}
+
+// arrEveryACT asks for an ARR on every row it sees activated.
+type arrEveryACT struct{ defense.Nop }
+
+func (arrEveryACT) OnActivate(_ dram.BankID, row int, _ clock.Time) defense.Action {
+	return defense.Action{ARRAggressors: []int{row}}
+}
+
+// leaveARRPending files one ARR with the machine's RCD that no run serves,
+// as a cell cut off by its limits with a detection unserved would.
+func leaveARRPending(m *Machine) {
+	r := m.sys.RCD()
+	r.SetDefense(arrEveryACT{})
+	r.ObserveACT(dram.BankID{}, 5000, 0)
 }
 
 // TestMachineReuseMatchesFresh is the machine-recycling contract: running a
@@ -52,7 +71,8 @@ type reuseCell struct {
 // same disturbance arrays, same counter tables. The sequence deliberately
 // changes defense and workload between cells, crosses from a cache-bypassing
 // workload to a cached one and back (hierarchy teardown/reuse), and repeats
-// a cell so a table reused twice is covered.
+// a cell so a table reused twice is covered. The last cell starts with an
+// ARR left pending on the recycled machine, which the reuse must drop.
 func TestMachineReuseMatchesFresh(t *testing.T) {
 	cfg := scaledConfig()
 	lim := Limits{MaxRequests: 8000, MaxTime: 20 * clock.Millisecond}
@@ -89,11 +109,21 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 			w:    func(t *testing.T, cfg Config) workload.Workload { return s3Workload(t, cfg) },
 			lim:  lim,
 		},
+		{
+			name:   "s3-twice-pa-arr-pending",
+			def:    func(t *testing.T, cfg Config) defense.Defense { return scaledTWiCe(t, cfg, core.PA) },
+			w:      func(t *testing.T, cfg Config) workload.Workload { return s3Workload(t, cfg) },
+			lim:    lim,
+			before: leaveARRPending,
+		},
 	}
 
 	runner := NewCellRunner(cfg)
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
+			if cell.before != nil {
+				cell.before(runner.m)
+			}
 			reDef := cell.def(t, cfg)
 			reRes, err := runner.Run(reDef, cell.w(t, cfg), cell.lim)
 			if err != nil {

@@ -115,6 +115,17 @@ type s3Gen struct {
 	col int
 }
 
+// CheckRow returns an error unless an attack on row hammers only rows of
+// the bank: its aggressors reach below rows under row and above rows over
+// it, and each must lie in [0, rows). The address map masks row bits, so an
+// aggressor outside the bank would silently hammer a different row.
+func CheckRow(row, below, above, rows int) error {
+	if lo, hi := below, rows-above; row < lo || row >= hi {
+		return fmt.Errorf("row %d outside [%d, %d)", row, lo, hi)
+	}
+	return nil
+}
+
 // S3 is the single-row row-hammer attack against the given row of bank 0.
 func S3(m *mc.AddrMap, p dram.Params, row int) Workload {
 	return Workload{

@@ -167,22 +167,31 @@ func WorkloadS2(cfg Config, cbtThreshold int) (Workload, error) {
 // WorkloadS3 returns the paper's S3 synthetic: a single-row hammer on the
 // given row of bank 0.
 func WorkloadS3(cfg Config, row int) (Workload, error) {
-	return synthetic(cfg, func(m *mc.AddrMap) Workload { return workload.S3(m, cfg.DRAM, row) })
+	return hammer(cfg, "S3", row, 0, 0, func(m *mc.AddrMap) Workload { return workload.S3(m, cfg.DRAM, row) })
 }
 
 // WorkloadDoubleSided returns a double-sided hammer around victim row (an
 // extension beyond the paper's S3).
 func WorkloadDoubleSided(cfg Config, victim int) (Workload, error) {
-	return synthetic(cfg, func(m *mc.AddrMap) Workload { return workload.DoubleSided(m, victim) })
+	return hammer(cfg, "double-sided", victim, 1, 1, func(m *mc.AddrMap) Workload { return workload.DoubleSided(m, victim) })
 }
 
 // WorkloadManySided returns an n-sided hammer (the TRRespass pattern): n
 // aggressor rows spaced two apart from base, rotating every access.
 func WorkloadManySided(cfg Config, base, n int) (Workload, error) {
-	if n < 1 {
-		return Workload{}, fmt.Errorf("twice: a many-sided hammer needs at least 1 aggressor, got %d", n)
+	if most := (cfg.DRAM.RowsPerBank + 1) / 2; n < 1 || n > most {
+		return Workload{}, fmt.Errorf("twice: a many-sided hammer needs 1 to %d aggressors, got %d", most, n)
 	}
-	return synthetic(cfg, func(m *mc.AddrMap) Workload { return workload.ManySided(m, base, n) })
+	return hammer(cfg, "many-sided", base, 0, 2*(n-1), func(m *mc.AddrMap) Workload { return workload.ManySided(m, base, n) })
+}
+
+// hammer builds an attack on row after checking that its aggressors, below
+// rows under row and above rows over it, lie in the bank.
+func hammer(cfg Config, name string, row, below, above int, build func(*mc.AddrMap) Workload) (Workload, error) {
+	if err := workload.CheckRow(row, below, above, cfg.DRAM.RowsPerBank); err != nil {
+		return Workload{}, fmt.Errorf("twice: %s: %w", name, err)
+	}
+	return synthetic(cfg, build)
 }
 
 // synthetic builds a workload over cfg's address map, or returns the map's

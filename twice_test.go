@@ -2,6 +2,9 @@ package twice
 
 import (
 	"bytes"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/clock"
@@ -82,7 +85,16 @@ func synthetics(cfg Config) []constructor {
 
 func TestWorkloadConstructors(t *testing.T) {
 	cfg := DefaultConfig(4)
-	for _, c := range synthetics(cfg) {
+	// The attacks also build at the extreme rows whose aggressors all lie
+	// in the bank's 131,072 rows.
+	edges := []constructor{
+		{"S3/row=0", func() (Workload, error) { return WorkloadS3(cfg, 0) }},
+		{"S3/row=131071", func() (Workload, error) { return WorkloadS3(cfg, 131071) }},
+		{"double-sided/victim=1", func() (Workload, error) { return WorkloadDoubleSided(cfg, 1) }},
+		{"double-sided/victim=131070", func() (Workload, error) { return WorkloadDoubleSided(cfg, 131070) }},
+		{"many-sided/base=131064/n=4", func() (Workload, error) { return WorkloadManySided(cfg, 131064, 4) }},
+	}
+	for _, c := range append(synthetics(cfg), edges...) {
 		w, err := c.build()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -105,11 +117,14 @@ func TestWorkloadConstructors(t *testing.T) {
 // TestWorkloadConstructorsReturnErrors gives the address-mapped
 // constructors inputs they cannot build: a geometry the address map refuses
 // (a row count that is not a power of two, matched in MC.DRAM, which
-// Config.Validate must reject too), and a many-sided hammer without an
-// aggressor row, which workload.ManySided cannot build (n < 0 panics at
-// construction, n = 0 at the first access). Each returns an error, and none
-// panics.
+// Config.Validate must reject too), a many-sided hammer without an
+// aggressor row or with more than the bank holds, which workload.ManySided
+// cannot build (n < 0 panics at construction, n = 0 at the first access,
+// n = MaxInt allocating its rows), and attacks with an aggressor outside the
+// default geometry's 131,072 rows, which the address map would fold onto a
+// different row. Each returns an error, and none panics.
 func TestWorkloadConstructorsReturnErrors(t *testing.T) {
+	def := DefaultConfig(1)
 	bad := DefaultConfig(1)
 	bad.DRAM.RowsPerBank = 100000
 	bad.MC.DRAM = bad.DRAM
@@ -123,6 +138,13 @@ func TestWorkloadConstructorsReturnErrors(t *testing.T) {
 	cases = append(cases,
 		constructor{"many-sided/n=0", func() (Workload, error) { return WorkloadManySided(scaled(), 1000, 0) }},
 		constructor{"many-sided/n=-1", func() (Workload, error) { return WorkloadManySided(scaled(), 1000, -1) }},
+		constructor{"S3/row=-1", func() (Workload, error) { return WorkloadS3(def, -1) }},
+		constructor{"S3/row=131072", func() (Workload, error) { return WorkloadS3(def, 131072) }},
+		constructor{"S3/row=1<<20", func() (Workload, error) { return WorkloadS3(def, 1<<20) }},
+		constructor{"double-sided/victim=0", func() (Workload, error) { return WorkloadDoubleSided(def, 0) }},
+		constructor{"double-sided/victim=131071", func() (Workload, error) { return WorkloadDoubleSided(def, 131071) }},
+		constructor{"many-sided/base=131070/n=4", func() (Workload, error) { return WorkloadManySided(def, 131070, 4) }},
+		constructor{"many-sided/n=MaxInt", func() (Workload, error) { return WorkloadManySided(def, 0, math.MaxInt) }},
 	)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -135,6 +157,19 @@ func TestWorkloadConstructorsReturnErrors(t *testing.T) {
 				t.Error("no error")
 			}
 		})
+	}
+}
+
+// TestNoDebugHandlersOnDefaultMux pins that importing the library
+// registers no debug endpoints on http.DefaultServeMux: net/http/pprof and
+// expvar each add theirs at init, so neither may be linked in.
+func TestNoDebugHandlersOnDefaultMux(t *testing.T) {
+	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
+		rec := httptest.NewRecorder()
+		http.DefaultServeMux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want %d", path, rec.Code, http.StatusNotFound)
+		}
 	}
 }
 
